@@ -27,7 +27,7 @@ from .evaluate import (BASELINES, ConfusionMatrix, ExperimentReport,
                        baseline_naive_bayes, metrics, run_experiment,
                        split_corpus)
 from .lattice import (ConceptLattice, appose, assemble, build_lattice,
-                      find_lower_covers, find_psi, lattice_to_dot,
+                      find_lower_covers, lattice_to_dot,
                       load_lattice, save_lattice, split_context)
 from .textprep import (Document, DocumentVector, Vocabulary, build_context,
                        build_vocabulary, candidate_terms, default_stopwords,

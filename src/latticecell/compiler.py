@@ -137,6 +137,25 @@ def _intent_label(intent: int, vocabulary: Sequence[str]) -> str:
     return "[" + ", ".join(vocabulary[a] for a in bit_indices(intent)) + "]"
 
 
+def _assemble(categories: Sequence[str], vocabulary: Sequence[str],
+              fact_labels: Sequence[str],
+              rules: Sequence[tuple[int, int, int, ClassDistribution]]
+              ) -> CellularModel:
+    """Wire a model from its fact labels and one tuple per rule.
+
+    Each rule is ``(intent_fact, intent_mask, extent_fact, distribution)``:
+    rule k, labeled ``R{k+1}``, has the intent fact as its premise and the
+    extent fact as its conclusion.
+    """
+    engine = EngineState(fact_labels, [f"R{k + 1}" for k in range(len(rules))],
+                         [1 << rule[0] for rule in rules],
+                         [1 << rule[2] for rule in rules])
+    return CellularModel(engine, tuple(categories),
+                         tuple((i, mask) for i, mask, _, _ in rules),
+                         tuple((e, dist) for _, _, e, dist in rules),
+                         tuple(vocabulary))
+
+
 def compile_model(lattice: ConceptLattice, labels: Mapping[str, str] | Sequence[str],
                   categories: Sequence[str]) -> CellularModel:
     """Translate a lattice plus per-object labels into a CellularModel.
@@ -157,28 +176,16 @@ def compile_model(lattice: ConceptLattice, labels: Mapping[str, str] | Sequence[
         aligned = list(labels)
 
     fact_labels: list[str] = []
-    rule_labels: list[str] = []
-    premises: list[int] = []
-    conclusions: list[int] = []
-    intent_facts: list[tuple[int, int]] = []
-    extent_facts: list[tuple[int, ClassDistribution]] = []
+    rules = []
     for vertex, concept in enumerate(lattice.concepts):
         if concept.intent == 0 or concept.extent == 0:
             continue
         dist = distribution_of(concept.extent, aligned, categories)
-        intent_idx = len(fact_labels)
+        rules.append((len(fact_labels), concept.intent,
+                      len(fact_labels) + 1, dist))
         fact_labels.append(_intent_label(concept.intent, ctx.attribute_names))
-        extent_idx = len(fact_labels)
         fact_labels.append(_extent_label(vertex, dist, categories))
-        rule_labels.append(f"R{len(rule_labels) + 1}")
-        premises.append(1 << intent_idx)
-        conclusions.append(1 << extent_idx)
-        intent_facts.append((intent_idx, concept.intent))
-        extent_facts.append((extent_idx, dist))
-
-    engine = EngineState(fact_labels, rule_labels, premises, conclusions)
-    return CellularModel(engine, tuple(categories), tuple(intent_facts),
-                         tuple(extent_facts), ctx.attribute_names)
+    return _assemble(categories, ctx.attribute_names, fact_labels, rules)
 
 
 # Reference model used by the worked example: six concept vertices over the
@@ -207,27 +214,15 @@ def load_fixture_model() -> CellularModel:
     vocab_index = {name: i for i, name in enumerate(_FIXTURE_VOCABULARY)}
     shorts = _short_category_names(_FIXTURE_CATEGORIES)
     fact_labels: list[str] = []
-    rule_labels: list[str] = []
-    premises: list[int] = []
-    conclusions: list[int] = []
-    intent_facts: list[tuple[int, int]] = []
-    extent_facts: list[tuple[int, ClassDistribution]] = []
+    rules = []
     for k, (names, tag, percents) in enumerate(_FIXTURE_VERTICES):
         intent = mask_from_indices(vocab_index[n] for n in names)
         dist = ClassDistribution(tuple(Fraction(p, 100) for p in percents))
-        intent_idx = 2 * k
-        extent_idx = 2 * k + 1
+        rules.append((2 * k, intent, 2 * k + 1, dist))
         fact_labels.append("[" + ", ".join(names) + "]")
         parts = ", ".join(f"({p}% {s})" for p, s in zip(percents, shorts))
         fact_labels.append(f"[{tag} {parts}]")
-        rule_labels.append(f"R{k + 1}")
-        premises.append(1 << intent_idx)
-        conclusions.append(1 << extent_idx)
-        intent_facts.append((intent_idx, intent))
-        extent_facts.append((extent_idx, dist))
-    engine = EngineState(fact_labels, rule_labels, premises, conclusions)
-    return CellularModel(engine, _FIXTURE_CATEGORIES, tuple(intent_facts),
-                         tuple(extent_facts), _FIXTURE_VOCABULARY)
+    return _assemble(_FIXTURE_CATEGORIES, _FIXTURE_VOCABULARY, fact_labels, rules)
 
 
 def model_to_dict(model: CellularModel) -> dict:
@@ -277,25 +272,16 @@ def model_from_dict(data: dict) -> CellularModel:
                 raise FormatError(f"fact {i}: unknown kind {entry['kind']!r}")
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed fact entry: {exc}") from exc
-    premises = []
-    conclusions = []
-    intent_facts = []
-    extent_facts = []
+    rules = []
     try:
         for k, rule in enumerate(raw_rules):
             p, c = int(rule["premise"]), int(rule["conclusion"])
             if p not in intent_mask_by_idx or c not in dist_by_idx:
                 raise FormatError(f"rule {k} wiring does not match fact kinds")
-            premises.append(1 << p)
-            conclusions.append(1 << c)
-            intent_facts.append((p, intent_mask_by_idx[p]))
-            extent_facts.append((c, dist_by_idx[c]))
+            rules.append((p, intent_mask_by_idx[p], c, dist_by_idx[c]))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed rule entry: {exc}") from exc
-    engine = EngineState(fact_labels, [f"R{k + 1}" for k in range(len(raw_rules))],
-                         premises, conclusions)
-    return CellularModel(engine, categories, tuple(intent_facts),
-                         tuple(extent_facts), vocabulary)
+    return _assemble(categories, vocabulary, fact_labels, rules)
 
 
 def save_model(model: CellularModel, path: str | Path) -> None:

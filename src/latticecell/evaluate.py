@@ -15,7 +15,6 @@ import math
 import random
 import time
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -303,6 +302,9 @@ def _classify_all(model, vectors, measure, policy, jobs) -> list[Prediction]:
     chunk = (len(vectors) + jobs - 1) // jobs
     payloads = [(model, vectors[i:i + chunk], measure, policy)
                 for i in range(0, len(vectors), chunk)]
+    # imported here: multiprocessing is most of the package's import time
+    from concurrent.futures import ProcessPoolExecutor
+
     out: list[Prediction] = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         for part in pool.map(_classify_chunk, payloads):

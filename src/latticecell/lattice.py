@@ -4,8 +4,10 @@ The builder splits the context's attribute list in half, recursively
 builds the two partial lattices, and merges them: every pairwise extent
 intersection of the halves is a closed extent of the combined context, and
 collecting the distinct intersections with unioned intents yields exactly
-its concept set. Cover edges (the Hasse diagram) are computed afterwards
-over the finished concept list.
+its concept set. Cover edges (the Hasse diagram) are derived from the
+finished concept list on first read, so building, compiling and
+classifying never pay for them; lattice files store them for readers but
+loading ignores them.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from . import backend
+from .bits import mask_from_indices
 from .context import Concept, FormalContext, canonical_key
 from .errors import DimensionError, FormatError, NotSplittableError
 
@@ -25,14 +29,21 @@ class ConceptLattice:
     """All concepts of a context, canonically ordered, plus cover edges.
 
     ``covers`` holds (child, parent) index pairs forming the transitive
-    reduction of the subconcept order. Immutable and shareable.
+    reduction of the subconcept order. It is derived from ``concepts`` on
+    first read and cached; it is never read from a lattice file.
+    Immutable and shareable.
     """
 
     context: FormalContext
     concepts: tuple[Concept, ...]
-    covers: frozenset[tuple[int, int]]
     top_index: int
     bottom_index: int
+
+    @cached_property
+    def covers(self) -> frozenset[tuple[int, int]]:
+        # cached_property writes the instance __dict__ directly, which the
+        # frozen dataclass's __setattr__ does not intercept
+        return find_lower_covers(self.concepts)
 
     @property
     def top(self) -> Concept:
@@ -55,16 +66,6 @@ def split_context(ctx: FormalContext) -> tuple[FormalContext, FormalContext]:
     right = FormalContext(ctx.object_ids, ctx.attribute_names[k:],
                           tuple(r >> k for r in ctx.rows))
     return left, right
-
-
-def find_psi(extent: int, registry: Mapping[int, Concept]) -> Concept | None:
-    """Look up the concept already created for this exact extent, if any.
-
-    The assembly loop keys its registry by extent: when a concept pair
-    regenerates a known extent, the new intent is merged into the stored
-    concept instead of creating a duplicate.
-    """
-    return registry.get(extent)
 
 
 def _base_concept_masks(ctx: FormalContext) -> tuple[list[int], list[int]]:
@@ -93,15 +94,14 @@ def _finish(ctx: FormalContext, extents: Sequence[int],
             intents: Sequence[int]) -> ConceptLattice:
     concepts = sorted((Concept(e, i) for e, i in zip(extents, intents)),
                       key=canonical_key)
-    covers = find_lower_covers(concepts)
     # canonical order is extent-cardinality ascending: the unique minimal
     # extent sorts first and the full-extent top sorts last
-    return ConceptLattice(ctx, tuple(concepts), covers,
+    return ConceptLattice(ctx, tuple(concepts),
                           top_index=len(concepts) - 1, bottom_index=0)
 
 
 def build_lattice(ctx: FormalContext) -> ConceptLattice:
-    """Full lattice of ``ctx``: concept set plus Hasse cover edges.
+    """Full lattice of ``ctx``; its Hasse cover edges are derived on first read.
 
     A context with no attributes yields the single concept (all objects, {}).
     """
@@ -161,32 +161,40 @@ def lattice_to_dict(lattice: ConceptLattice) -> dict:
 
 
 def lattice_from_dict(data: dict) -> ConceptLattice:
+    """Lattice from its JSON form; the stored ``covers`` are not read."""
     try:
         object_ids = tuple(data["objects"])
         attributes = tuple(data["attributes"])
-        raw = data["concepts"]
-        covers = frozenset((int(a), int(b)) for a, b in data["covers"])
+        raw = list(data["concepts"])
         top = int(data["top"])
         bottom = int(data["bottom"])
+        oidx = {o: i for i, o in enumerate(object_ids)}
+        aidx = {a: i for i, a in enumerate(attributes)}
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed lattice document: {exc}") from exc
-    oidx = {o: i for i, o in enumerate(object_ids)}
-    aidx = {a: i for i, a in enumerate(attributes)}
+    for name, index in (("top", top), ("bottom", bottom)):
+        if not 0 <= index < len(raw):
+            raise FormatError(f"{name} index {index} outside the "
+                              f"{len(raw)} concepts")
     # Incidence is recoverable: o has a iff some concept holds both.
     rows = [0] * len(object_ids)
     concepts = []
-    for entry in raw:
-        extent = 0
-        intent = 0
-        for o in entry["extent"]:
-            extent |= 1 << oidx[o]
-        for a in entry["intent"]:
-            intent |= 1 << aidx[a]
-        concepts.append(Concept(extent, intent))
-        for o in entry["extent"]:
-            rows[oidx[o]] |= intent
+    for k, entry in enumerate(raw):
+        if not (isinstance(entry, Mapping) and isinstance(entry.get("extent"), list)
+                and isinstance(entry.get("intent"), list)):
+            raise FormatError(f"concept {k}: expected a mapping with "
+                              f"'extent' and 'intent' lists")
+        try:
+            objects = [oidx[o] for o in entry["extent"]]
+            intent = mask_from_indices(aidx[a] for a in entry["intent"])
+        except (KeyError, TypeError) as exc:
+            raise FormatError(f"concept {k}: unknown object or attribute "
+                              f"{exc}") from exc
+        concepts.append(Concept(mask_from_indices(objects), intent))
+        for o in objects:
+            rows[o] |= intent
     ctx = FormalContext(object_ids, attributes, tuple(rows))
-    return ConceptLattice(ctx, tuple(concepts), covers, top, bottom)
+    return ConceptLattice(ctx, tuple(concepts), top, bottom)
 
 
 def save_lattice(lattice: ConceptLattice, path: str | Path) -> None:
@@ -217,16 +225,8 @@ def lattice_to_dot(lattice: ConceptLattice) -> str:
     return "\n".join(lines) + "\n"
 
 
-def verify_against_naive(lattice: ConceptLattice) -> bool:
-    """True iff the concept set equals the brute-force enumeration."""
-    from .context import enumerate_concepts_naive
-
-    return list(lattice.concepts) == enumerate_concepts_naive(lattice.context)
-
-
 __all__ = [
     "ConceptLattice", "appose", "assemble", "build_lattice",
-    "find_lower_covers", "find_psi", "lattice_from_dict", "lattice_to_dict",
+    "find_lower_covers", "lattice_from_dict", "lattice_to_dict",
     "lattice_to_dot", "load_lattice", "save_lattice", "split_context",
-    "verify_against_naive",
 ]

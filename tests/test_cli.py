@@ -87,6 +87,19 @@ def test_compile_missing_label(tmp_path, capsys):
     assert "Doc 4 unlabeled" in capsys.readouterr().err
 
 
+def test_compile_unknown_object_in_lattice(tmp_path, capsys):
+    lattice = tmp_path / "lattice.json"
+    main(["build", str(DATA / "context.csv"), "-o", str(lattice)])
+    capsys.readouterr()
+    data = json.loads(lattice.read_text(encoding="utf-8"))
+    data["concepts"][1]["extent"].append("Doc 10")
+    lattice.write_text(json.dumps(data), encoding="utf-8")
+    rc = main(["compile", str(lattice), str(DATA / "labels.csv"),
+               "-o", str(tmp_path / "m.json")])
+    assert rc == 2
+    assert "Doc 10" in capsys.readouterr().err
+
+
 def test_classify_worked_example(query_csv, capsys):
     rc = main(["classify", "--paper-fixture", str(query_csv),
                "--similarity", "inner"])

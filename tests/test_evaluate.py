@@ -1,11 +1,16 @@
 """Metrics, baselines, and the end-to-end experiment runner."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from helpers import DATA
+import latticecell
 from latticecell import (ConfusionMatrix, DocumentVector, EmptyInputError,
                          PipelineConfig, baseline_knn, baseline_naive_bayes,
                          metrics, run_experiment, split_corpus)
@@ -168,6 +173,18 @@ def test_run_experiment_parallel_jobs_match_serial():
                               PipelineConfig(measures=("inner",), seed=2,
                                              jobs=2))
     assert json.dumps(serial.to_json_dict()) == json.dumps(parallel.to_json_dict())
+
+
+def test_import_leaves_process_pool_unloaded():
+    # the pool is imported only by a run that asks for jobs > 1
+    src = str(Path(latticecell.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, latticecell; "
+            "print('concurrent.futures.process' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_run_experiment_explicit_split(tmp_path):

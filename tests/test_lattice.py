@@ -5,12 +5,16 @@ import random
 
 import pytest
 
-from helpers import (brute_transitive_reduction, concept_set, demo_context,
-                     random_context)
-from latticecell import (Concept, DimensionError, FormalContext,
-                         NotSplittableError, assemble, build_lattice,
+from helpers import (DATA, DEMO_CATEGORIES, brute_transitive_reduction,
+                     concept_set, demo_context, demo_labels_map,
+                     query_vector, random_context)
+from latticecell import (Concept, DimensionError, FormalContext, FormatError,
+                         NotSplittableError, PipelineConfig, assemble,
+                         build_lattice, classify, compile_model,
                          enumerate_concepts_naive, find_lower_covers,
-                         find_psi, load_lattice, save_lattice, split_context)
+                         load_lattice, run_experiment, save_lattice,
+                         split_context)
+from latticecell.cli import main
 from latticecell.lattice import lattice_from_dict, lattice_to_dict, lattice_to_dot
 
 
@@ -132,17 +136,6 @@ def test_pairwise_intersections_demo(ctx):
     assert extents == {c.extent for c in enumerate_concepts_naive(ctx)}
 
 
-def test_find_psi(ctx):
-    lattice = build_lattice(ctx)
-    registry = {c.extent: c for c in lattice.concepts}
-    target = ctx.object_mask(["Doc 5", "Doc 6"])
-    found = find_psi(target, registry)
-    assert found is not None
-    assert ctx.attribute_labels(found.intent) == ("Ministre", "Puissance")
-    assert find_psi(ctx.object_mask(["Doc 1", "Doc 9"]), registry) is None
-    assert find_psi(0, registry) == lattice.bottom
-
-
 def test_find_lower_covers_chain():
     concepts = [Concept(0b001, 0b11), Concept(0b111, 0)]
     assert find_lower_covers(concepts) == {(0, 1)}
@@ -195,7 +188,71 @@ def test_dot_export(ctx):
 
 
 def test_lattice_from_dict_rejects_garbage():
-    from latticecell import FormatError
-
     with pytest.raises(FormatError):
         lattice_from_dict({"objects": []})
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d["concepts"][1]["extent"].append("Doc 10"),
+    lambda d: d["concepts"][1]["intent"].append("Stadium"),
+    lambda d: d["concepts"][1]["intent"].append(["Stade"]),
+    lambda d: d["concepts"].__setitem__(1, ["Doc 1"]),
+    lambda d: d["concepts"][1].pop("intent"),
+    lambda d: d["concepts"][1].__setitem__("extent", "Doc 1"),
+    lambda d: d.__setitem__("top", len(d["concepts"])),
+    lambda d: d.__setitem__("bottom", -1),
+], ids=["unknown-object", "unknown-attribute", "unhashable-name",
+        "entry-not-mapping", "entry-without-intent", "extent-not-list",
+        "top-out-of-range", "bottom-out-of-range"])
+def test_lattice_from_dict_rejects_bad_names_and_indices(ctx, mutate):
+    data = lattice_to_dict(build_lattice(ctx))
+    mutate(data)
+    with pytest.raises(FormatError):
+        lattice_from_dict(data)
+
+
+def test_pipeline_never_computes_covers(ctx, tmp_path, monkeypatch):
+    path = tmp_path / "lattice.json"
+    save_lattice(build_lattice(ctx), path)
+
+    def refuse(extents):
+        raise AssertionError("Hasse covers computed")
+    monkeypatch.setattr("latticecell.backend.lower_covers", refuse)
+    left, right = split_context(ctx)
+    lattice = assemble(build_lattice(left), build_lattice(right))
+    assert lattice.concepts == load_lattice(path).concepts
+    model = compile_model(build_lattice(ctx), demo_labels_map(), DEMO_CATEGORIES)
+    assert classify(model, query_vector(), "inner", "max").category == "Economie"
+    config = PipelineConfig(baselines=("nb", "knn"), seed=7)
+    assert run_experiment(DATA / "corpus", config).rows
+    rc = main(["compile", str(path), str(DATA / "labels.csv"),
+               "-o", str(tmp_path / "model.json")])
+    assert rc == 0
+
+
+def test_cli_build_computes_covers_once(tmp_path, capsys, monkeypatch):
+    from latticecell import backend
+
+    calls = []
+    real = backend.lower_covers
+    monkeypatch.setattr(backend, "lower_covers",
+                        lambda extents: calls.append(1) or real(extents))
+    rc = main(["build", str(DATA / "context.csv"), "-o",
+               str(tmp_path / "lattice.json"), "--dot", str(tmp_path / "h.dot")])
+    assert rc == 0
+    assert capsys.readouterr().out.strip() == "9 concepts, 12 edges"
+    assert len(calls) == 1
+
+
+def test_load_derives_covers_ignoring_stored_ones(tmp_path, ctx):
+    lattice = build_lattice(ctx)
+    path = tmp_path / "lattice.json"
+    save_lattice(lattice, path)
+    good = path.read_text(encoding="utf-8")
+    data = json.loads(good)
+    data["covers"] = [[0, 8], [3, 1]]
+    path.write_text(json.dumps(data), encoding="utf-8")
+    again = load_lattice(path)
+    assert again.covers == lattice.covers
+    save_lattice(again, path)
+    assert path.read_text(encoding="utf-8") == good
