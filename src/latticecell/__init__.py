@@ -7,7 +7,7 @@ new documents by similarity-driven activation, forward chaining, and a
 majority vote over class distributions.
 """
 
-from .backend import active_backend, available_backends, set_backend
+from .backend import active_backend
 from .classify import (MEASURES, Prediction, activate, classify,
                        parse_activation, similarity, vote)
 from .compiler import (CellularModel, ClassDistribution, compile_model,

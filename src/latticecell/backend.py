@@ -1,51 +1,69 @@
-"""Kernel backend selection.
+"""The two quadratic lattice kernels.
 
-Two interchangeable implementations of the hot kernels exist: the compiled
-Cython extension (``latticecell._kernels``) and the pure-Python module
-(``latticecell._kernels_py``). The compiled one is picked at import when it
-built; ``LATTICECELL_PURE=1`` in the environment forces the pure kernels.
-``set_backend`` switches at runtime, which the benchmark uses to compare
-the two on identical inputs.
+``merge_concept_pairs`` crosses the concepts of two partial lattices;
+``lower_covers`` reduces a set of extents to its Hasse cover edges. Both
+work on plain int bitsets. ``lattice`` calls them as attributes of this
+module, so a caller can wrap or replace them in one place.
 """
-
-import os
-
-from . import _kernels_py
-
-_BACKENDS = {"pure": _kernels_py}
-
-try:
-    from . import _kernels  # compiled extension, optional
-
-    _BACKENDS["compiled"] = _kernels
-except ImportError:
-    _kernels = None
-
-if os.environ.get("LATTICECELL_PURE"):
-    _active_name = "pure"
-else:
-    _active_name = "compiled" if "compiled" in _BACKENDS else "pure"
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
 
 
 def active_backend() -> str:
-    return _active_name
-
-
-def set_backend(name: str) -> None:
-    global _active_name
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; available: {available_backends()}")
-    _active_name = name
+    """Name of the kernel implementation in use; there is one, ``pure``."""
+    return "pure"
 
 
 def merge_concept_pairs(extents1, intents1, extents2, intents2):
-    return _BACKENDS[_active_name].merge_concept_pairs(
-        extents1, intents1, extents2, intents2)
+    """Cross every concept of one lattice with every concept of the other.
+
+    For each pair the candidate extent is the intersection of the two
+    extents; pairs that regenerate an already-seen extent have their
+    intent union folded into the stored entry. Returns parallel lists
+    (extents, intents) of the distinct results, in first-seen order.
+
+    All masks are int bitsets; intent masks must already live in a shared
+    attribute index space (callers shift the right-hand intents).
+    """
+    if len(extents1) != len(intents1) or len(extents2) != len(intents2):
+        raise ValueError("extent and intent lists must have equal lengths")
+    index: dict[int, int] = {}
+    out_extents: list[int] = []
+    out_intents: list[int] = []
+    pairs2 = list(zip(extents2, intents2))
+    for e1, i1 in zip(extents1, intents1):
+        for e2, i2 in pairs2:
+            extent = e1 & e2
+            at = index.get(extent)
+            if at is None:
+                index[extent] = len(out_extents)
+                out_extents.append(extent)
+                out_intents.append(i1 | i2)
+            else:
+                out_intents[at] |= i1 | i2
+    return out_extents, out_intents
 
 
 def lower_covers(extents):
-    return _BACKENDS[_active_name].lower_covers(extents)
+    """Transitive-reduction edges (child, parent) of the subset order.
+
+    ``extents`` are distinct int bitsets. For each child, candidate
+    parents are scanned smallest-first; a candidate is a cover unless it
+    contains an already-accepted cover. Returns a sorted edge list.
+    """
+    n = len(extents)
+    by_card = sorted(range(n), key=lambda i: extents[i].bit_count())
+    edges = []
+    for c in range(n):
+        ec = extents[c]
+        accepted = []
+        for d in by_card:
+            ed = extents[d]
+            if ed == ec or ec & ~ed:
+                continue  # not a strict superset of the child
+            for e in accepted:
+                if e & ~ed == 0:
+                    break  # a smaller cover sits between
+            else:
+                accepted.append(ed)
+                edges.append((c, d))
+    edges.sort()
+    return edges

@@ -17,10 +17,11 @@ from pathlib import Path
 
 from .classify import MEASURES, classify
 from .compiler import (compile_model, load_fixture_model, load_model,
-                       save_model)
-from .errors import LatticeCellError
+                       model_from_dict, save_model)
+from .errors import FormatError, LatticeCellError
 from .evaluate import BASELINES, PipelineConfig, run_experiment
-from .lattice import build_lattice, lattice_to_dot, load_lattice, save_lattice
+from .lattice import (build_lattice, lattice_from_dict, lattice_to_dot,
+                      load_lattice, save_lattice)
 from .textprep import (DEFAULT_FEATURE_COUNT, DocumentVector, build_context,
                        build_vocabulary, default_stopwords, load_corpus,
                        load_documents, load_stopwords, vectorize)
@@ -190,17 +191,27 @@ def cmd_inspect(args) -> int:
         print(f"incidence ones: {density}")
         return 0
     data = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        print("unrecognized file")
+        return 1
     if "concepts" in data:
-        print(f"lattice: {len(data['concepts'])} concepts, "
-              f"{len(data['covers'])} edges, "
-              f"{len(data['objects'])} objects x {len(data['attributes'])} attributes")
+        lattice = lattice_from_dict(data)
+        ctx = lattice.context
+        print(f"lattice: {len(lattice.concepts)} concepts, "
+              f"{len(lattice.covers)} edges, "
+              f"{ctx.n_objects} objects x {ctx.n_attributes} attributes")
     elif "facts" in data:
-        print(f"model: {len(data['facts'])} facts, {len(data['rules'])} rules, "
-              f"categories: {', '.join(data['categories'])}, "
-              f"{len(data['vocabulary'])} vocabulary terms")
+        model = model_from_dict(data)
+        print(f"model: {model.engine_template.n_facts} facts, "
+              f"{model.engine_template.n_rules} rules, "
+              f"categories: {', '.join(model.categories)}, "
+              f"{len(model.vocabulary)} vocabulary terms")
     elif "rows" in data:
-        print(f"report: {len(data['rows'])} configurations, "
-              f"categories: {', '.join(data['categories'])}")
+        try:
+            n_rows, categories = len(data["rows"]), ", ".join(data["categories"])
+        except (KeyError, TypeError) as exc:
+            raise FormatError(f"{path}: malformed report document: {exc}") from exc
+        print(f"report: {n_rows} configurations, categories: {categories}")
     else:
         print("unrecognized file")
         return 1

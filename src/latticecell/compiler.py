@@ -249,6 +249,19 @@ def model_to_dict(model: CellularModel) -> dict:
     }
 
 
+def _distribution_from_pairs(i: int, pairs, n_categories: int) -> ClassDistribution:
+    """Fact ``i``'s distribution from its ``[numerator, denominator]`` pairs."""
+    if len(pairs) != n_categories:
+        raise FormatError(f"fact {i}: {len(pairs)} fractions for "
+                          f"{n_categories} categories")
+    try:
+        return ClassDistribution(tuple(Fraction(n, d) for n, d in pairs))
+    except ZeroDivisionError as exc:
+        raise FormatError(f"fact {i}: zero denominator") from exc
+    except ValueError as exc:  # not a pair, or not a distribution
+        raise FormatError(f"fact {i}: {exc}") from exc
+
+
 def model_from_dict(data: dict) -> CellularModel:
     try:
         categories = tuple(data["categories"])
@@ -264,10 +277,16 @@ def model_from_dict(data: dict) -> CellularModel:
         for i, entry in enumerate(raw_facts):
             fact_labels.append(entry["label"])
             if entry["kind"] == "intent":
-                intent_mask_by_idx[i] = mask_from_indices(entry["attributes"])
+                attributes = list(entry["attributes"])
+                for a in attributes:
+                    if not 0 <= a < len(vocabulary):
+                        raise FormatError(
+                            f"fact {i}: attribute {a} outside the "
+                            f"{len(vocabulary)}-term vocabulary")
+                intent_mask_by_idx[i] = mask_from_indices(attributes)
             elif entry["kind"] == "extent":
-                dist_by_idx[i] = ClassDistribution(
-                    tuple(Fraction(n, d) for n, d in entry["distribution"]))
+                dist_by_idx[i] = _distribution_from_pairs(
+                    i, entry["distribution"], len(categories))
             else:
                 raise FormatError(f"fact {i}: unknown kind {entry['kind']!r}")
     except (KeyError, TypeError) as exc:

@@ -138,8 +138,7 @@ def assemble(l1: ConceptLattice, l2: ConceptLattice) -> ConceptLattice:
 def find_lower_covers(concepts: Sequence[Concept]) -> frozenset[tuple[int, int]]:
     """Cover edges (child, parent): strict extent inclusion with nothing between.
 
-    The transitive reduction of a partial order is unique, so both kernel
-    backends return the same edge set.
+    The transitive reduction of a partial order is unique.
     """
     return frozenset(backend.lower_covers([c.extent for c in concepts]))
 

@@ -260,3 +260,43 @@ def test_inspect_files(tmp_path, capsys):
     main(["inspect", str(model)])
     out = capsys.readouterr().out
     assert "12 facts" in out and "6 rules" in out
+
+
+@pytest.mark.parametrize("kind, key, value, rc, out", [
+    ("lattice", "covers", None, 0, "9 concepts, 12 edges"),
+    ("lattice", "covers", [[0, 1]], 0, "9 concepts, 12 edges"),
+    ("model", "rules", None, 2, ""),
+])
+def test_inspect_reads_files_through_their_loaders(tmp_path, capsys, kind, key,
+                                                   value, rc, out):
+    """A missing (None) or tampered key: covers are derived, rules required."""
+    path = tmp_path / f"{kind}.json"
+    if kind == "lattice":
+        main(["build", str(DATA / "context.csv"), "-o", str(path)])
+    else:
+        main(["compile", "--paper-fixture", "-o", str(path)])
+    data = json.loads(path.read_text(encoding="utf-8"))
+    if value is None:
+        del data[key]
+    else:
+        data[key] = value
+    path.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["inspect", str(path)]) == rc
+    captured = capsys.readouterr()
+    assert out in captured.out
+    if rc:
+        assert captured.out == "" and "malformed model" in captured.err
+
+
+def test_classify_rejects_phantom_attribute(tmp_path, query_csv, capsys):
+    model = tmp_path / "model.json"
+    main(["compile", "--paper-fixture", "-o", str(model)])
+    data = json.loads(model.read_text(encoding="utf-8"))
+    data["facts"][0]["attributes"].append(len(data["vocabulary"]))
+    model.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["classify", str(model), str(query_csv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "outside the 6-term vocabulary" in captured.err

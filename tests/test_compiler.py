@@ -8,8 +8,8 @@ import pytest
 from helpers import (DEMO_CATEGORIES, demo_context, demo_labels_map,
                      random_context)
 from latticecell import (CellularModel, ClassDistribution, EmptyInputError,
-                         LabelingError, build_lattice, compile_model,
-                         distribution_of, load_fixture_model)
+                         FormatError, LabelingError, build_lattice,
+                         compile_model, distribution_of, load_fixture_model)
 from latticecell.compiler import model_from_dict, model_to_dict
 
 
@@ -168,6 +168,22 @@ def test_fixture_round_trip(tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     assert load_model(path) == model
+
+
+@pytest.mark.parametrize("kind, field, value, message", [
+    ("intent", "attributes", [0, 6], "attribute 6 outside the 6-term vocabulary"),
+    ("intent", "attributes", [-1], "attribute -1 outside"),
+    ("extent", "distribution", [[1, 1], [0, 1], [0, 1], [0, 1]],
+     "4 fractions for 3 categories"),
+    ("extent", "distribution", [[1, 0], [0, 1], [0, 1]], "zero denominator"),
+    ("extent", "distribution", [[1, 1, 1], [0, 1], [0, 1]], "too many values"),
+])
+def test_model_loader_rejects_malformed_facts(demo_model, kind, field, value,
+                                              message):
+    data = model_to_dict(demo_model)
+    next(f for f in data["facts"] if f["kind"] == kind)[field] = value
+    with pytest.raises(FormatError, match=message):
+        model_from_dict(data)
 
 
 def test_model_invariants_enforced():
