@@ -1,6 +1,6 @@
 """Similarity-driven activation, inference, and majority vote.
 
-A document vector is scored against every intent fact of the model; the
+A document vector is scored against the intent facts of the model; the
 most similar intents are activated (EF = 1), the engine runs to its
 fixpoint, and the class distributions of the established extent facts are
 averaged. The argmax category wins, ties broken by category order. No
@@ -15,6 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bits import iter_bits
 from .compiler import CellularModel, ClassDistribution
 from .engine import run_inference, set_facts
 from .errors import DimensionError, EmptyInputError
@@ -85,14 +86,40 @@ def parse_activation(policy: str) -> tuple[str, int | float | None]:
                      "expected max, topk:K, or threshold:T")
 
 
-def _scores(model: CellularModel, doc: DocumentVector, measure: str):
-    if doc.size != len(model.vocabulary):
-        raise DimensionError(f"document vector has {doc.size} bits, model "
-                             f"vocabulary has {len(model.vocabulary)} terms")
-    bits = doc.bits
-    n1 = bits.bit_count()
-    return [(fact_idx, (bits & mask).bit_count(), n1, mask.bit_count())
-            for fact_idx, mask in model.intent_facts]
+def _intersections(columns: Sequence[int], bits: int) -> list[tuple[int, int]]:
+    """``(|doc ∩ intent|, rules with that count)`` for each positive count.
+
+    The present terms' rule columns are added into bit-sliced counters
+    (O'Neil & Quass): ``slices[b]`` holds bit b of every rule's count. The
+    rules are then split by those bits, most significant first.
+    """
+    slices: list[int] = []
+    for a in iter_bits(bits):
+        carry = columns[a]
+        b = 0
+        while carry:
+            if b == len(slices):
+                slices.append(carry)
+                break
+            s = slices[b]
+            slices[b] = s ^ carry
+            carry &= s
+            b += 1
+    hit = 0
+    for s in slices:
+        hit |= s
+    groups = [(0, hit)] if hit else []
+    for b in reversed(range(len(slices))):
+        s = slices[b]
+        split = []
+        for count, rules in groups:
+            high = rules & s
+            if high:
+                split.append((count | 1 << b, high))
+            if high != rules:
+                split.append((count, rules ^ high))
+        groups = split
+    return groups
 
 
 def activate(model: CellularModel, doc: DocumentVector, measure: str = "inner",
@@ -102,23 +129,45 @@ def activate(model: CellularModel, doc: DocumentVector, measure: str = "inner",
     max: every intent achieving the (positive) maximal score. topk:K: the K
     best by (score desc, intent order), positive scores only. threshold:T:
     every intent scoring at least T (and above zero). May be empty.
+
+    Rules with the same intersection and intent size share a score, so it
+    is computed once per such class; max and threshold list facts in rule
+    order, topk in fact order.
     """
     kind, arg = parse_activation(policy)
-    scored = [(fact_idx, _score_key(inter, n1, n2, measure), inter, n1, n2)
-              for fact_idx, inter, n1, n2 in _scores(model, doc, measure)]
-    positive = [(f, key) for f, key, inter, _, _ in scored if inter > 0]
-    if not positive:
+    if doc.size != len(model.vocabulary):
+        raise DimensionError(f"document vector has {doc.size} bits, model "
+                             f"vocabulary has {len(model.vocabulary)} terms")
+    if measure not in MEASURES:
+        raise ValueError(f"unknown similarity measure {measure!r}")
+    index = model.rule_index
+    n1 = doc.bits.bit_count()
+    classes = [(inter, n2, hits & rules)
+               for inter, hits in _intersections(index.columns, doc.bits)
+               for n2, rules in index.sizes if hits & rules]
+    if kind == "threshold":
+        # threshold compares against the true measure value
+        chosen = 0
+        for inter, n2, rules in classes:
+            if _score_value(inter, n1, n2, measure) >= arg:
+                chosen |= rules
+        return tuple(model.intent_facts[k][0] for k in iter_bits(chosen))
+    by_key: dict = {}
+    for inter, n2, rules in classes:
+        key = _score_key(inter, n1, n2, measure)
+        by_key[key] = by_key.get(key, 0) | rules
+    if not by_key:
         return ()
     if kind == "max":
-        best = max(key for _, key in positive)
-        return tuple(f for f, key in positive if key == best)
-    if kind == "topk":
-        ranked = sorted(positive, key=lambda fk: (-fk[1], fk[0]))
-        return tuple(sorted(f for f, _ in ranked[:arg]))
-    # threshold compares against the true measure value
-    chosen = [f for f, _, inter, n1, n2 in scored
-              if inter > 0 and _score_value(inter, n1, n2, measure) >= arg]
-    return tuple(chosen)
+        best = by_key[max(by_key)]
+        return tuple(model.intent_facts[k][0] for k in iter_bits(best))
+    top: list[int] = []
+    for key in sorted(by_key, reverse=True):
+        tied = sorted(model.intent_facts[k][0] for k in iter_bits(by_key[key]))
+        top.extend(tied[:arg - len(top)])
+        if len(top) == arg:
+            break
+    return tuple(sorted(top))
 
 
 @dataclass(frozen=True)
@@ -163,10 +212,13 @@ def classify(model: CellularModel, doc: DocumentVector, measure: str = "inner",
     engine = model.fresh_engine()
     set_facts(engine, activated)
     run_inference(engine, trace)
-    fired = tuple(fact_idx for fact_idx, _ in model.extent_facts
-                  if (engine.ef >> fact_idx) & 1)
-    if not fired:
+    concluding = model.rule_index.concluding
+    concluded = 0
+    for fact_idx in iter_bits(engine.ef):
+        concluded |= concluding[fact_idx]
+    fired_rules = [model.extent_facts[k] for k in iter_bits(concluded)]
+    if not fired_rules:
         return Prediction(None, None, (), activated)
-    by_idx = dict(model.extent_facts)
-    category, mean = vote([by_idx[f] for f in fired], model.categories)
+    category, mean = vote([dist for _, dist in fired_rules], model.categories)
+    fired = tuple(fact_idx for fact_idx, _ in fired_rules)
     return Prediction(category, mean, fired, activated)

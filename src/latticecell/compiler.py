@@ -14,7 +14,9 @@ import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 from .bits import bit_indices, mask_from_indices
 from .context import Concept
@@ -87,6 +89,18 @@ def distribution_of(extent: int, labels: Sequence[str],
     return ClassDistribution(tuple(Fraction(c, total) for c in counts))
 
 
+class RuleIndex(NamedTuple):
+    """Per-model bitsets over rule positions (bit k is rule k).
+
+    Classification reads these so that its cost per document follows the
+    rules the document touches, not the rule count.
+    """
+
+    columns: tuple[int, ...]  # per attribute: rules whose intent holds it
+    sizes: tuple[tuple[int, int], ...]  # (|intent|, its rules), ascending
+    concluding: tuple[int, ...]  # per fact: rules concluding it
+
+
 @dataclass(frozen=True)
 class CellularModel:
     """Compiled engine template plus the concept data classification needs.
@@ -117,6 +131,25 @@ class CellularModel:
 
     def fresh_engine(self) -> EngineState:
         return self.engine_template.copy()
+
+    @cached_property
+    def rule_index(self) -> RuleIndex:
+        """The bitsets classification reads, derived on first read."""
+        # cached_property writes the instance __dict__ directly, which the
+        # frozen dataclass's __setattr__ does not intercept
+        columns = [0] * len(self.vocabulary)
+        sizes: dict[int, int] = {}
+        for k, (_, mask) in enumerate(self.intent_facts):
+            rule = 1 << k
+            for a in bit_indices(mask):
+                columns[a] |= rule
+            n = mask.bit_count()
+            sizes[n] = sizes.get(n, 0) | rule
+        concluding = [0] * self.engine_template.n_facts
+        for k, (fact, _) in enumerate(self.extent_facts):
+            concluding[fact] |= 1 << k
+        return RuleIndex(tuple(columns), tuple(sorted(sizes.items())),
+                         tuple(concluding))
 
 
 def _short_category_names(categories: Sequence[str]) -> list[str]:

@@ -15,7 +15,12 @@ alternates the two transition steps until nothing changes:
 
 EF and ER only ever grow, so a fixpoint is reached within |rules| + 1
 cycles. State vectors are int bitsets; RE/RS are stored column-wise as
-per-rule premise and conclusion masks.
+per-rule premise and conclusion masks, and RE also row-wise as per-fact
+``watchers`` masks (the rules a fact is a premise of). The fact step reads
+that premise index to re-check only the rules watching an established
+fact, as in Dowling & Gallier's linear-time Horn chaining, so a cycle
+costs the touched rules, not all of them. The cells, the cycle count and
+the per-cycle snapshots are those of a scan over every rule.
 """
 
 from __future__ import annotations
@@ -49,12 +54,13 @@ class EngineState:
     """Mutable engine state: one fact layer, one rule layer, RE/RS wiring.
 
     ``premises[j]`` and ``conclusions[j]`` are fact masks (column j of RE
-    and RS). Freshly built rules are (ER, IR, SR) = (0, 1, 1) and all
-    facts participate.
+    and RS); ``watchers[i]`` is the rule mask of row i of RE. Freshly
+    built rules are (ER, IR, SR) = (0, 1, 1) and all facts participate.
     """
 
     __slots__ = ("fact_labels", "rule_labels", "premises", "conclusions",
-                 "ef", "fact_if", "sf", "er", "rule_ir", "sr", "cycles")
+                 "watchers", "ef", "fact_if", "sf", "er", "rule_ir", "sr",
+                 "cycles")
 
     def __init__(self, fact_labels: Sequence[str], rule_labels: Sequence[str],
                  premises: Sequence[int], conclusions: Sequence[int]):
@@ -68,6 +74,11 @@ class EngineState:
         self.rule_labels = tuple(rule_labels)
         self.premises = tuple(premises)
         self.conclusions = tuple(conclusions)
+        watchers = [0] * len(fact_labels)
+        for j, p in enumerate(self.premises):
+            for i in iter_bits(p):
+                watchers[i] |= 1 << j
+        self.watchers = tuple(watchers)
         self.ef = 0
         self.sf = 0
         self.fact_if = fact_full
@@ -148,14 +159,20 @@ def set_facts(state: EngineState, indices: Iterable[int]) -> EngineState:
 
 
 def delta_fact(state: EngineState) -> EngineState:
-    """Evaluation step: copy EF to SF and trigger satisfied rules."""
+    """Evaluation step: copy EF to SF and trigger satisfied rules.
+
+    Only the untriggered, participating rules watching an established fact
+    are checked: every other rule has an empty premise or one with no
+    established fact, so a full scan would not trigger it either.
+    """
     state.sf = state.ef
     established = state.ef & state.fact_if
+    watched = 0
+    for i in iter_bits(established):
+        watched |= state.watchers[i]
     er = state.er
-    pending = state.rule_ir & ~er
-    for j in iter_bits(pending):
-        premise = state.premises[j]
-        if premise and premise & ~established == 0:
+    for j in iter_bits(watched & state.rule_ir & ~er):
+        if state.premises[j] & ~established == 0:
             er |= 1 << j
     state.er = er
     return state

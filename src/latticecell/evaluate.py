@@ -104,32 +104,51 @@ def _categories_of(train: Sequence[DocumentVector]) -> list[str]:
     return seen
 
 
-def baseline_naive_bayes(train: Sequence[DocumentVector], doc: DocumentVector,
-                         categories: Sequence[str] | None = None) -> str:
-    """Bernoulli naive Bayes with add-one smoothing; ties by category order."""
+def _naive_bayes_table(train: Sequence[DocumentVector],
+                       categories: Sequence[str] | None = None):
+    """The vector size and, per category with training members, its log
+    prior and per-attribute log p and log(1 - p), p add-one smoothed."""
     if not train:
         raise EmptyInputError("naive Bayes needs a nonempty training set")
     cats = list(categories) if categories is not None else _categories_of(train)
     size = train[0].size
-    if doc.size != size:
-        raise DimensionError("query vector size does not match training vectors")
-    best_cat = None
-    best_score = -math.inf
     n_total = len(train)
+    table = []
     for cat in cats:
         members = [v for v in train if v.category == cat]
         n_c = len(members)
         if n_c == 0:
             continue
-        score = math.log(n_c / n_total)
+        log_p = []
+        log_q = []
         for i in range(size):
             df = sum(1 for v in members if (v.bits >> i) & 1)
             p = (df + 1) / (n_c + 2)
-            score += math.log(p if (doc.bits >> i) & 1 else 1.0 - p)
+            log_p.append(math.log(p))
+            log_q.append(math.log(1.0 - p))
+        table.append((cat, math.log(n_c / n_total), log_p, log_q))
+    return size, table
+
+
+def _naive_bayes_predict(nb_table, doc: DocumentVector) -> str:
+    size, table = nb_table
+    if doc.size != size:
+        raise DimensionError("query vector size does not match training vectors")
+    best_cat = None
+    best_score = -math.inf
+    for cat, score, log_p, log_q in table:
+        for i in range(size):
+            score += log_p[i] if (doc.bits >> i) & 1 else log_q[i]
         if score > best_score:
             best_score = score
             best_cat = cat
     return best_cat
+
+
+def baseline_naive_bayes(train: Sequence[DocumentVector], doc: DocumentVector,
+                         categories: Sequence[str] | None = None) -> str:
+    """Bernoulli naive Bayes with add-one smoothing; ties by category order."""
+    return _naive_bayes_predict(_naive_bayes_table(train, categories), doc)
 
 
 def baseline_knn(train: Sequence[DocumentVector], doc: DocumentVector,
@@ -376,9 +395,11 @@ def run_experiment(corpus_root: str | Path,
     for baseline in config.baselines:
         cm = ConfusionMatrix.empty(categories)
         t0 = time.perf_counter()
+        if baseline == "nb":
+            nb_table = _naive_bayes_table(train_vectors, categories)
         for v in test_vectors:
             if baseline == "nb":
-                predicted = baseline_naive_bayes(train_vectors, v, categories)
+                predicted = _naive_bayes_predict(nb_table, v)
             else:
                 predicted = baseline_knn(train_vectors, v, config.knn_k,
                                          config.knn_measure, categories)

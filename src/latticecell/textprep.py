@@ -243,25 +243,24 @@ def load_corpus(root: str | Path) -> list[Document]:
                 raise CorpusError(f"duplicate document id {path.name!r}: "
                                   f"{seen[path.name]} and {path}")
             seen[path.name] = path
-            try:
-                text = path.read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError) as exc:
-                raise CorpusError(f"cannot read document {path}: {exc}") from exc
-            docs.append(Document(path.name, sub.name, text))
+            docs.append(_read_document(path, sub.name))
     return docs
+
+
+def _read_document(path: Path, category: str | None = None) -> Document:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CorpusError(f"cannot read document {path}: {exc}") from exc
+    return Document(path.name, category, text)
 
 
 def load_documents(path: str | Path) -> list[Document]:
     """Unlabeled input: a single file or a flat directory of files."""
     path = Path(path)
     if path.is_file():
-        return [Document(path.name, None, path.read_text(encoding="utf-8"))]
+        return [_read_document(path)]
     if path.is_dir():
-        docs = []
-        for p in sorted(q for q in path.iterdir() if q.is_file()):
-            try:
-                docs.append(Document(p.name, None, p.read_text(encoding="utf-8")))
-            except (OSError, UnicodeDecodeError) as exc:
-                raise CorpusError(f"cannot read document {p}: {exc}") from exc
-        return docs
+        return [_read_document(p)
+                for p in sorted(q for q in path.iterdir() if q.is_file())]
     raise CorpusError(f"no such file or directory: {path}")

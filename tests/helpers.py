@@ -9,8 +9,9 @@ from importlib.resources import files
 
 import random
 
-from latticecell import (Concept, DocumentVector, FormalContext,
-                         load_context_csv)
+from latticecell import (Concept, DocumentVector, FormalContext, Prediction,
+                         load_context_csv, parse_activation, vote)
+from latticecell.classify import _score_key, _score_value
 
 DATA = files("latticecell") / "data"
 
@@ -72,6 +73,61 @@ def naive_forward_chain(n_facts, premises, conclusions, initial,
                     facts |= add
                     changed = True
     return facts
+
+
+def reference_fact_step(state) -> tuple[int, int]:
+    """(SF, ER) one fact step must leave, by scanning every rule."""
+    established = state.ef & state.fact_if
+    er = state.er
+    for j, premise in enumerate(state.premises):
+        if not (state.rule_ir >> j) & 1 or (er >> j) & 1 or premise == 0:
+            continue
+        if premise & ~established == 0:
+            er |= 1 << j
+    return state.ef, er
+
+
+def reference_activate(model, doc, measure, policy) -> tuple[int, ...]:
+    """Activation by scoring every intent fact of the model, one by one."""
+    kind, arg = parse_activation(policy)
+    n1 = doc.bits.bit_count()
+    scored = []
+    for fact, mask in model.intent_facts:
+        inter = (doc.bits & mask).bit_count()
+        if inter > 0:
+            scored.append((fact, inter, mask.bit_count()))
+    if not scored:
+        return ()
+    if kind == "max":
+        keys = [_score_key(inter, n1, n2, measure) for _, inter, n2 in scored]
+        best = max(keys)
+        return tuple(fact for (fact, _, _), key in zip(scored, keys)
+                     if key == best)
+    if kind == "topk":
+        ranked = sorted(scored, key=lambda s: (
+            -_score_key(s[1], n1, s[2], measure), s[0]))
+        return tuple(sorted(fact for fact, _, _ in ranked[:arg]))
+    return tuple(fact for fact, inter, n2 in scored
+                 if _score_value(inter, n1, n2, measure) >= arg)
+
+
+def reference_classify(model, doc, measure, policy) -> Prediction:
+    """Full-scan activation, worklist chaining, vote in rule order."""
+    activated = reference_activate(model, doc, measure, policy)
+    if not activated:
+        return Prediction(None, None, (), ())
+    engine = model.engine_template
+    initial = 0
+    for fact in activated:
+        initial |= 1 << fact
+    facts = naive_forward_chain(engine.n_facts, engine.premises,
+                                engine.conclusions, initial)
+    fired = tuple(fact for fact, _ in model.extent_facts if (facts >> fact) & 1)
+    if not fired:
+        return Prediction(None, None, (), activated)
+    by_fact = dict(model.extent_facts)
+    category, mean = vote([by_fact[f] for f in fired], model.categories)
+    return Prediction(category, mean, fired, activated)
 
 
 def brute_transitive_reduction(concepts: list[Concept]) -> frozenset[tuple[int, int]]:

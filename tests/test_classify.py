@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 
 from helpers import (DEMO_CATEGORIES, demo_context, demo_labels_map,
-                     query_vector)
+                     query_vector, random_context, reference_activate,
+                     reference_classify)
 from latticecell import (DimensionError, DocumentVector, EmptyInputError,
                          activate, build_lattice, classify, compile_model,
-                         distribution_of, load_fixture_model, similarity,
-                         vote)
+                         distribution_of, load_fixture_model, model_from_dict,
+                         model_to_dict, similarity, vote)
 from latticecell.classify import MEASURES, _score_key, _score_value
 from latticecell.compiler import ClassDistribution
 
@@ -229,3 +230,54 @@ def test_representation_equivalence_demo():
             direct_cat, extents = _direct_lattice_prediction(
                 lattice, labels, DEMO_CATEGORIES, doc, measure)
             assert pred.category == direct_cat
+
+
+POLICIES = ("max", "topk:1", "topk:3", "threshold:0.3", "threshold:1.0")
+
+
+def _random_model(rnd):
+    ctx = random_context(rnd, rnd.choice((12, 30)), rnd.choice((10, 16)))
+    labels = [rnd.choice("ABC") for _ in ctx.object_ids]
+    return compile_model(build_lattice(ctx), labels, ("A", "B", "C"))
+
+
+def _shuffled_round_trip(model, rnd):
+    """The model through its dict form, facts and rules listed out of order,
+    plus one rule repeated (same premise and conclusion)."""
+    data = model_to_dict(model)
+    order = list(range(len(data["facts"])))
+    rnd.shuffle(order)
+    new_index = {old: new for new, old in enumerate(order)}
+    data["facts"] = [data["facts"][old] for old in order]
+    data["rules"] = [{"premise": new_index[r["premise"]],
+                      "conclusion": new_index[r["conclusion"]]}
+                     for r in data["rules"]]
+    if data["rules"]:
+        data["rules"].append(dict(rnd.choice(data["rules"])))
+    rnd.shuffle(data["rules"])
+    return model_from_dict(data)
+
+
+def _assert_matches_full_scan(model, rnd, n_docs):
+    width = len(model.vocabulary)
+    for _ in range(n_docs):
+        doc = DocumentVector(rnd.getrandbits(width), width)
+        for measure in MEASURES:
+            for policy in POLICIES:
+                assert (activate(model, doc, measure, policy)
+                        == reference_activate(model, doc, measure, policy))
+                assert (classify(model, doc, measure, policy)
+                        == reference_classify(model, doc, measure, policy))
+
+
+def test_activate_and_classify_match_full_scan_random():
+    rnd = random.Random(41)
+    for _ in range(40):
+        _assert_matches_full_scan(_random_model(rnd), rnd, 6)
+
+
+def test_shuffled_model_matches_full_scan_random():
+    rnd = random.Random(42)
+    for _ in range(25):
+        model = _shuffled_round_trip(_random_model(rnd), rnd)
+        _assert_matches_full_scan(model, rnd, 6)

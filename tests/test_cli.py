@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +142,15 @@ def test_classify_empty_document_unclassifiable(tmp_path, capsys):
     assert record["distribution"] is None
 
 
+def test_classify_undecodable_document_names_it(tmp_path, capsys):
+    doc = tmp_path / "bad.txt"
+    doc.write_bytes("le minist\xe8re".encode("latin-1"))
+    assert main(["classify", "--paper-fixture", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read document {doc}: ")
+
+
 def test_classify_model_file_round_trip(tmp_path, query_csv, capsys):
     model = tmp_path / "model.json"
     main(["compile", "--paper-fixture", "-o", str(model)])
@@ -185,6 +195,15 @@ def _parse_fact_rows(snapshot):
         label, ef, if_, sf = line.rsplit(None, 3)
         rows.append((label.rstrip(), int(ef), int(if_), int(sf)))
     return rows
+
+
+def test_classify_trace_output_pinned(query_csv, capsys):
+    """The fixture's --trace dump, byte for byte as the full-scan engine wrote it."""
+    golden = Path(__file__).parent / "golden" / "classify_fixture_inner_trace.txt"
+    rc = main(["classify", "--paper-fixture", str(query_csv),
+               "--similarity", "inner", "--trace"])
+    assert rc == 0
+    assert capsys.readouterr().err == golden.read_text(encoding="utf-8")
 
 
 def test_classify_trace_snapshots(query_csv, capsys):

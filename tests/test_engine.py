@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import naive_forward_chain
+from helpers import naive_forward_chain, reference_fact_step
 from latticecell import (DimensionError, EngineState, delta_fact, delta_rule,
                          load_fixture_model, render_fact_table,
                          render_rule_table, run_inference, set_facts)
@@ -185,6 +185,34 @@ def test_worklist_oracle_equivalence_random():
                                        eng.conclusions, initial)
         assert eng.ef == expected
         assert eng.cycles <= eng.n_rules + 1
+
+
+def test_partial_participation_matches_full_scan_random():
+    """Hand-edited IF, IR, ER and SF: each fact step equals a full scan."""
+    rnd = random.Random(8)
+    for _ in range(200):
+        eng = random_engine(rnd, max_facts=14, max_rules=14, max_premises=4)
+        eng.fact_if = rnd.getrandbits(eng.n_facts)
+        eng.rule_ir = rnd.getrandbits(eng.n_rules)
+        eng.er = rnd.getrandbits(eng.n_rules) & rnd.getrandbits(eng.n_rules)
+        eng.sf = rnd.getrandbits(eng.n_facts)
+        for _ in range(eng.n_rules + 2):
+            expected = reference_fact_step(eng)
+            delta_fact(eng)
+            assert (eng.sf, eng.er) == expected
+            delta_rule(eng)
+
+        eng = random_engine(rnd, max_facts=14, max_rules=14, max_premises=4)
+        fact_if = rnd.getrandbits(eng.n_facts)
+        rule_ir = rnd.getrandbits(eng.n_rules)
+        eng.fact_if, eng.rule_ir = fact_if, rule_ir
+        initial = eng.ef
+        run_inference(eng)
+        expected = naive_forward_chain(eng.n_facts, eng.premises,
+                                       eng.conclusions, initial, fact_if,
+                                       rule_ir)
+        assert eng.ef & fact_if == expected
+        assert eng.ef & ~fact_if == initial & ~fact_if
 
 
 def test_render_tables():

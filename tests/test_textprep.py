@@ -207,3 +207,11 @@ def test_load_documents_single_file(tmp_path):
     assert len(docs) == 1 and docs[0].category is None
     with pytest.raises(CorpusError):
         load_documents(tmp_path / "nope")
+
+
+def test_load_documents_undecodable_single_file(tmp_path):
+    f = tmp_path / "latin1.txt"
+    f.write_bytes("le stade de l'\xe9quipe".encode("latin-1"))
+    with pytest.raises(CorpusError) as err:
+        load_documents(f)
+    assert str(f) in str(err.value)
