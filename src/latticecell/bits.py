@@ -34,10 +34,6 @@ def iter_bits(mask: int):
         mask ^= low
 
 
-def is_subset(a: int, b: int) -> bool:
-    return a & ~b == 0
-
-
 def bits_to_list(mask: int, size: int) -> list[int]:
     return [(mask >> i) & 1 for i in range(size)]
 

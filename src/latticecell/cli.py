@@ -168,7 +168,7 @@ def cmd_evaluate(args) -> int:
         encoding="utf-8")
     (outdir / "report.txt").write_text(report.to_text(), encoding="utf-8")
     (outdir / "timings.json").write_text(
-        json.dumps(report.timings_dict(), ensure_ascii=False, indent=2) + "\n",
+        json.dumps(report.timings, ensure_ascii=False, indent=2) + "\n",
         encoding="utf-8")
     print(report.to_text())
     t = report.timings
@@ -302,10 +302,7 @@ def main(argv=None) -> int:
             args.model = None
     try:
         return args.func(args)
-    except LatticeCellError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (LatticeCellError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -103,31 +103,32 @@ class RuleIndex(NamedTuple):
 
 @dataclass(frozen=True)
 class CellularModel:
-    """Compiled engine template plus the concept data classification needs.
+    """Compiled rules plus the concept data classification needs.
 
     ``intent_facts`` pairs each intent fact index with its attribute mask
     over ``vocabulary``; ``extent_facts`` pairs each extent fact index with
-    its class distribution. Rule k links intent fact k to extent fact k.
-    Immutable; clone the engine per classification via ``fresh_engine``.
+    its class distribution. Fact indices point into ``fact_labels``. Rule k,
+    labeled ``R{k+1}``, links intent fact k (its premise) to extent fact k
+    (its conclusion); these pairs are the only statement of the wiring, and
+    ``engine_template`` is derived from them. Immutable; clone the engine
+    per classification via ``fresh_engine``.
     """
 
-    engine_template: EngineState
     categories: tuple[str, ...]
+    fact_labels: tuple[str, ...]
     intent_facts: tuple[tuple[int, int], ...]
     extent_facts: tuple[tuple[int, ClassDistribution], ...]
     vocabulary: tuple[str, ...]
+    engine_template: EngineState = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        eng = self.engine_template
-        if not (eng.n_rules == len(self.intent_facts) == len(self.extent_facts)):
+        if len(self.intent_facts) != len(self.extent_facts):
             raise ValueError("one rule per intent/extent fact pair required")
-        for k in range(eng.n_rules):
-            if eng.premises[k] != 1 << self.intent_facts[k][0]:
-                raise ValueError(f"rule {k} premise must be its intent fact")
-            if eng.conclusions[k] != 1 << self.extent_facts[k][0]:
-                raise ValueError(f"rule {k} conclusion must be its extent fact")
-        if eng.ef != 0:
-            raise ValueError("engine template must start with all EF = 0")
+        object.__setattr__(self, "engine_template", EngineState(
+            self.fact_labels,
+            [f"R{k + 1}" for k in range(len(self.intent_facts))],
+            [1 << i for i, _ in self.intent_facts],
+            [1 << e for e, _ in self.extent_facts]))
 
     def fresh_engine(self) -> EngineState:
         return self.engine_template.copy()
@@ -145,7 +146,7 @@ class CellularModel:
                 columns[a] |= rule
             n = mask.bit_count()
             sizes[n] = sizes.get(n, 0) | rule
-        concluding = [0] * self.engine_template.n_facts
+        concluding = [0] * len(self.fact_labels)
         for k, (fact, _) in enumerate(self.extent_facts):
             concluding[fact] |= 1 << k
         return RuleIndex(tuple(columns), tuple(sorted(sizes.items())),
@@ -170,25 +171,6 @@ def _intent_label(intent: int, vocabulary: Sequence[str]) -> str:
     return "[" + ", ".join(vocabulary[a] for a in bit_indices(intent)) + "]"
 
 
-def _assemble(categories: Sequence[str], vocabulary: Sequence[str],
-              fact_labels: Sequence[str],
-              rules: Sequence[tuple[int, int, int, ClassDistribution]]
-              ) -> CellularModel:
-    """Wire a model from its fact labels and one tuple per rule.
-
-    Each rule is ``(intent_fact, intent_mask, extent_fact, distribution)``:
-    rule k, labeled ``R{k+1}``, has the intent fact as its premise and the
-    extent fact as its conclusion.
-    """
-    engine = EngineState(fact_labels, [f"R{k + 1}" for k in range(len(rules))],
-                         [1 << rule[0] for rule in rules],
-                         [1 << rule[2] for rule in rules])
-    return CellularModel(engine, tuple(categories),
-                         tuple((i, mask) for i, mask, _, _ in rules),
-                         tuple((e, dist) for _, _, e, dist in rules),
-                         tuple(vocabulary))
-
-
 def compile_model(lattice: ConceptLattice, labels: Mapping[str, str] | Sequence[str],
                   categories: Sequence[str]) -> CellularModel:
     """Translate a lattice plus per-object labels into a CellularModel.
@@ -209,16 +191,19 @@ def compile_model(lattice: ConceptLattice, labels: Mapping[str, str] | Sequence[
         aligned = list(labels)
 
     fact_labels: list[str] = []
-    rules = []
+    intent_facts = []
+    extent_facts = []
     for vertex, concept in enumerate(lattice.concepts):
         if concept.intent == 0 or concept.extent == 0:
             continue
         dist = distribution_of(concept.extent, aligned, categories)
-        rules.append((len(fact_labels), concept.intent,
-                      len(fact_labels) + 1, dist))
+        intent_facts.append((len(fact_labels), concept.intent))
+        extent_facts.append((len(fact_labels) + 1, dist))
         fact_labels.append(_intent_label(concept.intent, ctx.attribute_names))
         fact_labels.append(_extent_label(vertex, dist, categories))
-    return _assemble(categories, ctx.attribute_names, fact_labels, rules)
+    return CellularModel(tuple(categories), tuple(fact_labels),
+                         tuple(intent_facts), tuple(extent_facts),
+                         ctx.attribute_names)
 
 
 # Reference model used by the worked example: six concept vertices over the
@@ -247,22 +232,26 @@ def load_fixture_model() -> CellularModel:
     vocab_index = {name: i for i, name in enumerate(_FIXTURE_VOCABULARY)}
     shorts = _short_category_names(_FIXTURE_CATEGORIES)
     fact_labels: list[str] = []
-    rules = []
+    intent_facts = []
+    extent_facts = []
     for k, (names, tag, percents) in enumerate(_FIXTURE_VERTICES):
         intent = mask_from_indices(vocab_index[n] for n in names)
         dist = ClassDistribution(tuple(Fraction(p, 100) for p in percents))
-        rules.append((2 * k, intent, 2 * k + 1, dist))
+        intent_facts.append((2 * k, intent))
+        extent_facts.append((2 * k + 1, dist))
         fact_labels.append("[" + ", ".join(names) + "]")
         parts = ", ".join(f"({p}% {s})" for p, s in zip(percents, shorts))
         fact_labels.append(f"[{tag} {parts}]")
-    return _assemble(_FIXTURE_CATEGORIES, _FIXTURE_VOCABULARY, fact_labels, rules)
+    return CellularModel(_FIXTURE_CATEGORIES, tuple(fact_labels),
+                         tuple(intent_facts), tuple(extent_facts),
+                         _FIXTURE_VOCABULARY)
 
 
 def model_to_dict(model: CellularModel) -> dict:
     intent_by_idx = dict(model.intent_facts)
     extent_by_idx = dict(model.extent_facts)
     facts = []
-    for i, label in enumerate(model.engine_template.fact_labels):
+    for i, label in enumerate(model.fact_labels):
         if i in intent_by_idx:
             facts.append({"label": label, "kind": "intent",
                           "attributes": list(bit_indices(intent_by_idx[i]))})
@@ -271,9 +260,8 @@ def model_to_dict(model: CellularModel) -> dict:
             facts.append({"label": label, "kind": "extent",
                           "distribution": [[f.numerator, f.denominator]
                                            for f in dist.fractions]})
-    rules = [{"premise": model.intent_facts[k][0],
-              "conclusion": model.extent_facts[k][0]}
-             for k in range(model.engine_template.n_rules)]
+    rules = [{"premise": i, "conclusion": e}
+             for (i, _), (e, _) in zip(model.intent_facts, model.extent_facts)]
     return {
         "categories": list(model.categories),
         "vocabulary": list(model.vocabulary),
@@ -324,16 +312,19 @@ def model_from_dict(data: dict) -> CellularModel:
                 raise FormatError(f"fact {i}: unknown kind {entry['kind']!r}")
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed fact entry: {exc}") from exc
-    rules = []
+    intent_facts = []
+    extent_facts = []
     try:
         for k, rule in enumerate(raw_rules):
             p, c = int(rule["premise"]), int(rule["conclusion"])
             if p not in intent_mask_by_idx or c not in dist_by_idx:
                 raise FormatError(f"rule {k} wiring does not match fact kinds")
-            rules.append((p, intent_mask_by_idx[p], c, dist_by_idx[c]))
+            intent_facts.append((p, intent_mask_by_idx[p]))
+            extent_facts.append((c, dist_by_idx[c]))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed rule entry: {exc}") from exc
-    return _assemble(categories, vocabulary, fact_labels, rules)
+    return CellularModel(categories, tuple(fact_labels), tuple(intent_facts),
+                         tuple(extent_facts), vocabulary)
 
 
 def save_model(model: CellularModel, path: str | Path) -> None:

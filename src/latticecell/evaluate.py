@@ -276,9 +276,6 @@ class ExperimentReport:
         lines.append("averaging: macro; unclassified documents count as errors")
         return "\n".join(lines) + "\n"
 
-    def timings_dict(self) -> dict:
-        return dict(self.timings)
-
 
 def split_corpus(docs: Sequence[Document], ratio: float,
                  seed: int) -> tuple[list[Document], list[Document]]:
@@ -331,6 +328,25 @@ def _classify_all(model, vectors, measure, policy, jobs) -> list[Prediction]:
     return out
 
 
+def _row_predictions(model, train_vectors, test_vectors, categories,
+                     config: PipelineConfig):
+    """Yield ``(row name, predicted categories)`` per report row, in order:
+    the measures, then the baselines."""
+    for measure in config.measures:
+        predictions = _classify_all(model, test_vectors, measure,
+                                    config.activation, config.jobs)
+        yield measure, [p.category for p in predictions]
+    for baseline in config.baselines:
+        if baseline == "nb":
+            nb_table = _naive_bayes_table(train_vectors, categories)
+            yield "naive-bayes", [_naive_bayes_predict(nb_table, v)
+                                  for v in test_vectors]
+        else:
+            yield "knn", [baseline_knn(train_vectors, v, config.knn_k,
+                                       config.knn_measure, categories)
+                          for v in test_vectors]
+
+
 def run_experiment(corpus_root: str | Path,
                    config: PipelineConfig = PipelineConfig()) -> ExperimentReport:
     """Train, compile, classify, and score; returns the full report.
@@ -377,38 +393,18 @@ def run_experiment(corpus_root: str | Path,
         "rows": {},
     }
 
-    for measure in config.measures:
-        cm = ConfusionMatrix.empty(categories)
-        t0 = time.perf_counter()
-        predictions = _classify_all(model, test_vectors, measure,
-                                    config.activation, config.jobs)
+    # each row's predictions are computed between t0 and the generator's yield
+    t0 = time.perf_counter()
+    for name, predicted in _row_predictions(model, train_vectors, test_vectors,
+                                            categories, config):
         elapsed = time.perf_counter() - t0
-        for v, pred in zip(test_vectors, predictions):
-            cm.record(v.category, pred.category)
-        report.rows.append(ReportRow(measure, metrics(cm),
-                                     sum(cm.unclassified)))
-        report.timings["rows"][measure] = {
-            "classify_total_s": elapsed,
-            "per_document_s": elapsed / len(test_vectors),
-        }
-
-    for baseline in config.baselines:
         cm = ConfusionMatrix.empty(categories)
-        t0 = time.perf_counter()
-        if baseline == "nb":
-            nb_table = _naive_bayes_table(train_vectors, categories)
-        for v in test_vectors:
-            if baseline == "nb":
-                predicted = _naive_bayes_predict(nb_table, v)
-            else:
-                predicted = baseline_knn(train_vectors, v, config.knn_k,
-                                         config.knn_measure, categories)
-            cm.record(v.category, predicted)
-        elapsed = time.perf_counter() - t0
-        name = "naive-bayes" if baseline == "nb" else "knn"
+        for v, category in zip(test_vectors, predicted):
+            cm.record(v.category, category)
         report.rows.append(ReportRow(name, metrics(cm), sum(cm.unclassified)))
         report.timings["rows"][name] = {
             "classify_total_s": elapsed,
             "per_document_s": elapsed / len(test_vectors),
         }
+        t0 = time.perf_counter()
     return report

@@ -281,3 +281,22 @@ def test_shuffled_model_matches_full_scan_random():
     for _ in range(25):
         model = _shuffled_round_trip(_random_model(rnd), rnd)
         _assert_matches_full_scan(model, rnd, 6)
+
+
+@pytest.mark.parametrize("source", ("compiled", "fixture", "shuffled"))
+def test_engine_wiring_is_derived_from_rule_pairs(source):
+    compiled = compile_model(build_lattice(demo_context()), demo_labels_map(),
+                             DEMO_CATEGORIES)
+    model = {"compiled": compiled,
+             "fixture": load_fixture_model(),
+             "shuffled": _shuffled_round_trip(compiled, random.Random(43)),
+             }[source]
+    eng = model.engine_template
+    assert eng.n_rules == len(model.intent_facts) == len(model.extent_facts) > 0
+    for k, ((intent, _), (extent, _)) in enumerate(zip(model.intent_facts,
+                                                       model.extent_facts)):
+        assert eng.premises[k] == 1 << intent
+        assert eng.conclusions[k] == 1 << extent
+    assert eng.rule_labels == tuple(f"R{k + 1}" for k in range(eng.n_rules))
+    assert eng.fact_labels == model.fact_labels
+    assert eng.ef == 0

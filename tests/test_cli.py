@@ -265,6 +265,22 @@ def test_evaluate_missing_corpus(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["compile", "{tmp}/missing.json", "{data}/labels.csv", "-o", "{tmp}/m.json"],
+    ["classify", "{tmp}/missing.json", "{tmp}/x.txt"],
+    ["build", "{tmp}/missing.csv", "-o", "{tmp}/l.json"],
+    ["evaluate", "{data}/corpus", "-o", "{tmp}/rep",
+     "--stopwords", "{tmp}/missing.txt"],
+    ["inspect", "{tmp}/missing.json"],
+])
+def test_missing_input_file_is_an_error_not_a_traceback(tmp_path, capsys, argv):
+    rc = main([a.format(tmp=tmp_path, data=DATA) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "missing" in err
+    assert "Traceback" not in err
+
+
 def test_inspect_files(tmp_path, capsys):
     main(["inspect", str(DATA / "context.csv")])
     assert "9 objects x 6 attributes" in capsys.readouterr().out

@@ -7,9 +7,10 @@ import pytest
 
 from helpers import (DEMO_CATEGORIES, demo_context, demo_labels_map,
                      random_context)
-from latticecell import (CellularModel, ClassDistribution, EmptyInputError,
-                         FormatError, LabelingError, build_lattice,
-                         compile_model, distribution_of, load_fixture_model)
+from latticecell import (CellularModel, ClassDistribution, DimensionError,
+                         EmptyInputError, FormatError, LabelingError,
+                         build_lattice, compile_model, distribution_of,
+                         load_fixture_model)
 from latticecell.compiler import model_from_dict, model_to_dict
 
 
@@ -188,8 +189,20 @@ def test_model_loader_rejects_malformed_facts(demo_model, kind, field, value,
 
 def test_model_invariants_enforced():
     model = load_fixture_model()
-    eng = model.engine_template.copy()
-    eng.ef = 1
-    with pytest.raises(ValueError):
-        CellularModel(eng, model.categories, model.intent_facts,
+    (intent, mask), (extent, dist) = model.intent_facts[0], model.extent_facts[0]
+    outside = len(model.fact_labels)
+
+    def build(intent_facts, extent_facts):
+        return CellularModel(model.categories, model.fact_labels, intent_facts,
+                             extent_facts, model.vocabulary)
+
+    with pytest.raises(ValueError, match="one rule per"):
+        build(model.intent_facts, model.extent_facts[1:])
+    with pytest.raises(DimensionError):
+        build(((outside, mask),), ((extent, dist),))
+    with pytest.raises(DimensionError):
+        build(((intent, mask),), ((outside, dist),))
+    with pytest.raises(TypeError):
+        CellularModel(model.engine_template, model.categories,
+                      model.fact_labels, model.intent_facts,
                       model.extent_facts, model.vocabulary)
