@@ -194,7 +194,7 @@ def vote(distributions: Sequence[ClassDistribution],
     if not distributions:
         raise EmptyInputError("vote over zero distributions")
     mean = ClassDistribution.mean(distributions)
-    if len(mean.fractions) != len(categories):
+    if len(mean.counts) != len(categories):
         raise DimensionError("distribution width does not match categories")
     return categories[mean.argmax()], mean
 

@@ -126,8 +126,8 @@ def cmd_classify(args) -> int:
             record = {
                 "id": v.doc_id,
                 "category": pred.category if pred.category else UNCLASSIFIABLE,
-                "distribution": ([round(float(f), 12)
-                                  for f in pred.distribution.fractions]
+                "distribution": ([round(c / pred.distribution.total, 12)
+                                  for c in pred.distribution.counts]
                                  if pred.distribution else None),
                 "activated_intents": list(pred.activated_intents),
                 "fired_vertices": list(pred.fired_vertices),

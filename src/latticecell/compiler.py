@@ -6,12 +6,18 @@ attribute set and an extent fact carrying the class distribution of the
 concept's documents. The top and bottom of the lattice (empty intent or
 empty extent) are skipped. Classification later activates intent facts by
 similarity, runs the engine, and votes over the established extent facts.
+
+A class distribution is exact: integer per-category counts over a common
+total. Compilation counts an extent's objects per category by popcount,
+the vote averages over the lcm of the totals, and the model file stores
+each value as a reduced ``[numerator, denominator]`` pair.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping, Sequence
+import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -25,53 +31,86 @@ from .errors import EmptyInputError, FormatError, LabelingError
 from .lattice import ConceptLattice
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ClassDistribution:
-    """Per-category fractions, exact rationals summing to 1."""
+    """Exact per-category fractions ``counts[i] / total``, each in [0, 1],
+    summing to 1.
 
-    fractions: tuple[Fraction, ...]
+    Stored reduced (the counts and the total share no common factor), so
+    equal distributions compare equal. Built from exact fractions, or from
+    integer counts with ``from_counts``.
+    """
 
-    def __post_init__(self):
-        fracs = tuple(Fraction(f) for f in self.fractions)
-        object.__setattr__(self, "fractions", fracs)
+    counts: tuple[int, ...]
+    total: int
+
+    def __init__(self, fractions: Iterable) -> None:
+        fracs = [Fraction(f) for f in fractions]
         if any(f < 0 or f > 1 for f in fracs):
             raise ValueError("fractions must lie in [0, 1]")
         if fracs and sum(fracs) != 1:
             raise ValueError(f"fractions sum to {sum(fracs)}, expected 1")
+        total = math.lcm(*(f.denominator for f in fracs))
+        self._store([f.numerator * (total // f.denominator) for f in fracs],
+                    total)
+
+    @classmethod
+    def from_counts(cls, counts: Sequence[int],
+                    total: int) -> "ClassDistribution":
+        """``counts[i] / total`` per category; the counts are nonnegative
+        and sum to ``total``."""
+        if total <= 0 or min(counts, default=0) < 0 or (
+                counts and sum(counts) != total):
+            raise ValueError(f"counts {tuple(counts)} are not a distribution "
+                             f"over {total}")
+        dist = cls.__new__(cls)
+        dist._store(counts, total)
+        return dist
+
+    def _store(self, counts: Sequence[int], total: int) -> None:
+        g = math.gcd(total, *counts)
+        if g != 1:
+            counts = [c // g for c in counts]
+        object.__setattr__(self, "counts", tuple(counts))
+        object.__setattr__(self, "total", total // g)
+
+    @property
+    def fractions(self) -> tuple[Fraction, ...]:
+        """The per-category fractions as exact rationals."""
+        return tuple(Fraction(c, self.total) for c in self.counts)
 
     def argmax(self) -> int:
         """Index of the largest fraction; first wins on ties."""
-        best = 0
-        for i, f in enumerate(self.fractions):
-            if f > self.fractions[best]:
-                best = i
-        return best
+        counts = self.counts
+        return counts.index(max(counts)) if counts else 0
 
     def percents(self) -> tuple[int, ...]:
         """Rounded integer percents (half rounds up), for display only."""
-        return tuple(int(f * 100 + Fraction(1, 2)) for f in self.fractions)
+        t = self.total
+        return tuple((200 * c + t) // (2 * t) for c in self.counts)
 
     @staticmethod
     def mean(distributions: Sequence["ClassDistribution"]) -> "ClassDistribution":
-        """Unweighted componentwise arithmetic mean."""
+        """Unweighted componentwise arithmetic mean, summed over the lcm of
+        the totals."""
         if not distributions:
             raise EmptyInputError("mean of zero distributions is undefined")
-        n = len(distributions)
-        width = len(distributions[0].fractions)
-        if any(len(d.fractions) != width for d in distributions):
+        width = len(distributions[0].counts)
+        if any(len(d.counts) != width for d in distributions):
             raise ValueError("distributions must share the category list")
-        sums = [Fraction(0)] * width
-        for d in distributions:
-            for i, f in enumerate(d.fractions):
-                sums[i] += f
-        return ClassDistribution(tuple(s / n for s in sums))
+        common = math.lcm(*(d.total for d in distributions))
+        scaled = [[c * (common // d.total) for c in d.counts]
+                  for d in distributions]
+        return ClassDistribution.from_counts(
+            [sum(column) for column in zip(*scaled)],
+            common * len(distributions))
 
 
 def distribution_of(extent: int, labels: Sequence[str],
                     categories: Sequence[str]) -> ClassDistribution:
     """Class distribution of the objects in ``extent``.
 
-    ``labels[o]`` is the category of object o. Exact rational fractions.
+    ``labels[o]`` is the category of object o.
     """
     if extent == 0:
         raise EmptyInputError("distribution of an empty extent is undefined")
@@ -86,7 +125,7 @@ def distribution_of(extent: int, labels: Sequence[str],
             raise LabelingError(f"object {o} has unknown category {cat!r}")
         counts[order[cat]] += 1
         total += 1
-    return ClassDistribution(tuple(Fraction(c, total) for c in counts))
+    return ClassDistribution.from_counts(counts, total)
 
 
 class RuleIndex(NamedTuple):
@@ -107,7 +146,7 @@ class CellularModel:
 
     ``intent_facts`` pairs each intent fact index with its attribute mask
     over ``vocabulary``; ``extent_facts`` pairs each extent fact index with
-    its class distribution. Fact indices point into ``fact_labels``. Rule k,
+    its class distribution (integer counts over a total). Fact indices point into ``fact_labels``. Rule k,
     labeled ``R{k+1}``, links intent fact k (its premise) to extent fact k
     (its conclusion); these pairs are the only statement of the wiring, and
     ``engine_template`` is derived from them. Immutable; clone the engine
@@ -161,8 +200,7 @@ def _short_category_names(categories: Sequence[str]) -> list[str]:
 
 
 def _extent_label(vertex: int, dist: ClassDistribution,
-                  categories: Sequence[str]) -> str:
-    shorts = _short_category_names(categories)
+                  shorts: Sequence[str]) -> str:
     parts = ", ".join(f"({p}% {s})" for p, s in zip(dist.percents(), shorts))
     return f"[S{vertex} {parts}]"
 
@@ -189,18 +227,34 @@ def compile_model(lattice: ConceptLattice, labels: Mapping[str, str] | Sequence[
         if len(labels) != ctx.n_objects:
             raise LabelingError(f"{len(labels)} labels for {ctx.n_objects} objects")
         aligned = list(labels)
+    # one object bitset per category, so a rule's counts are popcounts of
+    # its extent, and one of the objects no category counts
+    order = {c: i for i, c in enumerate(categories)}
+    category_masks = [0] * len(categories)
+    uncounted = 0
+    for o, cat in enumerate(aligned):
+        if cat is None or cat not in order:
+            uncounted |= 1 << o
+        else:
+            category_masks[order[cat]] |= 1 << o
+    shorts = _short_category_names(categories)
 
     fact_labels: list[str] = []
     intent_facts = []
     extent_facts = []
     for vertex, concept in enumerate(lattice.concepts):
-        if concept.intent == 0 or concept.extent == 0:
+        extent = concept.extent
+        if concept.intent == 0 or extent == 0:
             continue
-        dist = distribution_of(concept.extent, aligned, categories)
+        if extent & uncounted:
+            distribution_of(extent, aligned, categories)  # raises LabelingError
+        dist = ClassDistribution.from_counts(
+            [(extent & mask).bit_count() for mask in category_masks],
+            extent.bit_count())
         intent_facts.append((len(fact_labels), concept.intent))
         extent_facts.append((len(fact_labels) + 1, dist))
         fact_labels.append(_intent_label(concept.intent, ctx.attribute_names))
-        fact_labels.append(_extent_label(vertex, dist, categories))
+        fact_labels.append(_extent_label(vertex, dist, shorts))
     return CellularModel(tuple(categories), tuple(fact_labels),
                          tuple(intent_facts), tuple(extent_facts),
                          ctx.attribute_names)
@@ -208,7 +262,7 @@ def compile_model(lattice: ConceptLattice, labels: Mapping[str, str] | Sequence[
 
 # Reference model used by the worked example: six concept vertices over the
 # demo vocabulary, with the distributions stored as the printed integer
-# percentages so votes over them come out exactly.
+# percentages (counts over 100) so votes over them come out exactly.
 _FIXTURE_VOCABULARY = ("Stade", "Pays", "Personnage", "Ministre", "Puissance",
                        "Visage")
 _FIXTURE_CATEGORIES = ("Sport", "Economie", "Television")
@@ -236,7 +290,7 @@ def load_fixture_model() -> CellularModel:
     extent_facts = []
     for k, (names, tag, percents) in enumerate(_FIXTURE_VERTICES):
         intent = mask_from_indices(vocab_index[n] for n in names)
-        dist = ClassDistribution(tuple(Fraction(p, 100) for p in percents))
+        dist = ClassDistribution.from_counts(percents, 100)
         intent_facts.append((2 * k, intent))
         extent_facts.append((2 * k + 1, dist))
         fact_labels.append("[" + ", ".join(names) + "]")
@@ -257,9 +311,10 @@ def model_to_dict(model: CellularModel) -> dict:
                           "attributes": list(bit_indices(intent_by_idx[i]))})
         else:
             dist = extent_by_idx[i]
+            t = dist.total
             facts.append({"label": label, "kind": "extent",
-                          "distribution": [[f.numerator, f.denominator]
-                                           for f in dist.fractions]})
+                          "distribution": [[c // g, t // g] for c in dist.counts
+                                           for g in (math.gcd(c, t),)]})
     rules = [{"premise": i, "conclusion": e}
              for (i, _), (e, _) in zip(model.intent_facts, model.extent_facts)]
     return {
@@ -271,16 +326,38 @@ def model_to_dict(model: CellularModel) -> dict:
 
 
 def _distribution_from_pairs(i: int, pairs, n_categories: int) -> ClassDistribution:
-    """Fact ``i``'s distribution from its ``[numerator, denominator]`` pairs."""
+    """Fact ``i``'s distribution from its ``[numerator, denominator]`` pairs.
+
+    A pair need not be reduced, and its denominator may be negative. Each
+    value must lie in [0, 1], and the values must sum to 1.
+    """
     if len(pairs) != n_categories:
         raise FormatError(f"fact {i}: {len(pairs)} fractions for "
                           f"{n_categories} categories")
+    numerators, denominators = [], []
+    for pair in pairs:
+        try:
+            n, d = pair
+        except ValueError as exc:  # not a pair
+            raise FormatError(f"fact {i}: {exc}") from exc
+        if not (isinstance(n, int) and isinstance(d, int)):
+            raise FormatError(f"fact {i}: fraction {pair!r} is not a pair "
+                              "of integers")
+        if d <= 0:
+            if d == 0:
+                raise FormatError(f"fact {i}: zero denominator")
+            n, d = -n, -d
+        if not 0 <= n <= d:
+            raise FormatError(f"fact {i}: fractions must lie in [0, 1]")
+        numerators.append(n)
+        denominators.append(d)
+    total = math.lcm(*denominators)
+    counts = [n * (total // d) for n, d in zip(numerators, denominators)]
     try:
-        return ClassDistribution(tuple(Fraction(n, d) for n, d in pairs))
-    except ZeroDivisionError as exc:
-        raise FormatError(f"fact {i}: zero denominator") from exc
-    except ValueError as exc:  # not a pair, or not a distribution
-        raise FormatError(f"fact {i}: {exc}") from exc
+        return ClassDistribution.from_counts(counts, total)
+    except ValueError as exc:  # the only check left: the sum
+        raise FormatError(f"fact {i}: fractions sum to "
+                          f"{Fraction(sum(counts), total)}, expected 1") from exc
 
 
 def model_from_dict(data: dict) -> CellularModel:
@@ -294,6 +371,7 @@ def model_from_dict(data: dict) -> CellularModel:
     fact_labels = []
     intent_mask_by_idx: dict[int, int] = {}
     dist_by_idx: dict[int, ClassDistribution] = {}
+    dist_by_pairs: dict[tuple, ClassDistribution] = {}
     try:
         for i, entry in enumerate(raw_facts):
             fact_labels.append(entry["label"])
@@ -306,8 +384,17 @@ def model_from_dict(data: dict) -> CellularModel:
                             f"{len(vocabulary)}-term vocabulary")
                 intent_mask_by_idx[i] = mask_from_indices(attributes)
             elif entry["kind"] == "extent":
-                dist_by_idx[i] = _distribution_from_pairs(
-                    i, entry["distribution"], len(categories))
+                # rules repeat a few distinct distributions, so each is
+                # parsed once; a float key equals an int key, so a reused
+                # distribution must come from integer pairs
+                pairs = entry["distribution"]
+                key = tuple(map(tuple, pairs))
+                dist = dist_by_pairs.get(key)
+                if dist is None or not all(type(n) is int and type(d) is int
+                                           for n, d in key):
+                    dist = dist_by_pairs[key] = _distribution_from_pairs(
+                        i, pairs, len(categories))
+                dist_by_idx[i] = dist
             else:
                 raise FormatError(f"fact {i}: unknown kind {entry['kind']!r}")
     except (KeyError, TypeError) as exc:
@@ -316,13 +403,22 @@ def model_from_dict(data: dict) -> CellularModel:
     extent_facts = []
     try:
         for k, rule in enumerate(raw_rules):
-            p, c = int(rule["premise"]), int(rule["conclusion"])
+            try:
+                p, c = int(rule["premise"]), int(rule["conclusion"])
+            except (ValueError, OverflowError) as exc:
+                raise FormatError(f"rule {k}: {exc}") from exc
             if p not in intent_mask_by_idx or c not in dist_by_idx:
                 raise FormatError(f"rule {k} wiring does not match fact kinds")
             intent_facts.append((p, intent_mask_by_idx[p]))
             extent_facts.append((c, dist_by_idx[c]))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed rule entry: {exc}") from exc
+    # a model knows a fact's kind only from the rules that join it, so a
+    # fact no rule joins could not be written back
+    unreferenced = (set(range(len(fact_labels)))
+                    - {p for p, _ in intent_facts} - {c for c, _ in extent_facts})
+    if unreferenced:
+        raise FormatError(f"fact {min(unreferenced)} is referenced by no rule")
     return CellularModel(categories, tuple(fact_labels), tuple(intent_facts),
                          tuple(extent_facts), vocabulary)
 

@@ -68,7 +68,7 @@ class EngineState:
             raise DimensionError("premise/conclusion lists must match rule count")
         fact_full = (1 << len(fact_labels)) - 1
         for j, (p, c) in enumerate(zip(premises, conclusions)):
-            if p < 0 or p & ~fact_full or c < 0 or c & ~fact_full:
+            if not (0 <= p <= fact_full and 0 <= c <= fact_full):
                 raise DimensionError(f"rule {j} wiring exceeds fact count")
         self.fact_labels = tuple(fact_labels)
         self.rule_labels = tuple(rule_labels)

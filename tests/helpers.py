@@ -5,6 +5,7 @@ The oracles here are deliberately written in the dumbest workable style
 implementations they check.
 """
 
+from fractions import Fraction
 from importlib.resources import files
 
 import random
@@ -128,6 +129,21 @@ def reference_classify(model, doc, measure, policy) -> Prediction:
     by_fact = dict(model.extent_facts)
     category, mean = vote([by_fact[f] for f in fired], model.categories)
     return Prediction(category, mean, fired, activated)
+
+
+def reference_distribution(extent: int, labels, categories) -> tuple[Fraction, ...]:
+    """Per-category share of the objects in ``extent``, object by object."""
+    members = [labels[o] for o in range(extent.bit_length()) if extent >> o & 1]
+    return tuple(Fraction(members.count(c), len(members)) for c in categories)
+
+
+def reference_mean(rows) -> tuple[Fraction, ...]:
+    """Componentwise mean of equal-width tuples of fractions."""
+    sums = [Fraction(0)] * len(rows[0])
+    for row in rows:
+        for i, f in enumerate(row):
+            sums[i] += f
+    return tuple(s / len(rows) for s in sums)
 
 
 def brute_transitive_reduction(concepts: list[Concept]) -> frozenset[tuple[int, int]]:

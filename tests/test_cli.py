@@ -335,3 +335,22 @@ def test_classify_rejects_phantom_attribute(tmp_path, query_csv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "outside the 6-term vocabulary" in captured.err
+
+
+def test_model_with_a_fact_no_rule_joins_is_rejected(tmp_path, query_csv,
+                                                      capsys):
+    from latticecell import FormatError
+    from latticecell.compiler import model_from_dict
+
+    model = tmp_path / "model.json"
+    main(["compile", "--paper-fixture", "-o", str(model)])
+    data = json.loads(model.read_text(encoding="utf-8"))
+    data["rules"].pop()
+    with pytest.raises(FormatError, match="fact 10 is referenced by no rule"):
+        model_from_dict(data)
+    model.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["classify", str(model), str(query_csv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "fact 10 is referenced by no rule" in captured.err

@@ -1,12 +1,14 @@
 """Lattice-to-model compilation and model serialization."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import (DEMO_CATEGORIES, demo_context, demo_labels_map,
-                     random_context)
+from helpers import (DEMO_CATEGORIES, DEMO_LABELS, demo_context,
+                     demo_labels_map, random_context, reference_distribution,
+                     reference_mean)
 from latticecell import (CellularModel, ClassDistribution, DimensionError,
                          EmptyInputError, FormatError, LabelingError,
                          build_lattice, compile_model, distribution_of,
@@ -58,6 +60,60 @@ def test_mean_is_exact():
     b = ClassDistribution((0, 1, 0))
     mean = ClassDistribution.mean([a, b])
     assert mean.fractions == (0, Fraction(167, 200), Fraction(33, 200))
+
+
+def test_mean_and_argmax_match_fraction_mean():
+    rnd = random.Random(23)
+    ties = 0
+    for _ in range(300):
+        width = rnd.randint(1, 4)
+        dists = []
+        for _ in range(rnd.randint(1, 5)):
+            total = rnd.choice((1, 2, 3, 4, 6, 100, rnd.randint(1, 50)))
+            cuts = sorted(rnd.randint(0, total) for _ in range(width - 1))
+            counts = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+            dists.append(ClassDistribution.from_counts(counts, total))
+        want = reference_mean([d.fractions for d in dists])
+        mean = ClassDistribution.mean(dists)
+        assert mean.fractions == want
+        assert mean == ClassDistribution(want)
+        assert mean.argmax() == want.index(max(want))  # first of tied maxima
+        ties += want.count(max(want)) > 1
+    assert ties > 10
+
+
+def test_compiled_distributions_match_recount():
+    rnd = random.Random(31)
+    cats = ("A", "B", "C", "D")
+    for _ in range(40):
+        ctx = random_context(rnd, 14, 8)
+        lattice = build_lattice(ctx)
+        used = rnd.randint(1, len(cats))
+        labels = [cats[rnd.randrange(used)] for _ in ctx.object_ids]
+        model = compile_model(lattice, labels, cats)
+        eligible = [c for c in lattice.concepts if c.extent and c.intent]
+        assert len(eligible) == len(model.extent_facts)
+        for concept, (_, dist) in zip(eligible, model.extent_facts):
+            want = reference_distribution(concept.extent, labels, cats)
+            assert dist.fractions == want
+            assert dist == distribution_of(concept.extent, labels, cats)
+            assert dist.percents() == tuple(int(f * 100 + Fraction(1, 2))
+                                            for f in want)
+
+
+def test_compile_rejects_objects_no_category_counts(demo_model):
+    lattice = build_lattice(demo_context())
+    for label, message in ((None, "object 4 is unlabeled"),
+                           ("Opera", "object 4 has unknown category 'Opera'")):
+        labels = list(DEMO_LABELS)
+        labels[4] = label
+        with pytest.raises(LabelingError, match=message):
+            compile_model(lattice, labels, DEMO_CATEGORIES)
+    # Doc 4 has no attributes, so it is in no compiled extent and its label
+    # is never read
+    labels = list(DEMO_LABELS)
+    labels[3] = None
+    assert compile_model(lattice, labels, DEMO_CATEGORIES) == demo_model
 
 
 def test_compile_demo_counts(demo_model):
@@ -178,6 +234,24 @@ def test_fixture_round_trip(tmp_path):
      "4 fractions for 3 categories"),
     ("extent", "distribution", [[1, 0], [0, 1], [0, 1]], "zero denominator"),
     ("extent", "distribution", [[1, 1, 1], [0, 1], [0, 1]], "too many values"),
+    ("extent", "distribution", [[0.5, 1], [0, 1], [1, 2]],
+     "not a pair of integers"),
+    ("extent", "distribution", [[1, 1.0], [0, 1], [0, 1]],
+     "not a pair of integers"),
+    ("extent", "distribution", [["1", 1], [0, 1], [0, 1]],
+     "not a pair of integers"),
+    ("extent", "distribution", [[None, 1], [0, 1], [1, 1]],
+     "not a pair of integers"),
+    ("extent", "distribution", [[-1, 2], [1, 1], [1, 2]],
+     r"must lie in \[0, 1\]"),
+    ("extent", "distribution", [[1, -2], [1, 1], [1, 2]],
+     r"must lie in \[0, 1\]"),
+    ("extent", "distribution", [[3, 2], [0, 1], [-1, 2]],
+     r"must lie in \[0, 1\]"),
+    ("extent", "distribution", [[1, 2], [0, 1], [1, 3]],
+     "sum to 5/6, expected 1"),
+    ("extent", "distribution", [[1, 2], [1, 2], [1, 2]],
+     "sum to 3/2, expected 1"),
 ])
 def test_model_loader_rejects_malformed_facts(demo_model, kind, field, value,
                                               message):
@@ -185,6 +259,76 @@ def test_model_loader_rejects_malformed_facts(demo_model, kind, field, value,
     next(f for f in data["facts"] if f["kind"] == kind)[field] = value
     with pytest.raises(FormatError, match=message):
         model_from_dict(data)
+
+
+@pytest.mark.parametrize("value, message", [
+    ("x", "rule 0: invalid literal"),
+    (float("inf"), "rule 0: cannot convert float infinity"),
+    (float("nan"), "rule 0: cannot convert float NaN"),
+    (None, "malformed rule entry"),
+    (1, "rule 0 wiring does not match fact kinds"),
+])
+def test_model_loader_rejects_malformed_rules(demo_model, value, message):
+    data = model_to_dict(demo_model)
+    data["rules"][0]["premise"] = value
+    with pytest.raises(FormatError, match=message):
+        model_from_dict(data)
+
+
+@pytest.mark.parametrize("value, fractions", [
+    ([[True, True], [False, True], [0, 1]], (1, 0, 0)),
+    ([[True, 2], [1, 2], [False, 1]], (Fraction(1, 2), Fraction(1, 2), 0)),
+    ([[-1, -2], [0, -5], [2, 4]], (Fraction(1, 2), 0, Fraction(1, 2))),
+])
+def test_model_loader_accepts_equivalent_pairs(demo_model, value, fractions):
+    data = model_to_dict(demo_model)
+    fact = next(i for i, f in enumerate(data["facts"]) if f["kind"] == "extent")
+    data["facts"][fact]["distribution"] = value
+    assert dict(model_from_dict(data).extent_facts)[fact].fractions == fractions
+
+
+@pytest.mark.parametrize("repeat, fractions", [
+    ([[1.0, 1], [0, 1], [0, 1]], None),
+    ([[True, True], [False, True], [0, 1]], (1, 0, 0)),
+])
+def test_model_loader_checks_every_repeated_distribution(demo_model, repeat,
+                                                         fractions):
+    """A distribution equal to an earlier one is still checked as written."""
+    data = model_to_dict(demo_model)
+    first, later = [i for i, f in enumerate(data["facts"])
+                    if f["kind"] == "extent"][:2]
+    data["facts"][first]["distribution"] = [[1, 1], [0, 1], [0, 1]]
+    data["facts"][later]["distribution"] = repeat
+    if fractions is None:
+        with pytest.raises(FormatError, match="not a pair of integers"):
+            model_from_dict(data)
+    else:
+        assert dict(model_from_dict(data).extent_facts)[later].fractions == \
+            fractions
+
+
+def test_loaded_pairs_match_fractions(demo_model):
+    rnd = random.Random(41)
+    data = model_to_dict(demo_model)
+    extents = [i for i, f in enumerate(data["facts"]) if f["kind"] == "extent"]
+    for _ in range(200):
+        pairs_by_fact = {}
+        for i in extents:
+            total = rnd.randint(1, 60)
+            a = rnd.randint(0, total)
+            b = rnd.randint(0, total - a)
+            pairs = []
+            for c in (a, b, total - a - b):
+                g = math.gcd(c, total)
+                scale = rnd.choice((1, 1, 2, 7)) * rnd.choice((1, -1))
+                pairs.append([c // g * scale, total // g * scale])
+            data["facts"][i]["distribution"] = pairs
+            pairs_by_fact[i] = pairs
+        model = model_from_dict(data)
+        for i, dist in model.extent_facts:
+            assert dist.fractions == tuple(Fraction(n, d)
+                                           for n, d in pairs_by_fact[i])
+        assert model_from_dict(model_to_dict(model)) == model
 
 
 def test_model_invariants_enforced():
