@@ -34,6 +34,23 @@ def iter_bits(mask: int):
         mask ^= low
 
 
+def transpose(rows: Iterable[int], width: int) -> list[int]:
+    """Columns of a bit matrix: bit r of column j is bit j of ``rows[r]``.
+
+    Bits of a row at or above ``width`` are ignored.
+    """
+    full = (1 << width) - 1
+    cols = [0] * width
+    for r, row in enumerate(rows):
+        bit = 1 << r
+        row &= full
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
+    return cols
+
+
 def bits_to_list(mask: int, size: int) -> list[int]:
     return [(mask >> i) & 1 for i in range(size)]
 

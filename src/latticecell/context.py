@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .bits import bit_indices, bits_to_list, list_to_bits, mask_from_indices
+from .bits import (bit_indices, bits_to_list, list_to_bits, mask_from_indices,
+                   transpose)
 from .errors import CapacityError, DimensionError, FormatError
 
 # Exhaustive enumeration walks every attribute subset; refuse beyond this.
@@ -53,12 +54,8 @@ class FormalContext:
         for oid, row in zip(self.object_ids, self.rows):
             if row < 0 or row & ~full:
                 raise DimensionError(f"row for {oid!r} exceeds attribute count")
-        cols = [0] * len(self.attribute_names)
-        for o, row in enumerate(self.rows):
-            bit = 1 << o
-            for a in bit_indices(row):
-                cols[a] |= bit
-        object.__setattr__(self, "columns", tuple(cols))
+        object.__setattr__(self, "columns",
+                           tuple(transpose(self.rows, len(self.attribute_names))))
 
     @classmethod
     def from_matrix(cls, object_ids: Sequence[str], attribute_names: Sequence[str],

@@ -19,14 +19,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
+from .bits import transpose
 from .classify import MEASURES, Prediction, _score_key, classify, parse_activation
 from .compiler import compile_model
 from .errors import (CorpusError, DimensionError, EmptyInputError,
                      LabelingError)
 from .lattice import build_lattice
 from .textprep import (DEFAULT_FEATURE_COUNT, Document, DocumentVector,
-                       build_context, build_vocabulary, default_stopwords,
-                       load_corpus, load_stopwords, vectorize)
+                       build_context, build_vocabulary, category_masks,
+                       default_stopwords, load_corpus, load_stopwords,
+                       vectorize)
 
 BASELINES = ("nb", "knn")
 
@@ -113,16 +115,18 @@ def _naive_bayes_table(train: Sequence[DocumentVector],
     cats = list(categories) if categories is not None else _categories_of(train)
     size = train[0].size
     n_total = len(train)
+    by_category = category_masks(train)
+    columns = transpose((v.bits for v in train), size)
     table = []
     for cat in cats:
-        members = [v for v in train if v.category == cat]
-        n_c = len(members)
+        members = by_category.get(cat, 0)
+        n_c = members.bit_count()
         if n_c == 0:
             continue
         log_p = []
         log_q = []
-        for i in range(size):
-            df = sum(1 for v in members if (v.bits >> i) & 1)
+        for column in columns:
+            df = (column & members).bit_count()
             p = (df + 1) / (n_c + 2)
             log_p.append(math.log(p))
             log_q.append(math.log(1.0 - p))

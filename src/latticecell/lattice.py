@@ -162,16 +162,27 @@ def lattice_to_dict(lattice: ConceptLattice) -> dict:
 def lattice_from_dict(data: dict) -> ConceptLattice:
     """Lattice from its JSON form; the stored ``covers`` are not read."""
     try:
-        object_ids = tuple(data["objects"])
-        attributes = tuple(data["attributes"])
-        raw = list(data["concepts"])
-        top = int(data["top"])
-        bottom = int(data["bottom"])
+        object_ids, attributes, raw, top, bottom = (
+            data[key] for key in ("objects", "attributes", "concepts", "top",
+                                  "bottom"))
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"malformed lattice document: {exc}") from exc
+    for key, value in (("objects", object_ids), ("attributes", attributes),
+                       ("concepts", raw)):
+        if not isinstance(value, list):
+            raise FormatError(f"{key}: expected a list")
+    object_ids, attributes = tuple(object_ids), tuple(attributes)
+    try:
         oidx = {o: i for i, o in enumerate(object_ids)}
         aidx = {a: i for i, a in enumerate(attributes)}
-    except (KeyError, TypeError, ValueError) as exc:
+    except TypeError as exc:  # an unhashable name
         raise FormatError(f"malformed lattice document: {exc}") from exc
+    if len(oidx) != len(object_ids) or len(aidx) != len(attributes):
+        raise FormatError("duplicate object or attribute names")
     for name, index in (("top", top), ("bottom", bottom)):
+        # bool is an int subclass, and int() would truncate a float
+        if type(index) is not int:
+            raise FormatError(f"{name} index {index!r} is not an integer")
         if not 0 <= index < len(raw):
             raise FormatError(f"{name} index {index} outside the "
                               f"{len(raw)} concepts")

@@ -5,6 +5,13 @@ rank candidate terms by information gain against the category labels, keep
 the top N, and set one bit per selected term that occurs in the document.
 The resulting vectors stack into the formal context the lattice is built
 from.
+
+Both steps are linear in the corpus. ``vectorize`` looks each distinct
+token of a document up in a map from lowercased term to vocabulary bits,
+built once per vocabulary, so it never scans the vocabulary.
+``select_features`` transposes the vectors into one document bitset per
+term and one per category; a term's per-category document counts are then
+popcounts of their intersections, and the class entropy is computed once.
 """
 
 from __future__ import annotations
@@ -13,8 +20,10 @@ import math
 import re
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
+from .bits import transpose
 from .context import FormalContext
 from .errors import CorpusError, DimensionError, EmptyInputError, LabelingError
 
@@ -56,6 +65,11 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.terms)
+
+    @cached_property
+    def token_masks(self) -> dict[str, int]:
+        """Lowercased term -> mask of the vocabulary bits it sets."""
+        return _token_masks(self.terms)
 
 
 @dataclass(frozen=True)
@@ -121,21 +135,34 @@ def candidate_terms(docs: Sequence[Document], stopwords: Iterable[str] = (),
     return tuple(sorted(terms))
 
 
+def _token_masks(terms: Sequence[str]) -> dict[str, int]:
+    # terms differing only in case (display-cased headers) share one key
+    masks: dict[str, int] = {}
+    for i, term in enumerate(terms):
+        key = term.lower()
+        masks[key] = masks.get(key, 0) | 1 << i
+    return masks
+
+
 def vectorize(doc: Document, vocab: Vocabulary | Sequence[str], *,
               stopwords: Iterable[str] = (),
               stemmer: Stemmer | None = None) -> DocumentVector:
     """Presence bit per vocabulary term (binary weighting).
 
     Vocabulary terms are matched case-insensitively so display-cased
-    context headers line up with the lowercase token stream.
+    context headers line up with the lowercase token stream. A
+    ``Vocabulary`` caches its token map; a plain sequence builds it on
+    each call.
     """
-    terms = vocab.terms if isinstance(vocab, Vocabulary) else tuple(vocab)
-    present = _doc_terms(doc, frozenset(stopwords), stemmer)
+    if isinstance(vocab, Vocabulary):
+        size, masks = len(vocab.terms), vocab.token_masks
+    else:
+        terms = tuple(vocab)
+        size, masks = len(terms), _token_masks(terms)
     bits = 0
-    for i, term in enumerate(terms):
-        if term.lower() in present:
-            bits |= 1 << i
-    return DocumentVector(bits, len(terms), doc.category, doc.id)
+    for token in _doc_terms(doc, frozenset(stopwords), stemmer):
+        bits |= masks.get(token, 0)
+    return DocumentVector(bits, size, doc.category, doc.id)
 
 
 def _entropy(counts: Sequence[int]) -> float:
@@ -185,12 +212,47 @@ def information_gain(term: str, vectors: Sequence[DocumentVector],
             - ((n - n_present) / n) * _entropy(absent))
 
 
+def category_masks(vectors: Sequence[DocumentVector]) -> dict[str | None, int]:
+    """Bitset of vector positions per category, in first-seen order."""
+    masks: dict[str | None, int] = {}
+    for i, v in enumerate(vectors):
+        masks[v.category] = masks.get(v.category, 0) | 1 << i
+    return masks
+
+
 def select_features(vectors: Sequence[DocumentVector], terms: Sequence[str],
                     n: int = DEFAULT_FEATURE_COUNT) -> Vocabulary:
-    """Top ``n`` candidate terms by information gain (ties: lexicographic)."""
+    """Top ``n`` candidate terms by information gain (ties: lexicographic).
+
+    Each score equals ``information_gain(term, vectors, terms)``: the
+    per-category counts come from popcounts over term columns, and the
+    entropies are summed in the same order.
+    """
     if n < 1:
         raise ValueError("feature count must be >= 1")
-    scored = [(term, information_gain(term, vectors, terms)) for term in terms]
+    terms = tuple(terms)
+    if not terms:  # nothing is scored, so the vectors are not checked
+        return Vocabulary((), ())
+    if not vectors:
+        raise EmptyInputError("information gain over an empty corpus is undefined")
+    by_category = category_masks(vectors)
+    unlabeled = by_category.get(None, 0)
+    if unlabeled:
+        first = (unlabeled & -unlabeled).bit_length() - 1
+        raise LabelingError(f"document {vectors[first].doc_id!r} is unlabeled")
+    masks = list(by_category.values())
+    totals = [m.bit_count() for m in masks]
+    n_docs = len(vectors)
+    h_class = _entropy(totals)
+    scored = []
+    for term, column in zip(terms, transpose((v.bits for v in vectors),
+                                             len(terms))):
+        present = [(column & m).bit_count() for m in masks]
+        absent = [t - p for t, p in zip(totals, present)]
+        n_present = sum(present)
+        scored.append((term, h_class
+                       - (n_present / n_docs) * _entropy(present)
+                       - ((n_docs - n_present) / n_docs) * _entropy(absent)))
     scored.sort(key=lambda ts: (-ts[1], ts[0]))
     kept = scored[:min(n, len(scored))]
     return Vocabulary(tuple(t for t, _ in kept), tuple(s for _, s in kept))
@@ -201,9 +263,10 @@ def build_vocabulary(docs: Sequence[Document], n: int = DEFAULT_FEATURE_COUNT, *
                      stemmer: Stemmer | None = None) -> Vocabulary:
     """Candidate extraction + information-gain selection in one step."""
     stop = frozenset(stopwords)
-    terms = candidate_terms(docs, stop, stemmer)
-    vectors = [vectorize(d, terms, stopwords=stop, stemmer=stemmer) for d in docs]
-    return select_features(vectors, terms, n)
+    candidates = Vocabulary(candidate_terms(docs, stop, stemmer))
+    vectors = [vectorize(d, candidates, stopwords=stop, stemmer=stemmer)
+               for d in docs]
+    return select_features(vectors, candidates.terms, n)
 
 
 def build_context(vectors: Sequence[DocumentVector],

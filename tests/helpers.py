@@ -8,10 +8,13 @@ implementations they check.
 from fractions import Fraction
 from importlib.resources import files
 
+import math
 import random
 
 from latticecell import (Concept, DocumentVector, FormalContext, Prediction,
-                         load_context_csv, parse_activation, vote)
+                         Vocabulary, candidate_terms, information_gain,
+                         load_context_csv, parse_activation, remove_stopwords,
+                         tokenize, vote)
 from latticecell.classify import _score_key, _score_value
 
 DATA = files("latticecell") / "data"
@@ -52,6 +55,49 @@ def random_context(rnd: random.Random, max_objects: int = 12,
     return FormalContext(tuple(f"o{i}" for i in range(n_obj)),
                          tuple(f"a{j}" for j in range(n_attr)),
                          tuple(rows))
+
+
+def reference_vectorize(doc, vocab, stopwords=(), stemmer=None) -> DocumentVector:
+    """Presence vector by testing every vocabulary term, lowercased, against
+    the document's token set."""
+    terms = vocab.terms if isinstance(vocab, Vocabulary) else tuple(vocab)
+    present = set(remove_stopwords(tokenize(doc.text, stemmer), set(stopwords)))
+    bits = 0
+    for i, term in enumerate(terms):
+        if term.lower() in present:
+            bits |= 1 << i
+    return DocumentVector(bits, len(terms), doc.category, doc.id)
+
+
+def reference_select_features(vectors, terms, n) -> Vocabulary:
+    """Top ``n`` terms, each scored by its own ``information_gain`` call."""
+    scored = sorted(((t, information_gain(t, vectors, terms)) for t in terms),
+                    key=lambda ts: (-ts[1], ts[0]))[:n]
+    return Vocabulary(tuple(t for t, _ in scored), tuple(s for _, s in scored))
+
+
+def reference_build_vocabulary(docs, n, stopwords=(), stemmer=None) -> Vocabulary:
+    """Candidates, full-scan vectors and per-term information gain."""
+    terms = candidate_terms(docs, stopwords, stemmer)
+    vectors = [reference_vectorize(d, terms, stopwords, stemmer) for d in docs]
+    return reference_select_features(vectors, terms, n)
+
+
+def reference_naive_bayes_table(train, categories):
+    """Naive Bayes log tables, counting each attribute member by member."""
+    size, n_total, table = train[0].size, len(train), []
+    for cat in categories:
+        members = [v for v in train if v.category == cat]
+        if not members:
+            continue
+        log_p, log_q = [], []
+        for i in range(size):
+            df = sum(1 for v in members if (v.bits >> i) & 1)
+            p = (df + 1) / (len(members) + 2)
+            log_p.append(math.log(p))
+            log_q.append(math.log(1.0 - p))
+        table.append((cat, math.log(len(members) / n_total), log_p, log_q))
+    return size, table
 
 
 def naive_forward_chain(n_facts, premises, conclusions, initial,

@@ -281,6 +281,29 @@ def test_missing_input_file_is_an_error_not_a_traceback(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["compile", "inspect"])
+@pytest.mark.parametrize("key, value", [
+    ("top", float("inf")), ("top", 1.5), ("objects", ["Doc 1", "Doc 1"]),
+], ids=["infinite-top", "fractional-top", "duplicate-object"])
+def test_malformed_lattice_is_an_error_not_a_traceback(tmp_path, capsys,
+                                                       command, key, value):
+    path = tmp_path / "lattice.json"
+    assert main(["build", str(DATA / "context.csv"), "-o", str(path)]) == 0
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data[key] = value
+    path.write_text(json.dumps(data), encoding="utf-8")  # inf as Infinity
+    argv = {"compile": ["compile", str(path), str(DATA / "labels.csv"),
+                        "-o", str(tmp_path / "model.json")],
+            "inspect": ["inspect", str(path)]}[command]
+    capsys.readouterr()
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_inspect_files(tmp_path, capsys):
     main(["inspect", str(DATA / "context.csv")])
     assert "9 objects x 6 attributes" in capsys.readouterr().out

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,11 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from helpers import DATA
+from helpers import DATA, reference_naive_bayes_table
 import latticecell
 from latticecell import (ConfusionMatrix, DocumentVector, EmptyInputError,
                          PipelineConfig, baseline_knn, baseline_naive_bayes,
                          metrics, run_experiment, split_corpus)
+from latticecell.evaluate import _naive_bayes_table
 from latticecell.textprep import Document
 
 CATS = ("S", "E", "T")
@@ -90,6 +92,19 @@ def test_naive_bayes_hand_posteriors():
     train = [_vec(0b01, 2, "A", 0), _vec(0b11, 2, "A", 1),
              _vec(0b10, 2, "B", 2), _vec(0b00, 2, "B", 3)]
     assert baseline_naive_bayes(train, _vec(0b01, 2, None, 9)) == "A"
+
+
+def test_naive_bayes_table_equals_member_count():
+    rnd = random.Random(61)
+    for _ in range(100):
+        size = rnd.randint(1, 9)
+        train = [_vec(rnd.getrandbits(size), size, rnd.choice("BAC"), n)
+                 for n in range(rnd.randint(1, 12))]
+        seen = list(dict.fromkeys(v.category for v in train))
+        given = rnd.sample("ABCD", rnd.randint(1, 4))  # may miss or add some
+        assert _naive_bayes_table(train) == reference_naive_bayes_table(train, seen)
+        assert (_naive_bayes_table(train, given)
+                == reference_naive_bayes_table(train, given))
 
 
 def test_naive_bayes_empty_training():

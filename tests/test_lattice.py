@@ -201,9 +201,22 @@ def test_lattice_from_dict_rejects_garbage():
     lambda d: d["concepts"][1].__setitem__("extent", "Doc 1"),
     lambda d: d.__setitem__("top", len(d["concepts"])),
     lambda d: d.__setitem__("bottom", -1),
+    lambda d: d.__setitem__("top", float("inf")),
+    lambda d: d.__setitem__("top", 1.5),
+    lambda d: d.__setitem__("bottom", 8.0),
+    lambda d: d.__setitem__("top", True),
+    lambda d: d.__setitem__("bottom", "8"),
+    lambda d: d["objects"].append(d["objects"][0]),
+    lambda d: d["attributes"].append(d["attributes"][0]),
+    lambda d: d.__setitem__("objects", "Doc 1"),
+    lambda d: d.__setitem__("concepts", {}),
+    lambda d: d["objects"].append(["Doc 1"]),
 ], ids=["unknown-object", "unknown-attribute", "unhashable-name",
         "entry-not-mapping", "entry-without-intent", "extent-not-list",
-        "top-out-of-range", "bottom-out-of-range"])
+        "top-out-of-range", "bottom-out-of-range", "top-infinite",
+        "top-fractional", "bottom-float", "top-bool", "bottom-string",
+        "duplicate-object", "duplicate-attribute", "objects-not-list",
+        "concepts-not-list", "unhashable-object"])
 def test_lattice_from_dict_rejects_bad_names_and_indices(ctx, mutate):
     data = lattice_to_dict(build_lattice(ctx))
     mutate(data)

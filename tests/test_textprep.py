@@ -1,11 +1,13 @@
 """Tokenization, feature selection, vectorization, context construction."""
 
 import math
+import random
 import re
 
 import pytest
 
-from helpers import DATA, demo_context
+from helpers import (DATA, demo_context, reference_build_vocabulary,
+                     reference_select_features, reference_vectorize)
 from latticecell import (CorpusError, DimensionError, Document,
                          DocumentVector, EmptyInputError, LabelingError,
                          Vocabulary, build_context, build_vocabulary,
@@ -122,6 +124,79 @@ def test_select_features_prefix_property():
     assert top2.terms == full.terms[:2]
 
 
+def test_select_features_equals_per_term_information_gain():
+    """Every score is the same float as a lone ``information_gain`` call."""
+    rnd = random.Random(47)
+    ties = absent = single = above = 0
+    for _ in range(300):
+        n_terms = rnd.randint(1, 12)
+        terms = rnd.sample([f"t{i:02d}" for i in range(40)], n_terms)  # unsorted
+        # first-seen category order differs from sorted order
+        cats = rnd.sample(["Zeta", "Beta", "Mu", "Alpha"], rnd.randint(1, 4))
+        n_docs = rnd.randint(1, 15)
+        labels = [rnd.choice(cats) for _ in range(n_docs)]
+        # a few repeated columns give tied scores; zeroed ones, absent terms
+        pool = [rnd.getrandbits(n_docs) for _ in range(rnd.randint(1, 4))]
+        columns = [rnd.choice(pool) if rnd.random() < 0.8 else 0
+                   for _ in range(n_terms)]
+        rows = [sum(((col >> d) & 1) << j for j, col in enumerate(columns))
+                for d in range(n_docs)]
+        vectors = _labeled_vectors(rows, labels, terms)
+        n = rnd.randint(1, n_terms + 3)
+        got = select_features(vectors, terms, n)
+        want = reference_select_features(vectors, terms, n)
+        assert got.terms == want.terms
+        assert got.ig_scores == want.ig_scores  # exact, not approx
+        scores = [information_gain(t, vectors, terms) for t in terms]
+        ties += len(set(scores)) < len(scores)
+        absent += 0 in columns
+        single += len(set(labels)) == 1
+        above += n > n_terms
+    assert min(ties, absent, single, above) > 10
+
+
+def test_select_features_errors_match_information_gain():
+    with pytest.raises(EmptyInputError):
+        select_features([], ("t",))
+    vectors = [DocumentVector(1, 1, "A", "d0"), DocumentVector(0, 1, None, "d1"),
+               DocumentVector(0, 1, None, "d2")]
+    with pytest.raises(LabelingError) as oracle:
+        information_gain("t", vectors, ("t",))
+    with pytest.raises(LabelingError) as err:
+        select_features(vectors, ("t",))
+    assert str(err.value) == str(oracle.value) == "document 'd1' is unlabeled"
+    with pytest.raises(ValueError):
+        select_features(vectors, ("t",), 0)
+    # no candidate is ever scored, so nothing is checked
+    assert select_features([], (), 5) == Vocabulary((), ())
+
+
+def _random_corpus(rnd):
+    words = ["Stade", "stade", "Ministre", "pays", "Pays", "visage", "PUISSANCE",
+             "le", "la", "journal", "équipe", "match", "budget", "chaîne", "ab"]
+    cats = rnd.sample(["Sport", "Economie", "Television"], rnd.randint(1, 3))
+    return [Document(f"d{i}", rnd.choice(cats),
+                     " ".join(rnd.choice(words)
+                              for _ in range(rnd.randint(0, 12))))
+            for i in range(rnd.randint(1, 14))]
+
+
+@pytest.mark.parametrize("stemmer", [None, lambda t: t[:4]],
+                         ids=["plain", "stemmed"])
+def test_build_vocabulary_matches_full_scan_reference(stemmer):
+    docs = load_corpus(DATA / "corpus")
+    for n in (1, 6, 1000):
+        assert (build_vocabulary(docs, n, stopwords=FR_STOPS, stemmer=stemmer)
+                == reference_build_vocabulary(docs, n, FR_STOPS, stemmer))
+    rnd = random.Random(53)
+    for _ in range(60):
+        docs = _random_corpus(rnd)
+        n = rnd.randint(1, 20)
+        stops = FR_STOPS if rnd.random() < 0.5 else ()
+        assert (build_vocabulary(docs, n, stopwords=stops, stemmer=stemmer)
+                == reference_build_vocabulary(docs, n, stops, stemmer))
+
+
 def test_vocabulary_order_enforced():
     with pytest.raises(ValueError):
         Vocabulary(("b", "a"), (0.5, 0.9))
@@ -141,6 +216,51 @@ def test_vectorize_binary_weighting():
     vocab = ("mot",)
     doc = Document("x", None, "mot mot mot mot mot")
     assert vectorize(doc, vocab).tolist() == [1]
+
+
+def test_vectorize_sets_every_term_that_folds_to_a_token():
+    doc = Document("x", None, "Foo bar")
+    vocab = ("Foo", "baz", "foo", "FOO")
+    v = vectorize(doc, vocab)
+    assert v.tolist() == [1, 0, 1, 1]
+    assert v == reference_vectorize(doc, vocab)
+    assert vectorize(doc, Vocabulary(vocab)) == v
+
+
+def test_vectorize_display_cased_headers_match_scan():
+    headers = demo_context().attribute_names  # "Stade", "Ministre", ...
+    seen = 0
+    for doc in load_corpus(DATA / "corpus"):
+        want = reference_vectorize(doc, headers, FR_STOPS)
+        assert vectorize(doc, headers, stopwords=FR_STOPS) == want
+        seen |= want.bits
+    assert seen == (1 << len(headers)) - 1
+
+
+def test_vectorize_uppercase_stemmer_sets_no_bit():
+    # terms are lowercased before the lookup, tokens are not: as in the scan
+    doc = Document("x", "A", "le ministre et la puissance")
+    vocab = ("MINISTRE", "ministre", "Puissance")
+    v = vectorize(doc, vocab, stemmer=str.upper)
+    assert v.bits == 0
+    assert v == reference_vectorize(doc, vocab, stemmer=str.upper)
+    docs = [doc, Document("y", "B", "le stade")]
+    assert (build_vocabulary(docs, 10, stemmer=str.upper)
+            == reference_build_vocabulary(docs, 10, stemmer=str.upper))
+
+
+def test_vectorize_vocabulary_and_tuple_agree_with_scan():
+    rnd = random.Random(59)
+    base = ["stade", "ministre", "pays", "visage", "équipe", "budget"]
+    for _ in range(100):
+        spellings = {w: [w, w.capitalize(), w.upper()] for w in base}
+        terms = rnd.sample([s for w in base for s in spellings[w]],
+                           rnd.randint(1, 12))
+        doc = Document("x", None, " ".join(rnd.choice(base + ["le", "de"])
+                                           for _ in range(rnd.randint(0, 8))))
+        want = reference_vectorize(doc, terms, FR_STOPS)
+        assert vectorize(doc, tuple(terms), stopwords=FR_STOPS) == want
+        assert vectorize(doc, Vocabulary(tuple(terms)), stopwords=FR_STOPS) == want
 
 
 def test_build_context_requires_ids_and_sizes():
