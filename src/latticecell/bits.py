@@ -16,22 +16,17 @@ def mask_from_indices(indices: Iterable[int]) -> int:
     return mask
 
 
-def bit_indices(mask: int) -> tuple[int, ...]:
-    """Set bit positions of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 def iter_bits(mask: int):
     """Yield set bit positions of ``mask``, ascending."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def bit_indices(mask: int) -> tuple[int, ...]:
+    """Set bit positions of ``mask``, ascending."""
+    return tuple(iter_bits(mask))
 
 
 def transpose(rows: Iterable[int], width: int) -> list[int]:
@@ -56,8 +51,4 @@ def bits_to_list(mask: int, size: int) -> list[int]:
 
 
 def list_to_bits(bits: Iterable[int]) -> int:
-    mask = 0
-    for i, bit in enumerate(bits):
-        if bit:
-            mask |= 1 << i
-    return mask
+    return mask_from_indices(i for i, bit in enumerate(bits) if bit)

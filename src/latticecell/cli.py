@@ -18,6 +18,7 @@ from pathlib import Path
 from .classify import MEASURES, classify
 from .compiler import (compile_model, load_fixture_model, load_model,
                        model_from_dict, save_model)
+from .context import load_context_csv
 from .errors import FormatError, LatticeCellError
 from .evaluate import BASELINES, PipelineConfig, run_experiment
 from .lattice import (build_lattice, lattice_from_dict, lattice_to_dot,
@@ -57,8 +58,6 @@ def cmd_build(args) -> int:
         vectors = [vectorize(d, vocab, stopwords=stopwords) for d in docs]
         ctx = build_context(vectors, vocab)
     else:
-        from .context import load_context_csv
-
         ctx = load_context_csv(source)
     lattice = build_lattice(ctx)
     save_lattice(lattice, args.output)
@@ -78,10 +77,8 @@ def cmd_compile(args) -> int:
                                    "(or --paper-fixture)")
         lattice = load_lattice(Path(args.lattice))
         labels = _labels_from_csv(Path(args.labels))
-        missing = [o for o in lattice.context.object_ids if o not in labels]
-        if missing:
-            raise LatticeCellError(f"{missing[0]} unlabeled")
-        categories = sorted(set(labels[o] for o in lattice.context.object_ids))
+        categories = sorted({labels[o] for o in lattice.context.object_ids
+                             if o in labels})
         model = compile_model(lattice, labels, categories)
     save_model(model, args.output)
     print(f"{model.engine_template.n_facts} facts, "
@@ -91,8 +88,6 @@ def cmd_compile(args) -> int:
 
 def _vectors_from_csv(path: Path, vocabulary) -> list[DocumentVector]:
     """Rows of precomputed bits; header must carry the model vocabulary."""
-    from .context import load_context_csv
-
     ctx = load_context_csv(path)
     if ctx.attribute_names != tuple(vocabulary):
         raise LatticeCellError(
@@ -183,8 +178,6 @@ def cmd_evaluate(args) -> int:
 def cmd_inspect(args) -> int:
     path = Path(args.file)
     if path.suffix.lower() == ".csv":
-        from .context import load_context_csv
-
         ctx = load_context_csv(path)
         print(f"context: {ctx.n_objects} objects x {ctx.n_attributes} attributes")
         density = sum(r.bit_count() for r in ctx.rows)

@@ -24,7 +24,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
-from .bits import bit_indices, mask_from_indices
+from .bits import bit_indices, mask_from_indices, transpose
 from .context import Concept
 from .engine import EngineState
 from .errors import EmptyInputError, FormatError, LabelingError
@@ -177,17 +177,14 @@ class CellularModel:
         """The bitsets classification reads, derived on first read."""
         # cached_property writes the instance __dict__ directly, which the
         # frozen dataclass's __setattr__ does not intercept
-        columns = [0] * len(self.vocabulary)
         sizes: dict[int, int] = {}
         for k, (_, mask) in enumerate(self.intent_facts):
-            rule = 1 << k
-            for a in bit_indices(mask):
-                columns[a] |= rule
             n = mask.bit_count()
-            sizes[n] = sizes.get(n, 0) | rule
-        concluding = [0] * len(self.fact_labels)
-        for k, (fact, _) in enumerate(self.extent_facts):
-            concluding[fact] |= 1 << k
+            sizes[n] = sizes.get(n, 0) | 1 << k
+        columns = transpose((mask for _, mask in self.intent_facts),
+                            len(self.vocabulary))
+        concluding = transpose((1 << fact for fact, _ in self.extent_facts),
+                               len(self.fact_labels))
         return RuleIndex(tuple(columns), tuple(sorted(sizes.items())),
                          tuple(concluding))
 
@@ -403,10 +400,12 @@ def model_from_dict(data: dict) -> CellularModel:
     extent_facts = []
     try:
         for k, rule in enumerate(raw_rules):
-            try:
-                p, c = int(rule["premise"]), int(rule["conclusion"])
-            except (ValueError, OverflowError) as exc:
-                raise FormatError(f"rule {k}: {exc}") from exc
+            p, c = rule["premise"], rule["conclusion"]
+            # bool is an int subclass, and int() would truncate a float
+            if type(p) is not int or type(c) is not int:
+                raise FormatError(f"malformed rule entry: rule {k}: premise "
+                                  f"{p!r} and conclusion {c!r} must be "
+                                  f"integers")
             if p not in intent_mask_by_idx or c not in dist_by_idx:
                 raise FormatError(f"rule {k} wiring does not match fact kinds")
             intent_facts.append((p, intent_mask_by_idx[p]))

@@ -179,32 +179,48 @@ def enumerate_concepts_naive(ctx: FormalContext) -> list[Concept]:
 
 
 def load_context_csv(path: str | Path) -> FormalContext:
-    """Read a context from CSV: header = attribute names, first column = id."""
+    """Read a context from CSV: header = attribute names, first column = id.
+
+    Malformed input, including text that is not UTF-8 and duplicate object
+    ids or attribute names, raises ``FormatError`` naming the file.
+    """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 1:
-            raise FormatError(f"{path}: missing header row")
-        attributes = tuple(header[1:])
-        object_ids: list[str] = []
-        rows: list[int] = []
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != len(attributes) + 1:
-                raise FormatError(f"{path}: row {lineno}: expected "
-                                  f"{len(attributes) + 1} cells, got {len(record)}")
-            mask = 0
-            for col, cell in enumerate(record[1:]):
-                if cell == "1":
-                    mask |= 1 << col
-                elif cell != "0":
-                    raise FormatError(
-                        f"{path}: row {lineno}, column {col + 2}: "
-                        f"cell must be '0' or '1', got {cell!r}")
-            object_ids.append(record[0])
-            rows.append(mask)
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            return _read_context_csv(path, csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def _read_context_csv(path: Path, reader) -> FormalContext:
+    header = next(reader, None)
+    if header is None or len(header) < 1:
+        raise FormatError(f"{path}: missing header row")
+    attributes = tuple(header[1:])
+    if len(set(attributes)) != len(attributes):
+        name = next(a for i, a in enumerate(attributes) if a in attributes[:i])
+        raise FormatError(f"{path}: row 1: duplicate attribute name {name!r}")
+    object_ids: dict[str, None] = {}
+    rows: list[int] = []
+    for lineno, record in enumerate(reader, start=2):
+        if not record:
+            continue
+        if len(record) != len(attributes) + 1:
+            raise FormatError(f"{path}: row {lineno}: expected "
+                              f"{len(attributes) + 1} cells, got {len(record)}")
+        if record[0] in object_ids:
+            raise FormatError(f"{path}: row {lineno}: duplicate object id "
+                              f"{record[0]!r}")
+        mask = 0
+        for col, cell in enumerate(record[1:]):
+            if cell == "1":
+                mask |= 1 << col
+            elif cell != "0":
+                raise FormatError(
+                    f"{path}: row {lineno}, column {col + 2}: "
+                    f"cell must be '0' or '1', got {cell!r}")
+        object_ids[record[0]] = None
+        rows.append(mask)
     return FormalContext(tuple(object_ids), attributes, tuple(rows))
 
 

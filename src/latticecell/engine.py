@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
-from .bits import iter_bits
+from .bits import iter_bits, transpose
 from .errors import DimensionError
 
 
@@ -74,11 +74,7 @@ class EngineState:
         self.rule_labels = tuple(rule_labels)
         self.premises = tuple(premises)
         self.conclusions = tuple(conclusions)
-        watchers = [0] * len(fact_labels)
-        for j, p in enumerate(self.premises):
-            for i in iter_bits(p):
-                watchers[i] |= 1 << j
-        self.watchers = tuple(watchers)
+        self.watchers = tuple(transpose(self.premises, len(fact_labels)))
         self.ef = 0
         self.sf = 0
         self.fact_if = fact_full

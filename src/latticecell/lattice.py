@@ -1,13 +1,15 @@
 """Concept lattice construction by divide-and-conquer assembly.
 
-The builder splits the context's attribute list in half, recursively
-builds the two partial lattices, and merges them: every pairwise extent
-intersection of the halves is a closed extent of the combined context, and
-collecting the distinct intersections with unioned intents yields exactly
-its concept set. Cover edges (the Hasse diagram) are derived from the
-finished concept list on first read, so building, compiling and
-classifying never pay for them; lattice files store them for readers but
-loading ignores them.
+The builder splits the context's attribute index range in half (the left
+half rounds up), recursively builds the concepts of each half, and merges
+them: every pairwise extent intersection of the halves is a closed extent
+of the combined range, and collecting the distinct intersections with
+unioned intents yields exactly its concept set. A one-attribute leaf reads
+its column of the one context and sets its intent at the attribute's own
+bit, so no sub-context is built and no intent is shifted. Cover edges (the
+Hasse diagram) are derived from the finished concept list on first read,
+so building, compiling and classifying never pay for them; lattice files
+store them for readers but loading ignores them.
 """
 
 from __future__ import annotations
@@ -68,26 +70,19 @@ def split_context(ctx: FormalContext) -> tuple[FormalContext, FormalContext]:
     return left, right
 
 
-def _base_concept_masks(ctx: FormalContext) -> tuple[list[int], list[int]]:
-    """Concepts of a context with at most one attribute."""
-    full = ctx.full_object_mask
-    if ctx.n_attributes == 0:
-        return [full], [0]
-    col = ctx.columns[0]
-    if col == full:
-        return [full], [1]
-    return [full, col], [0, 1]
-
-
-def _concept_masks(ctx: FormalContext) -> tuple[list[int], list[int]]:
-    if ctx.n_attributes <= 1:
-        return _base_concept_masks(ctx)
-    left, right = split_context(ctx)
-    ext1, int1 = _concept_masks(left)
-    ext2, int2 = _concept_masks(right)
-    shift = left.n_attributes
-    return backend.merge_concept_pairs(
-        ext1, int1, ext2, [m << shift for m in int2])
+def _concept_masks(columns: Sequence[int], full: int, lo: int,
+                   hi: int) -> tuple[list[int], list[int]]:
+    """Concepts of the attributes ``[lo, hi)``, ``lo < hi``, as parallel
+    extent and intent lists; each intent bit is its attribute's index."""
+    if hi - lo == 1:
+        col = columns[lo]
+        if col == full:
+            return [full], [1 << lo]
+        return [full, col], [0, 1 << lo]
+    mid = lo + (hi - lo + 1) // 2
+    ext1, int1 = _concept_masks(columns, full, lo, mid)
+    ext2, int2 = _concept_masks(columns, full, mid, hi)
+    return backend.merge_concept_pairs(ext1, int1, ext2, int2)
 
 
 def _finish(ctx: FormalContext, extents: Sequence[int],
@@ -105,7 +100,10 @@ def build_lattice(ctx: FormalContext) -> ConceptLattice:
 
     A context with no attributes yields the single concept (all objects, {}).
     """
-    extents, intents = _concept_masks(ctx)
+    full = ctx.full_object_mask
+    if ctx.n_attributes == 0:
+        return _finish(ctx, [full], [0])
+    extents, intents = _concept_masks(ctx.columns, full, 0, ctx.n_attributes)
     return _finish(ctx, extents, intents)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .bits import transpose
+from .bits import bits_to_list, transpose
 from .context import FormalContext
 from .errors import CorpusError, DimensionError, EmptyInputError, LabelingError
 
@@ -86,7 +86,7 @@ class DocumentVector:
             raise DimensionError("vector bits exceed the vocabulary size")
 
     def tolist(self) -> list[int]:
-        return [(self.bits >> i) & 1 for i in range(self.size)]
+        return bits_to_list(self.bits, self.size)
 
 
 def tokenize(text: str, stemmer: Stemmer | None = None) -> list[str]:

@@ -360,6 +360,19 @@ def test_classify_rejects_phantom_attribute(tmp_path, query_csv, capsys):
     assert "outside the 6-term vocabulary" in captured.err
 
 
+def test_classify_rejects_a_fractional_rule_index(tmp_path, query_csv, capsys):
+    model = tmp_path / "model.json"
+    main(["compile", "--paper-fixture", "-o", str(model)])
+    data = json.loads(model.read_text(encoding="utf-8"))
+    data["rules"][0]["premise"] = 0.5  # int() would read fact 0
+    model.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["classify", str(model), str(query_csv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "premise 0.5 and conclusion 1 must be integers" in captured.err
+
+
 def test_model_with_a_fact_no_rule_joins_is_rejected(tmp_path, query_csv,
                                                       capsys):
     from latticecell import FormatError

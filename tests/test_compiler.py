@@ -262,11 +262,17 @@ def test_model_loader_rejects_malformed_facts(demo_model, kind, field, value,
 
 
 @pytest.mark.parametrize("value, message", [
-    ("x", "rule 0: invalid literal"),
-    (float("inf"), "rule 0: cannot convert float infinity"),
-    (float("nan"), "rule 0: cannot convert float NaN"),
+    ("x", "rule 0: premise 'x'"),
+    (float("inf"), "rule 0: premise inf"),
+    (float("nan"), "rule 0: premise nan"),
     (None, "malformed rule entry"),
     (1, "rule 0 wiring does not match fact kinds"),
+    # int() would read 0.5, 0.0, "0" and False as fact 0, and True as fact 1
+    (0.5, "rule 0: premise 0.5 and conclusion 1 must be integers"),
+    (0.0, "rule 0: premise 0.0 and conclusion 1 must be integers"),
+    ("0", "rule 0: premise '0' and conclusion 1 must be integers"),
+    (False, "rule 0: premise False and conclusion 1 must be integers"),
+    (True, "rule 0: premise True and conclusion 1 must be integers"),
 ])
 def test_model_loader_rejects_malformed_rules(demo_model, value, message):
     data = model_to_dict(demo_model)

@@ -173,3 +173,17 @@ def test_csv_bad_width(tmp_path):
     bad.write_text("id,a,b\nx,1\n", encoding="utf-8")
     with pytest.raises(FormatError):
         load_context_csv(bad)
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"id,a\nx,1\n\xff,0\n", "can't decode byte 0xff"),
+    (b"id,a,a\nx,1,0\n", "row 1: duplicate attribute name 'a'"),
+    (b"id,a,b\nx,1,0\ny,0,1\nx,0,0\n", "row 4: duplicate object id 'x'"),
+], ids=["not-utf8", "duplicate-attribute", "duplicate-object"])
+def test_csv_malformed_file_is_a_format_error_naming_it(tmp_path, data,
+                                                        message):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(data)
+    with pytest.raises(FormatError, match=message) as err:
+        load_context_csv(bad)
+    assert str(err.value).startswith(f"{bad}: ")

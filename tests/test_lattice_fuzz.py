@@ -1,5 +1,9 @@
-"""Fuzzing the lattice loader: a mutated lattice document either loads, and
-then survives a save/load round trip unchanged, or raises FormatError."""
+"""Fuzzing the lattice builder and loader.
+
+On a random context, the divide-and-conquer builder gives the naive
+oracle's concepts in its order, and the covers are the brute transitive
+reduction. A mutated lattice document either loads, and then survives a
+save/load round trip unchanged, or raises FormatError."""
 
 import copy
 import json
@@ -7,11 +11,36 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import demo_context
-from latticecell import FormatError, build_lattice, load_lattice, save_lattice
+from helpers import brute_transitive_reduction, demo_context
+from latticecell import (FormalContext, FormatError, build_lattice,
+                         enumerate_concepts_naive, load_lattice, save_lattice)
+from latticecell.bits import list_to_bits, transpose
 from latticecell.lattice import lattice_from_dict, lattice_to_dict
 
 DEMO_DICT = lattice_to_dict(build_lattice(demo_context()))
+
+@st.composite
+def contexts(draw):
+    """0-12 objects and attributes; each column is empty, full or random."""
+    n_objects, n_attributes = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    random_column = st.lists(st.booleans(), min_size=n_objects,
+                             max_size=n_objects).map(list_to_bits)
+    columns = draw(st.lists(random_column
+                            | st.sampled_from((0, (1 << n_objects) - 1)),
+                            min_size=n_attributes, max_size=n_attributes))
+    return FormalContext(tuple(f"o{i}" for i in range(n_objects)),
+                         tuple(f"a{j}" for j in range(n_attributes)),
+                         tuple(transpose(columns, n_objects)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ctx=contexts())
+def test_builder_matches_naive_oracle(ctx):
+    lattice = build_lattice(ctx)
+    naive = enumerate_concepts_naive(ctx)
+    assert list(lattice.concepts) == naive  # extents, intents and order
+    assert lattice.covers == brute_transitive_reduction(naive)
+
 
 # JSON values a lattice file can hold; small ints reach the top/bottom
 # range checks, and names drawn from the demo lattice reach the name lookups
