@@ -1,10 +1,14 @@
-"""The two quadratic lattice kernels.
+"""The lattice kernels.
 
-``merge_concept_pairs`` crosses the concepts of two partial lattices;
-``lower_covers`` reduces a set of extents to its Hasse cover edges. Both
-work on plain int bitsets. ``lattice`` calls them as attributes of this
-module, so a caller can wrap or replace them in one place.
+``merge_concept_pairs`` crosses the concepts of two partial lattices, at a
+cost of |L1|·|L2| dict probes; ``lower_covers`` derives the Hasse cover
+edges of a finished concept set by neighbour generation, at a cost of
+concepts × objects bit operations. Both work on plain int bitsets.
+``lattice`` calls them as attributes of this module, so a caller can wrap
+or replace them in one place.
 """
+
+from .errors import FormatError
 
 
 def active_backend() -> str:
@@ -42,28 +46,56 @@ def merge_concept_pairs(extents1, intents1, extents2, intents2):
     return out_extents, out_intents
 
 
-def lower_covers(extents):
-    """Transitive-reduction edges (child, parent) of the subset order.
+def lower_covers(extents, intents, rows, all_attributes):
+    """Transitive-reduction edges (child, parent) of a context's concepts.
 
-    ``extents`` are distinct int bitsets. For each child, candidate
-    parents are scanned smallest-first; a candidate is a cover unless it
-    contains an already-accepted cover. Returns a sorted edge list.
+    ``extents[k]`` and ``intents[k]`` are concept k's object and attribute
+    masks, ``rows[g]`` is object g's attribute mask, and ``all_attributes``
+    is the mask of every attribute. Neighbour generation (Lindig, "Fast
+    Concept Analysis", 2000): for a concept (A, B), each ``B & rows[g]``
+    with g outside A is the intent of the closure of A plus g, and the
+    upper covers of (A, B) are the concepts with the maximal ones. The
+    cost is one AND per concept and object.
+
+    The concepts must be exactly the context's concepts, and every object
+    of an extent must carry its intent (true of a built lattice and of the
+    rows ``lattice_from_dict`` recovers). The same sweep checks this: the
+    extents and the intents are distinct, the all-attributes intent is
+    present, each extent has as many objects as carry its intent, and each
+    maximal candidate is a stored intent. Starting from the all-attributes
+    concept, every concept is then reached through stored covers, so no
+    concept is missing, and none is extra. A failed check raises
+    ``FormatError`` naming the concept. Returns a sorted edge list.
     """
-    n = len(extents)
-    by_card = sorted(range(n), key=lambda i: extents[i].bit_count())
+    index: dict[int, int] = {}
+    by_extent: dict[int, int] = {}
+    for k, (extent, intent) in enumerate(zip(extents, intents)):
+        if (index.setdefault(intent, k) != k
+                or by_extent.setdefault(extent, k) != k):
+            raise FormatError(f"concept {k} repeats the extent or the intent "
+                              f"of an earlier concept")
+    if all_attributes not in index:
+        raise FormatError("no concept has every attribute in its intent")
     edges = []
-    for c in range(n):
-        ec = extents[c]
-        accepted = []
-        for d in by_card:
-            ed = extents[d]
-            if ed == ec or ec & ~ed:
-                continue  # not a strict superset of the child
-            for e in accepted:
-                if e & ~ed == 0:
-                    break  # a smaller cover sits between
+    for k, (extent, intent) in enumerate(zip(extents, intents)):
+        candidates = list(map(intent.__and__, rows))
+        if candidates.count(intent) != extent.bit_count():
+            raise FormatError(f"concept {k}: its extent is not the set of "
+                              f"objects that have its intent")
+        distinct = set(candidates)
+        distinct.discard(intent)
+        maximal: list[int] = []
+        # a superset has more bits, so it is seen before its subsets
+        for candidate in sorted(distinct, key=int.bit_count, reverse=True):
+            for above in maximal:
+                if candidate | above == above:
+                    break
             else:
-                accepted.append(ed)
-                edges.append((c, d))
+                maximal.append(candidate)
+        parents = list(map(index.get, maximal))
+        if None in parents:
+            raise FormatError(f"concept {k}: a closed intent above it is "
+                              f"not among the concepts")
+        edges += zip([k] * len(parents), parents)
     edges.sort()
     return edges

@@ -38,14 +38,20 @@ def _stopwords(args) -> frozenset[str]:
 
 def _labels_from_csv(path: Path) -> dict[str, str]:
     labels: dict[str, str] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise LatticeCellError(
-                    f"{path}: row {lineno}: expected 'object_id,category'")
-            labels[row[0]] = row[1]
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise FormatError(
+                        f"{path}: row {lineno}: expected 'object_id,category'")
+                if row[0] in labels:
+                    raise FormatError(
+                        f"{path}: row {lineno}: repeated object id {row[0]!r}")
+                labels[row[0]] = row[1]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     return labels
 
 
@@ -183,7 +189,10 @@ def cmd_inspect(args) -> int:
         density = sum(r.bit_count() for r in ctx.rows)
         print(f"incidence ones: {density}")
         return 0
-    data = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         print("unrecognized file")
         return 1

@@ -431,6 +431,6 @@ def save_model(model: CellularModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> CellularModel:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
     return model_from_dict(data)

@@ -9,7 +9,12 @@ its column of the one context and sets its intent at the attribute's own
 bit, so no sub-context is built and no intent is shifted. Cover edges (the
 Hasse diagram) are derived from the finished concept list on first read,
 so building, compiling and classifying never pay for them; lattice files
-store them for readers but loading ignores them.
+store them for readers but loading ignores them. The covers cost one
+sweep of the context's rows per concept (neighbour generation), and the
+same sweep checks that the concepts are exactly the context's concepts:
+reading the covers of a loaded file that is not a lattice, which
+``save_lattice``, ``lattice_to_dot`` and ``inspect`` do, raises
+``FormatError``.
 """
 
 from __future__ import annotations
@@ -31,9 +36,10 @@ class ConceptLattice:
     """All concepts of a context, canonically ordered, plus cover edges.
 
     ``covers`` holds (child, parent) index pairs forming the transitive
-    reduction of the subconcept order. It is derived from ``concepts`` on
-    first read and cached; it is never read from a lattice file.
-    Immutable and shareable.
+    reduction of the subconcept order. It is derived from ``concepts`` and
+    the context on first read and cached; it is never read from a lattice
+    file. Reading it raises ``FormatError`` when ``concepts`` are not the
+    context's concepts. Immutable and shareable.
     """
 
     context: FormalContext
@@ -45,7 +51,7 @@ class ConceptLattice:
     def covers(self) -> frozenset[tuple[int, int]]:
         # cached_property writes the instance __dict__ directly, which the
         # frozen dataclass's __setattr__ does not intercept
-        return find_lower_covers(self.concepts)
+        return find_lower_covers(self.concepts, self.context)
 
     @property
     def top(self) -> Concept:
@@ -133,12 +139,17 @@ def assemble(l1: ConceptLattice, l2: ConceptLattice) -> ConceptLattice:
     return _finish(ctx, extents, intents)
 
 
-def find_lower_covers(concepts: Sequence[Concept]) -> frozenset[tuple[int, int]]:
+def find_lower_covers(concepts: Sequence[Concept],
+                      ctx: FormalContext) -> frozenset[tuple[int, int]]:
     """Cover edges (child, parent): strict extent inclusion with nothing between.
 
-    The transitive reduction of a partial order is unique.
+    ``concepts`` must be all the concepts of ``ctx``, in any order;
+    otherwise ``FormatError``. The transitive reduction of a partial order
+    is unique.
     """
-    return frozenset(backend.lower_covers([c.extent for c in concepts]))
+    return frozenset(backend.lower_covers(
+        [c.extent for c in concepts], [c.intent for c in concepts], ctx.rows,
+        ctx.full_attribute_mask))
 
 
 def lattice_to_dict(lattice: ConceptLattice) -> dict:
@@ -158,7 +169,12 @@ def lattice_to_dict(lattice: ConceptLattice) -> dict:
 
 
 def lattice_from_dict(data: dict) -> ConceptLattice:
-    """Lattice from its JSON form; the stored ``covers`` are not read."""
+    """Lattice from its JSON form; the stored ``covers`` are not read.
+
+    The context's incidence is recovered from the concepts. Whether the
+    concepts are exactly that context's concepts is checked when the
+    covers are first read, not here.
+    """
     try:
         object_ids, attributes, raw, top, bottom = (
             data[key] for key in ("objects", "attributes", "concepts", "top",
@@ -214,7 +230,7 @@ def save_lattice(lattice: ConceptLattice, path: str | Path) -> None:
 def load_lattice(path: str | Path) -> ConceptLattice:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
     return lattice_from_dict(data)
 

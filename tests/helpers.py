@@ -192,6 +192,33 @@ def reference_mean(rows) -> tuple[Fraction, ...]:
     return tuple(s / len(rows) for s in sums)
 
 
+def reference_lower_covers(extents) -> list[tuple[int, int]]:
+    """Cover edges (child, parent) of distinct extents by a pairwise scan.
+
+    For each child, candidate parents are scanned smallest-first; a
+    candidate is a cover unless it contains an already-accepted cover.
+    Returns a sorted edge list.
+    """
+    n = len(extents)
+    by_card = sorted(range(n), key=lambda i: extents[i].bit_count())
+    edges = []
+    for c in range(n):
+        ec = extents[c]
+        accepted = []
+        for d in by_card:
+            ed = extents[d]
+            if ed == ec or ec & ~ed:
+                continue  # not a strict superset of the child
+            for e in accepted:
+                if e & ~ed == 0:
+                    break  # a smaller cover sits between
+            else:
+                accepted.append(ed)
+                edges.append((c, d))
+    edges.sort()
+    return edges
+
+
 def brute_transitive_reduction(concepts: list[Concept]) -> frozenset[tuple[int, int]]:
     """Cover edges by triple loop over the full strict-inclusion relation."""
     n = len(concepts)

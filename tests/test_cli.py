@@ -304,6 +304,64 @@ def test_malformed_lattice_is_an_error_not_a_traceback(tmp_path, capsys,
     assert not (tmp_path / "model.json").exists()
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["compile", "{bad}", "{data}/labels.csv", "-o", "{tmp}/m.json"],
+     b'{"objects": ["\xff"]}'),
+    (["classify", "{bad}", "{tmp}/q.csv"], b'{"facts": ["\xff"]}'),
+    (["inspect", "{bad}"], b"not json"),
+    (["inspect", "{bad}"], b'{"\xff": 1}'),
+    (["compile", "{tmp}/lattice.json", "{bad}", "-o", "{tmp}/m.json"],
+     b"Doc 1,Sport\nDoc 2,\xffconomie\n"),
+], ids=["lattice-not-utf8", "model-not-utf8", "inspect-not-json",
+        "inspect-not-utf8", "labels-not-utf8"])
+def test_undecodable_input_names_the_file(tmp_path, capsys, argv, bad):
+    assert main(["build", str(DATA / "context.csv"), "-o",
+                 str(tmp_path / "lattice.json")]) == 0
+    path = tmp_path / "bad.input"
+    path.write_bytes(bad)
+    capsys.readouterr()
+    rc = main([a.format(bad=path, data=DATA, tmp=tmp_path) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith(f"error: {path}: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_repeated_label_names_its_row(tmp_path, capsys):
+    lattice, labels = tmp_path / "lattice.json", tmp_path / "labels.csv"
+    main(["build", str(DATA / "context.csv"), "-o", str(lattice)])
+    labels.write_bytes((DATA / "labels.csv").read_bytes() + b"Doc 1,Economie\n")
+    capsys.readouterr()
+    assert main(["compile", str(lattice), str(labels), "-o",
+                 str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err == (f"error: {labels}: row 10: repeated "
+                                       f"object id 'Doc 1'\n")
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: (d["concepts"].pop(1), d.__setitem__("top", 7)),
+    lambda d: d["concepts"][3]["intent"].pop(),
+    lambda d: d["attributes"].append("Stadium"),
+], ids=["concept-deleted", "intent-attribute-dropped", "attribute-in-no-intent"])
+def test_inspect_rejects_a_lattice_of_foreign_concepts(tmp_path, capsys,
+                                                       mutate):
+    """The file loads, but its concepts are not its context's concepts."""
+    path = tmp_path / "lattice.json"
+    main(["build", str(DATA / "context.csv"), "-o", str(path)])
+    data = json.loads(path.read_text(encoding="utf-8"))
+    mutate(data)
+    path.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["inspect", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.match(r"error: (no )?concept ", captured.err)
+    assert "Traceback" not in captured.err
+
+
 def test_inspect_files(tmp_path, capsys):
     main(["inspect", str(DATA / "context.csv")])
     assert "9 objects x 6 attributes" in capsys.readouterr().out

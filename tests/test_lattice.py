@@ -137,8 +137,9 @@ def test_pairwise_intersections_demo(ctx):
 
 
 def test_find_lower_covers_chain():
+    ctx = FormalContext(("o0", "o1", "o2"), ("a", "b"), (0b11, 0, 0))
     concepts = [Concept(0b001, 0b11), Concept(0b111, 0)]
-    assert find_lower_covers(concepts) == {(0, 1)}
+    assert find_lower_covers(concepts, ctx) == {(0, 1)}
 
 
 def test_oracle_equivalence_random_small():
@@ -228,7 +229,7 @@ def test_pipeline_never_computes_covers(ctx, tmp_path, monkeypatch):
     path = tmp_path / "lattice.json"
     save_lattice(build_lattice(ctx), path)
 
-    def refuse(extents):
+    def refuse(extents, intents, rows, all_attributes):
         raise AssertionError("Hasse covers computed")
     monkeypatch.setattr("latticecell.backend.lower_covers", refuse)
     left, right = split_context(ctx)
@@ -249,7 +250,7 @@ def test_cli_build_computes_covers_once(tmp_path, capsys, monkeypatch):
     calls = []
     real = backend.lower_covers
     monkeypatch.setattr(backend, "lower_covers",
-                        lambda extents: calls.append(1) or real(extents))
+                        lambda *args: calls.append(1) or real(*args))
     rc = main(["build", str(DATA / "context.csv"), "-o",
                str(tmp_path / "lattice.json"), "--dot", str(tmp_path / "h.dot")])
     assert rc == 0

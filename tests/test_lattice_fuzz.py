@@ -2,8 +2,11 @@
 
 On a random context, the divide-and-conquer builder gives the naive
 oracle's concepts in its order, and the covers are the brute transitive
-reduction. A mutated lattice document either loads, and then survives a
-save/load round trip unchanged, or raises FormatError."""
+reduction. A mutated lattice document either raises FormatError on load,
+or loads. A loaded document whose concepts are the recovered context's
+concepts survives a save/load round trip unchanged and has the brute
+transitive reduction as its covers; any other loaded document raises
+FormatError when saved, since saving reads its covers."""
 
 import copy
 import json
@@ -12,25 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import brute_transitive_reduction, demo_context
-from latticecell import (FormalContext, FormatError, build_lattice,
-                         enumerate_concepts_naive, load_lattice, save_lattice)
-from latticecell.bits import list_to_bits, transpose
+from latticecell import (FormatError, build_lattice, enumerate_concepts_naive,
+                         load_lattice, save_lattice)
 from latticecell.lattice import lattice_from_dict, lattice_to_dict
+from strategies import contexts
 
 DEMO_DICT = lattice_to_dict(build_lattice(demo_context()))
-
-@st.composite
-def contexts(draw):
-    """0-12 objects and attributes; each column is empty, full or random."""
-    n_objects, n_attributes = draw(st.integers(0, 12)), draw(st.integers(0, 12))
-    random_column = st.lists(st.booleans(), min_size=n_objects,
-                             max_size=n_objects).map(list_to_bits)
-    columns = draw(st.lists(random_column
-                            | st.sampled_from((0, (1 << n_objects) - 1)),
-                            min_size=n_attributes, max_size=n_attributes))
-    return FormalContext(tuple(f"o{i}" for i in range(n_objects)),
-                         tuple(f"a{j}" for j in range(n_attributes)),
-                         tuple(transpose(columns, n_objects)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -93,6 +83,25 @@ def lattice_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "lattice.json"
 
 
+def _saves_iff_a_lattice(lattice, path):
+    """Save a loaded lattice if and only if its concepts, each once, are
+    the concepts of its context; returns whether it was one."""
+    is_lattice = (sorted(lattice.concepts)
+                  == sorted(enumerate_concepts_naive(lattice.context)))
+    if not is_lattice:
+        with pytest.raises(FormatError):
+            save_lattice(lattice, path)
+        return False
+    save_lattice(lattice, path)
+    again = load_lattice(path)
+    assert again.concepts == lattice.concepts
+    assert again.context == lattice.context
+    assert (again.top_index, again.bottom_index) == (lattice.top_index,
+                                                     lattice.bottom_index)
+    assert lattice.covers == brute_transitive_reduction(list(lattice.concepts))
+    return True
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(data=mutated_lattices())
 def test_mutated_lattice_loads_or_raises_format_error(lattice_path, data):
@@ -100,9 +109,27 @@ def test_mutated_lattice_loads_or_raises_format_error(lattice_path, data):
         lattice = lattice_from_dict(json.loads(json.dumps(data)))
     except FormatError:
         return
-    save_lattice(lattice, lattice_path)
-    again = load_lattice(lattice_path)
-    assert again.concepts == lattice.concepts
-    assert again.context == lattice.context
-    assert (again.top_index, again.bottom_index) == (lattice.top_index,
-                                                     lattice.bottom_index)
+    _saves_iff_a_lattice(lattice, lattice_path)
+
+
+def _single_edits():
+    """Every demo lattice with one concept, one extent object or one intent
+    attribute removed; a removed concept moves the top index down."""
+    for k, concept in enumerate(DEMO_DICT["concepts"]):
+        data = copy.deepcopy(DEMO_DICT)
+        del data["concepts"][k]
+        data["top"] = min(data["top"], len(data["concepts"]) - 1)
+        yield data
+        for key in ("extent", "intent"):
+            for name in concept[key]:
+                data = copy.deepcopy(DEMO_DICT)
+                data["concepts"][k][key].remove(name)
+                yield data
+
+
+def test_single_edits_of_the_demo_lattice(lattice_path):
+    saved = [_saves_iff_a_lattice(lattice_from_dict(data), lattice_path)
+             for data in _single_edits()]
+    # 9 deleted concepts, 23 extent objects and 16 intent attributes; nine
+    # edits leave the lattice of the context they recover
+    assert (len(saved), saved.count(True)) == (48, 9)
