@@ -1,10 +1,10 @@
 """Concept-lattice text categorization with a Boolean cellular rule engine.
 
 The pipeline: preprocess documents into binary term vectors, stack them
-into a formal context, build the concept lattice by divide-and-conquer
-assembly, compile the lattice into a two-layer rule engine, and classify
-new documents by similarity-driven activation, forward chaining, and a
-majority vote over class distributions.
+into a formal context, build the concept lattice by folding in one
+attribute column at a time, compile the lattice into a two-layer rule
+engine, and classify new documents by similarity-driven activation,
+forward chaining, and a majority vote over class distributions.
 """
 
 from .backend import active_backend

@@ -1,11 +1,12 @@
 """The lattice kernels.
 
 ``merge_concept_pairs`` crosses the concepts of two partial lattices, at a
-cost of |L1|·|L2| dict probes; ``lower_covers`` derives the Hasse cover
-edges of a finished concept set by neighbour generation, at a cost of
-concepts × objects bit operations. Both work on plain int bitsets.
-``lattice`` calls them as attributes of this module, so a caller can wrap
-or replace them in one place.
+cost of |L1|·|L2| dict probes; ``lattice.assemble`` is its one caller, as
+``build_lattice`` folds in one attribute column at a time instead.
+``lower_covers`` derives the Hasse cover edges of a finished concept set
+by neighbour generation, at a cost of concepts × objects bit operations.
+Both work on plain int bitsets. ``lattice`` calls them as attributes of
+this module, so a caller can wrap or replace them in one place.
 """
 
 from .errors import FormatError

@@ -112,12 +112,11 @@ def _check_mask(mask: int, size: int, what: str) -> None:
 def derive_intent(ctx: FormalContext, objects: int) -> int:
     """Attributes shared by every object in the mask (all attributes for 0)."""
     _check_mask(objects, ctx.n_objects, "object")
-    intent = ctx.full_attribute_mask
-    m = objects
-    while m and intent:
-        low = m & -m
-        intent &= ctx.rows[low.bit_length() - 1]
-        m ^= low
+    rows, intent = ctx.rows, ctx.full_attribute_mask
+    while objects and intent:
+        low = objects & -objects
+        intent &= rows[low.bit_length() - 1]
+        objects ^= low
     return intent
 
 

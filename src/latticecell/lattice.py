@@ -1,25 +1,31 @@
-"""Concept lattice construction by divide-and-conquer assembly.
+"""Concept lattice construction by folding in one attribute column at a time.
 
-The builder splits the context's attribute index range in half (the left
-half rounds up), recursively builds the concepts of each half, and merges
-them: every pairwise extent intersection of the halves is a closed extent
-of the combined range, and collecting the distinct intersections with
-unioned intents yields exactly its concept set. A one-attribute leaf reads
-its column of the one context and sets its intent at the attribute's own
-bit, so no sub-context is built and no intent is shifted. Cover edges (the
-Hasse diagram) are derived from the finished concept list on first read,
-so building, compiling and classifying never pay for them; lattice files
-store them for readers but loading ignores them. The covers cost one
-sweep of the context's rows per concept (neighbour generation), and the
-same sweep checks that the concepts are exactly the context's concepts:
-reading the covers of a loaded file that is not a lattice, which
-``save_lattice``, ``lattice_to_dot`` and ``inspect`` do, raises
-``FormatError``.
+The closed extents of a context are the intersections of its attribute
+columns. The builder starts from the full object set and folds in one
+column at a time: the extents over attributes a0..ak are those over
+a0..ak-1 plus each of them intersected with column ak. That is the
+divide-and-conquer assembly L(a0..ak) = assemble(L(a0..ak-1), L({ak}))
+split at the last attribute, on extents alone, and each fold step is one
+C-level ``map`` into a set. The columns go in sparsest first: the result
+does not depend on the order, and that order keeps the intermediate sets
+small. Each concept's intent is then derived once from its extent.
+``assemble`` still merges two partial lattices built over any attribute
+partition, pair by pair.
+
+Cover edges (the Hasse diagram) are derived from the finished concept list
+on first read, so building, compiling and classifying never pay for them;
+lattice files store them for readers but loading ignores them. The covers
+cost one sweep of the context's rows per concept (neighbour generation).
+Loading a lattice file checks, with the fold of ``build_lattice``, that its
+concepts are exactly the concepts of the context it recovers, and that
+``top`` and ``bottom`` point at the top and bottom concepts; otherwise it
+raises ``FormatError``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,7 +33,7 @@ from pathlib import Path
 
 from . import backend
 from .bits import mask_from_indices
-from .context import Concept, FormalContext, canonical_key
+from .context import Concept, FormalContext, canonical_key, derive_intent
 from .errors import DimensionError, FormatError, NotSplittableError
 
 
@@ -76,19 +82,21 @@ def split_context(ctx: FormalContext) -> tuple[FormalContext, FormalContext]:
     return left, right
 
 
-def _concept_masks(columns: Sequence[int], full: int, lo: int,
-                   hi: int) -> tuple[list[int], list[int]]:
-    """Concepts of the attributes ``[lo, hi)``, ``lo < hi``, as parallel
-    extent and intent lists; each intent bit is its attribute's index."""
-    if hi - lo == 1:
-        col = columns[lo]
-        if col == full:
-            return [full], [1 << lo]
-        return [full, col], [0, 1 << lo]
-    mid = lo + (hi - lo + 1) // 2
-    ext1, int1 = _concept_masks(columns, full, lo, mid)
-    ext2, int2 = _concept_masks(columns, full, mid, hi)
-    return backend.merge_concept_pairs(ext1, int1, ext2, int2)
+def _closed_extents(ctx: FormalContext, limit: float = math.inf) -> set[int]:
+    """Every closed extent of ``ctx``: the full object set folded with each
+    attribute column in turn, sparsest first, keeping every extent and its
+    intersection with the column.
+
+    Every extent the fold holds is closed, as an intersection of columns.
+    It stops after the first column that takes it past ``limit`` extents,
+    so it then holds at most twice ``limit`` of them.
+    """
+    extents = {ctx.full_object_mask}
+    for column in sorted(ctx.columns, key=int.bit_count):
+        extents.update(map(column.__and__, tuple(extents)))
+        if len(extents) > limit:
+            break
+    return extents
 
 
 def _finish(ctx: FormalContext, extents: Sequence[int],
@@ -104,13 +112,13 @@ def _finish(ctx: FormalContext, extents: Sequence[int],
 def build_lattice(ctx: FormalContext) -> ConceptLattice:
     """Full lattice of ``ctx``; its Hasse cover edges are derived on first read.
 
-    A context with no attributes yields the single concept (all objects, {}).
+    The extents come from folding in one attribute column at a time, and
+    each intent is the attributes its extent's objects share (every
+    attribute for the empty extent). A context with no attributes yields
+    the single concept (all objects, {}).
     """
-    full = ctx.full_object_mask
-    if ctx.n_attributes == 0:
-        return _finish(ctx, [full], [0])
-    extents, intents = _concept_masks(ctx.columns, full, 0, ctx.n_attributes)
-    return _finish(ctx, extents, intents)
+    extents = list(_closed_extents(ctx))
+    return _finish(ctx, extents, [derive_intent(ctx, e) for e in extents])
 
 
 def appose(ctx1: FormalContext, ctx2: FormalContext) -> FormalContext:
@@ -171,9 +179,11 @@ def lattice_to_dict(lattice: ConceptLattice) -> dict:
 def lattice_from_dict(data: dict) -> ConceptLattice:
     """Lattice from its JSON form; the stored ``covers`` are not read.
 
-    The context's incidence is recovered from the concepts. Whether the
-    concepts are exactly that context's concepts is checked when the
-    covers are first read, not here.
+    The context's incidence is recovered from the concepts: an object has
+    an attribute iff some concept holds both. ``FormatError`` unless the
+    concepts are exactly that context's concepts, each once, ``top`` is
+    the concept of every object and ``bottom`` the concept of every
+    attribute.
     """
     try:
         object_ids, attributes, raw, top, bottom = (
@@ -218,7 +228,40 @@ def lattice_from_dict(data: dict) -> ConceptLattice:
         for o in objects:
             rows[o] |= intent
     ctx = FormalContext(object_ids, attributes, tuple(rows))
+    _check_concepts(ctx, concepts, top, bottom)
     return ConceptLattice(ctx, tuple(concepts), top, bottom)
+
+
+def _check_concepts(ctx: FormalContext, concepts: Sequence[Concept], top: int,
+                    bottom: int) -> None:
+    """``FormatError``, naming a concept or a missing closed extent, unless
+    ``concepts`` are the concepts of ``ctx``, each once, and ``top`` and
+    ``bottom`` index the top and bottom concepts."""
+    # a few concepts can recover a context with exponentially many, so the
+    # fold stops once it has found more closed extents than there are
+    # concepts, and then some closed extent has no concept
+    closed = _closed_extents(ctx, len(concepts))
+    missing = closed.difference(c.extent for c in concepts)
+    if missing:
+        extent = min(missing, key=lambda e: (e.bit_count(), e))
+        raise FormatError(f"no concept has the closed extent "
+                          f"{{{', '.join(ctx.object_names(extent))}}}")
+    seen: dict[int, int] = {}
+    for k, (extent, intent) in enumerate(concepts):
+        if seen.setdefault(extent, k) != k:
+            raise FormatError(f"concept {k} repeats the extent of concept "
+                              f"{seen[extent]}")
+        if extent not in closed:
+            raise FormatError(f"concept {k}: its extent is not closed; more "
+                              f"objects share its objects' attributes")
+        if intent != derive_intent(ctx, extent):
+            raise FormatError(f"concept {k}: its intent is not the set of "
+                              f"attributes its objects share")
+    if concepts[top].extent != ctx.full_object_mask:
+        raise FormatError(f"top concept {top} does not hold every object")
+    if concepts[bottom].intent != ctx.full_attribute_mask:
+        raise FormatError(f"bottom concept {bottom} does not hold every "
+                          f"attribute")
 
 
 def save_lattice(lattice: ConceptLattice, path: str | Path) -> None:

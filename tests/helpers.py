@@ -12,10 +12,12 @@ import math
 import random
 
 from latticecell import (Concept, DocumentVector, FormalContext, Prediction,
-                         Vocabulary, candidate_terms, information_gain,
-                         load_context_csv, parse_activation, remove_stopwords,
-                         tokenize, vote)
+                         Vocabulary, backend, build_context, build_vocabulary,
+                         candidate_terms, default_stopwords, information_gain,
+                         load_context_csv, load_corpus, parse_activation,
+                         remove_stopwords, tokenize, vectorize, vote)
 from latticecell.classify import _score_key, _score_value
+from latticecell.context import canonical_key
 
 DATA = files("latticecell") / "data"
 
@@ -33,6 +35,20 @@ def demo_context() -> FormalContext:
 def demo_labels_map() -> dict[str, str]:
     ctx = demo_context()
     return dict(zip(ctx.object_ids, DEMO_LABELS))
+
+
+def benchmark_context(tmp_path, workload_name: str, seed: str) -> FormalContext:
+    """The context of one corpus of a benchmark workload, over all its
+    documents and the workload's feature count."""
+    from perfbench.corpus import generate
+    from perfbench.workloads import WORKLOADS
+
+    workload = WORKLOADS[workload_name]
+    docs = load_corpus(generate(tmp_path, workload.shape, seed).root)
+    stopwords = default_stopwords()
+    vocab = build_vocabulary(docs, workload.features, stopwords=stopwords)
+    return build_context([vectorize(d, vocab, stopwords=stopwords)
+                          for d in docs], vocab)
 
 
 def query_vector() -> DocumentVector:
@@ -190,6 +206,30 @@ def reference_mean(rows) -> tuple[Fraction, ...]:
         for i, f in enumerate(row):
             sums[i] += f
     return tuple(s / len(rows) for s in sums)
+
+
+def reference_build_lattice(ctx: FormalContext) -> list[Concept]:
+    """Concepts in canonical order by halving the attribute range.
+
+    Each half (the left one rounds up) is built recursively, and the two
+    are crossed pair by pair with ``backend.merge_concept_pairs``. A
+    one-attribute leaf reads its column; a context with no attributes has
+    the single concept (all objects, {}).
+    """
+    full = ctx.full_object_mask
+
+    def masks(lo, hi):
+        if hi - lo == 1:
+            column = ctx.columns[lo]
+            if column == full:
+                return [full], [1 << lo]
+            return [full, column], [0, 1 << lo]
+        mid = lo + (hi - lo + 1) // 2
+        return backend.merge_concept_pairs(*masks(lo, mid), *masks(mid, hi))
+
+    extents, intents = (masks(0, ctx.n_attributes) if ctx.n_attributes
+                        else ([full], [0]))
+    return sorted(map(Concept, extents, intents), key=canonical_key)
 
 
 def reference_lower_covers(extents) -> list[tuple[int, int]]:

@@ -5,10 +5,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_transitive_reduction, reference_lower_covers
-from latticecell import (FormatError, backend, build_context, build_lattice,
-                         build_vocabulary, default_stopwords,
-                         enumerate_concepts_naive, load_corpus, vectorize)
+from helpers import (benchmark_context, brute_transitive_reduction,
+                     reference_lower_covers)
+from latticecell import (FormatError, backend, build_lattice,
+                         enumerate_concepts_naive)
 from strategies import contexts
 
 
@@ -90,15 +90,7 @@ def test_lower_covers_matches_pairwise_scan_on_benchmark_lattices(tmp_path,
                                                                    seed):
     """Lattices of about 1.3k concepts over 180 documents and 60 terms, from
     the benchmark's corpus generator and cli-classify shape."""
-    from perfbench.corpus import generate
-    from perfbench.workloads import WORKLOADS
-
-    workload = WORKLOADS["cli-classify"]
-    docs = load_corpus(generate(tmp_path, workload.shape, seed).root)
-    stopwords = default_stopwords()
-    vocab = build_vocabulary(docs, workload.features, stopwords=stopwords)
-    ctx = build_context([vectorize(d, vocab, stopwords=stopwords)
-                         for d in docs], vocab)
+    ctx = benchmark_context(tmp_path, "cli-classify", seed)
     concepts = build_lattice(ctx).concepts
     assert 1200 < len(concepts) < 1700
     assert _covers(concepts, ctx) == reference_lower_covers(

@@ -341,25 +341,48 @@ def test_repeated_label_names_its_row(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
-@pytest.mark.parametrize("mutate", [
+FOREIGN_CONCEPTS = pytest.mark.parametrize("mutate", [
     lambda d: (d["concepts"].pop(1), d.__setitem__("top", 7)),
     lambda d: d["concepts"][3]["intent"].pop(),
     lambda d: d["attributes"].append("Stadium"),
 ], ids=["concept-deleted", "intent-attribute-dropped", "attribute-in-no-intent"])
-def test_inspect_rejects_a_lattice_of_foreign_concepts(tmp_path, capsys,
-                                                       mutate):
-    """The file loads, but its concepts are not its context's concepts."""
+
+
+def _foreign_lattice(tmp_path, mutate):
+    """The demo lattice file, edited so that its concepts are not the
+    concepts of the context it recovers."""
     path = tmp_path / "lattice.json"
     main(["build", str(DATA / "context.csv"), "-o", str(path)])
     data = json.loads(path.read_text(encoding="utf-8"))
     mutate(data)
     path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+@FOREIGN_CONCEPTS
+def test_inspect_rejects_a_lattice_of_foreign_concepts(tmp_path, capsys,
+                                                       mutate):
+    path = _foreign_lattice(tmp_path, mutate)
     capsys.readouterr()
     assert main(["inspect", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.match(r"error: (no )?concept ", captured.err)
     assert "Traceback" not in captured.err
+
+
+@FOREIGN_CONCEPTS
+def test_compile_rejects_a_lattice_of_foreign_concepts(tmp_path, capsys,
+                                                       mutate):
+    path = _foreign_lattice(tmp_path, mutate)
+    model = tmp_path / "model.json"
+    capsys.readouterr()
+    assert main(["compile", str(path), str(DATA / "labels.csv"), "-o",
+                 str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.match(r"error: (no )?concept ", captured.err)
+    assert not model.exists()
 
 
 def test_inspect_files(tmp_path, capsys):

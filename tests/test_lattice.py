@@ -1,13 +1,14 @@
-"""Divide-and-conquer lattice construction against the naive oracle."""
+"""Lattice construction against the halving and naive oracles."""
 
 import json
 import random
 
 import pytest
 
-from helpers import (DATA, DEMO_CATEGORIES, brute_transitive_reduction,
-                     concept_set, demo_context, demo_labels_map,
-                     query_vector, random_context)
+from helpers import (DATA, DEMO_CATEGORIES, benchmark_context,
+                     brute_transitive_reduction, concept_set, demo_context,
+                     demo_labels_map, query_vector, random_context,
+                     reference_build_lattice)
 from latticecell import (Concept, DimensionError, FormalContext, FormatError,
                          NotSplittableError, PipelineConfig, assemble,
                          build_lattice, classify, compile_model,
@@ -150,6 +151,16 @@ def test_oracle_equivalence_random_small():
         naive = enumerate_concepts_naive(ctx)
         assert list(lattice.concepts) == naive
         assert lattice.covers == brute_transitive_reduction(naive)
+
+
+@pytest.mark.parametrize("seed", ["train-wide/1/0", "train-wide/2/1"])
+def test_build_matches_halving_oracle_on_benchmark_contexts(tmp_path, seed):
+    """Contexts of 210 documents and 100 terms, from the benchmark's corpus
+    generator and train-wide shape."""
+    ctx = benchmark_context(tmp_path, "train-wide", seed)
+    concepts = list(build_lattice(ctx).concepts)
+    assert 2000 < len(concepts) < 3000
+    assert concepts == reference_build_lattice(ctx)
 
 
 def test_split_invariance_random():

@@ -1,12 +1,12 @@
 """Fuzzing the lattice builder and loader.
 
-On a random context, the divide-and-conquer builder gives the naive
-oracle's concepts in its order, and the covers are the brute transitive
-reduction. A mutated lattice document either raises FormatError on load,
-or loads. A loaded document whose concepts are the recovered context's
-concepts survives a save/load round trip unchanged and has the brute
-transitive reduction as its covers; any other loaded document raises
-FormatError when saved, since saving reads its covers."""
+On a random context, the column-folding builder gives the halving
+oracle's and the naive oracle's concepts in their order, and the covers
+are the brute transitive reduction. A mutated lattice document either
+raises FormatError on load, or loads as the lattice of the context it
+recovers, with top and bottom in place; such a lattice survives a
+save/load round trip unchanged and has the brute transitive reduction as
+its covers."""
 
 import copy
 import json
@@ -14,10 +14,12 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_transitive_reduction, demo_context
-from latticecell import (FormatError, build_lattice, enumerate_concepts_naive,
-                         load_lattice, save_lattice)
-from latticecell.lattice import lattice_from_dict, lattice_to_dict
+from helpers import (brute_transitive_reduction, demo_context,
+                     reference_build_lattice)
+from latticecell import (Concept, FormalContext, FormatError, build_lattice,
+                         enumerate_concepts_naive, load_lattice, save_lattice)
+from latticecell.lattice import (_closed_extents, lattice_from_dict,
+                                 lattice_to_dict)
 from strategies import contexts
 
 DEMO_DICT = lattice_to_dict(build_lattice(demo_context()))
@@ -28,7 +30,8 @@ DEMO_DICT = lattice_to_dict(build_lattice(demo_context()))
 def test_builder_matches_naive_oracle(ctx):
     lattice = build_lattice(ctx)
     naive = enumerate_concepts_naive(ctx)
-    assert list(lattice.concepts) == naive  # extents, intents and order
+    # extents, intents and order
+    assert list(lattice.concepts) == naive == reference_build_lattice(ctx)
     assert lattice.covers == brute_transitive_reduction(naive)
 
 
@@ -83,15 +86,15 @@ def lattice_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "lattice.json"
 
 
-def _saves_iff_a_lattice(lattice, path):
-    """Save a loaded lattice if and only if its concepts, each once, are
-    the concepts of its context; returns whether it was one."""
-    is_lattice = (sorted(lattice.concepts)
-                  == sorted(enumerate_concepts_naive(lattice.context)))
-    if not is_lattice:
-        with pytest.raises(FormatError):
-            save_lattice(lattice, path)
-        return False
+def _is_the_lattice_of(ctx, concepts, top, bottom):
+    """Whether ``concepts`` are the concepts of ``ctx``, each once, with
+    ``top`` and ``bottom`` indexing the top and bottom concepts."""
+    return (sorted(concepts) == sorted(enumerate_concepts_naive(ctx))
+            and concepts[top].extent == ctx.full_object_mask
+            and concepts[bottom].intent == ctx.full_attribute_mask)
+
+
+def _round_trips(lattice, path):
     save_lattice(lattice, path)
     again = load_lattice(path)
     assert again.concepts == lattice.concepts
@@ -99,7 +102,6 @@ def _saves_iff_a_lattice(lattice, path):
     assert (again.top_index, again.bottom_index) == (lattice.top_index,
                                                      lattice.bottom_index)
     assert lattice.covers == brute_transitive_reduction(list(lattice.concepts))
-    return True
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -109,7 +111,9 @@ def test_mutated_lattice_loads_or_raises_format_error(lattice_path, data):
         lattice = lattice_from_dict(json.loads(json.dumps(data)))
     except FormatError:
         return
-    _saves_iff_a_lattice(lattice, lattice_path)
+    assert _is_the_lattice_of(lattice.context, lattice.concepts,
+                              lattice.top_index, lattice.bottom_index)
+    _round_trips(lattice, lattice_path)
 
 
 def _single_edits():
@@ -127,9 +131,72 @@ def _single_edits():
                 yield data
 
 
+def _recovered_lattice(data):
+    """The concepts of a well-formed lattice document over the context it
+    describes, read without the loader: an object has an attribute iff
+    some concept holds both."""
+    shared = {o: set() for o in data["objects"]}
+    for concept in data["concepts"]:
+        for o in concept["extent"]:
+            shared[o].update(concept["intent"])
+    ctx = FormalContext.from_matrix(
+        data["objects"], data["attributes"],
+        [[int(a in shared[o]) for a in data["attributes"]]
+         for o in data["objects"]])
+    concepts = [Concept(ctx.object_mask(c["extent"]),
+                        ctx.attribute_mask(c["intent"]))
+                for c in data["concepts"]]
+    return ctx, concepts
+
+
+def _loads_iff_a_lattice(data, path):
+    """Load a well-formed document if and only if it is the lattice of the
+    context it describes; returns whether it loaded."""
+    ctx, concepts = _recovered_lattice(data)
+    if not _is_the_lattice_of(ctx, concepts, data["top"], data["bottom"]):
+        with pytest.raises(FormatError):
+            lattice_from_dict(data)
+        return False
+    lattice = lattice_from_dict(data)
+    assert (lattice.context, list(lattice.concepts)) == (ctx, concepts)
+    _round_trips(lattice, path)
+    return True
+
+
 def test_single_edits_of_the_demo_lattice(lattice_path):
-    saved = [_saves_iff_a_lattice(lattice_from_dict(data), lattice_path)
-             for data in _single_edits()]
+    loaded = [_loads_iff_a_lattice(data, lattice_path)
+              for data in _single_edits()]
     # 9 deleted concepts, 23 extent objects and 16 intent attributes; nine
     # edits leave the lattice of the context they recover
-    assert (len(saved), saved.count(True)) == (48, 9)
+    assert (len(loaded), loaded.count(True)) == (48, 9)
+
+
+def test_top_and_bottom_must_point_at_the_top_and_bottom():
+    data = copy.deepcopy(DEMO_DICT)
+    data["top"], data["bottom"] = 3, 5
+    with pytest.raises(FormatError, match="top concept 3"):
+        lattice_from_dict(data)
+    data["top"] = DEMO_DICT["top"]
+    with pytest.raises(FormatError, match="bottom concept 5"):
+        lattice_from_dict(data)
+
+
+def test_a_file_recovering_a_far_larger_lattice_fails_early():
+    """One concept per object recovers the contranominal scale, whose
+    lattice has 2**n concepts; the check stops after a few columns."""
+    n = 16
+    objects = [f"o{i}" for i in range(n)]
+    attributes = [f"a{i}" for i in range(n)]
+    data = {"objects": objects, "attributes": attributes,
+            "concepts": [{"extent": [], "intent": attributes}]
+            + [{"extent": [o], "intent": attributes[:i] + attributes[i + 1:]}
+               for i, o in enumerate(objects)]
+            + [{"extent": objects, "intent": []}],
+            "covers": [], "top": n + 1, "bottom": 0}
+    with pytest.raises(FormatError, match="no concept has the closed extent"):
+        lattice_from_dict(data)
+    full = (1 << n) - 1
+    ctx = FormalContext(tuple(objects), tuple(attributes),
+                        tuple(full ^ 1 << i for i in range(n)))
+    assert n + 2 < len(_closed_extents(ctx, n + 2)) <= 2 * (n + 2)
+    assert len(_closed_extents(ctx)) == 2 ** n
