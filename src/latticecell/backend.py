@@ -1,12 +1,12 @@
-"""The lattice kernels.
+"""The Hasse covers kernel.
 
-``merge_concept_pairs`` crosses the concepts of two partial lattices, at a
-cost of |L1|·|L2| dict probes; ``lattice.assemble`` is its one caller, as
-``build_lattice`` folds in one attribute column at a time instead.
 ``lower_covers`` derives the Hasse cover edges of a finished concept set
-by neighbour generation, at a cost of concepts × objects bit operations.
-Both work on plain int bitsets. ``lattice`` calls them as attributes of
-this module, so a caller can wrap or replace them in one place.
+by neighbour generation, at a cost of concepts × objects bit operations,
+on plain int bitsets. ``lattice`` calls it as an attribute of this
+module, so a caller can wrap or replace it in one place. Both lattice
+builders fold extents in ``lattice`` itself; this module stays apart
+because ``perfbench`` imports ``lower_covers`` and ``active_backend``
+from it by name.
 """
 
 from .errors import FormatError
@@ -15,36 +15,6 @@ from .errors import FormatError
 def active_backend() -> str:
     """Name of the kernel implementation in use; there is one, ``pure``."""
     return "pure"
-
-
-def merge_concept_pairs(extents1, intents1, extents2, intents2):
-    """Cross every concept of one lattice with every concept of the other.
-
-    For each pair the candidate extent is the intersection of the two
-    extents; pairs that regenerate an already-seen extent have their
-    intent union folded into the stored entry. Returns parallel lists
-    (extents, intents) of the distinct results, in first-seen order.
-
-    All masks are int bitsets; intent masks must already live in a shared
-    attribute index space (callers shift the right-hand intents).
-    """
-    if len(extents1) != len(intents1) or len(extents2) != len(intents2):
-        raise ValueError("extent and intent lists must have equal lengths")
-    index: dict[int, int] = {}
-    out_extents: list[int] = []
-    out_intents: list[int] = []
-    pairs2 = list(zip(extents2, intents2))
-    for e1, i1 in zip(extents1, intents1):
-        for e2, i2 in pairs2:
-            extent = e1 & e2
-            at = index.get(extent)
-            if at is None:
-                index[extent] = len(out_extents)
-                out_extents.append(extent)
-                out_intents.append(i1 | i2)
-            else:
-                out_intents[at] |= i1 | i2
-    return out_extents, out_intents
 
 
 def lower_covers(extents, intents, rows, all_attributes):

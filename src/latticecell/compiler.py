@@ -27,7 +27,8 @@ from typing import NamedTuple
 from .bits import bit_indices, mask_from_indices, transpose
 from .context import Concept
 from .engine import EngineState
-from .errors import EmptyInputError, FormatError, LabelingError
+from .errors import (EmptyInputError, FormatError, LabelingError,
+                     require_names)
 from .lattice import ConceptLattice
 
 
@@ -359,12 +360,12 @@ def _distribution_from_pairs(i: int, pairs, n_categories: int) -> ClassDistribut
 
 def model_from_dict(data: dict) -> CellularModel:
     try:
-        categories = tuple(data["categories"])
-        vocabulary = tuple(data["vocabulary"])
-        raw_facts = data["facts"]
-        raw_rules = data["rules"]
+        categories, vocabulary, raw_facts, raw_rules = (
+            data[key] for key in ("categories", "vocabulary", "facts", "rules"))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed model document: {exc}") from exc
+    require_names("categories", categories)
+    require_names("vocabulary", vocabulary)
     fact_labels = []
     intent_mask_by_idx: dict[int, int] = {}
     dist_by_idx: dict[int, ClassDistribution] = {}
@@ -418,8 +419,10 @@ def model_from_dict(data: dict) -> CellularModel:
                     - {p for p, _ in intent_facts} - {c for c, _ in extent_facts})
     if unreferenced:
         raise FormatError(f"fact {min(unreferenced)} is referenced by no rule")
-    return CellularModel(categories, tuple(fact_labels), tuple(intent_facts),
-                         tuple(extent_facts), vocabulary)
+    require_names("fact labels", fact_labels)
+    return CellularModel(tuple(categories), tuple(fact_labels),
+                         tuple(intent_facts), tuple(extent_facts),
+                         tuple(vocabulary))
 
 
 def save_model(model: CellularModel, path: str | Path) -> None:

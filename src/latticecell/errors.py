@@ -29,5 +29,12 @@ class FormatError(LatticeCellError, ValueError):
     """A context, lattice, or model file is malformed."""
 
 
+def require_names(key: str, names) -> None:
+    """``FormatError`` unless a file's ``key`` entry is a list of strings,
+    checked as a whole, as a model file can hold thousands of names."""
+    if not isinstance(names, list) or not set(map(type, names)) <= {str}:
+        raise FormatError(f"{key}: expected a list of strings")
+
+
 class CorpusError(LatticeCellError, OSError):
     """A corpus directory or document could not be ingested."""

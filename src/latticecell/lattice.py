@@ -8,9 +8,9 @@ divide-and-conquer assembly L(a0..ak) = assemble(L(a0..ak-1), L({ak}))
 split at the last attribute, on extents alone, and each fold step is one
 C-level ``map`` into a set. The columns go in sparsest first: the result
 does not depend on the order, and that order keeps the intermediate sets
-small. Each concept's intent is then derived once from its extent.
-``assemble`` still merges two partial lattices built over any attribute
-partition, pair by pair.
+small. ``assemble`` joins two partial lattices built over any attribute
+partition the same way, on extents alone, and both end in ``_finish``,
+which derives each concept's intent once from its extent.
 
 Cover edges (the Hasse diagram) are derived from the finished concept list
 on first read, so building, compiling and classifying never pay for them;
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -34,7 +34,8 @@ from pathlib import Path
 from . import backend
 from .bits import mask_from_indices
 from .context import Concept, FormalContext, canonical_key, derive_intent
-from .errors import DimensionError, FormatError, NotSplittableError
+from .errors import (DimensionError, FormatError, NotSplittableError,
+                     require_names)
 
 
 @dataclass(frozen=True)
@@ -99,9 +100,10 @@ def _closed_extents(ctx: FormalContext, limit: float = math.inf) -> set[int]:
     return extents
 
 
-def _finish(ctx: FormalContext, extents: Sequence[int],
-            intents: Sequence[int]) -> ConceptLattice:
-    concepts = sorted((Concept(e, i) for e, i in zip(extents, intents)),
+def _finish(ctx: FormalContext, extents: Iterable[int]) -> ConceptLattice:
+    """The lattice of ``ctx`` from its closed extents: each intent is the
+    attributes its extent's objects share, in canonical concept order."""
+    concepts = sorted((Concept(e, derive_intent(ctx, e)) for e in extents),
                       key=canonical_key)
     # canonical order is extent-cardinality ascending: the unique minimal
     # extent sorts first and the full-extent top sorts last
@@ -117,8 +119,7 @@ def build_lattice(ctx: FormalContext) -> ConceptLattice:
     attribute for the empty extent). A context with no attributes yields
     the single concept (all objects, {}).
     """
-    extents = list(_closed_extents(ctx))
-    return _finish(ctx, extents, [derive_intent(ctx, e) for e in extents])
+    return _finish(ctx, _closed_extents(ctx))
 
 
 def appose(ctx1: FormalContext, ctx2: FormalContext) -> FormalContext:
@@ -132,19 +133,18 @@ def appose(ctx1: FormalContext, ctx2: FormalContext) -> FormalContext:
 
 
 def assemble(l1: ConceptLattice, l2: ConceptLattice) -> ConceptLattice:
-    """Merge two partial lattices built over an attribute partition.
+    """The lattice of the apposed context, from the lattices of its parts.
 
-    Walks every concept pair in canonical order, intersecting extents and
-    unioning intents; duplicate extents are folded together. The result is
-    the lattice of the apposed context.
+    Every closed extent of the apposed context is an extent of ``l1``
+    intersected with an extent of ``l2``, so each extent of ``l1`` is
+    folded with all of ``l2``'s, as ``build_lattice`` folds in a column.
     """
     ctx = appose(l1.context, l2.context)
-    shift = l1.context.n_attributes
-    extents, intents = backend.merge_concept_pairs(
-        [c.extent for c in l1.concepts], [c.intent for c in l1.concepts],
-        [c.extent for c in l2.concepts],
-        [c.intent << shift for c in l2.concepts])
-    return _finish(ctx, extents, intents)
+    right = [c.extent for c in l2.concepts]
+    extents: set[int] = set()
+    for concept in l1.concepts:
+        extents.update(map(concept.extent.__and__, right))
+    return _finish(ctx, extents)
 
 
 def find_lower_covers(concepts: Sequence[Concept],
@@ -181,9 +181,9 @@ def lattice_from_dict(data: dict) -> ConceptLattice:
 
     The context's incidence is recovered from the concepts: an object has
     an attribute iff some concept holds both. ``FormatError`` unless the
-    concepts are exactly that context's concepts, each once, ``top`` is
-    the concept of every object and ``bottom`` the concept of every
-    attribute.
+    object and attribute names are strings, the concepts are exactly that
+    context's concepts, each once, ``top`` is the concept of every object
+    and ``bottom`` the concept of every attribute.
     """
     try:
         object_ids, attributes, raw, top, bottom = (
@@ -191,16 +191,13 @@ def lattice_from_dict(data: dict) -> ConceptLattice:
                                   "bottom"))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed lattice document: {exc}") from exc
-    for key, value in (("objects", object_ids), ("attributes", attributes),
-                       ("concepts", raw)):
-        if not isinstance(value, list):
-            raise FormatError(f"{key}: expected a list")
+    if not isinstance(raw, list):
+        raise FormatError("concepts: expected a list")
+    require_names("objects", object_ids)
+    require_names("attributes", attributes)
     object_ids, attributes = tuple(object_ids), tuple(attributes)
-    try:
-        oidx = {o: i for i, o in enumerate(object_ids)}
-        aidx = {a: i for i, a in enumerate(attributes)}
-    except TypeError as exc:  # an unhashable name
-        raise FormatError(f"malformed lattice document: {exc}") from exc
+    oidx = {o: i for i, o in enumerate(object_ids)}
+    aidx = {a: i for i, a in enumerate(attributes)}
     if len(oidx) != len(object_ids) or len(aidx) != len(attributes):
         raise FormatError("duplicate object or attribute names")
     for name, index in (("top", top), ("bottom", bottom)):

@@ -25,7 +25,8 @@ from pathlib import Path
 
 from .bits import bits_to_list, transpose
 from .context import FormalContext
-from .errors import CorpusError, DimensionError, EmptyInputError, LabelingError
+from .errors import (CorpusError, DimensionError, EmptyInputError,
+                     FormatError, LabelingError)
 
 _WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 
@@ -103,9 +104,14 @@ def remove_stopwords(tokens: Sequence[str], stoplist: Iterable[str]) -> list[str
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    """One term per line, UTF-8; blank lines ignored."""
+    """One term per line, UTF-8; blank lines ignored. Text that is not
+    UTF-8 raises ``FormatError`` naming the file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         word = line.strip()
         if word:
             words.add(word)

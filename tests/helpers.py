@@ -12,7 +12,7 @@ import math
 import random
 
 from latticecell import (Concept, DocumentVector, FormalContext, Prediction,
-                         Vocabulary, backend, build_context, build_vocabulary,
+                         Vocabulary, build_context, build_vocabulary,
                          candidate_terms, default_stopwords, information_gain,
                          load_context_csv, load_corpus, parse_activation,
                          remove_stopwords, tokenize, vectorize, vote)
@@ -208,13 +208,40 @@ def reference_mean(rows) -> tuple[Fraction, ...]:
     return tuple(s / len(rows) for s in sums)
 
 
+def reference_merge_pairs(extents1, intents1, extents2, intents2):
+    """Cross every concept of one lattice with every concept of the other.
+
+    For each pair the candidate extent is the intersection of the two
+    extents; pairs that regenerate an already-seen extent have their
+    intent union folded into the stored entry. Returns parallel lists
+    (extents, intents) of the distinct results, in first-seen order.
+    Intent masks must already share one attribute index space.
+    """
+    index: dict[int, int] = {}
+    out_extents: list[int] = []
+    out_intents: list[int] = []
+    pairs2 = list(zip(extents2, intents2))
+    for e1, i1 in zip(extents1, intents1):
+        for e2, i2 in pairs2:
+            extent = e1 & e2
+            at = index.get(extent)
+            if at is None:
+                index[extent] = len(out_extents)
+                out_extents.append(extent)
+                out_intents.append(i1 | i2)
+            else:
+                out_intents[at] |= i1 | i2
+    return out_extents, out_intents
+
+
 def reference_build_lattice(ctx: FormalContext) -> list[Concept]:
     """Concepts in canonical order by halving the attribute range.
 
     Each half (the left one rounds up) is built recursively, and the two
-    are crossed pair by pair with ``backend.merge_concept_pairs``. A
-    one-attribute leaf reads its column; a context with no attributes has
-    the single concept (all objects, {}).
+    are crossed pair by pair with ``reference_merge_pairs``, which unions
+    the intents rather than deriving them. A one-attribute leaf reads its
+    column; a context with no attributes has the single concept (all
+    objects, {}).
     """
     full = ctx.full_object_mask
 
@@ -225,7 +252,7 @@ def reference_build_lattice(ctx: FormalContext) -> list[Concept]:
                 return [full], [1 << lo]
             return [full, column], [0, 1 << lo]
         mid = lo + (hi - lo + 1) // 2
-        return backend.merge_concept_pairs(*masks(lo, mid), *masks(mid, hi))
+        return reference_merge_pairs(*masks(lo, mid), *masks(mid, hi))
 
     extents, intents = (masks(0, ctx.n_attributes) if ctx.n_attributes
                         else ([full], [0]))

@@ -92,6 +92,9 @@ def test_criterion_3_oracle_equivalence_every_split():
                                   tuple(r >> k for r in ctx.rows))
             merged = assemble(build_lattice(left), build_lattice(right))
             assert {(c.extent, c.intent) for c in merged.concepts} == expected
+            assert merged.concepts == built.concepts
+            assert (merged.top_index, merged.bottom_index) == (
+                built.top_index, built.bottom_index)
         checked += 1
     elapsed = time.perf_counter() - t0
     assert checked >= 500

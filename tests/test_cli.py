@@ -471,3 +471,57 @@ def test_model_with_a_fact_no_rule_joins_is_rejected(tmp_path, query_csv,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "fact 10 is referenced by no rule" in captured.err
+
+
+@pytest.mark.parametrize("trace", [[], ["--trace"]], ids=["plain", "trace"])
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d.__setitem__("categories", "SET"), "categories"),
+    (lambda d: d["vocabulary"].__setitem__(0, 7), "vocabulary"),
+    (lambda d: d["facts"][0].__setitem__("label", 5), "fact labels"),
+], ids=["categories-string", "vocabulary-integer", "label-integer"])
+def test_classify_rejects_names_that_are_not_strings(tmp_path, capsys, mutate,
+                                                     message, trace):
+    model, doc = tmp_path / "model.json", tmp_path / "article.txt"
+    main(["compile", "--paper-fixture", "-o", str(model)])
+    data = json.loads(model.read_text(encoding="utf-8"))
+    mutate(data)
+    model.write_text(json.dumps(data), encoding="utf-8")
+    doc.write_text("Le ministre de la puissance.", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["classify", str(model), str(doc), *trace]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}: expected a list of strings\n"
+
+
+def test_lattice_with_integer_names_is_rejected(tmp_path, capsys):
+    path, model = tmp_path / "lattice.json", tmp_path / "model.json"
+    main(["build", str(DATA / "context.csv"), "-o", str(path)])
+    data = json.loads(path.read_text(encoding="utf-8"))
+    index = {name: i for i, name in enumerate(data["attributes"])}
+    data["attributes"] = list(index.values())
+    for concept in data["concepts"]:
+        concept["intent"] = [index[name] for name in concept["intent"]]
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for argv in (["inspect", str(path)],
+                 ["compile", str(path), str(DATA / "labels.csv"), "-o",
+                  str(model)]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: attributes: expected a list of "
+                                "strings\n")
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("command", ["build", "evaluate"])
+def test_undecodable_stopwords_name_the_file(tmp_path, capsys, command):
+    stopwords = tmp_path / "bad.txt"
+    stopwords.write_bytes(b"le\n\xff\n")
+    rc = main([command, str(DATA / "corpus"), "-o", str(tmp_path / "out"),
+               "--stopwords", str(stopwords)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {stopwords}: 'utf-8' codec can't decode")
+    assert "Traceback" not in err

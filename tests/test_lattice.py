@@ -1,22 +1,26 @@
-"""Lattice construction against the halving and naive oracles."""
+"""Lattice construction and the covers kernel against the halving, naive
+and pairwise-scan oracles."""
 
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (DATA, DEMO_CATEGORIES, benchmark_context,
                      brute_transitive_reduction, concept_set, demo_context,
                      demo_labels_map, query_vector, random_context,
-                     reference_build_lattice)
+                     reference_build_lattice, reference_lower_covers,
+                     reference_merge_pairs)
 from latticecell import (Concept, DimensionError, FormalContext, FormatError,
                          NotSplittableError, PipelineConfig, assemble,
-                         build_lattice, classify, compile_model,
+                         backend, build_lattice, classify, compile_model,
                          enumerate_concepts_naive, find_lower_covers,
                          load_lattice, run_experiment, save_lattice,
                          split_context)
 from latticecell.cli import main
 from latticecell.lattice import lattice_from_dict, lattice_to_dict, lattice_to_dot
+from strategies import contexts
 
 
 @pytest.fixture(scope="module")
@@ -164,12 +168,15 @@ def test_build_matches_halving_oracle_on_benchmark_contexts(tmp_path, seed):
 
 
 def test_split_invariance_random():
+    """``assemble`` at every split point equals the direct build: the same
+    concepts in the same order, and the same top and bottom."""
     rnd = random.Random(43)
     for _ in range(15):
         ctx = random_context(rnd, 8, 6)
         if ctx.n_attributes < 2:
             continue
-        reference = concept_set(build_lattice(ctx).concepts)
+        direct = build_lattice(ctx)
+        reference = concept_set(reference_build_lattice(ctx))
         for k in range(1, ctx.n_attributes):
             low = (1 << k) - 1
             left = FormalContext(ctx.object_ids, ctx.attribute_names[:k],
@@ -178,6 +185,9 @@ def test_split_invariance_random():
                                   tuple(r >> k for r in ctx.rows))
             merged = assemble(build_lattice(left), build_lattice(right))
             assert concept_set(merged.concepts) == reference
+            assert merged.concepts == direct.concepts
+            assert (merged.top_index, merged.bottom_index) == (
+                direct.top_index, direct.bottom_index)
 
 
 def test_json_round_trip(tmp_path, ctx):
@@ -256,8 +266,6 @@ def test_pipeline_never_computes_covers(ctx, tmp_path, monkeypatch):
 
 
 def test_cli_build_computes_covers_once(tmp_path, capsys, monkeypatch):
-    from latticecell import backend
-
     calls = []
     real = backend.lower_covers
     monkeypatch.setattr(backend, "lower_covers",
@@ -281,3 +289,84 @@ def test_load_derives_covers_ignoring_stored_ones(tmp_path, ctx):
     assert again.covers == lattice.covers
     save_lattice(again, path)
     assert path.read_text(encoding="utf-8") == good
+
+
+def test_active_backend_is_pure():
+    assert backend.active_backend() == "pure"
+
+
+def _random_mask_lists(rnd, bits, n):
+    return [rnd.getrandbits(bits) for _ in range(n)]
+
+
+@pytest.mark.parametrize("bits", [5, 64, 65, 130])
+def test_merge_pairs_matches_dict_recomputation(bits):
+    """The halving oracle's pairwise crossing: first-seen order of extents,
+    intents OR-folded on duplicates."""
+    rnd = random.Random(21 + bits)
+    e1 = _random_mask_lists(rnd, bits, 8)
+    i1 = _random_mask_lists(rnd, 40, 8)
+    e2 = _random_mask_lists(rnd, bits, 9)
+    i2 = _random_mask_lists(rnd, 40, 9)
+    want: dict[int, int] = {}
+    for a, x in zip(e1, i1):
+        for b, y in zip(e2, i2):
+            want[a & b] = want.get(a & b, 0) | x | y
+    got = reference_merge_pairs(e1, i1, e2, i2)
+    assert got == (list(want), list(want.values()))
+    if bits == 5:  # 72 pairs over 32 possible extents: some must fold
+        assert len(got[0]) < len(e1) * len(e2)
+
+
+def _covers(concepts, ctx):
+    return backend.lower_covers([c.extent for c in concepts],
+                                [c.intent for c in concepts], ctx.rows,
+                                ctx.full_attribute_mask)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ctx=contexts(), shuffle=st.randoms(use_true_random=False))
+def test_pure_lower_covers_matches_brute_force(ctx, shuffle):
+    """Neighbour generation against the pairwise scan and the triple loop,
+    on every concept of a random context in a random order."""
+    concepts = enumerate_concepts_naive(ctx)
+    shuffle.shuffle(concepts)
+    got = _covers(concepts, ctx)
+    assert got == reference_lower_covers([c.extent for c in concepts])
+    assert frozenset(got) == brute_transitive_reduction(concepts)
+
+
+# rows of three objects over attributes a (bit 0) and b (bit 1); the
+# concepts are ({0}, ab), ({0, 1}, a) and ({0, 1, 2}, {})
+ROWS = (0b11, 0b01, 0b00)
+
+
+@pytest.mark.parametrize("extents, intents, all_attributes, message", [
+    ([0b001, 0b111], [0b11, 0b00], 0b11,
+     "concept 0: a closed intent above it is not among the concepts"),
+    ([0b001, 0b011, 0b011, 0b111], [0b11, 0b01, 0b01, 0b00], 0b11,
+     "concept 2 repeats the extent or the intent of an earlier concept"),
+    ([0b001, 0b011, 0b111], [0b11, 0b01, 0b00], 0b111,
+     "no concept has every attribute in its intent"),
+    ([0b001, 0b010, 0b111], [0b11, 0b01, 0b00], 0b11,
+     "concept 1: its extent is not the set of objects that have its intent"),
+], ids=["missing-concept", "repeated-concept", "no-all-attributes-intent",
+        "extent-not-closed"])
+def test_lower_covers_rejects_what_is_not_the_context_lattice(
+        extents, intents, all_attributes, message):
+    assert backend.lower_covers([0b001, 0b011, 0b111], [0b11, 0b01, 0b00],
+                                ROWS, 0b11) == [(0, 1), (1, 2)]
+    with pytest.raises(FormatError, match=message):
+        backend.lower_covers(extents, intents, ROWS, all_attributes)
+
+
+@pytest.mark.parametrize("seed", ["cli-classify/1/0", "cli-classify/2/1"])
+def test_lower_covers_matches_pairwise_scan_on_benchmark_lattices(tmp_path,
+                                                                   seed):
+    """Lattices of about 1.3k concepts over 180 documents and 60 terms, from
+    the benchmark's corpus generator and cli-classify shape."""
+    ctx = benchmark_context(tmp_path, "cli-classify", seed)
+    concepts = build_lattice(ctx).concepts
+    assert 1200 < len(concepts) < 1700
+    assert _covers(concepts, ctx) == reference_lower_covers(
+        [c.extent for c in concepts])
