@@ -2,9 +2,9 @@
 
 A document vector is scored against the intent facts of the model; the
 most similar intents are activated (EF = 1), the engine runs to its
-fixpoint, and the class distributions of the established extent facts are
+fixpoint, and the class distributions of the rules that fired are
 averaged. The argmax category wins, ties broken by category order. No
-activation or no established extent yields an explicitly unclassifiable
+activation or no fired rule yields an explicitly unclassifiable
 prediction.
 """
 
@@ -175,7 +175,7 @@ class Prediction:
     """Outcome of classifying one document vector.
 
     ``category`` is None when the document is unclassifiable (no intent
-    activated, or no extent fact established).
+    activated, or no rule fired).
     """
 
     category: str | None
@@ -202,7 +202,8 @@ def vote(distributions: Sequence[ClassDistribution],
 def classify(model: CellularModel, doc: DocumentVector, measure: str = "inner",
              policy: str = "max",
              trace: list[str] | None = None) -> Prediction:
-    """Activate, run the engine to fixpoint, and vote.
+    """Activate, run the engine to fixpoint, and vote over the rules that
+    fired (the engine's ER at the fixpoint), in rule order.
 
     Deterministic for identical inputs; the shared model is never mutated.
     """
@@ -212,13 +213,8 @@ def classify(model: CellularModel, doc: DocumentVector, measure: str = "inner",
     engine = model.fresh_engine()
     set_facts(engine, activated)
     run_inference(engine, trace)
-    concluding = model.rule_index.concluding
-    concluded = 0
-    for fact_idx in iter_bits(engine.ef):
-        concluded |= concluding[fact_idx]
-    fired_rules = [model.extent_facts[k] for k in iter_bits(concluded)]
-    if not fired_rules:
+    if not engine.er:
         return Prediction(None, None, (), activated)
-    category, mean = vote([dist for _, dist in fired_rules], model.categories)
-    fired = tuple(fact_idx for fact_idx, _ in fired_rules)
+    fired, dists = zip(*(model.extent_facts[k] for k in iter_bits(engine.er)))
+    category, mean = vote(dists, model.categories)
     return Prediction(category, mean, fired, activated)

@@ -19,7 +19,7 @@ from .classify import MEASURES, classify
 from .compiler import (compile_model, load_fixture_model, load_model,
                        model_from_dict, save_model)
 from .context import load_context_csv
-from .errors import FormatError, LatticeCellError
+from .errors import FormatError, LatticeCellError, read_json
 from .evaluate import BASELINES, PipelineConfig, run_experiment
 from .lattice import (build_lattice, lattice_from_dict, lattice_to_dot,
                       load_lattice, save_lattice)
@@ -189,10 +189,7 @@ def cmd_inspect(args) -> int:
         density = sum(r.bit_count() for r in ctx.rows)
         print(f"incidence ones: {density}")
         return 0
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    data = read_json(path)
     if not isinstance(data, dict):
         print("unrecognized file")
         return 1

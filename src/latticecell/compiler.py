@@ -28,7 +28,7 @@ from .bits import bit_indices, mask_from_indices, transpose
 from .context import Concept
 from .engine import EngineState
 from .errors import (EmptyInputError, FormatError, LabelingError,
-                     require_names)
+                     read_json, require_names, require_strings)
 from .lattice import ConceptLattice
 
 
@@ -132,13 +132,12 @@ def distribution_of(extent: int, labels: Sequence[str],
 class RuleIndex(NamedTuple):
     """Per-model bitsets over rule positions (bit k is rule k).
 
-    Classification reads these so that its cost per document follows the
-    rules the document touches, not the rule count.
+    Activation reads these so that its cost per document follows the rules
+    the document touches, not the rule count.
     """
 
     columns: tuple[int, ...]  # per attribute: rules whose intent holds it
     sizes: tuple[tuple[int, int], ...]  # (|intent|, its rules), ascending
-    concluding: tuple[int, ...]  # per fact: rules concluding it
 
 
 @dataclass(frozen=True)
@@ -147,11 +146,13 @@ class CellularModel:
 
     ``intent_facts`` pairs each intent fact index with its attribute mask
     over ``vocabulary``; ``extent_facts`` pairs each extent fact index with
-    its class distribution (integer counts over a total). Fact indices point into ``fact_labels``. Rule k,
-    labeled ``R{k+1}``, links intent fact k (its premise) to extent fact k
-    (its conclusion); these pairs are the only statement of the wiring, and
-    ``engine_template`` is derived from them. Immutable; clone the engine
-    per classification via ``fresh_engine``.
+    its class distribution (integer counts over a total). Fact indices
+    point into ``fact_labels``. Rule k, labeled ``R{k+1}``, links intent
+    fact k (its premise) to extent fact k (its conclusion); these pairs are
+    the only statement of the wiring: ``engine_template`` is derived from
+    them, and a vote reads ``extent_facts[k]`` for each rule k the engine
+    fired. Immutable; clone the engine per classification via
+    ``fresh_engine``.
     """
 
     categories: tuple[str, ...]
@@ -184,10 +185,7 @@ class CellularModel:
             sizes[n] = sizes.get(n, 0) | 1 << k
         columns = transpose((mask for _, mask in self.intent_facts),
                             len(self.vocabulary))
-        concluding = transpose((1 << fact for fact, _ in self.extent_facts),
-                               len(self.fact_labels))
-        return RuleIndex(tuple(columns), tuple(sorted(sizes.items())),
-                         tuple(concluding))
+        return RuleIndex(tuple(columns), tuple(sorted(sizes.items())))
 
 
 def _short_category_names(categories: Sequence[str]) -> list[str]:
@@ -197,14 +195,14 @@ def _short_category_names(categories: Sequence[str]) -> list[str]:
     return initials
 
 
-def _extent_label(vertex: int, dist: ClassDistribution,
+def _extent_label(tag: str, dist: ClassDistribution,
                   shorts: Sequence[str]) -> str:
     parts = ", ".join(f"({p}% {s})" for p, s in zip(dist.percents(), shorts))
-    return f"[S{vertex} {parts}]"
+    return f"[{tag} {parts}]"
 
 
-def _intent_label(intent: int, vocabulary: Sequence[str]) -> str:
-    return "[" + ", ".join(vocabulary[a] for a in bit_indices(intent)) + "]"
+def _intent_label(names: Iterable[str]) -> str:
+    return "[" + ", ".join(names) + "]"
 
 
 def compile_model(lattice: ConceptLattice, labels: Mapping[str, str] | Sequence[str],
@@ -251,8 +249,8 @@ def compile_model(lattice: ConceptLattice, labels: Mapping[str, str] | Sequence[
             extent.bit_count())
         intent_facts.append((len(fact_labels), concept.intent))
         extent_facts.append((len(fact_labels) + 1, dist))
-        fact_labels.append(_intent_label(concept.intent, ctx.attribute_names))
-        fact_labels.append(_extent_label(vertex, dist, shorts))
+        fact_labels.append(_intent_label(ctx.attribute_labels(concept.intent)))
+        fact_labels.append(_extent_label(f"S{vertex}", dist, shorts))
     return CellularModel(tuple(categories), tuple(fact_labels),
                          tuple(intent_facts), tuple(extent_facts),
                          ctx.attribute_names)
@@ -291,9 +289,8 @@ def load_fixture_model() -> CellularModel:
         dist = ClassDistribution.from_counts(percents, 100)
         intent_facts.append((2 * k, intent))
         extent_facts.append((2 * k + 1, dist))
-        fact_labels.append("[" + ", ".join(names) + "]")
-        parts = ", ".join(f"({p}% {s})" for p, s in zip(percents, shorts))
-        fact_labels.append(f"[{tag} {parts}]")
+        fact_labels.append(_intent_label(names))
+        fact_labels.append(_extent_label(tag, dist, shorts))
     return CellularModel(_FIXTURE_CATEGORIES, tuple(fact_labels),
                          tuple(intent_facts), tuple(extent_facts),
                          _FIXTURE_VOCABULARY)
@@ -326,13 +323,13 @@ def model_to_dict(model: CellularModel) -> dict:
 def _distribution_from_pairs(i: int, pairs, n_categories: int) -> ClassDistribution:
     """Fact ``i``'s distribution from its ``[numerator, denominator]`` pairs.
 
-    A pair need not be reduced, and its denominator may be negative. Each
-    value must lie in [0, 1], and the values must sum to 1.
+    A pair need not be reduced, and its denominator may be negative.
+    ``ClassDistribution`` checks that the values lie in [0, 1] and sum to 1.
     """
     if len(pairs) != n_categories:
         raise FormatError(f"fact {i}: {len(pairs)} fractions for "
                           f"{n_categories} categories")
-    numerators, denominators = [], []
+    fractions = []
     for pair in pairs:
         try:
             n, d = pair
@@ -341,21 +338,13 @@ def _distribution_from_pairs(i: int, pairs, n_categories: int) -> ClassDistribut
         if not (isinstance(n, int) and isinstance(d, int)):
             raise FormatError(f"fact {i}: fraction {pair!r} is not a pair "
                               "of integers")
-        if d <= 0:
-            if d == 0:
-                raise FormatError(f"fact {i}: zero denominator")
-            n, d = -n, -d
-        if not 0 <= n <= d:
-            raise FormatError(f"fact {i}: fractions must lie in [0, 1]")
-        numerators.append(n)
-        denominators.append(d)
-    total = math.lcm(*denominators)
-    counts = [n * (total // d) for n, d in zip(numerators, denominators)]
+        if d == 0:
+            raise FormatError(f"fact {i}: zero denominator")
+        fractions.append(Fraction(n, d))
     try:
-        return ClassDistribution.from_counts(counts, total)
-    except ValueError as exc:  # the only check left: the sum
-        raise FormatError(f"fact {i}: fractions sum to "
-                          f"{Fraction(sum(counts), total)}, expected 1") from exc
+        return ClassDistribution(fractions)
+    except ValueError as exc:
+        raise FormatError(f"fact {i}: {exc}") from exc
 
 
 def model_from_dict(data: dict) -> CellularModel:
@@ -376,6 +365,9 @@ def model_from_dict(data: dict) -> CellularModel:
             if entry["kind"] == "intent":
                 attributes = list(entry["attributes"])
                 for a in attributes:
+                    if type(a) is not int:  # not bool, as for rule indices
+                        raise FormatError(f"fact {i}: attribute {a!r} is not "
+                                          f"an integer")
                     if not 0 <= a < len(vocabulary):
                         raise FormatError(
                             f"fact {i}: attribute {a} outside the "
@@ -419,7 +411,8 @@ def model_from_dict(data: dict) -> CellularModel:
                     - {p for p, _ in intent_facts} - {c for c, _ in extent_facts})
     if unreferenced:
         raise FormatError(f"fact {min(unreferenced)} is referenced by no rule")
-    require_names("fact labels", fact_labels)
+    # labels are display text, so they may repeat
+    require_strings("fact labels", fact_labels)
     return CellularModel(tuple(categories), tuple(fact_labels),
                          tuple(intent_facts), tuple(extent_facts),
                          tuple(vocabulary))
@@ -432,8 +425,4 @@ def save_model(model: CellularModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> CellularModel:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    return model_from_dict(data)
+    return model_from_dict(read_json(path))

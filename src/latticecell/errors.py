@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types and the input checks shared across the package."""
+
+import json
+from collections import Counter
+from pathlib import Path
 
 
 class LatticeCellError(Exception):
@@ -29,11 +33,28 @@ class FormatError(LatticeCellError, ValueError):
     """A context, lattice, or model file is malformed."""
 
 
-def require_names(key: str, names) -> None:
+def require_strings(key: str, values) -> None:
     """``FormatError`` unless a file's ``key`` entry is a list of strings,
-    checked as a whole, as a model file can hold thousands of names."""
-    if not isinstance(names, list) or not set(map(type, names)) <= {str}:
+    checked as a whole, as a model file can hold thousands of them."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {str}:
         raise FormatError(f"{key}: expected a list of strings")
+
+
+def require_names(key: str, names) -> None:
+    """``require_strings``, and no name repeated."""
+    require_strings(key, names)
+    repeated = [name for name, n in Counter(names).items() if n > 1]
+    if repeated:
+        raise FormatError(f"{key}: repeated name {repeated[0]!r}")
+
+
+def read_json(path: str | Path):
+    """The JSON document in the UTF-8 file ``path``; ``FormatError`` naming
+    the file when it is not one."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 class CorpusError(LatticeCellError, OSError):

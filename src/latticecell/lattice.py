@@ -35,7 +35,7 @@ from . import backend
 from .bits import mask_from_indices
 from .context import Concept, FormalContext, canonical_key, derive_intent
 from .errors import (DimensionError, FormatError, NotSplittableError,
-                     require_names)
+                     read_json, require_names)
 
 
 @dataclass(frozen=True)
@@ -181,9 +181,9 @@ def lattice_from_dict(data: dict) -> ConceptLattice:
 
     The context's incidence is recovered from the concepts: an object has
     an attribute iff some concept holds both. ``FormatError`` unless the
-    object and attribute names are strings, the concepts are exactly that
-    context's concepts, each once, ``top`` is the concept of every object
-    and ``bottom`` the concept of every attribute.
+    object and attribute names are distinct strings, the concepts are
+    exactly that context's concepts, each once, ``top`` is the concept of
+    every object and ``bottom`` the concept of every attribute.
     """
     try:
         object_ids, attributes, raw, top, bottom = (
@@ -198,8 +198,6 @@ def lattice_from_dict(data: dict) -> ConceptLattice:
     object_ids, attributes = tuple(object_ids), tuple(attributes)
     oidx = {o: i for i, o in enumerate(object_ids)}
     aidx = {a: i for i, a in enumerate(attributes)}
-    if len(oidx) != len(object_ids) or len(aidx) != len(attributes):
-        raise FormatError("duplicate object or attribute names")
     for name, index in (("top", top), ("bottom", bottom)):
         # bool is an int subclass, and int() would truncate a float
         if type(index) is not int:
@@ -268,11 +266,7 @@ def save_lattice(lattice: ConceptLattice, path: str | Path) -> None:
 
 
 def load_lattice(path: str | Path) -> ConceptLattice:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    return lattice_from_dict(data)
+    return lattice_from_dict(read_json(path))
 
 
 def lattice_to_dot(lattice: ConceptLattice) -> str:

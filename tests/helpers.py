@@ -175,7 +175,8 @@ def reference_activate(model, doc, measure, policy) -> tuple[int, ...]:
 
 
 def reference_classify(model, doc, measure, policy) -> Prediction:
-    """Full-scan activation, worklist chaining, vote in rule order."""
+    """Full-scan activation, worklist chaining, and a vote in rule order over
+    the rules whose premises hold in the chainer's final facts."""
     activated = reference_activate(model, doc, measure, policy)
     if not activated:
         return Prediction(None, None, (), ())
@@ -185,12 +186,14 @@ def reference_classify(model, doc, measure, policy) -> Prediction:
         initial |= 1 << fact
     facts = naive_forward_chain(engine.n_facts, engine.premises,
                                 engine.conclusions, initial)
-    fired = tuple(fact for fact, _ in model.extent_facts if (facts >> fact) & 1)
+    fired = [k for k, premise in enumerate(engine.premises)
+             if premise and premise & ~facts == 0]
     if not fired:
         return Prediction(None, None, (), activated)
-    by_fact = dict(model.extent_facts)
-    category, mean = vote([by_fact[f] for f in fired], model.categories)
-    return Prediction(category, mean, fired, activated)
+    category, mean = vote([model.extent_facts[k][1] for k in fired],
+                          model.categories)
+    return Prediction(category, mean,
+                      tuple(model.extent_facts[k][0] for k in fired), activated)
 
 
 def reference_distribution(extent: int, labels, categories) -> tuple[Fraction, ...]:

@@ -122,6 +122,26 @@ def test_classify_worked_example():
     assert not pred.unclassifiable
 
 
+def test_a_rule_that_did_not_fire_casts_no_vote():
+    """A rule that concludes an established fact, but whose premise does not
+    hold, does not join the vote: the fixture plus [Personnage] -> S4's
+    extent fact answers the query as the fixture does."""
+    data = model_to_dict(load_fixture_model())
+    data["rules"].append({"premise": 10, "conclusion": 5})
+    model = model_from_dict(data)
+    pred = classify(model, query_vector(), "inner", "max")
+    assert pred.activated_intents == (4, 6)
+    assert pred.fired_vertices == (5, 7)
+    assert pred.distribution.fractions == (0, Fraction(167, 200),
+                                           Fraction(33, 200))
+    assert pred == reference_classify(model, query_vector(), "inner", "max")
+    # once its premise holds, the rule votes beside the fixture's own rule
+    personnage = classify(model, DocumentVector(1 << 2, 6), "inner", "max")
+    assert personnage.fired_vertices == (11, 5)
+    assert personnage.distribution.fractions == (0, Fraction(67, 200),
+                                                 Fraction(133, 200))
+
+
 def test_classify_single_vertex_returns_its_distribution():
     model = load_fixture_model()
     doc = DocumentVector(1 << 2, 6)  # Personnage only

@@ -494,6 +494,31 @@ def test_classify_rejects_names_that_are_not_strings(tmp_path, capsys, mutate,
     assert captured.err == f"error: {message}: expected a list of strings\n"
 
 
+@pytest.mark.parametrize("command", ["classify", "inspect"])
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d.__setitem__("categories", ["Sport", "Sport", "Television"]),
+     "categories: repeated name 'Sport'"),
+    (lambda d: d["vocabulary"].__setitem__(1, "Stade"),
+     "vocabulary: repeated name 'Stade'"),
+    (lambda d: d["facts"][0].__setitem__("attributes", [True, 0]),
+     "fact 0: attribute True is not an integer"),
+], ids=["repeated-category", "repeated-term", "boolean-attribute"])
+def test_model_file_with_repeated_names_or_a_boolean_index_is_rejected(
+        tmp_path, query_csv, capsys, mutate, message, command):
+    model = tmp_path / "model.json"
+    main(["compile", "--paper-fixture", "-o", str(model)])
+    data = json.loads(model.read_text(encoding="utf-8"))
+    mutate(data)
+    model.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    argv = {"classify": ["classify", str(model), str(query_csv)],
+            "inspect": ["inspect", str(model)]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_lattice_with_integer_names_is_rejected(tmp_path, capsys):
     path, model = tmp_path / "lattice.json", tmp_path / "model.json"
     main(["build", str(DATA / "context.csv"), "-o", str(path)])

@@ -252,6 +252,9 @@ def test_fixture_round_trip(tmp_path):
      "sum to 5/6, expected 1"),
     ("extent", "distribution", [[1, 2], [1, 2], [1, 2]],
      "sum to 3/2, expected 1"),
+    # bool is an int subclass, and True would read as attribute 1
+    ("intent", "attributes", [True, 0], "attribute True is not an integer"),
+    ("intent", "attributes", [1.0], "attribute 1.0 is not an integer"),
 ])
 def test_model_loader_rejects_malformed_facts(demo_model, kind, field, value,
                                               message):
@@ -259,6 +262,39 @@ def test_model_loader_rejects_malformed_facts(demo_model, kind, field, value,
     next(f for f in data["facts"] if f["kind"] == kind)[field] = value
     with pytest.raises(FormatError, match=message):
         model_from_dict(data)
+
+
+@pytest.mark.parametrize("value, message", [
+    ([[-1, 2], [1, 1], [1, 2]], "fractions must lie in [0, 1]"),
+    ([[1, 2], [0, 1], [1, 3]], "fractions sum to 5/6, expected 1"),
+    ([[2, 2], [0, 1], [1, 1]], "fractions sum to 2, expected 1"),
+])
+def test_model_loader_names_the_fact_of_a_bad_distribution(demo_model, value,
+                                                           message):
+    data = model_to_dict(demo_model)
+    fact = next(i for i, f in enumerate(data["facts"]) if f["kind"] == "extent")
+    data["facts"][fact]["distribution"] = value
+    with pytest.raises(FormatError) as info:
+        model_from_dict(data)
+    assert str(info.value) == f"fact {fact}: {message}"
+
+
+@pytest.mark.parametrize("key", ["categories", "vocabulary"])
+def test_model_loader_rejects_a_repeated_name(demo_model, key):
+    data = model_to_dict(demo_model)
+    data[key][1] = data[key][0]
+    with pytest.raises(FormatError) as info:
+        model_from_dict(data)
+    assert str(info.value) == f"{key}: repeated name {data[key][0]!r}"
+
+
+def test_model_loader_accepts_repeated_fact_labels(demo_model):
+    data = model_to_dict(demo_model)
+    for fact in data["facts"]:
+        fact["label"] = "[same]"
+    model = model_from_dict(data)
+    assert set(model.fact_labels) == {"[same]"}
+    assert model_to_dict(model) == data
 
 
 @pytest.mark.parametrize("value, message", [
