@@ -30,6 +30,8 @@ def similarity(v1: Sequence[int], v2: Sequence[int], measure: str = "inner"):
     jaccard = |∩| / |∪|, dice = 2|∩| / (|v1| + |v2|),
     cosine = |∩| / sqrt(|v1| |v2|), inner = |∩|. Measures with an empty
     denominator score 0. Inner returns an int, the rest floats in [0, 1].
+    Each formula is stated once, in ``_score_key``; only cosine's float,
+    whose key is squared, has a line of its own.
     """
     if len(v1) != len(v2):
         raise DimensionError(f"vector lengths differ: {len(v1)} vs {len(v2)}")
@@ -39,23 +41,9 @@ def similarity(v1: Sequence[int], v2: Sequence[int], measure: str = "inner"):
     return _score_value(inter, n1, n2, measure)
 
 
-def _score_value(inter: int, n1: int, n2: int, measure: str):
-    if measure == "inner":
-        return inter
-    if measure == "jaccard":
-        union = n1 + n2 - inter
-        return inter / union if union else 0.0
-    if measure == "dice":
-        denom = n1 + n2
-        return 2 * inter / denom if denom else 0.0
-    if measure == "cosine":
-        denom = n1 * n2
-        return inter / math.sqrt(denom) if denom else 0.0
-    raise ValueError(f"unknown similarity measure {measure!r}")
-
-
 def _score_key(inter: int, n1: int, n2: int, measure: str):
-    """Exact, order-preserving ranking key (cosine is compared squared)."""
+    """Each measure's one formula, as an exact, order-preserving ranking
+    key (cosine's squared, so that it stays rational)."""
     if measure == "inner":
         return inter
     if measure == "jaccard":
@@ -70,8 +58,18 @@ def _score_key(inter: int, n1: int, n2: int, measure: str):
     raise ValueError(f"unknown similarity measure {measure!r}")
 
 
+def _score_value(inter: int, n1: int, n2: int, measure: str):
+    """The measure's value: the key itself for inner, its float for jaccard
+    and dice; cosine's key is squared, so its float has a line of its own."""
+    if measure == "cosine":
+        return inter / math.sqrt(n1 * n2) if n1 * n2 else 0.0
+    key = _score_key(inter, n1, n2, measure)
+    # a Fraction's float rounds the same rational as int true division
+    return key if measure == "inner" else float(key)
+
+
 def parse_activation(policy: str) -> tuple[str, int | float | None]:
-    """Parse 'max', 'topk:K', or 'threshold:T'."""
+    """Parse 'max', 'topk:K' (K >= 1), or 'threshold:T' (T finite)."""
     if policy == "max":
         return "max", None
     kind, sep, arg = policy.partition(":")
@@ -81,7 +79,9 @@ def parse_activation(policy: str) -> tuple[str, int | float | None]:
             raise ValueError("topk needs K >= 1")
         return "topk", k
     if kind == "threshold" and sep:
-        return "threshold", float(arg)
+        if not math.isfinite(t := float(arg)):
+            raise ValueError(f"threshold needs a finite T, not {arg!r}")
+        return "threshold", t
     raise ValueError(f"unknown activation policy {policy!r}; "
                      "expected max, topk:K, or threshold:T")
 

@@ -19,7 +19,7 @@ from .classify import MEASURES, classify
 from .compiler import (compile_model, load_fixture_model, load_model,
                        model_from_dict, save_model)
 from .context import load_context_csv
-from .errors import FormatError, LatticeCellError, read_json
+from .errors import FormatError, LatticeCellError, read_json, write_json
 from .evaluate import BASELINES, PipelineConfig, run_experiment
 from .lattice import (build_lattice, lattice_from_dict, lattice_to_dot,
                       load_lattice, save_lattice)
@@ -164,13 +164,9 @@ def cmd_evaluate(args) -> int:
     report = run_experiment(Path(args.corpus), config)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "report.json").write_text(
-        json.dumps(report.to_json_dict(), ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8")
+    write_json(outdir / "report.json", report.to_json_dict())
     (outdir / "report.txt").write_text(report.to_text(), encoding="utf-8")
-    (outdir / "timings.json").write_text(
-        json.dumps(report.timings, ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8")
+    write_json(outdir / "timings.json", report.timings)
     print(report.to_text())
     t = report.timings
     print(f"lattice build: {t['lattice_build_s']:.6f}s  "

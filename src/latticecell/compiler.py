@@ -15,7 +15,6 @@ each value as a reduced ``[numerator, denominator]`` pair.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -28,7 +27,7 @@ from .bits import bit_indices, mask_from_indices, transpose
 from .context import Concept
 from .engine import EngineState
 from .errors import (EmptyInputError, FormatError, LabelingError,
-                     read_json, require_names, require_strings)
+                     read_json, require_names, require_strings, write_json)
 from .lattice import ConceptLattice
 
 
@@ -49,7 +48,7 @@ class ClassDistribution:
         fracs = [Fraction(f) for f in fractions]
         if any(f < 0 or f > 1 for f in fracs):
             raise ValueError("fractions must lie in [0, 1]")
-        if fracs and sum(fracs) != 1:
+        if sum(fracs) != 1:
             raise ValueError(f"fractions sum to {sum(fracs)}, expected 1")
         total = math.lcm(*(f.denominator for f in fracs))
         self._store([f.numerator * (total // f.denominator) for f in fracs],
@@ -60,8 +59,7 @@ class ClassDistribution:
                     total: int) -> "ClassDistribution":
         """``counts[i] / total`` per category; the counts are nonnegative
         and sum to ``total``."""
-        if total <= 0 or min(counts, default=0) < 0 or (
-                counts and sum(counts) != total):
+        if total <= 0 or min(counts, default=0) < 0 or sum(counts) != total:
             raise ValueError(f"counts {tuple(counts)} are not a distribution "
                              f"over {total}")
         dist = cls.__new__(cls)
@@ -82,8 +80,7 @@ class ClassDistribution:
 
     def argmax(self) -> int:
         """Index of the largest fraction; first wins on ties."""
-        counts = self.counts
-        return counts.index(max(counts)) if counts else 0
+        return self.counts.index(max(self.counts))
 
     def percents(self) -> tuple[int, ...]:
         """Rounded integer percents (half rounds up), for display only."""
@@ -205,6 +202,25 @@ def _intent_label(names: Iterable[str]) -> str:
     return "[" + ", ".join(names) + "]"
 
 
+def _paired_model(categories: Sequence[str], vocabulary: Sequence[str],
+                  rules: Iterable[tuple[Sequence[str], int, str,
+                                        ClassDistribution]]) -> CellularModel:
+    """The CASI model with one rule per (intent names, intent mask, vertex
+    tag, distribution): rule k links intent fact 2k, labelled by its
+    names, to extent fact 2k + 1, labelled by its tag and distribution."""
+    shorts = _short_category_names(categories)
+    fact_labels: list[str] = []
+    intent_facts = []
+    extent_facts = []
+    for names, intent, tag, dist in rules:
+        intent_facts.append((len(fact_labels), intent))
+        extent_facts.append((len(fact_labels) + 1, dist))
+        fact_labels += (_intent_label(names), _extent_label(tag, dist, shorts))
+    return CellularModel(tuple(categories), tuple(fact_labels),
+                         tuple(intent_facts), tuple(extent_facts),
+                         tuple(vocabulary))
+
+
 def compile_model(lattice: ConceptLattice, labels: Mapping[str, str] | Sequence[str],
                   categories: Sequence[str]) -> CellularModel:
     """Translate a lattice plus per-object labels into a CellularModel.
@@ -233,27 +249,19 @@ def compile_model(lattice: ConceptLattice, labels: Mapping[str, str] | Sequence[
             uncounted |= 1 << o
         else:
             category_masks[order[cat]] |= 1 << o
-    shorts = _short_category_names(categories)
 
-    fact_labels: list[str] = []
-    intent_facts = []
-    extent_facts = []
-    for vertex, concept in enumerate(lattice.concepts):
-        extent = concept.extent
-        if concept.intent == 0 or extent == 0:
-            continue
-        if extent & uncounted:
-            distribution_of(extent, aligned, categories)  # raises LabelingError
-        dist = ClassDistribution.from_counts(
-            [(extent & mask).bit_count() for mask in category_masks],
-            extent.bit_count())
-        intent_facts.append((len(fact_labels), concept.intent))
-        extent_facts.append((len(fact_labels) + 1, dist))
-        fact_labels.append(_intent_label(ctx.attribute_labels(concept.intent)))
-        fact_labels.append(_extent_label(f"S{vertex}", dist, shorts))
-    return CellularModel(tuple(categories), tuple(fact_labels),
-                         tuple(intent_facts), tuple(extent_facts),
-                         ctx.attribute_names)
+    def rules():
+        for vertex, concept in enumerate(lattice.concepts):
+            extent = concept.extent
+            if concept.intent == 0 or extent == 0:
+                continue
+            if extent & uncounted:
+                distribution_of(extent, aligned, categories)  # raises
+            counts = [(extent & mask).bit_count() for mask in category_masks]
+            yield (ctx.attribute_labels(concept.intent), concept.intent,
+                   f"S{vertex}",
+                   ClassDistribution.from_counts(counts, extent.bit_count()))
+    return _paired_model(categories, ctx.attribute_names, rules())
 
 
 # Reference model used by the worked example: six concept vertices over the
@@ -280,20 +288,10 @@ def load_fixture_model() -> CellularModel:
     labels; independent of the bundled demo context.
     """
     vocab_index = {name: i for i, name in enumerate(_FIXTURE_VOCABULARY)}
-    shorts = _short_category_names(_FIXTURE_CATEGORIES)
-    fact_labels: list[str] = []
-    intent_facts = []
-    extent_facts = []
-    for k, (names, tag, percents) in enumerate(_FIXTURE_VERTICES):
-        intent = mask_from_indices(vocab_index[n] for n in names)
-        dist = ClassDistribution.from_counts(percents, 100)
-        intent_facts.append((2 * k, intent))
-        extent_facts.append((2 * k + 1, dist))
-        fact_labels.append(_intent_label(names))
-        fact_labels.append(_extent_label(tag, dist, shorts))
-    return CellularModel(_FIXTURE_CATEGORIES, tuple(fact_labels),
-                         tuple(intent_facts), tuple(extent_facts),
-                         _FIXTURE_VOCABULARY)
+    return _paired_model(_FIXTURE_CATEGORIES, _FIXTURE_VOCABULARY, (
+        (names, mask_from_indices(vocab_index[n] for n in names), tag,
+         ClassDistribution.from_counts(percents, 100))
+        for names, tag, percents in _FIXTURE_VERTICES))
 
 
 def model_to_dict(model: CellularModel) -> dict:
@@ -419,9 +417,7 @@ def model_from_dict(data: dict) -> CellularModel:
 
 
 def save_model(model: CellularModel, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(model_to_dict(model), ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8")
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path: str | Path) -> CellularModel:

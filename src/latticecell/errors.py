@@ -57,5 +57,13 @@ def read_json(path: str | Path):
         raise FormatError(f"{path}: {exc}") from exc
 
 
+def write_json(path: str | Path, data) -> None:
+    """Write ``data`` to ``path`` as UTF-8 JSON, indented by two spaces,
+    non-ASCII text kept as is, with a final newline: the one layout of
+    every model, lattice, report and timings file."""
+    Path(path).write_text(json.dumps(data, ensure_ascii=False, indent=2) + "\n",
+                          encoding="utf-8")
+
+
 class CorpusError(LatticeCellError, OSError):
     """A corpus directory or document could not be ingested."""

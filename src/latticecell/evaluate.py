@@ -199,12 +199,15 @@ class PipelineConfig:
     def __post_init__(self):
         if self.features < 1:
             raise ValueError("feature count must be >= 1")
-        for m in self.measures:
-            if m not in MEASURES:
-                raise ValueError(f"unknown similarity measure {m!r}")
-        for b in self.baselines:
-            if b not in BASELINES:
-                raise ValueError(f"unknown baseline {b!r}")
+        for kind, names, known in (("similarity measure", self.measures, MEASURES),
+                                   ("baseline", self.baselines, BASELINES)):
+            for i, name in enumerate(names):
+                if name not in known:
+                    raise ValueError(f"unknown {kind} {name!r}")
+                if name in names[:i]:
+                    raise ValueError(f"repeated {kind} {name!r}")
+        if not self.measures and not self.baselines:
+            raise ValueError("no similarity measure or baseline to evaluate")
         if not 0 < self.split < 1:
             raise ValueError("split ratio must be in (0, 1)")
         if self.jobs < 1:

@@ -24,7 +24,6 @@ raises ``FormatError``.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -35,7 +34,7 @@ from . import backend
 from .bits import mask_from_indices
 from .context import Concept, FormalContext, canonical_key, derive_intent
 from .errors import (DimensionError, FormatError, NotSplittableError,
-                     read_json, require_names)
+                     read_json, require_names, write_json)
 
 
 @dataclass(frozen=True)
@@ -260,9 +259,7 @@ def _check_concepts(ctx: FormalContext, concepts: Sequence[Concept], top: int,
 
 
 def save_lattice(lattice: ConceptLattice, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(lattice_to_dict(lattice), ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8")
+    write_json(path, lattice_to_dict(lattice))
 
 
 def load_lattice(path: str | Path) -> ConceptLattice:

@@ -103,27 +103,25 @@ def remove_stopwords(tokens: Sequence[str], stoplist: Iterable[str]) -> list[str
     return [t for t in tokens if t not in stop]
 
 
+def _stopword_lines(text: str) -> frozenset[str]:
+    return frozenset(w for w in (line.strip() for line in text.splitlines()) if w)
+
+
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """One term per line, UTF-8; blank lines ignored. Text that is not
     UTF-8 raises ``FormatError`` naming the file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return _stopword_lines(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    words = set()
-    for line in text.splitlines():
-        word = line.strip()
-        if word:
-            words.add(word)
-    return frozenset(words)
 
 
 def default_stopwords() -> frozenset[str]:
     """The small French stoplist bundled with the package."""
     from importlib.resources import files
 
-    text = (files("latticecell") / "data" / "stopwords_fr.txt").read_text("utf-8")
-    return frozenset(w for w in (line.strip() for line in text.splitlines()) if w)
+    return _stopword_lines(
+        (files("latticecell") / "data" / "stopwords_fr.txt").read_text("utf-8"))
 
 
 def _doc_terms(doc: Document, stopwords: Iterable[str],

@@ -16,7 +16,6 @@ from latticecell import (Concept, DocumentVector, FormalContext, Prediction,
                          candidate_terms, default_stopwords, information_gain,
                          load_context_csv, load_corpus, parse_activation,
                          remove_stopwords, tokenize, vectorize, vote)
-from latticecell.classify import _score_key, _score_value
 from latticecell.context import canonical_key
 
 DATA = files("latticecell") / "data"
@@ -150,6 +149,40 @@ def reference_fact_step(state) -> tuple[int, int]:
     return state.ef, er
 
 
+def reference_score_value(inter: int, n1: int, n2: int, measure: str):
+    """Each measure's value from its own formula: an int for inner, a float
+    for the rest, 0.0 over an empty denominator."""
+    if measure == "inner":
+        return inter
+    if measure == "jaccard":
+        union = n1 + n2 - inter
+        return inter / union if union else 0.0
+    if measure == "dice":
+        denom = n1 + n2
+        return 2 * inter / denom if denom else 0.0
+    if measure == "cosine":
+        denom = n1 * n2
+        return inter / math.sqrt(denom) if denom else 0.0
+    raise ValueError(f"unknown similarity measure {measure!r}")
+
+
+def reference_score_key(inter: int, n1: int, n2: int, measure: str):
+    """Each measure's exact ranking key from its own formula: inner's count,
+    the others' Fractions, cosine's squared."""
+    if measure == "inner":
+        return inter
+    if measure == "jaccard":
+        union = n1 + n2 - inter
+        return Fraction(inter, union) if union else Fraction(0)
+    if measure == "dice":
+        denom = n1 + n2
+        return Fraction(2 * inter, denom) if denom else Fraction(0)
+    if measure == "cosine":
+        denom = n1 * n2
+        return Fraction(inter * inter, denom) if denom else Fraction(0)
+    raise ValueError(f"unknown similarity measure {measure!r}")
+
+
 def reference_activate(model, doc, measure, policy) -> tuple[int, ...]:
     """Activation by scoring every intent fact of the model, one by one."""
     kind, arg = parse_activation(policy)
@@ -162,16 +195,17 @@ def reference_activate(model, doc, measure, policy) -> tuple[int, ...]:
     if not scored:
         return ()
     if kind == "max":
-        keys = [_score_key(inter, n1, n2, measure) for _, inter, n2 in scored]
+        keys = [reference_score_key(inter, n1, n2, measure)
+                for _, inter, n2 in scored]
         best = max(keys)
         return tuple(fact for (fact, _, _), key in zip(scored, keys)
                      if key == best)
     if kind == "topk":
         ranked = sorted(scored, key=lambda s: (
-            -_score_key(s[1], n1, s[2], measure), s[0]))
+            -reference_score_key(s[1], n1, s[2], measure), s[0]))
         return tuple(sorted(fact for fact, _, _ in ranked[:arg]))
     return tuple(fact for fact, inter, n2 in scored
-                 if _score_value(inter, n1, n2, measure) >= arg)
+                 if reference_score_value(inter, n1, n2, measure) >= arg)
 
 
 def reference_classify(model, doc, measure, policy) -> Prediction:

@@ -7,7 +7,8 @@ import pytest
 
 from helpers import (DEMO_CATEGORIES, demo_context, demo_labels_map,
                      query_vector, random_context, reference_activate,
-                     reference_classify)
+                     reference_classify, reference_score_key,
+                     reference_score_value)
 from latticecell import (DimensionError, DocumentVector, EmptyInputError,
                          activate, build_lattice, classify, compile_model,
                          distribution_of, load_fixture_model, model_from_dict,
@@ -47,6 +48,26 @@ def test_similarity_empty_vectors_score_zero():
 def test_similarity_length_mismatch():
     with pytest.raises(DimensionError):
         similarity((1, 0), (1, 0, 1))
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+def test_scores_equal_their_own_formulas_on_a_grid(measure):
+    """For |v1|, |v2| <= 60 and every overlap, the value and the key equal
+    the references' in value and type, and so does ``similarity`` on a
+    pair of vectors with those counts."""
+    for n1 in range(61):
+        for n2 in range(61):
+            for inter in range(min(n1, n2) + 1):
+                want = reference_score_value(inter, n1, n2, measure)
+                key = reference_score_key(inter, n1, n2, measure)
+                width = n1 + n2 - inter
+                v1 = (1,) * n1 + (0,) * (width - n1)
+                v2 = (0,) * (n1 - inter) + (1,) * n2
+                for got, ref in ((_score_value(inter, n1, n2, measure), want),
+                                 (similarity(v1, v2, measure), want),
+                                 (_score_key(inter, n1, n2, measure), key)):
+                    assert type(got) is type(ref) and got == ref, \
+                        (measure, inter, n1, n2, got, ref)
 
 
 def test_score_key_orders_like_value():

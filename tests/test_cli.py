@@ -259,6 +259,48 @@ def test_evaluate_measure_subset(tmp_path, capsys):
     assert [r["name"] for r in report["rows"]] == ["cosine", "inner"]
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--similarity", "inner,inner", "--baselines", "nb,nb"],
+     "repeated similarity measure 'inner'"),
+    (["--similarity", "inner", "--baselines", "nb,nb"], "repeated baseline 'nb'"),
+    (["--similarity", ""], "no similarity measure or baseline to evaluate"),
+], ids=["repeated-measure", "repeated-baseline", "no-rows"])
+def test_evaluate_rejects_a_repeated_or_empty_row_list(tmp_path, capsys, flags,
+                                                       message):
+    out = tmp_path / "rep"
+    rc = main(["evaluate", str(DATA / "corpus"), "-o", str(out), *flags])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_evaluate_baselines_only(tmp_path, capsys):
+    out = tmp_path / "rep"
+    rc = main(["evaluate", str(DATA / "corpus"), "-o", str(out),
+               "--similarity", "", "--baselines", "nb"])
+    assert rc == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    timings = json.loads((out / "timings.json").read_text(encoding="utf-8"))
+    assert [r["name"] for r in report["rows"]] == list(timings["rows"]) == \
+        ["naive-bayes"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--paper-fixture", "{query}", "--activation", "threshold:nan"],
+    ["evaluate", "{data}/corpus", "-o", "{tmp}/rep",
+     "--activation", "threshold:inf"],
+], ids=["classify-nan", "evaluate-inf"])
+def test_a_threshold_that_is_not_finite_is_rejected(tmp_path, query_csv, capsys,
+                                                    argv):
+    rc = main([a.format(tmp=tmp_path, data=DATA, query=query_csv) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: threshold needs a finite T")
+    assert not (tmp_path / "rep").exists()
+
+
 def test_evaluate_missing_corpus(tmp_path, capsys):
     rc = main(["evaluate", str(tmp_path / "nowhere"), "-o", str(tmp_path / "r")])
     assert rc == 2
@@ -517,6 +559,24 @@ def test_model_file_with_repeated_names_or_a_boolean_index_is_rejected(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["classify", "inspect"])
+def test_model_with_no_categories_is_rejected(tmp_path, query_csv, capsys,
+                                              command):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "categories": [],
+        "vocabulary": QUERY_CSV.splitlines()[0].split(",")[1:],
+        "facts": [{"label": "[Stade]", "kind": "intent", "attributes": [0]},
+                  {"label": "[S0]", "kind": "extent", "distribution": []}],
+        "rules": [{"premise": 0, "conclusion": 1}]}), encoding="utf-8")
+    argv = {"classify": ["classify", str(model), str(query_csv)],
+            "inspect": ["inspect", str(model)]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: fact 1: fractions sum to 0, expected 1\n"
 
 
 def test_lattice_with_integer_names_is_rejected(tmp_path, capsys):

@@ -50,6 +50,10 @@ def test_class_distribution_invariants():
         ClassDistribution((Fraction(1, 2), Fraction(1, 3)))
     with pytest.raises(ValueError):
         ClassDistribution((Fraction(3, 2), Fraction(-1, 2)))
+    with pytest.raises(ValueError, match="fractions sum to 0, expected 1"):
+        ClassDistribution(())
+    with pytest.raises(ValueError, match="not a distribution over 1"):
+        ClassDistribution.from_counts((), 1)
     d = ClassDistribution((Fraction(2, 3), Fraction(1, 3)))
     assert d.percents() == (67, 33)
     assert d.argmax() == 0

@@ -1,9 +1,10 @@
 """The bundled demo's outputs, byte for byte.
 
 ``tests/golden/`` holds what ``build --dot``, ``compile`` and ``evaluate
---baselines nb,knn --seed 7`` write for the bundled data. A change that
-alters any of these bytes changes behaviour, and must regenerate the files
-on purpose.
+--baselines nb,knn --seed 7`` write for the bundled data, and what
+``classify`` writes for the bundled context against the demo model. A
+change that alters any of these bytes changes behaviour, and must
+regenerate the files on purpose.
 """
 
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from helpers import DATA
+from latticecell.classify import MEASURES
 from latticecell.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -39,3 +41,16 @@ def outputs(tmp_path_factory):
 ])
 def test_demo_output_matches_golden_bytes(outputs, golden, produced):
     assert (outputs / produced).read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_demo_classify_matches_golden_bytes(tmp_path):
+    """Every measure under max, topk:2 and threshold:0.5, in that order:
+    max and topk rank by the exact keys, threshold compares the values."""
+    out, produced = tmp_path / "rows.jsonl", b""
+    for measure in MEASURES:
+        for policy in ("max", "topk:2", "threshold:0.5"):
+            assert main(["classify", str(GOLDEN / "demo_model.json"),
+                         str(DATA / "context.csv"), "--similarity", measure,
+                         "--activation", policy, "-o", str(out)]) == 0
+            produced += out.read_bytes()
+    assert produced == (GOLDEN / "demo_classify.jsonl").read_bytes()
