@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .classify import MEASURES, classify
+from .classify import MEASURES, classify, parse_activation
 from .compiler import (compile_model, load_fixture_model, load_model,
                        model_from_dict, save_model)
 from .context import load_context_csv
@@ -117,6 +117,8 @@ def _input_vectors(args, model) -> list[DocumentVector]:
 
 
 def cmd_classify(args) -> int:
+    # checked here too, as ``classify`` checks the policy only per document
+    parse_activation(args.activation)
     model = load_fixture_model() if args.paper_fixture else load_model(args.model)
     vectors = _input_vectors(args, model)
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout

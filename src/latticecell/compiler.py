@@ -20,14 +20,15 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import NamedTuple
 
-from .bits import bit_indices, mask_from_indices, transpose
+from .bits import bit_indices, iter_bits, mask_from_indices, transpose
 from .context import Concept
 from .engine import EngineState
-from .errors import (EmptyInputError, FormatError, LabelingError,
-                     read_json, require_names, require_strings, write_json)
+from .errors import (EmptyInputError, FormatError, LabelingError, json_list,
+                     read_json, require_names, require_strings)
 from .lattice import ConceptLattice
 
 
@@ -417,7 +418,35 @@ def model_from_dict(data: dict) -> CellularModel:
 
 
 def save_model(model: CellularModel, path: str | Path) -> None:
-    write_json(path, model_to_dict(model))
+    """Write ``model`` to ``path``: the same bytes as ``write_json(path,
+    model_to_dict(model))``, rendered from text templates. Rules repeat a
+    few distinct distributions, so each is rendered once."""
+    bodies: dict[int, str] = {}
+    rendered: dict[ClassDistribution, str] = {}
+    for e, dist in model.extent_facts:
+        text = rendered.get(dist)
+        if text is None:
+            t = dist.total
+            text = rendered[dist] = json_list(
+                (json_list((str(c // g), str(t // g)), " " * 8)
+                 for c in dist.counts for g in (math.gcd(c, t),)), " " * 6)
+        bodies[e] = '"kind": "extent",\n      "distribution": ' + text
+    # a fact listed as both kinds is written as an intent, as model_to_dict does
+    for i, mask in model.intent_facts:
+        bodies[i] = ('"kind": "intent",\n      "attributes": '
+                     + json_list(map(str, iter_bits(mask)), " " * 6))
+    facts = (f'{{\n      "label": {label},\n      {bodies[i]}\n    }}'
+             for i, label in enumerate(map(encode_basestring, model.fact_labels)))
+    rules = (f'{{\n      "premise": {i},\n      "conclusion": {e}\n    }}'
+             for (i, _), (e, _) in zip(model.intent_facts, model.extent_facts))
+    Path(path).write_text(
+        '{\n  "categories": '
+        + json_list(map(encode_basestring, model.categories), "  ")
+        + ',\n  "vocabulary": '
+        + json_list(map(encode_basestring, model.vocabulary), "  ")
+        + ',\n  "facts": ' + json_list(facts, "  ")
+        + ',\n  "rules": ' + json_list(rules, "  ") + "\n}\n",
+        encoding="utf-8")
 
 
 def load_model(path: str | Path) -> CellularModel:

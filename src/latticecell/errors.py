@@ -2,6 +2,7 @@
 
 import json
 from collections import Counter
+from collections.abc import Iterable
 from pathlib import Path
 
 
@@ -59,10 +60,23 @@ def read_json(path: str | Path):
 
 def write_json(path: str | Path, data) -> None:
     """Write ``data`` to ``path`` as UTF-8 JSON, indented by two spaces,
-    non-ASCII text kept as is, with a final newline: the one layout of
-    every model, lattice, report and timings file."""
+    non-ASCII text kept as is, with a final newline.
+
+    This defines the layout of every model, lattice, report and timings
+    file. ``save_model`` and ``save_lattice`` render their schemas from
+    text templates instead, and the bytes this writes for ``model_to_dict``
+    and ``lattice_to_dict`` are their oracle."""
     Path(path).write_text(json.dumps(data, ensure_ascii=False, indent=2) + "\n",
                           encoding="utf-8")
+
+
+def json_list(items: Iterable[str], indent: str) -> str:
+    """The JSON list of the already-encoded ``items`` in ``write_json``'s
+    layout, for a list that opens on a line indented by ``indent``: one
+    item per line, two spaces deeper, and ``[]`` when there is none."""
+    inner = indent + "  "
+    body = (",\n" + inner).join(items)
+    return f"[\n{inner}{body}\n{indent}]" if body else "[]"
 
 
 class CorpusError(LatticeCellError, OSError):

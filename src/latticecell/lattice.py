@@ -28,13 +28,14 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from . import backend
-from .bits import mask_from_indices
+from .bits import iter_bits, mask_from_indices
 from .context import Concept, FormalContext, canonical_key, derive_intent
 from .errors import (DimensionError, FormatError, NotSplittableError,
-                     read_json, require_names, write_json)
+                     json_list, read_json, require_names)
 
 
 @dataclass(frozen=True)
@@ -259,7 +260,29 @@ def _check_concepts(ctx: FormalContext, concepts: Sequence[Concept], top: int,
 
 
 def save_lattice(lattice: ConceptLattice, path: str | Path) -> None:
-    write_json(path, lattice_to_dict(lattice))
+    """Write ``lattice`` to ``path``: the same bytes as ``write_json(path,
+    lattice_to_dict(lattice))``, rendered from text templates with each
+    object and attribute name encoded once."""
+    ctx = lattice.context
+    objects = list(map(encode_basestring, ctx.object_ids))
+    attributes = list(map(encode_basestring, ctx.attribute_names))
+    concepts = [
+        '{\n      "extent": '
+        + json_list([objects[o] for o in iter_bits(extent)], " " * 6)
+        + ',\n      "intent": '
+        + json_list([attributes[a] for a in iter_bits(intent)], " " * 6)
+        + "\n    }"
+        for extent, intent in lattice.concepts]
+    covers = (f"[\n      {child},\n      {parent}\n    ]"
+              for child, parent in sorted(lattice.covers))
+    Path(path).write_text(
+        '{\n  "objects": ' + json_list(objects, "  ")
+        + ',\n  "attributes": ' + json_list(attributes, "  ")
+        + ',\n  "concepts": ' + json_list(concepts, "  ")
+        + ',\n  "covers": ' + json_list(covers, "  ")
+        + f',\n  "top": {lattice.top_index},\n  "bottom": {lattice.bottom_index}'
+        + "\n}\n",
+        encoding="utf-8")
 
 
 def load_lattice(path: str | Path) -> ConceptLattice:

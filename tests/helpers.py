@@ -59,6 +59,11 @@ def random_context(rnd: random.Random, max_objects: int = 12,
                    max_attributes: int = 10) -> FormalContext:
     n_obj = rnd.randint(1, max_objects)
     n_attr = rnd.randint(1, max_attributes)
+    return random_context_of_size(rnd, n_obj, n_attr)
+
+
+def random_context_of_size(rnd: random.Random, n_obj: int,
+                           n_attr: int) -> FormalContext:
     # mix densities: AND-ing random masks thins the incidence
     layers = rnd.choice((1, 1, 2, 3))
     rows = []

@@ -301,6 +301,28 @@ def test_a_threshold_that_is_not_finite_is_rejected(tmp_path, query_csv, capsys,
     assert not (tmp_path / "rep").exists()
 
 
+@pytest.mark.parametrize("policy, message", [
+    ("bogus", "error: unknown activation policy 'bogus'"),
+    ("threshold:nan", "error: threshold needs a finite T"),
+    ("topk:0", "error: topk needs K >= 1"),
+])
+@pytest.mark.parametrize("source", ["empty-dir", "header-only-csv"])
+def test_classify_checks_the_policy_without_documents(tmp_path, capsys, policy,
+                                                      message, source):
+    if source == "empty-dir":
+        inputs = tmp_path / "docs"
+        inputs.mkdir()
+    else:
+        inputs = tmp_path / "empty.csv"
+        inputs.write_text(QUERY_CSV.splitlines()[0] + "\n", encoding="utf-8")
+    rc = main(["classify", "--paper-fixture", str(inputs),
+               "--activation", policy])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+
+
 def test_evaluate_missing_corpus(tmp_path, capsys):
     rc = main(["evaluate", str(tmp_path / "nowhere"), "-o", str(tmp_path / "r")])
     assert rc == 2

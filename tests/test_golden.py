@@ -1,8 +1,9 @@
 """The bundled demo's outputs, byte for byte.
 
-``tests/golden/`` holds what ``build --dot``, ``compile`` and ``evaluate
---baselines nb,knn --seed 7`` write for the bundled data, and what
-``classify`` writes for the bundled context against the demo model. A
+``tests/golden/`` holds what ``build --dot``, ``compile``, ``compile
+--paper-fixture`` and ``evaluate --baselines nb,knn --seed 7`` write for
+the bundled data, and what ``classify`` writes for the bundled context
+against the demo model. A
 change that alters any of these bytes changes behaviour, and must
 regenerate the files on purpose.
 """
@@ -26,6 +27,7 @@ def outputs(tmp_path_factory):
              "--dot", out / "lattice.dot"],
             ["compile", out / "lattice.json", DATA / "labels.csv",
              "-o", out / "model.json"],
+            ["compile", "--paper-fixture", "-o", out / "fixture.json"],
             ["evaluate", DATA / "corpus", "-o", out / "report",
              "--baselines", "nb,knn", "--seed", "7"]):
         assert main([str(a) for a in argv]) == 0
@@ -36,6 +38,7 @@ def outputs(tmp_path_factory):
     ("demo_lattice.json", "lattice.json"),
     ("demo_lattice.dot", "lattice.dot"),
     ("demo_model.json", "model.json"),
+    ("fixture_model.json", "fixture.json"),
     ("demo_report.json", "report/report.json"),
     ("demo_report.txt", "report/report.txt"),
 ])
