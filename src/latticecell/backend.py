@@ -9,51 +9,30 @@ because ``perfbench`` imports ``lower_covers`` and ``active_backend``
 from it by name.
 """
 
-from .errors import FormatError
-
 
 def active_backend() -> str:
     """Name of the kernel implementation in use; there is one, ``pure``."""
     return "pure"
 
 
-def lower_covers(extents, intents, rows, all_attributes):
+def lower_covers(intents, rows):
     """Transitive-reduction edges (child, parent) of a context's concepts.
 
-    ``extents[k]`` and ``intents[k]`` are concept k's object and attribute
-    masks, ``rows[g]`` is object g's attribute mask, and ``all_attributes``
-    is the mask of every attribute. Neighbour generation (Lindig, "Fast
-    Concept Analysis", 2000): for a concept (A, B), each ``B & rows[g]``
-    with g outside A is the intent of the closure of A plus g, and the
-    upper covers of (A, B) are the concepts with the maximal ones. The
-    cost is one AND per concept and object.
+    ``intents[k]`` is concept k's attribute mask and ``rows[g]`` is object
+    g's attribute mask. Neighbour generation (Lindig, "Fast Concept
+    Analysis", 2000): for a concept (A, B), each ``B & rows[g]`` other than
+    B itself (so with g outside A) is the intent of the closure of A plus
+    g, and the upper covers of (A, B) are the concepts with the maximal
+    ones. The cost is one AND per concept and object.
 
-    The concepts must be exactly the context's concepts, and every object
-    of an extent must carry its intent (true of a built lattice and of the
-    rows ``lattice_from_dict`` recovers). The same sweep checks this: the
-    extents and the intents are distinct, the all-attributes intent is
-    present, each extent has as many objects as carry its intent, and each
-    maximal candidate is a stored intent. Starting from the all-attributes
-    concept, every concept is then reached through stored covers, so no
-    concept is missing, and none is extra. A failed check raises
-    ``FormatError`` naming the concept. Returns a sorted edge list.
+    The intents must be exactly those of the context's concepts, each once,
+    as ``lattice._finish`` builds them and ``lattice_from_dict`` checks them
+    at load. Returns the edges in no particular order.
     """
-    index: dict[int, int] = {}
-    by_extent: dict[int, int] = {}
-    for k, (extent, intent) in enumerate(zip(extents, intents)):
-        if (index.setdefault(intent, k) != k
-                or by_extent.setdefault(extent, k) != k):
-            raise FormatError(f"concept {k} repeats the extent or the intent "
-                              f"of an earlier concept")
-    if all_attributes not in index:
-        raise FormatError("no concept has every attribute in its intent")
+    index = {intent: k for k, intent in enumerate(intents)}
     edges = []
-    for k, (extent, intent) in enumerate(zip(extents, intents)):
-        candidates = list(map(intent.__and__, rows))
-        if candidates.count(intent) != extent.bit_count():
-            raise FormatError(f"concept {k}: its extent is not the set of "
-                              f"objects that have its intent")
-        distinct = set(candidates)
+    for k, intent in enumerate(intents):
+        distinct = set(map(intent.__and__, rows))
         distinct.discard(intent)
         maximal: list[int] = []
         # a superset has more bits, so it is seen before its subsets
@@ -63,10 +42,5 @@ def lower_covers(extents, intents, rows, all_attributes):
                     break
             else:
                 maximal.append(candidate)
-        parents = list(map(index.get, maximal))
-        if None in parents:
-            raise FormatError(f"concept {k}: a closed intent above it is "
-                              f"not among the concepts")
-        edges += zip([k] * len(parents), parents)
-    edges.sort()
+        edges += zip([k] * len(maximal), map(index.__getitem__, maximal))
     return edges

@@ -39,7 +39,8 @@ def _stopwords(args) -> frozenset[str]:
 def _labels_from_csv(path: Path) -> dict[str, str]:
     labels: dict[str, str] = {}
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark some spreadsheets write
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             for lineno, row in enumerate(csv.reader(fh), start=1):
                 if not row:
                     continue

@@ -230,6 +230,10 @@ def compile_model(lattice: ConceptLattice, labels: Mapping[str, str] | Sequence[
     the context's objects). Concepts with an empty intent or empty extent
     contribute no cells.
     """
+    order: dict[str, int] = {}
+    for i, category in enumerate(categories):
+        if order.setdefault(category, i) != i:
+            raise LabelingError(f"category {category!r} repeated")
     ctx = lattice.context
     if isinstance(labels, Mapping):
         missing = [oid for oid in ctx.object_ids if oid not in labels]
@@ -242,7 +246,6 @@ def compile_model(lattice: ConceptLattice, labels: Mapping[str, str] | Sequence[
         aligned = list(labels)
     # one object bitset per category, so a rule's counts are popcounts of
     # its extent, and one of the objects no category counts
-    order = {c: i for i, c in enumerate(categories)}
     category_masks = [0] * len(categories)
     uncounted = 0
     for o, cat in enumerate(aligned):

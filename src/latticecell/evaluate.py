@@ -212,6 +212,11 @@ class PipelineConfig:
             raise ValueError("split ratio must be in (0, 1)")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.knn_k < 1:
+            raise ValueError("knn_k must be >= 1")
+        if self.knn_measure not in MEASURES:
+            raise ValueError(f"unknown k-NN similarity measure "
+                             f"{self.knn_measure!r}")
         parse_activation(self.activation)
 
 

@@ -19,7 +19,8 @@ cost one sweep of the context's rows per concept (neighbour generation).
 Loading a lattice file checks, with the fold of ``build_lattice``, that its
 concepts are exactly the concepts of the context it recovers, and that
 ``top`` and ``bottom`` point at the top and bottom concepts; otherwise it
-raises ``FormatError``.
+raises ``FormatError``. The covers kernel relies on that check and makes
+none of its own.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ class ConceptLattice:
     ``covers`` holds (child, parent) index pairs forming the transitive
     reduction of the subconcept order. It is derived from ``concepts`` and
     the context on first read and cached; it is never read from a lattice
-    file. Reading it raises ``FormatError`` when ``concepts`` are not the
-    context's concepts. Immutable and shareable.
+    file. ``concepts`` are the context's concepts, as the builders make them
+    and the loader checks them. Immutable and shareable.
     """
 
     context: FormalContext
@@ -151,13 +152,12 @@ def find_lower_covers(concepts: Sequence[Concept],
                       ctx: FormalContext) -> frozenset[tuple[int, int]]:
     """Cover edges (child, parent): strict extent inclusion with nothing between.
 
-    ``concepts`` must be all the concepts of ``ctx``, in any order;
-    otherwise ``FormatError``. The transitive reduction of a partial order
-    is unique.
+    ``concepts`` must be all the concepts of ``ctx``, each once, in any
+    order, as ``_finish`` and ``lattice_from_dict`` guarantee. The transitive
+    reduction of a partial order is unique.
     """
-    return frozenset(backend.lower_covers(
-        [c.extent for c in concepts], [c.intent for c in concepts], ctx.rows,
-        ctx.full_attribute_mask))
+    return frozenset(backend.lower_covers([c.intent for c in concepts],
+                                          ctx.rows))
 
 
 def lattice_to_dict(lattice: ConceptLattice) -> dict:
@@ -290,13 +290,20 @@ def load_lattice(path: str | Path) -> ConceptLattice:
 
 
 def lattice_to_dot(lattice: ConceptLattice) -> str:
-    """Hasse diagram in DOT form, children drawn below their parents."""
+    """Hasse diagram in DOT form, children drawn below their parents.
+
+    Each object and attribute name is escaped once for a DOT quoted
+    string: a backslash before each ``\\`` and ``"``.
+    """
     ctx = lattice.context
+    objects, attributes = (
+        [name.replace("\\", "\\\\").replace('"', '\\"') for name in names]
+        for names in (ctx.object_ids, ctx.attribute_names))
     lines = ["digraph lattice {", "  rankdir=BT;"]
-    for i, c in enumerate(lattice.concepts):
-        extent = ", ".join(ctx.object_names(c.extent)) or "{}"
-        intent = ", ".join(ctx.attribute_labels(c.intent)) or "{}"
-        lines.append(f'  n{i} [label="{extent}\\n{intent}" shape=box];')
+    for i, (extent, intent) in enumerate(lattice.concepts):
+        upper = ", ".join([objects[o] for o in iter_bits(extent)]) or "{}"
+        lower = ", ".join([attributes[a] for a in iter_bits(intent)]) or "{}"
+        lines.append(f'  n{i} [label="{upper}\\n{lower}" shape=box];')
     for child, parent in sorted(lattice.covers):
         lines.append(f"  n{child} -> n{parent};")
     lines.append("}")

@@ -104,7 +104,9 @@ def remove_stopwords(tokens: Sequence[str], stoplist: Iterable[str]) -> list[str
 
 
 def _stopword_lines(text: str) -> frozenset[str]:
-    return frozenset(w for w in (line.strip() for line in text.splitlines()) if w)
+    # lowercased, as ``tokenize`` lowercases every token
+    return frozenset(w for w in (line.strip().lower()
+                                 for line in text.splitlines()) if w)
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:

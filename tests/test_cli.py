@@ -66,6 +66,30 @@ def test_compile_demo(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "14 facts, 7 rules"
 
 
+def test_compile_reads_a_labels_file_with_a_byte_order_mark(tmp_path):
+    lattice, bommed = tmp_path / "lattice.json", tmp_path / "labels.csv"
+    main(["build", str(DATA / "context.csv"), "-o", str(lattice)])
+    bommed.write_bytes(b"\xef\xbb\xbf" + (DATA / "labels.csv").read_bytes())
+    for labels, model in ((DATA / "labels.csv", "plain.json"),
+                          (bommed, "bommed.json")):
+        assert main(["compile", str(lattice), str(labels), "-o",
+                     str(tmp_path / model)]) == 0
+    assert ((tmp_path / "bommed.json").read_bytes()
+            == (tmp_path / "plain.json").read_bytes())
+
+
+def test_build_stopwords_match_whatever_their_case(tmp_path):
+    """Tokens are lowercased, so a stopword entry ``Le`` drops ``le``."""
+    stopwords = tmp_path / "stops.txt"
+    stopwords.write_text("Le\nET\n", encoding="utf-8")
+    out = tmp_path / "lattice.json"
+    assert main(["build", str(DATA / "corpus"), "-o", str(out), "--features",
+                 "200", "--stopwords", str(stopwords)]) == 0
+    attributes = json.loads(out.read_text(encoding="utf-8"))["attributes"]
+    assert "pays" in attributes
+    assert not {"le", "et"} & set(attributes)
+
+
 def test_compile_paper_fixture(tmp_path, capsys):
     model = tmp_path / "model.json"
     rc = main(["compile", "--paper-fixture", "-o", str(model)])

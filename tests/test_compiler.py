@@ -120,6 +120,16 @@ def test_compile_rejects_objects_no_category_counts(demo_model):
     assert compile_model(lattice, labels, DEMO_CATEGORIES) == demo_model
 
 
+def test_compile_rejects_a_repeated_category():
+    """A repeated category would compile into a model file that the loader
+    rejects, so compile refuses it first."""
+    lattice = build_lattice(demo_context())
+    categories = DEMO_CATEGORIES + (DEMO_CATEGORIES[1],)
+    with pytest.raises(LabelingError,
+                       match=f"category {DEMO_CATEGORIES[1]!r} repeated"):
+        compile_model(lattice, demo_labels_map(), categories)
+
+
 def test_compile_demo_counts(demo_model):
     eng = demo_model.engine_template
     assert eng.n_rules == 7

@@ -240,3 +240,8 @@ def test_config_validation():
         PipelineConfig(split=1.5)
     with pytest.raises(ValueError):
         PipelineConfig(baselines=("svm",))
+    # rejected before any lattice is built, and never written into a report
+    with pytest.raises(ValueError, match="knn_k must be >= 1"):
+        PipelineConfig(knn_k=0)
+    with pytest.raises(ValueError, match="unknown k-NN similarity measure"):
+        PipelineConfig(knn_measure="euclid")

@@ -43,6 +43,8 @@ def test_load_stopwords(tmp_path):
     f = tmp_path / "stops.txt"
     f.write_text("un\ndeux\n\n  trois  \n", encoding="utf-8")
     assert load_stopwords(f) == {"un", "deux", "trois"}
+    f.write_text("Un\nDEUX\n", encoding="utf-8")
+    assert load_stopwords(f) == {"un", "deux"}
 
 
 def _labeled_vectors(bit_rows, labels, terms):
