@@ -11,8 +11,8 @@ from .backend import active_backend
 from .classify import (MEASURES, Prediction, activate, classify,
                        parse_activation, similarity, vote)
 from .compiler import (CellularModel, ClassDistribution, compile_model,
-                       distribution_of, load_fixture_model, load_model,
-                       model_from_dict, model_to_dict, save_model)
+                       load_fixture_model, load_model, model_from_dict,
+                       model_to_dict, save_model)
 from .context import (Concept, FormalContext, close_objects, derive_extent,
                       derive_intent, enumerate_concepts_naive, is_closed,
                       is_subconcept, load_context_csv, save_context_csv)
@@ -31,8 +31,8 @@ from .lattice import (ConceptLattice, appose, assemble, build_lattice,
                       load_lattice, save_lattice, split_context)
 from .textprep import (Document, DocumentVector, Vocabulary, build_context,
                        build_vocabulary, candidate_terms, default_stopwords,
-                       information_gain, load_corpus, load_documents,
-                       load_stopwords, remove_stopwords, select_features,
-                       tokenize, vectorize)
+                       load_corpus, load_documents, load_stopwords,
+                       remove_stopwords, select_features, tokenize,
+                       vectorize)
 
 __version__ = "0.1.0"

@@ -4,7 +4,7 @@ Subcommands wire the pipeline together: ``build`` turns a context CSV (or
 a labeled corpus directory) into a lattice file, ``compile`` turns a
 lattice plus labels into a model file, ``classify`` scores documents or
 vector rows against a model, ``evaluate`` runs the end-to-end experiment,
-and ``inspect`` summarizes any of the produced files.
+and ``inspect`` summarizes a context, lattice, model or report file.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from .errors import FormatError, LatticeCellError, read_json, write_json
 from .evaluate import BASELINES, PipelineConfig, run_experiment
 from .lattice import (build_lattice, lattice_from_dict, lattice_to_dot,
                       load_lattice, save_lattice)
-from .textprep import (DEFAULT_FEATURE_COUNT, DocumentVector, build_context,
-                       build_vocabulary, default_stopwords, load_corpus,
-                       load_documents, load_stopwords, vectorize)
+from .textprep import (DEFAULT_FEATURE_COUNT, DocumentVector, Vocabulary,
+                       build_context, build_vocabulary, default_stopwords,
+                       load_corpus, load_documents, load_stopwords, vectorize)
 
 UNCLASSIFIABLE = "UNCLASSIFIABLE"
 
@@ -47,6 +47,9 @@ def _labels_from_csv(path: Path) -> dict[str, str]:
                 if len(row) != 2:
                     raise FormatError(
                         f"{path}: row {lineno}: expected 'object_id,category'")
+                if not row[1]:
+                    raise FormatError(f"{path}: row {lineno}: object "
+                                      f"{row[0]!r} has an empty category")
                 if row[0] in labels:
                     raise FormatError(
                         f"{path}: row {lineno}: repeated object id {row[0]!r}")
@@ -106,14 +109,14 @@ def _vectors_from_csv(path: Path, vocabulary) -> list[DocumentVector]:
 def _input_vectors(args, model) -> list[DocumentVector]:
     vectors: list[DocumentVector] = []
     stopwords = _stopwords(args)
+    vocab = Vocabulary(model.vocabulary)  # builds its token map once
     for item in args.inputs:
         path = Path(item)
         if path.suffix.lower() == ".csv":
             vectors.extend(_vectors_from_csv(path, model.vocabulary))
         else:
             for doc in load_documents(path):
-                vectors.append(vectorize(doc, model.vocabulary,
-                                         stopwords=stopwords))
+                vectors.append(vectorize(doc, vocab, stopwords=stopwords))
     return vectors
 
 
@@ -129,7 +132,8 @@ def cmd_classify(args) -> int:
             pred = classify(model, v, args.similarity, args.activation, trace)
             record = {
                 "id": v.doc_id,
-                "category": pred.category if pred.category else UNCLASSIFIABLE,
+                "category": (UNCLASSIFIABLE if pred.category is None
+                             else pred.category),
                 "distribution": ([round(c / pred.distribution.total, 12)
                                   for c in pred.distribution.counts]
                                  if pred.distribution else None),
@@ -204,7 +208,7 @@ def cmd_inspect(args) -> int:
               f"{model.engine_template.n_rules} rules, "
               f"categories: {', '.join(model.categories)}, "
               f"{len(model.vocabulary)} vocabulary terms")
-    elif "rows" in data:
+    elif "averaging" in data:  # timings.json has "rows" too
         try:
             n_rows, categories = len(data["rows"]), ", ".join(data["categories"])
         except (KeyError, TypeError) as exc:
@@ -280,7 +284,8 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("inspect", help="summarize a context/lattice/model file")
+    p = sub.add_parser("inspect", help="summarize a context, lattice, model "
+                                       "or report file")
     p.add_argument("file")
     p.set_defaults(func=cmd_inspect)
 

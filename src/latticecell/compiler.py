@@ -105,28 +105,6 @@ class ClassDistribution:
             common * len(distributions))
 
 
-def distribution_of(extent: int, labels: Sequence[str],
-                    categories: Sequence[str]) -> ClassDistribution:
-    """Class distribution of the objects in ``extent``.
-
-    ``labels[o]`` is the category of object o.
-    """
-    if extent == 0:
-        raise EmptyInputError("distribution of an empty extent is undefined")
-    order = {c: i for i, c in enumerate(categories)}
-    counts = [0] * len(categories)
-    total = 0
-    for o in bit_indices(extent):
-        if o >= len(labels) or labels[o] is None:
-            raise LabelingError(f"object {o} is unlabeled")
-        cat = labels[o]
-        if cat not in order:
-            raise LabelingError(f"object {o} has unknown category {cat!r}")
-        counts[order[cat]] += 1
-        total += 1
-    return ClassDistribution.from_counts(counts, total)
-
-
 class RuleIndex(NamedTuple):
     """Per-model bitsets over rule positions (bit k is rule k).
 
@@ -259,8 +237,13 @@ def compile_model(lattice: ConceptLattice, labels: Mapping[str, str] | Sequence[
             extent = concept.extent
             if concept.intent == 0 or extent == 0:
                 continue
-            if extent & uncounted:
-                distribution_of(extent, aligned, categories)  # raises
+            stray = extent & uncounted
+            if stray:
+                o = (stray & -stray).bit_length() - 1
+                if aligned[o] is None:
+                    raise LabelingError(f"object {o} is unlabeled")
+                raise LabelingError(
+                    f"object {o} has unknown category {aligned[o]!r}")
             counts = [(extent & mask).bit_count() for mask in category_masks]
             yield (ctx.attribute_labels(concept.intent), concept.intent,
                    f"S{vertex}",

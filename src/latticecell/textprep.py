@@ -110,10 +110,11 @@ def _stopword_lines(text: str) -> frozenset[str]:
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    """One term per line, UTF-8; blank lines ignored. Text that is not
-    UTF-8 raises ``FormatError`` naming the file."""
+    """One term per line, UTF-8 with or without a byte-order mark; blank
+    lines ignored. Text that is not UTF-8 raises ``FormatError`` naming
+    the file."""
     try:
-        return _stopword_lines(Path(path).read_text(encoding="utf-8"))
+        return _stopword_lines(Path(path).read_text(encoding="utf-8-sig"))
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -184,40 +185,6 @@ def _entropy(counts: Sequence[int]) -> float:
     return h
 
 
-def information_gain(term: str, vectors: Sequence[DocumentVector],
-                     terms: Sequence[str]) -> float:
-    """Entropy reduction of the category given the term's presence bit.
-
-    IG(t) = H(C) - P(t) H(C | t present) - P(not t) H(C | t absent).
-    """
-    if not vectors:
-        raise EmptyInputError("information gain over an empty corpus is undefined")
-    try:
-        idx = list(terms).index(term)
-    except ValueError:
-        raise KeyError(f"term {term!r} is not a candidate") from None
-    categories: list[str] = []
-    for v in vectors:
-        if v.category is None:
-            raise LabelingError(f"document {v.doc_id!r} is unlabeled")
-        if v.category not in categories:
-            categories.append(v.category)
-    order = {c: i for i, c in enumerate(categories)}
-    present = [0] * len(categories)
-    absent = [0] * len(categories)
-    for v in vectors:
-        if (v.bits >> idx) & 1:
-            present[order[v.category]] += 1
-        else:
-            absent[order[v.category]] += 1
-    n = len(vectors)
-    n_present = sum(present)
-    total = [p + a for p, a in zip(present, absent)]
-    return (_entropy(total)
-            - (n_present / n) * _entropy(present)
-            - ((n - n_present) / n) * _entropy(absent))
-
-
 def category_masks(vectors: Sequence[DocumentVector]) -> dict[str | None, int]:
     """Bitset of vector positions per category, in first-seen order."""
     masks: dict[str | None, int] = {}
@@ -230,9 +197,9 @@ def select_features(vectors: Sequence[DocumentVector], terms: Sequence[str],
                     n: int = DEFAULT_FEATURE_COUNT) -> Vocabulary:
     """Top ``n`` candidate terms by information gain (ties: lexicographic).
 
-    Each score equals ``information_gain(term, vectors, terms)``: the
-    per-category counts come from popcounts over term columns, and the
-    entropies are summed in the same order.
+    IG(t) = H(C) - P(t) H(C | t present) - P(not t) H(C | t absent), where
+    C is a document's category: the per-category counts come from
+    popcounts over term columns, and H(C) is computed once.
     """
     if n < 1:
         raise ValueError("feature count must be >= 1")

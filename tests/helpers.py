@@ -11,11 +11,12 @@ from importlib.resources import files
 import math
 import random
 
-from latticecell import (Concept, DocumentVector, FormalContext, Prediction,
-                         Vocabulary, build_context, build_vocabulary,
-                         candidate_terms, default_stopwords, information_gain,
-                         load_context_csv, load_corpus, parse_activation,
-                         remove_stopwords, tokenize, vectorize, vote)
+from latticecell import (Concept, DocumentVector, EmptyInputError,
+                         FormalContext, LabelingError, Prediction, Vocabulary,
+                         build_context, build_vocabulary, candidate_terms,
+                         default_stopwords, load_context_csv, load_corpus,
+                         parse_activation, remove_stopwords, tokenize,
+                         vectorize, vote)
 from latticecell.context import canonical_key
 
 DATA = files("latticecell") / "data"
@@ -89,9 +90,53 @@ def reference_vectorize(doc, vocab, stopwords=(), stemmer=None) -> DocumentVecto
     return DocumentVector(bits, len(terms), doc.category, doc.id)
 
 
+def _reference_entropy(counts) -> float:
+    """Shannon entropy in bits; zero counts contribute nothing."""
+    total = sum(counts)
+    if total == 0:
+        return 0.0
+    h = 0.0
+    for c in counts:
+        if c:
+            p = c / total
+            h -= p * math.log2(p)
+    return h
+
+
+def reference_information_gain(term, vectors, terms) -> float:
+    """IG(t) = H(C) - P(t) H(C | t present) - P(not t) H(C | t absent),
+    counting one vector at a time, with ``select_features``'s float
+    operation order so the two agree exactly."""
+    if not vectors:
+        raise EmptyInputError("information gain over an empty corpus is undefined")
+    idx = list(terms).index(term)
+    categories: list[str] = []
+    for v in vectors:
+        if v.category is None:
+            raise LabelingError(f"document {v.doc_id!r} is unlabeled")
+        if v.category not in categories:
+            categories.append(v.category)
+    order = {c: i for i, c in enumerate(categories)}
+    present = [0] * len(categories)
+    absent = [0] * len(categories)
+    for v in vectors:
+        if (v.bits >> idx) & 1:
+            present[order[v.category]] += 1
+        else:
+            absent[order[v.category]] += 1
+    n = len(vectors)
+    n_present = sum(present)
+    total = [p + a for p, a in zip(present, absent)]
+    return (_reference_entropy(total)
+            - (n_present / n) * _reference_entropy(present)
+            - ((n - n_present) / n) * _reference_entropy(absent))
+
+
 def reference_select_features(vectors, terms, n) -> Vocabulary:
-    """Top ``n`` terms, each scored by its own ``information_gain`` call."""
-    scored = sorted(((t, information_gain(t, vectors, terms)) for t in terms),
+    """Top ``n`` terms, each scored by its own
+    ``reference_information_gain`` call."""
+    scored = sorted(((t, reference_information_gain(t, vectors, terms))
+                     for t in terms),
                     key=lambda ts: (-ts[1], ts[0]))[:n]
     return Vocabulary(tuple(t for t, _ in scored), tuple(s for _, s in scored))
 

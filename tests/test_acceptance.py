@@ -11,12 +11,13 @@ import time
 from fractions import Fraction
 
 from helpers import (DATA, DEMO_CATEGORIES, demo_context, demo_labels_map,
-                     naive_forward_chain, query_vector, random_context)
-from latticecell import (DocumentVector, FormalContext, assemble,
-                         build_lattice, classify, compile_model, delta_fact,
-                         delta_rule, derive_extent, derive_intent,
-                         distribution_of, enumerate_concepts_naive,
-                         load_fixture_model, run_inference, set_facts, vote)
+                     naive_forward_chain, query_vector, random_context,
+                     reference_distribution)
+from latticecell import (ClassDistribution, DocumentVector, FormalContext,
+                         assemble, build_lattice, classify, compile_model,
+                         delta_fact, delta_rule, derive_extent, derive_intent,
+                         enumerate_concepts_naive, load_fixture_model,
+                         run_inference, set_facts, vote)
 from latticecell.classify import MEASURES, _score_key
 from latticecell.cli import main
 
@@ -150,7 +151,9 @@ def _direct_lattice_prediction(lattice, labels, categories, doc, measure):
         return None, None, ()
     best = max(k for _, k in positive)
     chosen = [c for c, k in positive if k == best]
-    dists = [distribution_of(c.extent, labels, categories) for c in chosen]
+    dists = [ClassDistribution(reference_distribution(c.extent, labels,
+                                                      categories))
+             for c in chosen]
     category, mean = vote(dists, categories)
     return category, mean, tuple(sorted(c.intent for c in chosen))
 

@@ -7,12 +7,12 @@ import pytest
 
 from helpers import (DEMO_CATEGORIES, demo_context, demo_labels_map,
                      query_vector, random_context, reference_activate,
-                     reference_classify, reference_score_key,
-                     reference_score_value)
+                     reference_classify, reference_distribution,
+                     reference_score_key, reference_score_value)
 from latticecell import (DimensionError, DocumentVector, EmptyInputError,
                          activate, build_lattice, classify, compile_model,
-                         distribution_of, load_fixture_model, model_from_dict,
-                         model_to_dict, similarity, vote)
+                         load_fixture_model, model_from_dict, model_to_dict,
+                         similarity, vote)
 from latticecell.classify import MEASURES, _score_key, _score_value
 from latticecell.compiler import ClassDistribution
 
@@ -253,7 +253,9 @@ def _direct_lattice_prediction(lattice, labels, categories, doc, measure):
         return None, ()
     best = max(k for _, k in positive)
     chosen = [c for c, k in positive if k == best]
-    dists = [distribution_of(c.extent, labels, categories) for c in chosen]
+    dists = [ClassDistribution(reference_distribution(c.extent, labels,
+                                                      categories))
+             for c in chosen]
     category, _ = vote(dists, categories)
     return category, tuple(c.extent for c in chosen)
 

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import DATA
+from helpers import DATA, DEMO_LABELS, demo_context
+from latticecell import build_lattice, compile_model, save_model
 from latticecell.cli import main
 
 QUERY_CSV = ("id,Stade,Pays,Personnage,Ministre,Puissance,Visage\n"
@@ -173,6 +174,36 @@ def test_classify_undecodable_document_names_it(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot read document {doc}: ")
+
+
+def test_a_category_named_empty_is_a_category_not_unclassifiable(tmp_path,
+                                                                 capsys):
+    labels = ["" if cat == "Sport" else cat for cat in DEMO_LABELS]
+    model = tmp_path / "model.json"
+    save_model(compile_model(build_lattice(demo_context()), labels,
+                             ("", "Economie", "Television")), model)
+    stade_pays = tmp_path / "query.csv"
+    stade_pays.write_text(QUERY_CSV.replace("0,0,0,1,1,0", "1,1,0,0,0,0"),
+                          encoding="utf-8")
+    assert main(["classify", str(model), str(stade_pays)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["category"] == ""
+    assert record["distribution"] == [1.0, 0.0, 0.0]
+
+
+def test_classify_builds_one_token_map_per_run(tmp_path, monkeypatch, capsys):
+    import latticecell.textprep as textprep
+
+    calls = []
+    token_masks = textprep._token_masks
+    monkeypatch.setattr(textprep, "_token_masks",
+                        lambda terms: calls.append(terms) or token_masks(terms))
+    for name in ("a.txt", "b.txt", "c.txt"):
+        (tmp_path / name).write_text("Le ministre de la puissance.",
+                                     encoding="utf-8")
+    assert main(["classify", "--paper-fixture", str(tmp_path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert len(calls) == 1
 
 
 def test_classify_model_file_round_trip(tmp_path, query_csv, capsys):
@@ -429,6 +460,19 @@ def test_repeated_label_names_its_row(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_a_label_with_an_empty_category_names_its_row(tmp_path, capsys):
+    lattice, labels = tmp_path / "lattice.json", tmp_path / "labels.csv"
+    main(["build", str(DATA / "context.csv"), "-o", str(lattice)])
+    labels.write_bytes((DATA / "labels.csv").read_bytes()
+                       .replace(b"Doc 1,Sport", b"Doc 1,"))
+    capsys.readouterr()
+    assert main(["compile", str(lattice), str(labels), "-o",
+                 str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err == (f"error: {labels}: row 1: object "
+                                       f"'Doc 1' has an empty category\n")
+    assert not (tmp_path / "m.json").exists()
+
+
 FOREIGN_CONCEPTS = pytest.mark.parametrize("mutate", [
     lambda d: (d["concepts"].pop(1), d.__setitem__("top", 7)),
     lambda d: d["concepts"][3]["intent"].pop(),
@@ -487,6 +531,21 @@ def test_inspect_files(tmp_path, capsys):
     main(["inspect", str(model)])
     out = capsys.readouterr().out
     assert "12 facts" in out and "6 rules" in out
+
+
+def test_inspect_tells_a_report_from_its_timings(tmp_path, capsys):
+    main(["evaluate", str(DATA / "corpus"), "-o", str(tmp_path / "report"),
+          "--similarity", "inner", "--baselines", "nb"])
+    listing = tmp_path / "list.json"
+    listing.write_text("[]", encoding="utf-8")
+    capsys.readouterr()
+    for name, rc, out in (
+            ("report/report.json", 0, "report: 2 configurations, "
+                                      "categories: economie, sport, television"),
+            ("report/timings.json", 1, "unrecognized file"),
+            ("list.json", 1, "unrecognized file")):
+        assert main(["inspect", str(tmp_path / name)]) == rc
+        assert capsys.readouterr() == (out + "\n", "")
 
 
 @pytest.mark.parametrize("kind, key, value, rc, out", [

@@ -10,9 +10,8 @@ from helpers import (DEMO_CATEGORIES, DEMO_LABELS, demo_context,
                      demo_labels_map, random_context, reference_distribution,
                      reference_mean)
 from latticecell import (CellularModel, ClassDistribution, DimensionError,
-                         EmptyInputError, FormatError, LabelingError,
-                         build_lattice, compile_model, distribution_of,
-                         load_fixture_model)
+                         FormatError, LabelingError, build_lattice,
+                         compile_model, load_fixture_model)
 from latticecell.compiler import model_from_dict, model_to_dict
 
 
@@ -22,27 +21,18 @@ def demo_model():
     return compile_model(lattice, demo_labels_map(), DEMO_CATEGORIES)
 
 
-def test_distribution_examples():
+def test_distribution_examples(demo_model):
     ctx = demo_context()
-    labels = ["Sport", "Sport", "Television", "Television", "Economie",
-              "Economie", "Sport", "Economie", "Television"]
-    d = distribution_of(ctx.object_mask(["Doc 5", "Doc 6", "Doc 8"]), labels,
-                        DEMO_CATEGORIES)
-    assert d.fractions == (0, 1, 0)
-    d = distribution_of(ctx.object_mask(["Doc 3", "Doc 7"]), labels,
-                        DEMO_CATEGORIES)
-    assert d.fractions == (Fraction(1, 2), 0, Fraction(1, 2))
-    d = distribution_of(ctx.object_mask(["Doc 9"]), labels, DEMO_CATEGORIES)
-    assert d.fractions == (0, 0, 1)
-
-
-def test_distribution_errors():
-    with pytest.raises(EmptyInputError):
-        distribution_of(0, ["Sport"], DEMO_CATEGORIES)
-    with pytest.raises(LabelingError):
-        distribution_of(0b1, [None], DEMO_CATEGORIES)
-    with pytest.raises(LabelingError):
-        distribution_of(0b1, ["Opera"], DEMO_CATEGORIES)
+    eligible = [c for c in build_lattice(ctx).concepts if c.extent and c.intent]
+    by_extent = {c.extent: dist for c, (_, dist)
+                 in zip(eligible, demo_model.extent_facts)}
+    for ids, want in ((["Doc 5", "Doc 6", "Doc 8"], (0, 1, 0)),
+                      (["Doc 3", "Doc 7"], (Fraction(1, 2), 0, Fraction(1, 2))),
+                      (["Doc 9"], (0, 0, 1))):
+        extent = ctx.object_mask(ids)
+        assert by_extent[extent].fractions == want
+        assert want == reference_distribution(extent, DEMO_LABELS,
+                                              DEMO_CATEGORIES)
 
 
 def test_class_distribution_invariants():
@@ -100,7 +90,7 @@ def test_compiled_distributions_match_recount():
         for concept, (_, dist) in zip(eligible, model.extent_facts):
             want = reference_distribution(concept.extent, labels, cats)
             assert dist.fractions == want
-            assert dist == distribution_of(concept.extent, labels, cats)
+            assert dist == ClassDistribution(want)
             assert dist.percents() == tuple(int(f * 100 + Fraction(1, 2))
                                             for f in want)
 

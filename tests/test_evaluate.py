@@ -12,9 +12,11 @@ import pytest
 
 from helpers import DATA, reference_naive_bayes_table
 import latticecell
-from latticecell import (ConfusionMatrix, DocumentVector, EmptyInputError,
-                         PipelineConfig, baseline_knn, baseline_naive_bayes,
-                         metrics, run_experiment, split_corpus)
+from latticecell import (ConfusionMatrix, CorpusError, DocumentVector,
+                         EmptyInputError, LabelingError, PipelineConfig,
+                         baseline_knn, baseline_naive_bayes, metrics,
+                         run_experiment, split_corpus)
+from latticecell.cli import main
 from latticecell.evaluate import _naive_bayes_table
 from latticecell.textprep import Document
 
@@ -202,23 +204,61 @@ def test_import_leaves_process_pool_unloaded():
     assert out.strip() == "False"
 
 
-def test_run_experiment_explicit_split(tmp_path):
-    # train/ and test/ subtrees take precedence over the ratio split
+def _copy_corpus(root, layout):
+    """``layout`` maps a subtree of ``root`` to {category: bundled file names}."""
     import shutil
 
-    root = tmp_path / "corpus"
-    for part in ("train", "test"):
-        for cat in ("economie", "sport", "television"):
+    for part, categories in layout.items():
+        for cat, names in categories.items():
             (root / part / cat).mkdir(parents=True)
-    src = DATA / "corpus"
-    for cat, names in {"sport": ["doc1.txt", "doc2.txt", "doc7.txt"],
-                       "economie": ["doc5.txt", "doc6.txt", "doc8.txt"],
-                       "television": ["doc3.txt", "doc4.txt", "doc9.txt"]}.items():
-        for i, name in enumerate(names):
-            part = "test" if i == 2 else "train"
-            shutil.copy(str(src / cat / name), root / part / cat / name)
+            for name in names:
+                shutil.copy(str(DATA / "corpus" / cat / name),
+                            root / part / cat / name)
+    return root
+
+
+def _evaluate_fails(root, tmp_path, capsys, message):
+    capsys.readouterr()
+    assert main(["evaluate", str(root), "-o", str(tmp_path / "report")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_run_experiment_explicit_split(tmp_path):
+    # train/ and test/ subtrees take precedence over the ratio split
+    root = _copy_corpus(tmp_path / "corpus", {
+        "train": {"sport": ["doc1.txt", "doc2.txt"],
+                  "economie": ["doc5.txt", "doc6.txt"],
+                  "television": ["doc3.txt", "doc4.txt"]},
+        "test": {"sport": ["doc7.txt"], "economie": ["doc8.txt"],
+                 "television": ["doc9.txt"]}})
     report = run_experiment(root, PipelineConfig(measures=("inner",)))
     assert report.n_train == 6 and report.n_test == 3
+
+
+def test_one_document_per_category_leaves_the_test_split_empty(tmp_path,
+                                                                capsys):
+    root = _copy_corpus(tmp_path / "corpus", {".": {
+        "economie": ["doc5.txt"], "sport": ["doc1.txt"],
+        "television": ["doc3.txt"]}})
+    with pytest.raises(CorpusError, match="^test split is empty$"):
+        run_experiment(root, PipelineConfig(measures=("inner",)))
+    _evaluate_fails(root, tmp_path, capsys, "test split is empty")
+
+
+def test_a_test_category_missing_from_training_names_the_document(tmp_path,
+                                                                  capsys):
+    root = _copy_corpus(tmp_path / "corpus", {
+        "train": {"economie": ["doc5.txt", "doc6.txt"],
+                  "sport": ["doc1.txt", "doc2.txt"]},
+        "test": {"economie": ["doc8.txt"], "television": ["doc9.txt"]}})
+    message = ("test document 'doc9.txt' has category 'television' absent "
+               "from training data")
+    with pytest.raises(LabelingError) as err:
+        run_experiment(root, PipelineConfig(measures=("inner",)))
+    assert str(err.value) == message
+    _evaluate_fails(root, tmp_path, capsys, message)
 
 
 def test_report_text_layout():
