@@ -200,28 +200,22 @@ def _paired_model(categories: Sequence[str], vocabulary: Sequence[str],
                          tuple(vocabulary))
 
 
-def compile_model(lattice: ConceptLattice, labels: Mapping[str, str] | Sequence[str],
+def compile_model(lattice: ConceptLattice, labels: Mapping[str, str],
                   categories: Sequence[str]) -> CellularModel:
     """Translate a lattice plus per-object labels into a CellularModel.
 
-    ``labels`` maps object id to category (or is a sequence aligned with
-    the context's objects). Concepts with an empty intent or empty extent
-    contribute no cells.
+    ``labels`` maps object id to category. Concepts with an empty intent
+    or empty extent contribute no cells.
     """
     order: dict[str, int] = {}
     for i, category in enumerate(categories):
         if order.setdefault(category, i) != i:
             raise LabelingError(f"category {category!r} repeated")
     ctx = lattice.context
-    if isinstance(labels, Mapping):
-        missing = [oid for oid in ctx.object_ids if oid not in labels]
-        if missing:
-            raise LabelingError(f"{missing[0]} unlabeled")
-        aligned = [labels[oid] for oid in ctx.object_ids]
-    else:
-        if len(labels) != ctx.n_objects:
-            raise LabelingError(f"{len(labels)} labels for {ctx.n_objects} objects")
-        aligned = list(labels)
+    missing = [oid for oid in ctx.object_ids if oid not in labels]
+    if missing:
+        raise LabelingError(f"{missing[0]} unlabeled")
+    aligned = [labels[oid] for oid in ctx.object_ids]
     # one object bitset per category, so a rule's counts are popcounts of
     # its extent, and one of the objects no category counts
     category_masks = [0] * len(categories)
@@ -348,8 +342,8 @@ def model_from_dict(data: dict) -> CellularModel:
         for i, entry in enumerate(raw_facts):
             fact_labels.append(entry["label"])
             if entry["kind"] == "intent":
-                attributes = list(entry["attributes"])
-                for a in attributes:
+                mask = 0
+                for a in entry["attributes"]:
                     if type(a) is not int:  # not bool, as for rule indices
                         raise FormatError(f"fact {i}: attribute {a!r} is not "
                                           f"an integer")
@@ -357,7 +351,10 @@ def model_from_dict(data: dict) -> CellularModel:
                         raise FormatError(
                             f"fact {i}: attribute {a} outside the "
                             f"{len(vocabulary)}-term vocabulary")
-                intent_mask_by_idx[i] = mask_from_indices(attributes)
+                    if mask >> a & 1:
+                        raise FormatError(f"fact {i}: attribute {a} repeated")
+                    mask |= 1 << a
+                intent_mask_by_idx[i] = mask
             elif entry["kind"] == "extent":
                 # rules repeat a few distinct distributions, so each is
                 # parsed once; a float key equals an int key, so a reused

@@ -33,7 +33,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 
 from . import backend
-from .bits import iter_bits, mask_from_indices
+from .bits import iter_bits
 from .context import Concept, FormalContext, canonical_key, derive_intent
 from .errors import (DimensionError, FormatError, NotSplittableError,
                      json_list, read_json, require_names)
@@ -214,17 +214,28 @@ def lattice_from_dict(data: dict) -> ConceptLattice:
             raise FormatError(f"concept {k}: expected a mapping with "
                               f"'extent' and 'intent' lists")
         try:
-            objects = [oidx[o] for o in entry["extent"]]
-            intent = mask_from_indices(aidx[a] for a in entry["intent"])
+            extent = _name_mask(k, entry["extent"], oidx)
+            intent = _name_mask(k, entry["intent"], aidx)
         except (KeyError, TypeError) as exc:
             raise FormatError(f"concept {k}: unknown object or attribute "
                               f"{exc}") from exc
-        concepts.append(Concept(mask_from_indices(objects), intent))
-        for o in objects:
+        concepts.append(Concept(extent, intent))
+        for o in iter_bits(extent):
             rows[o] |= intent
     ctx = FormalContext(object_ids, attributes, tuple(rows))
     _check_concepts(ctx, concepts, top, bottom)
     return ConceptLattice(ctx, tuple(concepts), top, bottom)
+
+
+def _name_mask(k: int, names: list, index: dict[str, int]) -> int:
+    """``names``' mask by ``index``; ``FormatError`` if a name repeats."""
+    mask = 0
+    for name in names:
+        bit = 1 << index[name]
+        if mask & bit:
+            raise FormatError(f"concept {k}: {name!r} repeated")
+        mask |= bit
+    return mask
 
 
 def _check_concepts(ctx: FormalContext, concepts: Sequence[Concept], top: int,

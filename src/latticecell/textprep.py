@@ -7,7 +7,7 @@ The resulting vectors stack into the formal context the lattice is built
 from.
 
 Both steps are linear in the corpus. ``vectorize`` looks each distinct
-token of a document up in a map from lowercased term to vocabulary bits,
+token of a document up in a map from folded term to vocabulary bits,
 built once per vocabulary, so it never scans the vocabulary.
 ``select_features`` transposes the vectors into one document bitset per
 term and one per category; a term's per-category document counts are then
@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Callable, Iterable, Sequence
+import unicodedata
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -29,8 +30,6 @@ from .errors import (CorpusError, DimensionError, EmptyInputError,
                      FormatError, LabelingError)
 
 _WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
-
-Stemmer = Callable[[str], str]
 
 DEFAULT_FEATURE_COUNT = 500
 
@@ -69,7 +68,7 @@ class Vocabulary:
 
     @cached_property
     def token_masks(self) -> dict[str, int]:
-        """Lowercased term -> mask of the vocabulary bits it sets."""
+        """Folded term -> mask of the vocabulary bits it sets."""
         return _token_masks(self.terms)
 
 
@@ -90,12 +89,14 @@ class DocumentVector:
         return bits_to_list(self.bits, self.size)
 
 
-def tokenize(text: str, stemmer: Stemmer | None = None) -> list[str]:
-    """Lowercase, split on non-letters, drop tokens shorter than 2 chars."""
-    tokens = [t for t in _WORD_RE.findall(text.lower()) if len(t) >= 2]
-    if stemmer is not None:
-        tokens = [stemmer(t) for t in tokens]
-    return tokens
+def _fold(text: str) -> str:
+    # NFC keeps an accent stored as a combining mark inside its letter
+    return unicodedata.normalize("NFC", text).lower()
+
+
+def tokenize(text: str) -> list[str]:
+    """NFC and lowercase, split on non-letters, drop one-letter tokens."""
+    return [t for t in _WORD_RE.findall(_fold(text)) if len(t) >= 2]
 
 
 def remove_stopwords(tokens: Sequence[str], stoplist: Iterable[str]) -> list[str]:
@@ -104,8 +105,8 @@ def remove_stopwords(tokens: Sequence[str], stoplist: Iterable[str]) -> list[str
 
 
 def _stopword_lines(text: str) -> frozenset[str]:
-    # lowercased, as ``tokenize`` lowercases every token
-    return frozenset(w for w in (line.strip().lower()
+    # folded, as ``tokenize`` folds every token
+    return frozenset(w for w in (_fold(line.strip())
                                  for line in text.splitlines()) if w)
 
 
@@ -127,18 +128,17 @@ def default_stopwords() -> frozenset[str]:
         (files("latticecell") / "data" / "stopwords_fr.txt").read_text("utf-8"))
 
 
-def _doc_terms(doc: Document, stopwords: Iterable[str],
-               stemmer: Stemmer | None) -> set[str]:
-    return set(remove_stopwords(tokenize(doc.text, stemmer), stopwords))
+def _doc_terms(doc: Document, stopwords: Iterable[str]) -> set[str]:
+    return set(remove_stopwords(tokenize(doc.text), stopwords))
 
 
-def candidate_terms(docs: Sequence[Document], stopwords: Iterable[str] = (),
-                    stemmer: Stemmer | None = None) -> tuple[str, ...]:
+def candidate_terms(docs: Sequence[Document],
+                    stopwords: Iterable[str] = ()) -> tuple[str, ...]:
     """All distinct post-filter tokens across the corpus, sorted."""
     stop = frozenset(stopwords)
     terms: set[str] = set()
     for doc in docs:
-        terms |= _doc_terms(doc, stop, stemmer)
+        terms |= _doc_terms(doc, stop)
     return tuple(sorted(terms))
 
 
@@ -146,30 +146,24 @@ def _token_masks(terms: Sequence[str]) -> dict[str, int]:
     # terms differing only in case (display-cased headers) share one key
     masks: dict[str, int] = {}
     for i, term in enumerate(terms):
-        key = term.lower()
+        key = _fold(term)
         masks[key] = masks.get(key, 0) | 1 << i
     return masks
 
 
-def vectorize(doc: Document, vocab: Vocabulary | Sequence[str], *,
-              stopwords: Iterable[str] = (),
-              stemmer: Stemmer | None = None) -> DocumentVector:
+def vectorize(doc: Document, vocab: Vocabulary, *,
+              stopwords: Iterable[str] = ()) -> DocumentVector:
     """Presence bit per vocabulary term (binary weighting).
 
-    Vocabulary terms are matched case-insensitively so display-cased
-    context headers line up with the lowercase token stream. A
-    ``Vocabulary`` caches its token map; a plain sequence builds it on
-    each call.
+    Vocabulary terms are matched after the same NFC and lowercasing as
+    tokens, so display-cased context headers line up with the token
+    stream. The token map is built once per ``Vocabulary``.
     """
-    if isinstance(vocab, Vocabulary):
-        size, masks = len(vocab.terms), vocab.token_masks
-    else:
-        terms = tuple(vocab)
-        size, masks = len(terms), _token_masks(terms)
+    masks = vocab.token_masks
     bits = 0
-    for token in _doc_terms(doc, frozenset(stopwords), stemmer):
+    for token in _doc_terms(doc, frozenset(stopwords)):
         bits |= masks.get(token, 0)
-    return DocumentVector(bits, size, doc.category, doc.id)
+    return DocumentVector(bits, len(vocab), doc.category, doc.id)
 
 
 def _entropy(counts: Sequence[int]) -> float:
@@ -232,31 +226,28 @@ def select_features(vectors: Sequence[DocumentVector], terms: Sequence[str],
 
 
 def build_vocabulary(docs: Sequence[Document], n: int = DEFAULT_FEATURE_COUNT, *,
-                     stopwords: Iterable[str] = (),
-                     stemmer: Stemmer | None = None) -> Vocabulary:
+                     stopwords: Iterable[str] = ()) -> Vocabulary:
     """Candidate extraction + information-gain selection in one step."""
     stop = frozenset(stopwords)
-    candidates = Vocabulary(candidate_terms(docs, stop, stemmer))
-    vectors = [vectorize(d, candidates, stopwords=stop, stemmer=stemmer)
-               for d in docs]
+    candidates = Vocabulary(candidate_terms(docs, stop))
+    vectors = [vectorize(d, candidates, stopwords=stop) for d in docs]
     return select_features(vectors, candidates.terms, n)
 
 
 def build_context(vectors: Sequence[DocumentVector],
-                  vocab: Vocabulary | Sequence[str]) -> FormalContext:
+                  vocab: Vocabulary) -> FormalContext:
     """Stack document vectors into a formal context (docs x terms)."""
-    terms = vocab.terms if isinstance(vocab, Vocabulary) else tuple(vocab)
     ids = []
     rows = []
     for i, v in enumerate(vectors):
-        if v.size != len(terms):
+        if v.size != len(vocab):
             raise DimensionError(f"vector {i} has size {v.size}, "
-                                 f"vocabulary has {len(terms)} terms")
+                                 f"vocabulary has {len(vocab)} terms")
         if v.doc_id is None:
             raise DimensionError(f"vector {i} carries no document id")
         ids.append(v.doc_id)
         rows.append(v.bits)
-    return FormalContext(tuple(ids), terms, tuple(rows))
+    return FormalContext(tuple(ids), vocab.terms, tuple(rows))
 
 
 def load_corpus(root: str | Path) -> list[Document]:

@@ -10,6 +10,7 @@ from importlib.resources import files
 
 import math
 import random
+import unicodedata
 
 from latticecell import (Concept, DocumentVector, EmptyInputError,
                          FormalContext, LabelingError, Prediction, Vocabulary,
@@ -78,16 +79,15 @@ def random_context_of_size(rnd: random.Random, n_obj: int,
                          tuple(rows))
 
 
-def reference_vectorize(doc, vocab, stopwords=(), stemmer=None) -> DocumentVector:
-    """Presence vector by testing every vocabulary term, lowercased, against
-    the document's token set."""
-    terms = vocab.terms if isinstance(vocab, Vocabulary) else tuple(vocab)
-    present = set(remove_stopwords(tokenize(doc.text, stemmer), set(stopwords)))
+def reference_vectorize(doc, vocab, stopwords=()) -> DocumentVector:
+    """Presence vector by testing every vocabulary term, in NFC and
+    lowercased, against the document's token set."""
+    present = set(remove_stopwords(tokenize(doc.text), set(stopwords)))
     bits = 0
-    for i, term in enumerate(terms):
-        if term.lower() in present:
+    for i, term in enumerate(vocab.terms):
+        if unicodedata.normalize("NFC", term).lower() in present:
             bits |= 1 << i
-    return DocumentVector(bits, len(terms), doc.category, doc.id)
+    return DocumentVector(bits, len(vocab.terms), doc.category, doc.id)
 
 
 def _reference_entropy(counts) -> float:
@@ -141,10 +141,11 @@ def reference_select_features(vectors, terms, n) -> Vocabulary:
     return Vocabulary(tuple(t for t, _ in scored), tuple(s for _, s in scored))
 
 
-def reference_build_vocabulary(docs, n, stopwords=(), stemmer=None) -> Vocabulary:
+def reference_build_vocabulary(docs, n, stopwords=()) -> Vocabulary:
     """Candidates, full-scan vectors and per-term information gain."""
-    terms = candidate_terms(docs, stopwords, stemmer)
-    vectors = [reference_vectorize(d, terms, stopwords, stemmer) for d in docs]
+    terms = candidate_terms(docs, stopwords)
+    vectors = [reference_vectorize(d, Vocabulary(terms), stopwords)
+               for d in docs]
     return reference_select_features(vectors, terms, n)
 
 

@@ -167,7 +167,7 @@ def test_criterion_5_representation_equivalence():
         ctx = random_context(rnd, 8, 6)
         lattice = build_lattice(ctx)
         labels = [cats[rnd.randrange(3)] for _ in ctx.object_ids]
-        model = compile_model(lattice, labels, cats)
+        model = compile_model(lattice, dict(zip(ctx.object_ids, labels)), cats)
         doc = DocumentVector(rnd.getrandbits(ctx.n_attributes), ctx.n_attributes)
         measure = MEASURES[rnd.randrange(4)]
         pred = classify(model, doc, measure, "max")
@@ -266,7 +266,8 @@ def test_criterion_9_timing_and_single_pass(tmp_path, capsys):
     for _ in range(50):
         ctx = random_context(rnd, 8, 6)
         labels = [cats[rnd.randrange(2)] for _ in ctx.object_ids]
-        model = compile_model(build_lattice(ctx), labels, cats)
+        model = compile_model(build_lattice(ctx),
+                              dict(zip(ctx.object_ids, labels)), cats)
         if model.engine_template.n_rules == 0:
             continue
         active = [i for i, _ in model.intent_facts if rnd.random() < 0.5]

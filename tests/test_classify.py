@@ -281,7 +281,8 @@ POLICIES = ("max", "topk:1", "topk:3", "threshold:0.3", "threshold:1.0")
 def _random_model(rnd):
     ctx = random_context(rnd, rnd.choice((12, 30)), rnd.choice((10, 16)))
     labels = [rnd.choice("ABC") for _ in ctx.object_ids]
-    return compile_model(build_lattice(ctx), labels, ("A", "B", "C"))
+    return compile_model(build_lattice(ctx), dict(zip(ctx.object_ids, labels)),
+                         ("A", "B", "C"))
 
 
 def _shuffled_round_trip(model, rnd):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import DATA, DEMO_LABELS, demo_context
+from helpers import DATA, demo_context, demo_labels_map
 from latticecell import build_lattice, compile_model, save_model
 from latticecell.cli import main
 
@@ -178,7 +178,8 @@ def test_classify_undecodable_document_names_it(tmp_path, capsys):
 
 def test_a_category_named_empty_is_a_category_not_unclassifiable(tmp_path,
                                                                  capsys):
-    labels = ["" if cat == "Sport" else cat for cat in DEMO_LABELS]
+    labels = {oid: "" if cat == "Sport" else cat
+              for oid, cat in demo_labels_map().items()}
     model = tmp_path / "model.json"
     save_model(compile_model(build_lattice(demo_context()), labels,
                              ("", "Economie", "Television")), model)

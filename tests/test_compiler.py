@@ -84,7 +84,7 @@ def test_compiled_distributions_match_recount():
         lattice = build_lattice(ctx)
         used = rnd.randint(1, len(cats))
         labels = [cats[rnd.randrange(used)] for _ in ctx.object_ids]
-        model = compile_model(lattice, labels, cats)
+        model = compile_model(lattice, dict(zip(ctx.object_ids, labels)), cats)
         eligible = [c for c in lattice.concepts if c.extent and c.intent]
         assert len(eligible) == len(model.extent_facts)
         for concept, (_, dist) in zip(eligible, model.extent_facts):
@@ -99,14 +99,14 @@ def test_compile_rejects_objects_no_category_counts(demo_model):
     lattice = build_lattice(demo_context())
     for label, message in ((None, "object 4 is unlabeled"),
                            ("Opera", "object 4 has unknown category 'Opera'")):
-        labels = list(DEMO_LABELS)
-        labels[4] = label
+        labels = demo_labels_map()
+        labels["Doc 5"] = label
         with pytest.raises(LabelingError, match=message):
             compile_model(lattice, labels, DEMO_CATEGORIES)
     # Doc 4 has no attributes, so it is in no compiled extent and its label
     # is never read
-    labels = list(DEMO_LABELS)
-    labels[3] = None
+    labels = demo_labels_map()
+    labels["Doc 4"] = None
     assert compile_model(lattice, labels, DEMO_CATEGORIES) == demo_model
 
 
@@ -259,6 +259,7 @@ def test_fixture_round_trip(tmp_path):
     # bool is an int subclass, and True would read as attribute 1
     ("intent", "attributes", [True, 0], "attribute True is not an integer"),
     ("intent", "attributes", [1.0], "attribute 1.0 is not an integer"),
+    ("intent", "attributes", [0, 1, 0], "attribute 0 repeated"),
 ])
 def test_model_loader_rejects_malformed_facts(demo_model, kind, field, value,
                                               message):

@@ -3,9 +3,10 @@
 ``tests/golden/`` holds what ``build --dot``, ``compile``, ``compile
 --paper-fixture`` and ``evaluate --baselines nb,knn --seed 7`` write for
 the bundled data, and what ``classify`` writes for the bundled context
-against the demo model. A
-change that alters any of these bytes changes behaviour, and must
-regenerate the files on purpose.
+and the bundled corpus's text files against the demo model. ``build
+--dot`` runs on both the bundled context and the bundled corpus, so the
+text path is covered too. A change that alters any of these bytes changes
+behaviour, and must regenerate the files on purpose.
 """
 
 from pathlib import Path
@@ -25,6 +26,8 @@ def outputs(tmp_path_factory):
     for argv in (
             ["build", DATA / "context.csv", "-o", out / "lattice.json",
              "--dot", out / "lattice.dot"],
+            ["build", DATA / "corpus", "-o", out / "corpus_lattice.json",
+             "--dot", out / "corpus_lattice.dot"],
             ["compile", out / "lattice.json", DATA / "labels.csv",
              "-o", out / "model.json"],
             ["compile", "--paper-fixture", "-o", out / "fixture.json"],
@@ -37,6 +40,8 @@ def outputs(tmp_path_factory):
 @pytest.mark.parametrize("golden, produced", [
     ("demo_lattice.json", "lattice.json"),
     ("demo_lattice.dot", "lattice.dot"),
+    ("demo_corpus_lattice.json", "corpus_lattice.json"),
+    ("demo_corpus_lattice.dot", "corpus_lattice.dot"),
     ("demo_model.json", "model.json"),
     ("fixture_model.json", "fixture.json"),
     ("demo_report.json", "report/report.json"),
@@ -57,3 +62,17 @@ def test_demo_classify_matches_golden_bytes(tmp_path):
                          "--activation", policy, "-o", str(out)]) == 0
             produced += out.read_bytes()
     assert produced == (GOLDEN / "demo_classify.jsonl").read_bytes()
+
+
+def test_demo_corpus_classify_matches_golden_bytes(tmp_path):
+    """The bundled corpus's text files, one category directory after the
+    other, under every measure with max."""
+    out, produced = tmp_path / "rows.jsonl", b""
+    dirs = [str(DATA / "corpus" / c) for c in ("economie", "sport",
+                                                "television")]
+    for measure in MEASURES:
+        assert main(["classify", str(GOLDEN / "demo_model.json"), *dirs,
+                     "--similarity", measure, "--activation", "max",
+                     "-o", str(out)]) == 0
+        produced += out.read_bytes()
+    assert produced == (GOLDEN / "demo_corpus_classify.jsonl").read_bytes()

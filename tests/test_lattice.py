@@ -258,12 +258,15 @@ def test_lattice_from_dict_rejects_garbage():
     lambda d: d.__setitem__("objects", "Doc 1"),
     lambda d: d.__setitem__("concepts", {}),
     lambda d: d["objects"].append(["Doc 1"]),
+    lambda d: d["concepts"][1]["extent"].append("Doc 7"),
+    lambda d: d["concepts"][1]["intent"].append("Stade"),
 ], ids=["unknown-object", "unknown-attribute", "unhashable-name",
         "entry-not-mapping", "entry-without-intent", "extent-not-list",
         "top-out-of-range", "bottom-out-of-range", "top-infinite",
         "top-fractional", "bottom-float", "top-bool", "bottom-string",
         "duplicate-object", "duplicate-attribute", "objects-not-list",
-        "concepts-not-list", "unhashable-object"])
+        "concepts-not-list", "unhashable-object", "repeated-extent-object",
+        "repeated-intent-attribute"])
 def test_lattice_from_dict_rejects_bad_names_and_indices(ctx, mutate):
     data = lattice_to_dict(build_lattice(ctx))
     mutate(data)

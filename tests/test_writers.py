@@ -109,6 +109,7 @@ def test_writers_match_the_oracle_on_a_large_lattice(out):
     assert out.read_bytes() == oracle_bytes(lattice_to_dict(lattice))
     categories = ("a", "b", "c")
     labels = [rnd.choice(categories) for _ in lattice.context.object_ids]
-    model = compile_model(lattice, labels, categories)
+    model = compile_model(lattice, dict(zip(lattice.context.object_ids, labels)),
+                          categories)
     save_model(model, out)
     assert out.read_bytes() == oracle_bytes(model_to_dict(model))
