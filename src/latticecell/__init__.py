@@ -9,16 +9,16 @@ forward chaining, and a majority vote over class distributions.
 
 from .backend import active_backend
 from .classify import (MEASURES, Prediction, activate, classify,
-                       parse_activation, similarity, vote)
+                       parse_activation, vote)
 from .compiler import (CellularModel, ClassDistribution, compile_model,
                        load_fixture_model, load_model, model_from_dict,
                        model_to_dict, save_model)
 from .context import (Concept, FormalContext, close_objects, derive_extent,
                       derive_intent, enumerate_concepts_naive, is_closed,
                       is_subconcept, load_context_csv, save_context_csv)
-from .engine import (EngineState, FactCell, RuleCell, delta_fact, delta_rule,
-                     render_fact_table, render_rule_table, render_snapshot,
-                     run_inference, set_facts)
+from .engine import (EngineState, delta_fact, delta_rule, render_fact_table,
+                     render_rule_table, render_snapshot, run_inference,
+                     set_facts)
 from .errors import (CapacityError, CorpusError, DimensionError,
                      EmptyInputError, FormatError, LabelingError,
                      LatticeCellError, NotSplittableError)

@@ -44,11 +44,3 @@ def transpose(rows: Iterable[int], width: int) -> list[int]:
             cols[low.bit_length() - 1] |= bit
             row ^= low
     return cols
-
-
-def bits_to_list(mask: int, size: int) -> list[int]:
-    return [(mask >> i) & 1 for i in range(size)]
-
-
-def list_to_bits(bits: Iterable[int]) -> int:
-    return mask_from_indices(i for i, bit in enumerate(bits) if bit)

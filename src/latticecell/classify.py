@@ -24,23 +24,6 @@ from .textprep import DocumentVector
 MEASURES = ("jaccard", "cosine", "dice", "inner")
 
 
-def similarity(v1: Sequence[int], v2: Sequence[int], measure: str = "inner"):
-    """Binary-set similarity of two equal-length 0/1 vectors.
-
-    jaccard = |∩| / |∪|, dice = 2|∩| / (|v1| + |v2|),
-    cosine = |∩| / sqrt(|v1| |v2|), inner = |∩|. Measures with an empty
-    denominator score 0. Inner returns an int, the rest floats in [0, 1].
-    Each formula is stated once, in ``_score_key``; only cosine's float,
-    whose key is squared, has a line of its own.
-    """
-    if len(v1) != len(v2):
-        raise DimensionError(f"vector lengths differ: {len(v1)} vs {len(v2)}")
-    inter = sum(1 for a, b in zip(v1, v2) if a and b)
-    n1 = sum(1 for a in v1 if a)
-    n2 = sum(1 for b in v2 if b)
-    return _score_value(inter, n1, n2, measure)
-
-
 def _score_key(inter: int, n1: int, n2: int, measure: str):
     """Each measure's one formula, as an exact, order-preserving ranking
     key (cosine's squared, so that it stays rational)."""

@@ -235,9 +235,9 @@ def compile_model(lattice: ConceptLattice, labels: Mapping[str, str],
             if stray:
                 o = (stray & -stray).bit_length() - 1
                 if aligned[o] is None:
-                    raise LabelingError(f"object {o} is unlabeled")
-                raise LabelingError(
-                    f"object {o} has unknown category {aligned[o]!r}")
+                    raise LabelingError(f"{ctx.object_ids[o]} unlabeled")
+                raise LabelingError(f"{ctx.object_ids[o]} has unknown "
+                                    f"category {aligned[o]!r}")
             counts = [(extent & mask).bit_count() for mask in category_masks]
             yield (ctx.attribute_labels(concept.intent), concept.intent,
                    f"S{vertex}",

@@ -9,13 +9,12 @@ composition is a closure operator whose fixed points are the concepts.
 from __future__ import annotations
 
 import csv
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .bits import (bit_indices, bits_to_list, list_to_bits, mask_from_indices,
-                   transpose)
+from .bits import bit_indices, mask_from_indices, transpose
 from .errors import CapacityError, DimensionError, FormatError
 
 # Exhaustive enumeration walks every attribute subset; refuse beyond this.
@@ -57,17 +56,6 @@ class FormalContext:
         object.__setattr__(self, "columns",
                            tuple(transpose(self.rows, len(self.attribute_names))))
 
-    @classmethod
-    def from_matrix(cls, object_ids: Sequence[str], attribute_names: Sequence[str],
-                    matrix: Sequence[Sequence[int]]) -> "FormalContext":
-        """Build from a row-major 0/1 matrix."""
-        rows = tuple(list_to_bits(r) for r in matrix)
-        for i, r in enumerate(matrix):
-            if len(r) != len(attribute_names):
-                raise DimensionError(f"row {i} has {len(r)} cells, "
-                                     f"expected {len(attribute_names)}")
-        return cls(tuple(object_ids), tuple(attribute_names), rows)
-
     @property
     def n_objects(self) -> int:
         return len(self.object_ids)
@@ -83,11 +71,6 @@ class FormalContext:
     @property
     def full_attribute_mask(self) -> int:
         return (1 << self.n_attributes) - 1
-
-    @property
-    def incidence(self) -> list[list[int]]:
-        """The table as a row-major 0/1 matrix."""
-        return [bits_to_list(r, self.n_attributes) for r in self.rows]
 
     def object_mask(self, ids: Iterable[str]) -> int:
         index = {oid: i for i, oid in enumerate(self.object_ids)}
@@ -229,4 +212,4 @@ def save_context_csv(ctx: FormalContext, path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["id", *ctx.attribute_names])
         for oid, row in zip(ctx.object_ids, ctx.rows):
-            writer.writerow([oid, *bits_to_list(row, ctx.n_attributes)])
+            writer.writerow([oid, *(row >> a & 1 for a in range(ctx.n_attributes))])

@@ -26,28 +26,9 @@ the per-cycle snapshots are those of a scan over every rule.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from typing import NamedTuple
 
 from .bits import iter_bits, transpose
 from .errors import DimensionError
-
-
-class FactCell(NamedTuple):
-    """Snapshot view of one fact-layer cell."""
-
-    label: str
-    ef: int
-    if_: int
-    sf: int
-
-
-class RuleCell(NamedTuple):
-    """Snapshot view of one rule-layer cell."""
-
-    label: str
-    er: int
-    ir: int
-    sr: int
 
 
 class EngineState:
@@ -90,28 +71,6 @@ class EngineState:
     @property
     def n_rules(self) -> int:
         return len(self.rule_labels)
-
-    @property
-    def facts(self) -> list[FactCell]:
-        return [FactCell(lab, self.ef >> i & 1, self.fact_if >> i & 1,
-                         self.sf >> i & 1)
-                for i, lab in enumerate(self.fact_labels)]
-
-    @property
-    def rules(self) -> list[RuleCell]:
-        return [RuleCell(lab, self.er >> j & 1, self.rule_ir >> j & 1,
-                         self.sr >> j & 1)
-                for j, lab in enumerate(self.rule_labels)]
-
-    def re_matrix(self) -> list[list[int]]:
-        """Premise incidence, |facts| x |rules|."""
-        return [[self.premises[j] >> i & 1 for j in range(self.n_rules)]
-                for i in range(self.n_facts)]
-
-    def rs_matrix(self) -> list[list[int]]:
-        """Conclusion incidence, |facts| x |rules|."""
-        return [[self.conclusions[j] >> i & 1 for j in range(self.n_rules)]
-                for i in range(self.n_facts)]
 
     def copy(self) -> "EngineState":
         clone = EngineState.__new__(EngineState)
@@ -208,22 +167,27 @@ def run_inference(state: EngineState, trace: list[str] | None = None) -> EngineS
     return state
 
 
+def _render_layer(title: str, labels: Sequence[str], layers: dict[str, int]) -> str:
+    """One layer as an aligned text table: a label column, then one 0/1
+    column per named bitset (bit i belongs to ``labels[i]``)."""
+    width = max(map(len, (title, *labels)))
+    lines = [f"{title:<{width}}" + "".join(f"  {name}" for name in layers)]
+    for i, label in enumerate(labels):
+        lines.append(f"{label:<{width}}"
+                     + "".join(f"  {mask >> i & 1:>2}" for mask in layers.values()))
+    return "\n".join(lines)
+
+
 def render_fact_table(state: EngineState) -> str:
     """Fact layer as an aligned text table (label, EF, IF, SF)."""
-    width = max([len("Facts"), *(len(lab) for lab in state.fact_labels)] or [5])
-    lines = [f"{'Facts':<{width}}  EF  IF  SF"]
-    for cell in state.facts:
-        lines.append(f"{cell.label:<{width}}  {cell.ef:>2}  {cell.if_:>2}  {cell.sf:>2}")
-    return "\n".join(lines)
+    return _render_layer("Facts", state.fact_labels,
+                         {"EF": state.ef, "IF": state.fact_if, "SF": state.sf})
 
 
 def render_rule_table(state: EngineState) -> str:
     """Rule layer as an aligned text table (label, ER, IR, SR)."""
-    width = max([len("Rules"), *(len(lab) for lab in state.rule_labels)] or [5])
-    lines = [f"{'Rules':<{width}}  ER  IR  SR"]
-    for cell in state.rules:
-        lines.append(f"{cell.label:<{width}}  {cell.er:>2}  {cell.ir:>2}  {cell.sr:>2}")
-    return "\n".join(lines)
+    return _render_layer("Rules", state.rule_labels,
+                         {"ER": state.er, "IR": state.rule_ir, "SR": state.sr})
 
 
 def render_snapshot(state: EngineState) -> str:

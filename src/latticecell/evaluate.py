@@ -96,14 +96,25 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
     return MetricsReport(precision, recall, accuracy, 1 - accuracy, f)
 
 
-def _categories_of(train: Sequence[DocumentVector]) -> list[str]:
-    seen: list[str] = []
+def _categories_of(train: Sequence[DocumentVector],
+                   categories: Sequence[str] | None = None) -> list[str]:
+    """``categories``, or else the training categories in first-seen order.
+
+    Every training vector must carry one of them: a baseline would
+    otherwise count a vector whose category it cannot predict.
+    """
+    cats = [] if categories is None else list(categories)
+    known = set(cats)
     for v in train:
-        if v.category is None:
-            raise LabelingError(f"training vector {v.doc_id!r} is unlabeled")
-        if v.category not in seen:
-            seen.append(v.category)
-    return seen
+        if v.category not in known:
+            if v.category is None:
+                raise LabelingError(f"training vector {v.doc_id!r} is unlabeled")
+            if categories is not None:
+                raise LabelingError(f"training vector {v.doc_id!r} has "
+                                    f"unknown category {v.category!r}")
+            cats.append(v.category)
+            known.add(v.category)
+    return cats
 
 
 def _naive_bayes_table(train: Sequence[DocumentVector],
@@ -112,7 +123,7 @@ def _naive_bayes_table(train: Sequence[DocumentVector],
     prior and per-attribute log p and log(1 - p), p add-one smoothed."""
     if not train:
         raise EmptyInputError("naive Bayes needs a nonempty training set")
-    cats = list(categories) if categories is not None else _categories_of(train)
+    cats = _categories_of(train, categories)
     size = train[0].size
     n_total = len(train)
     by_category = category_masks(train)
@@ -167,7 +178,7 @@ def baseline_knn(train: Sequence[DocumentVector], doc: DocumentVector,
         raise ValueError("k must be >= 1")
     if not train:
         raise EmptyInputError("k-NN needs a nonempty training set")
-    cats = list(categories) if categories is not None else _categories_of(train)
+    cats = _categories_of(train, categories)
     if doc.size != train[0].size:
         raise DimensionError("query vector size does not match training vectors")
     n1 = doc.bits.bit_count()

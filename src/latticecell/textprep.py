@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .bits import bits_to_list, transpose
+from .bits import transpose
 from .context import FormalContext
 from .errors import (CorpusError, DimensionError, EmptyInputError,
                      FormatError, LabelingError)
@@ -84,9 +84,6 @@ class DocumentVector:
     def __post_init__(self):
         if self.bits < 0 or self.bits >> self.size:
             raise DimensionError("vector bits exceed the vocabulary size")
-
-    def tolist(self) -> list[int]:
-        return bits_to_list(self.bits, self.size)
 
 
 def _fold(text: str) -> str:

@@ -3,7 +3,7 @@
 from hypothesis import strategies as st
 
 from latticecell import FormalContext
-from latticecell.bits import list_to_bits, transpose
+from latticecell.bits import mask_from_indices, transpose
 
 
 @st.composite
@@ -11,7 +11,8 @@ def contexts(draw):
     """0-12 objects and attributes; each column is empty, full or random."""
     n_objects, n_attributes = draw(st.integers(0, 12)), draw(st.integers(0, 12))
     random_column = st.lists(st.booleans(), min_size=n_objects,
-                             max_size=n_objects).map(list_to_bits)
+                             max_size=n_objects).map(
+        lambda bits: mask_from_indices(i for i, bit in enumerate(bits) if bit))
     columns = draw(st.lists(random_column
                             | st.sampled_from((0, (1 << n_objects) - 1)),
                             min_size=n_attributes, max_size=n_attributes))

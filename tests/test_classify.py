@@ -12,59 +12,36 @@ from helpers import (DEMO_CATEGORIES, demo_context, demo_labels_map,
 from latticecell import (DimensionError, DocumentVector, EmptyInputError,
                          activate, build_lattice, classify, compile_model,
                          load_fixture_model, model_from_dict, model_to_dict,
-                         similarity, vote)
+                         vote)
 from latticecell.classify import MEASURES, _score_key, _score_value
 from latticecell.compiler import ClassDistribution
 
 
 def test_similarity_reference_values():
-    doc = (0, 0, 0, 1, 1, 0)
-    pm = (0, 0, 0, 1, 1, 0)       # Puissance, Ministre
-    vpm = (0, 0, 0, 1, 1, 1)      # Visage, Puissance, Ministre
-    assert similarity(doc, pm, "inner") == 2
-    assert similarity(doc, vpm, "inner") == 2
-    assert similarity(doc, pm, "cosine") == pytest.approx(1.0)
-    assert similarity(doc, vpm, "cosine") == pytest.approx(2 / 6 ** 0.5)
-    assert similarity(doc, pm, "jaccard") == pytest.approx(1.0)
-    assert similarity(doc, vpm, "jaccard") == pytest.approx(2 / 3)
-    assert similarity(doc, vpm, "dice") == pytest.approx(4 / 5)
-
-
-def test_similarity_identical_and_disjoint():
-    v = (1, 0, 1)
-    for measure in ("jaccard", "dice", "cosine"):
-        assert similarity(v, v, measure) == pytest.approx(1.0)
-    w = (0, 1, 0)
-    for measure in MEASURES:
-        assert similarity(v, w, measure) == 0
-
-
-def test_similarity_empty_vectors_score_zero():
-    z = (0, 0)
-    for measure in MEASURES:
-        assert similarity(z, z, measure) == 0
-
-
-def test_similarity_length_mismatch():
-    with pytest.raises(DimensionError):
-        similarity((1, 0), (1, 0, 1))
+    # the query {Puissance, Ministre} against the intents {Puissance,
+    # Ministre} and {Visage, Puissance, Ministre}
+    cases = [((2, 2, 2, "inner"), 2), ((2, 2, 3, "inner"), 2),
+             ((2, 2, 2, "cosine"), 1.0), ((2, 2, 3, "cosine"), 2 / 6 ** 0.5),
+             ((2, 2, 2, "jaccard"), 1.0), ((2, 2, 3, "jaccard"), 2 / 3),
+             ((2, 2, 3, "dice"), 4 / 5)]
+    # identical vectors score 1, disjoint and empty ones 0
+    cases += [((2, 2, 2, m), 1.0) for m in ("jaccard", "dice", "cosine")]
+    cases += [((0, 2, 1, m), 0) for m in MEASURES]
+    cases += [((0, 0, 0, m), 0) for m in MEASURES]
+    for args, want in cases:
+        assert _score_value(*args) == pytest.approx(want), args
 
 
 @pytest.mark.parametrize("measure", MEASURES)
 def test_scores_equal_their_own_formulas_on_a_grid(measure):
     """For |v1|, |v2| <= 60 and every overlap, the value and the key equal
-    the references' in value and type, and so does ``similarity`` on a
-    pair of vectors with those counts."""
+    the references' in value and type."""
     for n1 in range(61):
         for n2 in range(61):
             for inter in range(min(n1, n2) + 1):
                 want = reference_score_value(inter, n1, n2, measure)
                 key = reference_score_key(inter, n1, n2, measure)
-                width = n1 + n2 - inter
-                v1 = (1,) * n1 + (0,) * (width - n1)
-                v2 = (0,) * (n1 - inter) + (1,) * n2
                 for got, ref in ((_score_value(inter, n1, n2, measure), want),
-                                 (similarity(v1, v2, measure), want),
                                  (_score_key(inter, n1, n2, measure), key)):
                     assert type(got) is type(ref) and got == ref, \
                         (measure, inter, n1, n2, got, ref)

@@ -97,8 +97,8 @@ def test_compiled_distributions_match_recount():
 
 def test_compile_rejects_objects_no_category_counts(demo_model):
     lattice = build_lattice(demo_context())
-    for label, message in ((None, "object 4 is unlabeled"),
-                           ("Opera", "object 4 has unknown category 'Opera'")):
+    for label, message in ((None, "Doc 5 unlabeled"),
+                           ("Opera", "Doc 5 has unknown category 'Opera'")):
         labels = demo_labels_map()
         labels["Doc 5"] = label
         with pytest.raises(LabelingError, match=message):
@@ -140,11 +140,9 @@ def test_compile_demo_counts(demo_model):
 
 def test_compile_single_incidence_per_column(demo_model):
     eng = demo_model.engine_template
-    re = eng.re_matrix()
-    rs = eng.rs_matrix()
     for j in range(eng.n_rules):
-        assert sum(re[i][j] for i in range(eng.n_facts)) == 1
-        assert sum(rs[i][j] for i in range(eng.n_facts)) == 1
+        assert eng.premises[j].bit_count() == 1
+        assert eng.conclusions[j].bit_count() == 1
 
 
 def test_compile_requires_all_labels():

@@ -21,7 +21,7 @@ def test_fresh_state():
     assert eng.ef == 0 and eng.sf == 0 and eng.er == 0
     assert eng.fact_if == 0b111
     assert eng.rule_ir == 0b11 and eng.sr == 0b11
-    assert [tuple(c) for c in eng.rules] == [("r1", 0, 1, 1), ("r2", 0, 1, 1)]
+    assert eng.rule_labels == ("r1", "r2")
 
 
 def test_wiring_validated():
@@ -33,8 +33,8 @@ def test_wiring_validated():
 
 def test_matrices():
     eng = chain_engine()
-    assert eng.re_matrix() == [[1, 0], [0, 1], [0, 0]]
-    assert eng.rs_matrix() == [[0, 0], [1, 0], [0, 1]]
+    assert eng.premises == (0b001, 0b010)
+    assert eng.conclusions == (0b010, 0b100)
 
 
 def test_set_facts_reset_semantics():

@@ -105,8 +105,12 @@ def test_naive_bayes_table_equals_member_count():
         seen = list(dict.fromkeys(v.category for v in train))
         given = rnd.sample("ABCD", rnd.randint(1, 4))  # may miss or add some
         assert _naive_bayes_table(train) == reference_naive_bayes_table(train, seen)
-        assert (_naive_bayes_table(train, given)
-                == reference_naive_bayes_table(train, given))
+        if set(seen) <= set(given):
+            assert (_naive_bayes_table(train, given)
+                    == reference_naive_bayes_table(train, given))
+        else:
+            with pytest.raises(LabelingError, match="unknown category"):
+                _naive_bayes_table(train, given)
 
 
 def test_naive_bayes_empty_training():
@@ -144,6 +148,24 @@ def test_knn_distance_ties_keep_training_order():
     flipped = [_vec(0b10, 2, "A", 0), _vec(0b01, 2, "B", 1)]
     assert baseline_knn(flipped, _vec(0b11, 2, None, 9), k=1,
                         categories=("A", "B")) == "A"
+
+
+def test_baselines_reject_training_vectors_outside_categories():
+    # the stray vector equals the query, so it is its nearest neighbour
+    query = _vec(0b11, 2, None, 9)
+    labelled = [_vec(0b01, 2, "A", 0), _vec(0b10, 2, "B", 1)]
+    for stray, message in ((None, "'d2' is unlabeled"),
+                           ("C", "'d2' has unknown category 'C'")):
+        train = labelled + [_vec(0b11, 2, stray, 2)]
+        with pytest.raises(LabelingError, match=message):
+            baseline_knn(train, query, k=1, categories=["A", "B"])
+        with pytest.raises(LabelingError, match=message):
+            baseline_naive_bayes(train, query, categories=["A", "B"])
+    train = labelled + [_vec(0b11, 2, None, 2)]
+    with pytest.raises(LabelingError, match="'d2' is unlabeled"):
+        baseline_knn(train, query, k=1)
+    with pytest.raises(LabelingError, match="'d2' is unlabeled"):
+        baseline_naive_bayes(train, query)
 
 
 def test_split_corpus_stratified_and_seeded():

@@ -3,7 +3,8 @@
 ``tests/golden/`` holds what ``build --dot``, ``compile``, ``compile
 --paper-fixture`` and ``evaluate --baselines nb,knn --seed 7`` write for
 the bundled data, and what ``classify`` writes for the bundled context
-and the bundled corpus's text files against the demo model. ``build
+and the bundled corpus's text files against the demo model, with one
+``--trace`` dump of the engine's fact and rule tables. ``build
 --dot`` runs on both the bundled context and the bundled corpus, so the
 text path is covered too. A change that alters any of these bytes changes
 behaviour, and must regenerate the files on purpose.
@@ -76,3 +77,16 @@ def test_demo_corpus_classify_matches_golden_bytes(tmp_path):
                      "-o", str(out)]) == 0
         produced += out.read_bytes()
     assert produced == (GOLDEN / "demo_corpus_classify.jsonl").read_bytes()
+
+
+def test_demo_model_trace_matches_golden_bytes(capsys):
+    """The engine's snapshots for two corpus documents under cosine and
+    topk:2: 14 facts with labels of up to 29 characters, and 7 rules."""
+    corpus = DATA / "corpus"
+    assert main(["classify", str(GOLDEN / "demo_model.json"),
+                 str(corpus / "economie" / "doc5.txt"),
+                 str(corpus / "television" / "doc3.txt"),
+                 "--similarity", "cosine", "--activation", "topk:2",
+                 "--trace"]) == 0
+    assert (capsys.readouterr().err.encode("utf-8")
+            == (GOLDEN / "demo_model_trace.txt").read_bytes())

@@ -18,6 +18,7 @@ from helpers import (brute_transitive_reduction, demo_context,
                      reference_build_lattice)
 from latticecell import (Concept, FormalContext, FormatError, build_lattice,
                          enumerate_concepts_naive, load_lattice, save_lattice)
+from latticecell.bits import mask_from_indices
 from latticecell.lattice import (_closed_extents, lattice_from_dict,
                                  lattice_to_dict)
 from strategies import contexts
@@ -139,10 +140,12 @@ def _recovered_lattice(data):
     for concept in data["concepts"]:
         for o in concept["extent"]:
             shared[o].update(concept["intent"])
-    ctx = FormalContext.from_matrix(
-        data["objects"], data["attributes"],
-        [[int(a in shared[o]) for a in data["attributes"]]
-         for o in data["objects"]])
+    attributes = data["attributes"]
+    ctx = FormalContext(
+        tuple(data["objects"]), tuple(attributes),
+        tuple(mask_from_indices(j for j, a in enumerate(attributes)
+                                if a in shared[o])
+              for o in data["objects"]))
     concepts = [Concept(ctx.object_mask(c["extent"]),
                         ctx.attribute_mask(c["intent"]))
                 for c in data["concepts"]]
