@@ -11,9 +11,10 @@ prediction.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .bits import iter_bits
 from .compiler import CellularModel, ClassDistribution
@@ -24,21 +25,28 @@ from .textprep import DocumentVector
 MEASURES = ("jaccard", "cosine", "dice", "inner")
 
 
-def _score_key(inter: int, n1: int, n2: int, measure: str):
-    """Each measure's one formula, as an exact, order-preserving ranking
-    key (cosine's squared, so that it stays rational)."""
+def _score_ratio(inter: int, n1: int, n2: int, measure: str) -> tuple[int, int]:
+    """Each measure's one formula, as a numerator over a denominator that
+    is 0 only where the numerator is (cosine's squared, so that it stays
+    rational)."""
     if measure == "inner":
-        return inter
+        return inter, 1
     if measure == "jaccard":
-        union = n1 + n2 - inter
-        return Fraction(inter, union) if union else Fraction(0)
+        return inter, n1 + n2 - inter
     if measure == "dice":
-        denom = n1 + n2
-        return Fraction(2 * inter, denom) if denom else Fraction(0)
+        return 2 * inter, n1 + n2
     if measure == "cosine":
-        denom = n1 * n2
-        return Fraction(inter * inter, denom) if denom else Fraction(0)
+        return inter * inter, n1 * n2
     raise ValueError(f"unknown similarity measure {measure!r}")
+
+
+def _score_key(inter: int, n1: int, n2: int, measure: str):
+    """The measure's exact, order-preserving ranking key: inner's count,
+    the others' ratio as a Fraction (0 over an empty denominator)."""
+    num, den = _score_ratio(inter, n1, n2, measure)
+    if measure == "inner":
+        return num
+    return Fraction(num, den) if den else Fraction(0)
 
 
 def _score_value(inter: int, n1: int, n2: int, measure: str):
@@ -105,6 +113,37 @@ def _intersections(columns: Sequence[int], bits: int) -> list[tuple[int, int]]:
     return groups
 
 
+def _best_first(classes: Iterable[tuple[int, int]]) -> list[int]:
+    """The masks of ``(key, mask)`` pairs, those with equal keys merged,
+    best key first."""
+    by_key: dict = {}
+    for key, mask in classes:
+        by_key[key] = by_key.get(key, 0) | mask
+    return [by_key[key] for key in sorted(by_key, reverse=True)]
+
+
+def _exact_keys(ratios: Sequence[tuple[int, int]]) -> list[int]:
+    """Ints that compare exactly as the ratios ``num / den`` do, a zero
+    denominator reading 0: ``num * 2**2b // den`` for denominators below
+    ``2**b``. Two such ratios that differ, differ by more than ``2**-2b``,
+    so their scaled floors differ too."""
+    shift = 2 * max((den for _, den in ratios), default=0).bit_length()
+    return [(num << shift) // den if den else 0 for num, den in ratios]
+
+
+def _rank_table(measure: str, n1: int,
+                sizes: Iterable[int]) -> dict[int, tuple[int, ...]]:
+    """Per size n2, the rank of each intersection ``0..min(n1, n2)`` among
+    every class of the table: ranks compare exactly as the classes'
+    ``_score_key``s do, and equal keys share a rank."""
+    rows = [(n2, min(n1, n2) + 1) for n2 in sizes]
+    keys = _exact_keys([_score_ratio(inter, n1, n2, measure)
+                        for n2, width in rows for inter in range(width)])
+    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+    ranks = map(rank.__getitem__, keys)
+    return {n2: tuple(islice(ranks, width)) for n2, width in rows}
+
+
 def activate(model: CellularModel, doc: DocumentVector, measure: str = "inner",
              policy: str = "max") -> tuple[int, ...]:
     """Intent fact indices to establish, per the activation policy.
@@ -114,8 +153,10 @@ def activate(model: CellularModel, doc: DocumentVector, measure: str = "inner",
     every intent scoring at least T (and above zero). May be empty.
 
     Rules with the same intersection and intent size share a score, so it
-    is computed once per such class; max and threshold list facts in rule
-    order, topk in fact order.
+    is ranked once per such class: inner by the intersection itself, the
+    other measures by the model's cached rank table for this measure and
+    document size. max and threshold list facts in rule order, topk in
+    fact order.
     """
     kind, arg = parse_activation(policy)
     if doc.size != len(model.vocabulary):
@@ -128,6 +169,8 @@ def activate(model: CellularModel, doc: DocumentVector, measure: str = "inner",
     classes = [(inter, n2, hits & rules)
                for inter, hits in _intersections(index.columns, doc.bits)
                for n2, rules in index.sizes if hits & rules]
+    if not classes:
+        return ()
     if kind == "threshold":
         # threshold compares against the true measure value
         chosen = 0
@@ -135,18 +178,20 @@ def activate(model: CellularModel, doc: DocumentVector, measure: str = "inner",
             if _score_value(inter, n1, n2, measure) >= arg:
                 chosen |= rules
         return tuple(model.intent_facts[k][0] for k in iter_bits(chosen))
-    by_key: dict = {}
-    for inter, n2, rules in classes:
-        key = _score_key(inter, n1, n2, measure)
-        by_key[key] = by_key.get(key, 0) | rules
-    if not by_key:
-        return ()
+    if measure == "inner":
+        groups = _best_first((inter, rules) for inter, _, rules in classes)
+    else:
+        table = model.rank_tables.get((measure, n1))
+        if table is None:
+            table = model.rank_tables[measure, n1] = _rank_table(
+                measure, n1, (n2 for n2, _ in index.sizes))
+        groups = _best_first((table[n2][inter], rules)
+                             for inter, n2, rules in classes)
     if kind == "max":
-        best = by_key[max(by_key)]
-        return tuple(model.intent_facts[k][0] for k in iter_bits(best))
+        return tuple(model.intent_facts[k][0] for k in iter_bits(groups[0]))
     top: list[int] = []
-    for key in sorted(by_key, reverse=True):
-        tied = sorted(model.intent_facts[k][0] for k in iter_bits(by_key[key]))
+    for rules in groups:
+        tied = sorted(model.intent_facts[k][0] for k in iter_bits(rules))
         top.extend(tied[:arg - len(top)])
         if len(top) == arg:
             break

@@ -163,6 +163,12 @@ class CellularModel:
                             len(self.vocabulary))
         return RuleIndex(tuple(columns), tuple(sorted(sizes.items())))
 
+    @cached_property
+    def rank_tables(self) -> dict:
+        """Activation's integer rank tables by ``(measure, document size)``,
+        each added by ``classify.activate`` on first use."""
+        return {}
+
 
 def _short_category_names(categories: Sequence[str]) -> list[str]:
     initials = [c[:1].upper() if c else "?" for c in categories]

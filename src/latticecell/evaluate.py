@@ -17,10 +17,12 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
-from .bits import transpose
-from .classify import MEASURES, Prediction, _score_key, classify, parse_activation
+from .bits import iter_bits, transpose
+from .classify import (MEASURES, Prediction, _best_first, _exact_keys,
+                       _score_ratio, classify, parse_activation)
 from .compiler import compile_model
 from .errors import (CorpusError, DimensionError, EmptyInputError,
                      LabelingError)
@@ -101,11 +103,16 @@ def _categories_of(train: Sequence[DocumentVector],
     """``categories``, or else the training categories in first-seen order.
 
     Every training vector must carry one of them: a baseline would
-    otherwise count a vector whose category it cannot predict.
+    otherwise count a vector whose category it cannot predict. Every one
+    must also have the first one's size, which is the size a query is
+    checked against.
     """
     cats = [] if categories is None else list(categories)
     known = set(cats)
     for v in train:
+        if v.size != train[0].size:
+            raise DimensionError(f"training vector {v.doc_id!r} has {v.size} "
+                                 f"bits, the first has {train[0].size}")
         if v.category not in known:
             if v.category is None:
                 raise LabelingError(f"training vector {v.doc_id!r} is unlabeled")
@@ -171,8 +178,9 @@ def baseline_knn(train: Sequence[DocumentVector], doc: DocumentVector,
                  categories: Sequence[str] | None = None) -> str:
     """Majority label of the k most similar training vectors.
 
-    Similarity ties keep training order; label ties fall back to category
-    order.
+    Training vectors that share an intersection and a size with the query
+    share a score, so it is computed once per such class. Similarity ties
+    keep training order; label ties fall back to category order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -181,13 +189,18 @@ def baseline_knn(train: Sequence[DocumentVector], doc: DocumentVector,
     cats = _categories_of(train, categories)
     if doc.size != train[0].size:
         raise DimensionError("query vector size does not match training vectors")
+    # every training vector of one (intersection, size) class has one key
+    classes: dict[tuple[int, int], int] = {}
+    for i, v in enumerate(train):
+        c = ((doc.bits & v.bits).bit_count(), v.bits.bit_count())
+        classes[c] = classes.get(c, 0) | 1 << i
     n1 = doc.bits.bit_count()
-    ranked = sorted(
-        range(len(train)),
-        key=lambda i: (-_score_key((doc.bits & train[i].bits).bit_count(),
-                                   n1, train[i].bits.bit_count(), measure), i))
+    keys = _exact_keys([_score_ratio(inter, n1, n2, measure)
+                        for inter, n2 in classes])
+    ranked = (i for members in _best_first(zip(keys, classes.values()))
+              for i in iter_bits(members))
     votes: dict[str, int] = {}
-    for i in ranked[:k]:
+    for i in islice(ranked, k):
         votes[train[i].category] = votes.get(train[i].category, 0) + 1
     return max(cats, key=lambda c: (votes.get(c, 0), -cats.index(c)))
 

@@ -166,6 +166,22 @@ def reference_naive_bayes_table(train, categories):
     return size, table
 
 
+def reference_knn(train, doc, k, measure, categories=None) -> str:
+    """k-NN by sorting every training vector on (key desc, index), one key
+    per pair, then a majority vote with ties by category order."""
+    cats = (list(dict.fromkeys(v.category for v in train))
+            if categories is None else list(categories))
+    n1 = doc.bits.bit_count()
+
+    def key(i):
+        inter = (doc.bits & train[i].bits).bit_count()
+        return -reference_score_key(inter, n1, train[i].bits.bit_count(),
+                                    measure), i
+
+    votes = [train[i].category for i in sorted(range(len(train)), key=key)[:k]]
+    return max(cats, key=lambda c: (votes.count(c), -cats.index(c)))
+
+
 def naive_forward_chain(n_facts, premises, conclusions, initial,
                         fact_if=None, rule_ir=None) -> int:
     """Worklist forward chainer over mask-encoded rules; returns final facts."""

@@ -12,10 +12,10 @@ import pytest
 
 from helpers import DATA, reference_naive_bayes_table
 import latticecell
-from latticecell import (ConfusionMatrix, CorpusError, DocumentVector,
-                         EmptyInputError, LabelingError, PipelineConfig,
-                         baseline_knn, baseline_naive_bayes, metrics,
-                         run_experiment, split_corpus)
+from latticecell import (ConfusionMatrix, CorpusError, DimensionError,
+                         DocumentVector, EmptyInputError, LabelingError,
+                         PipelineConfig, baseline_knn, baseline_naive_bayes,
+                         metrics, run_experiment, split_corpus)
 from latticecell.cli import main
 from latticecell.evaluate import _naive_bayes_table
 from latticecell.textprep import Document
@@ -165,6 +165,19 @@ def test_baselines_reject_training_vectors_outside_categories():
     with pytest.raises(LabelingError, match="'d2' is unlabeled"):
         baseline_knn(train, query, k=1)
     with pytest.raises(LabelingError, match="'d2' is unlabeled"):
+        baseline_naive_bayes(train, query)
+
+
+def test_baselines_reject_training_vectors_of_different_sizes():
+    # a query is checked against the first vector's size only, so unchecked
+    # the 5-bit "B" vector would be matched against this 3-bit query
+    train = [_vec(0b011, 3, "A", 0), _vec(0b11100, 5, "B", 1),
+             _vec(0b001, 3, "A", 2)]
+    query = _vec(0b100, 3, None, 9)
+    message = "training vector 'd1' has 5 bits, the first has 3"
+    with pytest.raises(DimensionError, match=message):
+        baseline_knn(train, query, k=1)
+    with pytest.raises(DimensionError, match=message):
         baseline_naive_bayes(train, query)
 
 
