@@ -91,8 +91,7 @@ def cmd_compile(args) -> int:
                              if o in labels})
         model = compile_model(lattice, labels, categories)
     save_model(model, args.output)
-    print(f"{model.engine_template.n_facts} facts, "
-          f"{model.engine_template.n_rules} rules")
+    print(f"{model.n_facts} facts, {model.n_rules} rules")
     return 0
 
 
@@ -204,8 +203,7 @@ def cmd_inspect(args) -> int:
               f"{ctx.n_objects} objects x {ctx.n_attributes} attributes")
     elif "facts" in data:
         model = model_from_dict(data)
-        print(f"model: {model.engine_template.n_facts} facts, "
-              f"{model.engine_template.n_rules} rules, "
+        print(f"model: {model.n_facts} facts, {model.n_rules} rules, "
               f"categories: {', '.join(model.categories)}, "
               f"{len(model.vocabulary)} vocabulary terms")
     elif "averaging" in data:  # timings.json has "rows" too

@@ -16,7 +16,7 @@ each value as a reduced ``[numerator, denominator]`` pair.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .bits import bit_indices, iter_bits, mask_from_indices, transpose
-from .context import Concept
 from .engine import EngineState
 from .errors import (EmptyInputError, FormatError, LabelingError, json_list,
                      read_json, require_names, require_strings)
@@ -116,6 +115,51 @@ class RuleIndex(NamedTuple):
     sizes: tuple[tuple[int, int], ...]  # (|intent|, its rules), ascending
 
 
+class LazyLabels(Sequence):
+    """Labels rendered on first read, as ``render(*args)``.
+
+    ``render`` is a module-level function and ``args`` plain data, so the
+    sequence holds no closure and pickles with its model. Its length is
+    known without rendering; it compares and hashes as the rendered tuple.
+    """
+
+    __slots__ = ("render", "args", "length", "_labels")
+
+    def __init__(self, render: Callable[..., tuple[str, ...]], args: tuple,
+                 length: int) -> None:
+        self.render, self.args, self.length = render, args, length
+        self._labels: tuple[str, ...] | None = None
+
+    def labels(self) -> tuple[str, ...]:
+        if self._labels is None:
+            self._labels = self.render(*self.args)
+        return self._labels
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, i):
+        return self.labels()[i]
+
+    def __iter__(self):
+        return iter(self.labels())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, LazyLabels)):
+            return self.labels() == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.labels())
+
+    def __repr__(self) -> str:
+        return repr(self.labels())
+
+
+def _rule_labels(n: int) -> tuple[str, ...]:
+    return tuple(f"R{k + 1}" for k in range(n))
+
+
 @dataclass(frozen=True)
 class CellularModel:
     """Compiled rules plus the concept data classification needs.
@@ -123,29 +167,40 @@ class CellularModel:
     ``intent_facts`` pairs each intent fact index with its attribute mask
     over ``vocabulary``; ``extent_facts`` pairs each extent fact index with
     its class distribution (integer counts over a total). Fact indices
-    point into ``fact_labels``. Rule k, labeled ``R{k+1}``, links intent
-    fact k (its premise) to extent fact k (its conclusion); these pairs are
-    the only statement of the wiring: ``engine_template`` is derived from
-    them, and a vote reads ``extent_facts[k]`` for each rule k the engine
-    fired. Immutable; clone the engine per classification via
-    ``fresh_engine``.
+    point into ``fact_labels``: the labels as given for a loaded or fixture
+    model, a ``LazyLabels`` for a compiled one. Rule k, labeled ``R{k+1}``,
+    links intent fact k (its premise) to extent fact k (its conclusion);
+    these pairs are the only statement of the wiring: ``engine_template``
+    is derived from them as fact index tuples, and a vote reads
+    ``extent_facts[k]`` for each rule k the engine fired. The template
+    shares ``fact_labels`` and renders its rule labels on first read, so
+    classification formats no label. Immutable; clone the engine per
+    classification via ``fresh_engine``.
     """
 
     categories: tuple[str, ...]
-    fact_labels: tuple[str, ...]
+    fact_labels: Sequence[str]
     intent_facts: tuple[tuple[int, int], ...]
     extent_facts: tuple[tuple[int, ClassDistribution], ...]
     vocabulary: tuple[str, ...]
     engine_template: EngineState = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.intent_facts) != len(self.extent_facts):
+        n = len(self.intent_facts)
+        if n != len(self.extent_facts):
             raise ValueError("one rule per intent/extent fact pair required")
         object.__setattr__(self, "engine_template", EngineState(
-            self.fact_labels,
-            [f"R{k + 1}" for k in range(len(self.intent_facts))],
-            [1 << i for i, _ in self.intent_facts],
-            [1 << e for e, _ in self.extent_facts]))
+            self.fact_labels, LazyLabels(_rule_labels, (n,), n),
+            [(i,) for i, _ in self.intent_facts],
+            [(e,) for e, _ in self.extent_facts]))
+
+    @property
+    def n_facts(self) -> int:
+        return len(self.fact_labels)
+
+    @property
+    def n_rules(self) -> int:
+        return len(self.intent_facts)
 
     def fresh_engine(self) -> EngineState:
         return self.engine_template.copy()
@@ -177,33 +232,29 @@ def _short_category_names(categories: Sequence[str]) -> list[str]:
     return initials
 
 
-def _extent_label(tag: str, dist: ClassDistribution,
-                  shorts: Sequence[str]) -> str:
-    parts = ", ".join(f"({p}% {s})" for p, s in zip(dist.percents(), shorts))
-    return f"[{tag} {parts}]"
+def _percent_text(dist: ClassDistribution, shorts: Sequence[str]) -> str:
+    return ", ".join(f"({p}% {s})" for p, s in zip(dist.percents(), shorts))
 
 
-def _intent_label(names: Iterable[str]) -> str:
-    return "[" + ", ".join(names) + "]"
-
-
-def _paired_model(categories: Sequence[str], vocabulary: Sequence[str],
-                  rules: Iterable[tuple[Sequence[str], int, str,
-                                        ClassDistribution]]) -> CellularModel:
-    """The CASI model with one rule per (intent names, intent mask, vertex
-    tag, distribution): rule k links intent fact 2k, labelled by its
-    names, to extent fact 2k + 1, labelled by its tag and distribution."""
+def _compiled_labels(categories: Sequence[str], vocabulary: Sequence[str],
+                     intent_facts, extent_facts,
+                     vertices: Sequence[int]) -> tuple[str, ...]:
+    """A compiled model's fact labels: an intent fact's attribute names in
+    vocabulary order, and an extent fact's lattice vertex ``S{vertex}``
+    with its rounded percent per category. Rules repeat a few distinct
+    distributions, so each percent text is rendered once."""
     shorts = _short_category_names(categories)
-    fact_labels: list[str] = []
-    intent_facts = []
-    extent_facts = []
-    for names, intent, tag, dist in rules:
-        intent_facts.append((len(fact_labels), intent))
-        extent_facts.append((len(fact_labels) + 1, dist))
-        fact_labels += (_intent_label(names), _extent_label(tag, dist, shorts))
-    return CellularModel(tuple(categories), tuple(fact_labels),
-                         tuple(intent_facts), tuple(extent_facts),
-                         tuple(vocabulary))
+    texts: dict[ClassDistribution, str] = {}
+    labels = [""] * (len(intent_facts) + len(extent_facts))
+    for (i, mask), (e, dist), vertex in zip(intent_facts, extent_facts,
+                                            vertices):
+        labels[i] = "[" + ", ".join([vocabulary[a]
+                                     for a in iter_bits(mask)]) + "]"
+        text = texts.get(dist)
+        if text is None:
+            text = texts[dist] = _percent_text(dist, shorts)
+        labels[e] = f"[S{vertex} {text}]"
+    return tuple(labels)
 
 
 def compile_model(lattice: ConceptLattice, labels: Mapping[str, str],
@@ -232,23 +283,34 @@ def compile_model(lattice: ConceptLattice, labels: Mapping[str, str],
         else:
             category_masks[order[cat]] |= 1 << o
 
-    def rules():
-        for vertex, concept in enumerate(lattice.concepts):
-            extent = concept.extent
-            if concept.intent == 0 or extent == 0:
-                continue
-            stray = extent & uncounted
-            if stray:
-                o = (stray & -stray).bit_length() - 1
-                if aligned[o] is None:
-                    raise LabelingError(f"{ctx.object_ids[o]} unlabeled")
-                raise LabelingError(f"{ctx.object_ids[o]} has unknown "
-                                    f"category {aligned[o]!r}")
-            counts = [(extent & mask).bit_count() for mask in category_masks]
-            yield (ctx.attribute_labels(concept.intent), concept.intent,
-                   f"S{vertex}",
-                   ClassDistribution.from_counts(counts, extent.bit_count()))
-    return _paired_model(categories, ctx.attribute_names, rules())
+    # rule k links intent fact 2k to extent fact 2k + 1
+    intent_facts = []
+    extent_facts = []
+    vertices = []
+    for vertex, concept in enumerate(lattice.concepts):
+        extent = concept.extent
+        if concept.intent == 0 or extent == 0:
+            continue
+        stray = extent & uncounted
+        if stray:
+            o = (stray & -stray).bit_length() - 1
+            if aligned[o] is None:
+                raise LabelingError(f"{ctx.object_ids[o]} unlabeled")
+            raise LabelingError(f"{ctx.object_ids[o]} has unknown "
+                                f"category {aligned[o]!r}")
+        counts = [(extent & mask).bit_count() for mask in category_masks]
+        fact = 2 * len(vertices)
+        intent_facts.append((fact, concept.intent))
+        extent_facts.append((fact + 1, ClassDistribution.from_counts(
+            counts, extent.bit_count())))
+        vertices.append(vertex)
+    categories = tuple(categories)
+    intent_facts, extent_facts = tuple(intent_facts), tuple(extent_facts)
+    labels = LazyLabels(_compiled_labels,
+                        (categories, ctx.attribute_names, intent_facts,
+                         extent_facts, tuple(vertices)), 2 * len(vertices))
+    return CellularModel(categories, labels, intent_facts, extent_facts,
+                         ctx.attribute_names)
 
 
 # Reference model used by the worked example: six concept vertices over the
@@ -275,10 +337,20 @@ def load_fixture_model() -> CellularModel:
     labels; independent of the bundled demo context.
     """
     vocab_index = {name: i for i, name in enumerate(_FIXTURE_VOCABULARY)}
-    return _paired_model(_FIXTURE_CATEGORIES, _FIXTURE_VOCABULARY, (
-        (names, mask_from_indices(vocab_index[n] for n in names), tag,
-         ClassDistribution.from_counts(percents, 100))
-        for names, tag, percents in _FIXTURE_VERTICES))
+    shorts = _short_category_names(_FIXTURE_CATEGORIES)
+    fact_labels: list[str] = []
+    intent_facts = []
+    extent_facts = []
+    for names, tag, percents in _FIXTURE_VERTICES:
+        dist = ClassDistribution.from_counts(percents, 100)
+        intent_facts.append((len(fact_labels),
+                             mask_from_indices(vocab_index[n] for n in names)))
+        extent_facts.append((len(fact_labels) + 1, dist))
+        fact_labels += ("[" + ", ".join(names) + "]",
+                        f"[{tag} {_percent_text(dist, shorts)}]")
+    return CellularModel(_FIXTURE_CATEGORIES, tuple(fact_labels),
+                         tuple(intent_facts), tuple(extent_facts),
+                         _FIXTURE_VOCABULARY)
 
 
 def model_to_dict(model: CellularModel) -> dict:

@@ -14,29 +14,42 @@ alternates the two transition steps until nothing changes:
   establishes its conclusion facts; fired rules are consumed (SR := not ER).
 
 EF and ER only ever grow, so a fixpoint is reached within |rules| + 1
-cycles. State vectors are int bitsets; RE/RS are stored column-wise as
-per-rule premise and conclusion masks, and RE also row-wise as per-fact
-``watchers`` masks (the rules a fact is a premise of). The fact step reads
-that premise index to re-check only the rules watching an established
-fact, as in Dowling & Gallier's linear-time Horn chaining, so a cycle
-costs the touched rules, not all of them. The cells, the cycle count and
-the per-cycle snapshots are those of a scan over every rule.
+cycles. The six layers are int bitsets. The wiring is index tuples: RE
+and RS column-wise as each rule's premise and conclusion fact indices, and
+RE also row-wise as each fact's ``watchers``, the indices of the rules it
+is a premise of. So the wiring's size is linear in the incidences, and the
+fact step re-checks only the rules watching an established fact, as in
+Dowling & Gallier's linear-time Horn chaining: a cycle costs the touched
+rules, not all of them. The cells, the cycle count and the per-cycle
+snapshots are those of a scan over every rule.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import chain
 
-from .bits import iter_bits, transpose
+from .bits import iter_bits
 from .errors import DimensionError
 
 
 class EngineState:
     """Mutable engine state: one fact layer, one rule layer, RE/RS wiring.
 
-    ``premises[j]`` and ``conclusions[j]`` are fact masks (column j of RE
-    and RS); ``watchers[i]`` is the rule mask of row i of RE. Freshly
-    built rules are (ER, IR, SR) = (0, 1, 1) and all facts participate.
+    Built from:
+
+    * ``fact_labels`` and ``rule_labels``: one display label per fact and
+      per rule. Their lengths are the fact and rule counts. Only the
+      snapshot tables read the labels, and they are kept as given, so a
+      sequence that formats its labels on first read stays unformatted
+      until something renders a table.
+    * ``premises[j]`` and ``conclusions[j]``: the fact indices of rule j's
+      premises and conclusions (column j of RE and RS), each in
+      ``range(len(fact_labels))``.
+
+    ``watchers[i]`` is derived: the indices of the rules that fact i is a
+    premise of (row i of RE). Freshly built rules are (ER, IR, SR) =
+    (0, 1, 1) and all facts participate.
     """
 
     __slots__ = ("fact_labels", "rule_labels", "premises", "conclusions",
@@ -44,21 +57,33 @@ class EngineState:
                  "cycles")
 
     def __init__(self, fact_labels: Sequence[str], rule_labels: Sequence[str],
-                 premises: Sequence[int], conclusions: Sequence[int]):
+                 premises: Sequence[Sequence[int]],
+                 conclusions: Sequence[Sequence[int]]):
         if len(premises) != len(rule_labels) or len(conclusions) != len(rule_labels):
             raise DimensionError("premise/conclusion lists must match rule count")
-        fact_full = (1 << len(fact_labels)) - 1
-        for j, (p, c) in enumerate(zip(premises, conclusions)):
-            if not (0 <= p <= fact_full and 0 <= c <= fact_full):
+        n_facts = len(fact_labels)
+        self.premises = tuple(map(tuple, premises))
+        self.conclusions = tuple(map(tuple, conclusions))
+        for wiring in (self.premises, self.conclusions):
+            used = list(chain.from_iterable(wiring))
+            if used and not (0 <= min(used) and max(used) < n_facts):
+                j = next(j for j, facts in enumerate(wiring)
+                         if not all(0 <= f < n_facts for f in facts))
                 raise DimensionError(f"rule {j} wiring exceeds fact count")
-        self.fact_labels = tuple(fact_labels)
-        self.rule_labels = tuple(rule_labels)
-        self.premises = tuple(premises)
-        self.conclusions = tuple(conclusions)
-        self.watchers = tuple(transpose(self.premises, len(fact_labels)))
+        # a fact no rule watches shares the one empty tuple
+        watching: dict[int, list[int]] = {}
+        for j, facts in enumerate(self.premises):
+            for f in facts:
+                watching.setdefault(f, []).append(j)
+        watchers: list[tuple[int, ...]] = [()] * n_facts
+        for f, rules in watching.items():
+            watchers[f] = tuple(rules)
+        self.watchers = tuple(watchers)
+        self.fact_labels = fact_labels
+        self.rule_labels = rule_labels
         self.ef = 0
         self.sf = 0
-        self.fact_if = fact_full
+        self.fact_if = (1 << n_facts) - 1
         self.er = 0
         self.rule_ir = (1 << len(rule_labels)) - 1
         self.sr = (1 << len(rule_labels)) - 1
@@ -122,13 +147,16 @@ def delta_fact(state: EngineState) -> EngineState:
     """
     state.sf = state.ef
     established = state.ef & state.fact_if
-    watched = 0
-    for i in iter_bits(established):
-        watched |= state.watchers[i]
+    unchecked = state.rule_ir & ~state.er
     er = state.er
-    for j in iter_bits(watched & state.rule_ir & ~er):
-        if state.premises[j] & ~established == 0:
-            er |= 1 << j
+    for i in iter_bits(established):
+        for j in state.watchers[i]:
+            if unchecked >> j & 1:
+                for f in state.premises[j]:
+                    if not established >> f & 1:
+                        break
+                else:
+                    er |= 1 << j
     state.er = er
     return state
 
@@ -138,7 +166,8 @@ def delta_rule(state: EngineState) -> EngineState:
     firing = state.er & state.rule_ir & state.sr
     new_facts = 0
     for j in iter_bits(firing):
-        new_facts |= state.conclusions[j]
+        for f in state.conclusions[j]:
+            new_facts |= 1 << f
     state.ef |= new_facts & state.fact_if
     state.sr = ~state.er & ((1 << state.n_rules) - 1)
     return state

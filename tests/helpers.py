@@ -18,6 +18,7 @@ from latticecell import (Concept, DocumentVector, EmptyInputError,
                          default_stopwords, load_context_csv, load_corpus,
                          parse_activation, remove_stopwords, tokenize,
                          vectorize, vote)
+from latticecell.bits import mask_from_indices
 from latticecell.context import canonical_key
 
 DATA = files("latticecell") / "data"
@@ -182,6 +183,13 @@ def reference_knn(train, doc, k, measure, categories=None) -> str:
     return max(cats, key=lambda c: (votes.count(c), -cats.index(c)))
 
 
+def wiring_masks(state) -> tuple[list[int], list[int]]:
+    """An engine's premise and conclusion fact index tuples as the fact
+    masks the mask-based oracles below read."""
+    return ([mask_from_indices(p) for p in state.premises],
+            [mask_from_indices(c) for c in state.conclusions])
+
+
 def naive_forward_chain(n_facts, premises, conclusions, initial,
                         fact_if=None, rule_ir=None) -> int:
     """Worklist forward chainer over mask-encoded rules; returns final facts."""
@@ -208,7 +216,7 @@ def reference_fact_step(state) -> tuple[int, int]:
     """(SF, ER) one fact step must leave, by scanning every rule."""
     established = state.ef & state.fact_if
     er = state.er
-    for j, premise in enumerate(state.premises):
+    for j, premise in enumerate(wiring_masks(state)[0]):
         if not (state.rule_ir >> j) & 1 or (er >> j) & 1 or premise == 0:
             continue
         if premise & ~established == 0:
@@ -285,9 +293,9 @@ def reference_classify(model, doc, measure, policy) -> Prediction:
     initial = 0
     for fact in activated:
         initial |= 1 << fact
-    facts = naive_forward_chain(engine.n_facts, engine.premises,
-                                engine.conclusions, initial)
-    fired = [k for k, premise in enumerate(engine.premises)
+    premises, conclusions = wiring_masks(engine)
+    facts = naive_forward_chain(engine.n_facts, premises, conclusions, initial)
+    fired = [k for k, premise in enumerate(premises)
              if premise and premise & ~facts == 0]
     if not fired:
         return Prediction(None, None, (), activated)
@@ -301,6 +309,28 @@ def reference_distribution(extent: int, labels, categories) -> tuple[Fraction, .
     """Per-category share of the objects in ``extent``, object by object."""
     members = [labels[o] for o in range(extent.bit_length()) if extent >> o & 1]
     return tuple(Fraction(members.count(c), len(members)) for c in categories)
+
+
+def reference_fact_labels(lattice, labels, categories) -> tuple[str, ...]:
+    """A compiled model's fact labels, built eagerly concept by concept:
+    per concept with a nonempty intent and extent, its attribute names,
+    then ``S{vertex}`` with each category's rounded percent (half up)."""
+    initials = [c[:1].upper() if c else "?" for c in categories]
+    shorts = initials if len(set(initials)) == len(initials) else categories
+    ctx = lattice.context
+    aligned = [labels[oid] for oid in ctx.object_ids]
+    out = []
+    for vertex, concept in enumerate(lattice.concepts):
+        if concept.intent == 0 or concept.extent == 0:
+            continue
+        names = [ctx.attribute_names[a] for a in range(ctx.n_attributes)
+                 if concept.intent >> a & 1]
+        out.append("[" + ", ".join(names) + "]")
+        shares = reference_distribution(concept.extent, aligned, categories)
+        parts = [f"({math.floor(100 * f + Fraction(1, 2))}% {short})"
+                 for f, short in zip(shares, shorts)]
+        out.append(f"[S{vertex} {', '.join(parts)}]")
+    return tuple(out)
 
 
 def reference_mean(rows) -> tuple[Fraction, ...]:

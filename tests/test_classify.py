@@ -325,8 +325,11 @@ def test_engine_wiring_is_derived_from_rule_pairs(source):
     assert eng.n_rules == len(model.intent_facts) == len(model.extent_facts) > 0
     for k, ((intent, _), (extent, _)) in enumerate(zip(model.intent_facts,
                                                        model.extent_facts)):
-        assert eng.premises[k] == 1 << intent
-        assert eng.conclusions[k] == 1 << extent
+        assert eng.premises[k] == (intent,)
+        assert eng.conclusions[k] == (extent,)
+    assert eng.watchers == tuple(
+        tuple(k for k, (intent, _) in enumerate(model.intent_facts)
+              if intent == i) for i in range(eng.n_facts))
     assert eng.rule_labels == tuple(f"R{k + 1}" for k in range(eng.n_rules))
     assert eng.fact_labels == model.fact_labels
     assert eng.ef == 0

@@ -1,18 +1,25 @@
 """Lattice-to-model compilation and model serialization."""
 
+import gc
 import math
+import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (DEMO_CATEGORIES, DEMO_LABELS, demo_context,
                      demo_labels_map, random_context, reference_distribution,
-                     reference_mean)
+                     reference_fact_labels, reference_mean)
 from latticecell import (CellularModel, ClassDistribution, DimensionError,
                          FormatError, LabelingError, build_lattice,
-                         compile_model, load_fixture_model)
+                         compile_model, load_fixture_model, load_model,
+                         save_model)
 from latticecell.compiler import model_from_dict, model_to_dict
+from latticecell.engine import EngineState
+from strategies import contexts
 
 
 @pytest.fixture(scope="module")
@@ -141,8 +148,8 @@ def test_compile_demo_counts(demo_model):
 def test_compile_single_incidence_per_column(demo_model):
     eng = demo_model.engine_template
     for j in range(eng.n_rules):
-        assert eng.premises[j].bit_count() == 1
-        assert eng.conclusions[j].bit_count() == 1
+        assert len(eng.premises[j]) == 1
+        assert len(eng.conclusions[j]) == 1
 
 
 def test_compile_requires_all_labels():
@@ -395,3 +402,97 @@ def test_model_invariants_enforced():
         CellularModel(model.engine_template, model.categories,
                       model.fact_labels, model.intent_facts,
                       model.extent_facts, model.vocabulary)
+
+
+@pytest.fixture(scope="module")
+def model_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("models") / "model.json"
+
+
+def test_derived_labels_equal_the_eager_reference(demo_model, model_path):
+    """A compiled model's labels, derived on first read, are the ones built
+    eagerly per concept; the engine reads the same sequence."""
+    lattice = build_lattice(demo_context())
+    want = reference_fact_labels(lattice, demo_labels_map(), DEMO_CATEGORIES)
+    model = compile_model(lattice, demo_labels_map(), DEMO_CATEGORIES)
+    assert model.fact_labels == want and want == model.fact_labels
+    assert model.engine_template.fact_labels == want
+    assert model.fact_labels[1] == "[S1 (100% S), (0% E), (0% T)]"
+    save_model(model, model_path)
+    assert load_model(model_path) == model == demo_model
+
+
+# two categories share an initial half of the time, so labels then name
+# each category in full
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(ctx=contexts(), categories=st.sampled_from((("Sport", "Economie"),
+                                                   ("Sport", "Sante", "Tele"))),
+       data=st.data())
+def test_derived_labels_match_the_reference_on_random_lattices(
+        model_path, ctx, categories, data):
+    labels = {oid: data.draw(st.sampled_from(categories))
+              for oid in ctx.object_ids}
+    lattice = build_lattice(ctx)
+    model = compile_model(lattice, labels, categories)
+    # a pickled model, as a jobs > 1 run sends it, renders the same labels
+    sent = pickle.loads(pickle.dumps(model))
+    want = reference_fact_labels(lattice, labels, categories)
+    assert model.fact_labels == want
+    assert tuple(model.engine_template.fact_labels) == want
+    assert sent == model and tuple(sent.fact_labels) == want
+    save_model(model, model_path)
+    assert load_model(model_path) == model
+
+
+def test_model_counts_come_without_labels(monkeypatch):
+    """``n_facts`` and ``n_rules`` read no label; the first read of one
+    renders them all."""
+    def refuse(*args):
+        raise AssertionError("a label was formatted")
+
+    monkeypatch.setattr("latticecell.compiler._compiled_labels", refuse)
+    monkeypatch.setattr("latticecell.compiler._rule_labels", refuse)
+    model = compile_model(build_lattice(demo_context()), demo_labels_map(),
+                          DEMO_CATEGORIES)
+    assert (model.n_facts, model.n_rules) == (14, 7)
+    assert (model.engine_template.n_facts,
+            model.engine_template.n_rules) == (14, 7)
+    with pytest.raises(AssertionError, match="a label was formatted"):
+        model.fact_labels[0]
+    with pytest.raises(AssertionError, match="a label was formatted"):
+        model.engine_template.rule_labels[0]
+
+
+def _wiring_bytes(n_rules: int) -> int:
+    """Bytes a model's engine template holds for ``n_rules`` rules, each
+    with a distinct intent fact and an extent fact shared by ten rules."""
+    dist = ClassDistribution.from_counts((1, 1), 2)
+    intent_facts = tuple((2 * k, 1) for k in range(n_rules))
+    extent_facts = tuple((2 * (k // 10) + 1, dist) for k in range(n_rules))
+    fact_labels = ("f",) * (2 * n_rules)
+    gc.collect()  # a full collection empties the tuple free lists
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model = CellularModel(("a", "b"), fact_labels, intent_facts,
+                              extent_facts, ("t",))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert model.engine_template.n_rules == n_rules
+    return held
+
+
+def test_engine_wiring_memory_grows_linearly():
+    """Index tuples hold a bounded size per rule; one ``1 << k`` int per
+    rule and per fact would grow as rules squared (16x for 4x rules)."""
+    small, large = _wiring_bytes(1000), _wiring_bytes(4000)
+    assert large < 4.5 * small
+    assert large < 300 * 4000
+
+
+def test_engine_wiring_indices_are_checked():
+    """Every premise and conclusion index must name a fact."""
+    for premises, conclusions in (([(0, 2)], [(1,)]), ([(0,)], [(-1,)])):
+        with pytest.raises(DimensionError, match="rule 0 wiring exceeds"):
+            EngineState(["a", "b"], ["r"], premises, conclusions)

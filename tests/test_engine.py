@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import naive_forward_chain, reference_fact_step
+from helpers import naive_forward_chain, reference_fact_step, wiring_masks
 from latticecell import (DimensionError, EngineState, delta_fact, delta_rule,
                          load_fixture_model, render_fact_table,
                          render_rule_table, run_inference, set_facts)
@@ -13,7 +13,7 @@ from latticecell import (DimensionError, EngineState, delta_fact, delta_rule,
 def chain_engine():
     """f1 -> f2 -> f3."""
     return EngineState(["f1", "f2", "f3"], ["r1", "r2"],
-                       premises=[0b001, 0b010], conclusions=[0b010, 0b100])
+                       premises=[(0,), (1,)], conclusions=[(1,), (2,)])
 
 
 def test_fresh_state():
@@ -21,20 +21,23 @@ def test_fresh_state():
     assert eng.ef == 0 and eng.sf == 0 and eng.er == 0
     assert eng.fact_if == 0b111
     assert eng.rule_ir == 0b11 and eng.sr == 0b11
-    assert eng.rule_labels == ("r1", "r2")
+    assert eng.rule_labels == ["r1", "r2"]  # kept as given
 
 
 def test_wiring_validated():
     with pytest.raises(DimensionError):
-        EngineState(["f1"], ["r1"], premises=[0b10], conclusions=[0b01])
+        EngineState(["f1"], ["r1"], premises=[(1,)], conclusions=[(0,)])
     with pytest.raises(DimensionError):
-        EngineState(["f1"], ["r1", "r2"], premises=[1], conclusions=[1])
+        EngineState(["f1"], ["r1"], premises=[(0,)], conclusions=[(-1,)])
+    with pytest.raises(DimensionError):
+        EngineState(["f1"], ["r1", "r2"], premises=[(0,)], conclusions=[(0,)])
 
 
 def test_matrices():
     eng = chain_engine()
-    assert eng.premises == (0b001, 0b010)
-    assert eng.conclusions == (0b010, 0b100)
+    assert eng.premises == ((0,), (1,))
+    assert eng.conclusions == ((1,), (2,))
+    assert eng.watchers == ((0,), (1,), ())
 
 
 def test_set_facts_reset_semantics():
@@ -50,8 +53,8 @@ def test_set_facts_reset_semantics():
 
 
 def test_delta_fact_triggers_on_full_premise():
-    eng = EngineState(["a", "b", "c"], ["r"], premises=[0b011],
-                      conclusions=[0b100])
+    eng = EngineState(["a", "b", "c"], ["r"], premises=[(0, 1)],
+                      conclusions=[(2,)])
     set_facts(eng, [0])
     delta_fact(eng)
     assert eng.er == 0  # one of two premises is not enough
@@ -68,7 +71,7 @@ def test_delta_fact_no_facts_no_trigger():
 
 
 def test_premiseless_rule_never_self_triggers():
-    eng = EngineState(["a"], ["r"], premises=[0], conclusions=[0b1])
+    eng = EngineState(["a"], ["r"], premises=[()], conclusions=[(0,)])
     run_inference(eng)
     assert eng.ef == 0 and eng.er == 0
 
@@ -95,12 +98,12 @@ def test_delta_rule_without_triggers():
 
 
 def test_inactive_rule_and_fact():
-    eng = EngineState(["a", "b"], ["r"], premises=[0b01], conclusions=[0b10])
+    eng = EngineState(["a", "b"], ["r"], premises=[(0,)], conclusions=[(1,)])
     set_facts(eng, [0])
     eng.rule_ir = 0                 # rule withdrawn from inference
     run_inference(eng)
     assert eng.ef == 0b01
-    eng2 = EngineState(["a", "b"], ["r"], premises=[0b01], conclusions=[0b10])
+    eng2 = EngineState(["a", "b"], ["r"], premises=[(0,)], conclusions=[(1,)])
     set_facts(eng2, [0])
     eng2.fact_if = 0b01             # conclusion fact cannot participate
     run_inference(eng2)
@@ -167,8 +170,8 @@ def random_engine(rnd, max_facts=10, max_rules=10, max_premises=3):
     conclusions = []
     for _ in range(n_rules):
         k = rnd.randint(1, min(max_premises, n_facts))
-        premises.append(sum(1 << i for i in rnd.sample(range(n_facts), k)))
-        conclusions.append(1 << rnd.randrange(n_facts))
+        premises.append(tuple(rnd.sample(range(n_facts), k)))
+        conclusions.append((rnd.randrange(n_facts),))
     eng = EngineState([f"f{i}" for i in range(n_facts)],
                       [f"r{j}" for j in range(n_rules)], premises, conclusions)
     set_facts(eng, [i for i in range(n_facts) if rnd.random() < 0.3])
@@ -181,8 +184,8 @@ def test_worklist_oracle_equivalence_random():
         eng = random_engine(rnd)
         initial = eng.ef
         run_inference(eng)
-        expected = naive_forward_chain(eng.n_facts, eng.premises,
-                                       eng.conclusions, initial)
+        expected = naive_forward_chain(eng.n_facts, *wiring_masks(eng),
+                                       initial)
         assert eng.ef == expected
         assert eng.cycles <= eng.n_rules + 1
 
@@ -208,9 +211,8 @@ def test_partial_participation_matches_full_scan_random():
         eng.fact_if, eng.rule_ir = fact_if, rule_ir
         initial = eng.ef
         run_inference(eng)
-        expected = naive_forward_chain(eng.n_facts, eng.premises,
-                                       eng.conclusions, initial, fact_if,
-                                       rule_ir)
+        expected = naive_forward_chain(eng.n_facts, *wiring_masks(eng),
+                                       initial, fact_if, rule_ir)
         assert eng.ef & fact_if == expected
         assert eng.ef & ~fact_if == initial & ~fact_if
 

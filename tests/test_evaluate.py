@@ -218,6 +218,20 @@ def test_run_experiment_deterministic():
     assert a.to_text() == b.to_text()
 
 
+def test_run_experiment_formats_no_label(monkeypatch):
+    """Labels are display text: an experiment compiles, classifies and
+    reports without rendering one."""
+    def refuse(*args):
+        raise AssertionError("a label was formatted")
+
+    for helper in ("_compiled_labels", "_rule_labels", "_percent_text",
+                   "_short_category_names"):
+        monkeypatch.setattr(f"latticecell.compiler.{helper}", refuse)
+    report = run_experiment(DATA / "corpus",
+                            PipelineConfig(baselines=("nb", "knn"), seed=3))
+    assert set(report.timings["rows"]) >= {"inner", "cosine"}
+
+
 def test_run_experiment_parallel_jobs_match_serial():
     serial = run_experiment(DATA / "corpus",
                             PipelineConfig(measures=("inner",), seed=2))

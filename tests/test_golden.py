@@ -2,7 +2,8 @@
 
 ``tests/golden/`` holds what ``build --dot``, ``compile``, ``compile
 --paper-fixture`` and ``evaluate --baselines nb,knn --seed 7`` write for
-the bundled data, and what ``classify`` writes for the bundled context
+the bundled data, the counts ``compile`` and ``inspect`` print for the
+demo model and the fixture, and what ``classify`` writes for the bundled context
 and the bundled corpus's text files against the demo model, with one
 ``--trace`` dump of the engine's fact and rule tables. ``build
 --dot`` runs on both the bundled context and the bundled corpus, so the
@@ -90,3 +91,17 @@ def test_demo_model_trace_matches_golden_bytes(capsys):
                  "--trace"]) == 0
     assert (capsys.readouterr().err.encode("utf-8")
             == (GOLDEN / "demo_model_trace.txt").read_bytes())
+
+
+def test_demo_compile_and_inspect_print_golden_counts(tmp_path, capsys):
+    """``compile`` then ``inspect`` on the demo model, then on the fixture:
+    the fact and rule counts come from the model, not its engine."""
+    model, fixture = tmp_path / "model.json", tmp_path / "fixture.json"
+    for argv in (["compile", GOLDEN / "demo_lattice.json",
+                  DATA / "labels.csv", "-o", model],
+                 ["inspect", model],
+                 ["compile", "--paper-fixture", "-o", fixture],
+                 ["inspect", fixture]):
+        assert main([str(a) for a in argv]) == 0
+    assert (capsys.readouterr().out.encode("utf-8")
+            == (GOLDEN / "demo_inspect.txt").read_bytes())
