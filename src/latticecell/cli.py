@@ -24,7 +24,7 @@ from .evaluate import BASELINES, PipelineConfig, run_experiment
 from .lattice import (build_lattice, lattice_from_dict, lattice_to_dot,
                       load_lattice, save_lattice)
 from .textprep import (DEFAULT_FEATURE_COUNT, DocumentVector, Vocabulary,
-                       build_context, build_vocabulary, default_stopwords,
+                       _train_vectors, build_context, default_stopwords,
                        load_corpus, load_documents, load_stopwords, vectorize)
 
 UNCLASSIFIABLE = "UNCLASSIFIABLE"
@@ -63,9 +63,7 @@ def cmd_build(args) -> int:
     source = Path(args.input)
     if source.is_dir():
         docs = load_corpus(source)
-        stopwords = _stopwords(args)
-        vocab = build_vocabulary(docs, args.features, stopwords=stopwords)
-        vectors = [vectorize(d, vocab, stopwords=stopwords) for d in docs]
+        vocab, vectors = _train_vectors(docs, args.features, _stopwords(args))
         ctx = build_context(vectors, vocab)
     else:
         ctx = load_context_csv(source)

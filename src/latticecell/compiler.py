@@ -8,9 +8,10 @@ empty extent) are skipped. Classification later activates intent facts by
 similarity, runs the engine, and votes over the established extent facts.
 
 A class distribution is exact: integer per-category counts over a common
-total. Compilation counts an extent's objects per category by popcount,
-the vote averages over the lcm of the totals, and the model file stores
-each value as a reduced ``[numerator, denominator]`` pair.
+total. Compilation counts an extent's objects per category by popcount
+and builds one distribution per distinct count vector, the vote averages
+over the lcm of the totals, and the model file stores each value as a
+reduced ``[numerator, denominator]`` pair.
 """
 
 from __future__ import annotations
@@ -283,7 +284,9 @@ def compile_model(lattice: ConceptLattice, labels: Mapping[str, str],
         else:
             category_masks[order[cat]] |= 1 << o
 
-    # rule k links intent fact 2k to extent fact 2k + 1
+    # rule k links intent fact 2k to extent fact 2k + 1; rules with equal
+    # counts share one distribution
+    distributions: dict[tuple[int, ...], ClassDistribution] = {}
     intent_facts = []
     extent_facts = []
     vertices = []
@@ -298,11 +301,14 @@ def compile_model(lattice: ConceptLattice, labels: Mapping[str, str],
                 raise LabelingError(f"{ctx.object_ids[o]} unlabeled")
             raise LabelingError(f"{ctx.object_ids[o]} has unknown "
                                 f"category {aligned[o]!r}")
-        counts = [(extent & mask).bit_count() for mask in category_masks]
+        counts = tuple([(extent & mask).bit_count() for mask in category_masks])
+        dist = distributions.get(counts)
+        if dist is None:
+            dist = distributions[counts] = ClassDistribution.from_counts(
+                counts, extent.bit_count())
         fact = 2 * len(vertices)
         intent_facts.append((fact, concept.intent))
-        extent_facts.append((fact + 1, ClassDistribution.from_counts(
-            counts, extent.bit_count())))
+        extent_facts.append((fact + 1, dist))
         vertices.append(vertex)
     categories = tuple(categories)
     intent_facts, extent_facts = tuple(intent_facts), tuple(extent_facts)

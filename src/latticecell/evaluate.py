@@ -28,7 +28,7 @@ from .errors import (CorpusError, DimensionError, EmptyInputError,
                      LabelingError)
 from .lattice import build_lattice
 from .textprep import (DEFAULT_FEATURE_COUNT, Document, DocumentVector,
-                       build_context, build_vocabulary, category_masks,
+                       _train_vectors, build_context, category_masks,
                        default_stopwords, load_corpus, load_stopwords,
                        vectorize)
 
@@ -173,6 +173,37 @@ def baseline_naive_bayes(train: Sequence[DocumentVector], doc: DocumentVector,
     return _naive_bayes_predict(_naive_bayes_table(train, categories), doc)
 
 
+def _knn_table(train: Sequence[DocumentVector],
+               categories: Sequence[str] | None = None):
+    """The categories, the vector size and each training vector's bits,
+    popcount and category."""
+    if not train:
+        raise EmptyInputError("k-NN needs a nonempty training set")
+    cats = _categories_of(train, categories)
+    return cats, train[0].size, [(v.bits, v.bits.bit_count(), v.category)
+                                 for v in train]
+
+
+def _knn_predict(knn_table, doc: DocumentVector, k: int, measure: str) -> str:
+    cats, size, rows = knn_table
+    if doc.size != size:
+        raise DimensionError("query vector size does not match training vectors")
+    # every training vector of one (intersection, size) class has one key
+    classes: dict[tuple[int, int], int] = {}
+    for i, (bits, n2, _) in enumerate(rows):
+        c = ((doc.bits & bits).bit_count(), n2)
+        classes[c] = classes.get(c, 0) | 1 << i
+    n1 = doc.bits.bit_count()
+    keys = _exact_keys([_score_ratio(inter, n1, n2, measure)
+                        for inter, n2 in classes])
+    ranked = (i for members in _best_first(zip(keys, classes.values()))
+              for i in iter_bits(members))
+    votes: dict[str, int] = {}
+    for i in islice(ranked, k):
+        votes[rows[i][2]] = votes.get(rows[i][2], 0) + 1
+    return max(cats, key=lambda c: (votes.get(c, 0), -cats.index(c)))
+
+
 def baseline_knn(train: Sequence[DocumentVector], doc: DocumentVector,
                  k: int = 3, measure: str = "cosine",
                  categories: Sequence[str] | None = None) -> str:
@@ -184,25 +215,7 @@ def baseline_knn(train: Sequence[DocumentVector], doc: DocumentVector,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not train:
-        raise EmptyInputError("k-NN needs a nonempty training set")
-    cats = _categories_of(train, categories)
-    if doc.size != train[0].size:
-        raise DimensionError("query vector size does not match training vectors")
-    # every training vector of one (intersection, size) class has one key
-    classes: dict[tuple[int, int], int] = {}
-    for i, v in enumerate(train):
-        c = ((doc.bits & v.bits).bit_count(), v.bits.bit_count())
-        classes[c] = classes.get(c, 0) | 1 << i
-    n1 = doc.bits.bit_count()
-    keys = _exact_keys([_score_ratio(inter, n1, n2, measure)
-                        for inter, n2 in classes])
-    ranked = (i for members in _best_first(zip(keys, classes.values()))
-              for i in iter_bits(members))
-    votes: dict[str, int] = {}
-    for i in islice(ranked, k):
-        votes[train[i].category] = votes.get(train[i].category, 0) + 1
-    return max(cats, key=lambda c: (votes.get(c, 0), -cats.index(c)))
+    return _knn_predict(_knn_table(train, categories), doc, k, measure)
 
 
 @dataclass(frozen=True)
@@ -378,8 +391,9 @@ def _row_predictions(model, train_vectors, test_vectors, categories,
             yield "naive-bayes", [_naive_bayes_predict(nb_table, v)
                                   for v in test_vectors]
         else:
-            yield "knn", [baseline_knn(train_vectors, v, config.knn_k,
-                                       config.knn_measure, categories)
+            knn_table = _knn_table(train_vectors, categories)
+            yield "knn", [_knn_predict(knn_table, v, config.knn_k,
+                                       config.knn_measure)
                           for v in test_vectors]
 
 
@@ -400,10 +414,10 @@ def run_experiment(corpus_root: str | Path,
                  if config.stopwords_path else default_stopwords())
 
     t0 = time.perf_counter()
-    vocab = build_vocabulary(train_docs, config.features, stopwords=stopwords)
+    vocab, train_vectors = _train_vectors(train_docs, config.features,
+                                          stopwords)
     vocabulary_s = time.perf_counter() - t0
 
-    train_vectors = [vectorize(d, vocab, stopwords=stopwords) for d in train_docs]
     test_vectors = [vectorize(d, vocab, stopwords=stopwords) for d in test_docs]
     categories = tuple(sorted({d.category for d in train_docs}))
     for d in test_docs:

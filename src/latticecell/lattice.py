@@ -34,7 +34,7 @@ from pathlib import Path
 
 from . import backend
 from .bits import iter_bits
-from .context import Concept, FormalContext, canonical_key, derive_intent
+from .context import Concept, FormalContext, derive_intent
 from .errors import (DimensionError, FormatError, NotSplittableError,
                      json_list, read_json, require_names)
 
@@ -101,11 +101,28 @@ def _closed_extents(ctx: FormalContext, limit: float = math.inf) -> set[int]:
     return extents
 
 
+# byte b -> b with its 8 bits in reverse order
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def _finish(ctx: FormalContext, extents: Iterable[int]) -> ConceptLattice:
     """The lattice of ``ctx`` from its closed extents: each intent is the
-    attributes its extent's objects share, in canonical concept order."""
-    concepts = sorted((Concept(e, derive_intent(ctx, e)) for e in extents),
-                      key=canonical_key)
+    attributes its extent's objects share, in canonical concept order.
+
+    Each extent's sort key is its size above its complemented bit
+    reversal, so among extents of one size the one holding the lowest
+    object where two differ sorts first, as under ``canonical_key``.
+    """
+    width = -(-ctx.n_objects // 8)
+    low = (1 << 8 * width) - 1
+
+    def key(extent: int) -> int:
+        reversed_ = int.from_bytes(extent.to_bytes(width, "little")
+                                   .translate(_BIT_REVERSED), "big")
+        return extent.bit_count() << 8 * width | low ^ reversed_
+
+    concepts = [Concept(e, derive_intent(ctx, e))
+                for e in sorted(extents, key=key)]
     # canonical order is extent-cardinality ascending: the unique minimal
     # extent sorts first and the full-extent top sorts last
     return ConceptLattice(ctx, tuple(concepts),

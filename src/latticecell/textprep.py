@@ -6,12 +6,14 @@ the top N, and set one bit per selected term that occurs in the document.
 The resulting vectors stack into the formal context the lattice is built
 from.
 
-Both steps are linear in the corpus. ``vectorize`` looks each distinct
-token of a document up in a map from folded term to vocabulary bits,
-built once per vocabulary, so it never scans the vocabulary.
-``select_features`` transposes the vectors into one document bitset per
-term and one per category; a term's per-category document counts are then
-popcounts of their intersections, and the class entropy is computed once.
+Training tokenizes each document once: its post-filter term set gives
+both its vector over the candidate terms, which ``select_features``
+scores, and its vector over the selected terms. A vector looks each
+distinct term up in a map from folded term to vocabulary bits, built once
+per vocabulary, so it never scans the vocabulary. ``select_features``
+transposes the vectors into one document bitset per term and one per
+category; a term's per-category document counts are then popcounts of
+their intersections, and the class entropy is computed once.
 """
 
 from __future__ import annotations
@@ -156,10 +158,15 @@ def vectorize(doc: Document, vocab: Vocabulary, *,
     tokens, so display-cased context headers line up with the token
     stream. The token map is built once per ``Vocabulary``.
     """
+    return _vector(doc, _doc_terms(doc, frozenset(stopwords)), vocab)
+
+
+def _vector(doc: Document, terms: Iterable[str],
+            vocab: Vocabulary) -> DocumentVector:
     masks = vocab.token_masks
     bits = 0
-    for token in _doc_terms(doc, frozenset(stopwords)):
-        bits |= masks.get(token, 0)
+    for term in terms:
+        bits |= masks.get(term, 0)
     return DocumentVector(bits, len(vocab), doc.category, doc.id)
 
 
@@ -225,10 +232,20 @@ def select_features(vectors: Sequence[DocumentVector], terms: Sequence[str],
 def build_vocabulary(docs: Sequence[Document], n: int = DEFAULT_FEATURE_COUNT, *,
                      stopwords: Iterable[str] = ()) -> Vocabulary:
     """Candidate extraction + information-gain selection in one step."""
+    return _train_vectors(docs, n, stopwords)[0]
+
+
+def _train_vectors(docs: Sequence[Document], n: int, stopwords: Iterable[str]
+                   ) -> tuple[Vocabulary, list[DocumentVector]]:
+    """``build_vocabulary(docs, n, stopwords=stopwords)`` and each
+    document's vector over it, tokenizing each document once."""
     stop = frozenset(stopwords)
-    candidates = Vocabulary(candidate_terms(docs, stop))
-    vectors = [vectorize(d, candidates, stopwords=stop) for d in docs]
-    return select_features(vectors, candidates.terms, n)
+    term_sets = [_doc_terms(d, stop) for d in docs]
+    candidates = Vocabulary(tuple(sorted(set().union(*term_sets))))
+    vocab = select_features([_vector(d, terms, candidates)
+                             for d, terms in zip(docs, term_sets)],
+                            candidates.terms, n)
+    return vocab, [_vector(d, terms, vocab) for d, terms in zip(docs, term_sets)]
 
 
 def build_context(vectors: Sequence[DocumentVector],

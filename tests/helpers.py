@@ -39,9 +39,9 @@ def demo_labels_map() -> dict[str, str]:
     return dict(zip(ctx.object_ids, DEMO_LABELS))
 
 
-def benchmark_context(tmp_path, workload_name: str, seed: str) -> FormalContext:
-    """The context of one corpus of a benchmark workload, over all its
-    documents and the workload's feature count."""
+def benchmark_corpus(tmp_path, workload_name: str, seed: str):
+    """The documents of one corpus of a benchmark workload, and their
+    context over the workload's feature count."""
     from perfbench.corpus import generate
     from perfbench.workloads import WORKLOADS
 
@@ -49,8 +49,14 @@ def benchmark_context(tmp_path, workload_name: str, seed: str) -> FormalContext:
     docs = load_corpus(generate(tmp_path, workload.shape, seed).root)
     stopwords = default_stopwords()
     vocab = build_vocabulary(docs, workload.features, stopwords=stopwords)
-    return build_context([vectorize(d, vocab, stopwords=stopwords)
-                          for d in docs], vocab)
+    return docs, build_context([vectorize(d, vocab, stopwords=stopwords)
+                                for d in docs], vocab)
+
+
+def benchmark_context(tmp_path, workload_name: str, seed: str) -> FormalContext:
+    """The context of one corpus of a benchmark workload, over all its
+    documents and the workload's feature count."""
+    return benchmark_corpus(tmp_path, workload_name, seed)[1]
 
 
 def query_vector() -> DocumentVector:

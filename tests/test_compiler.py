@@ -10,13 +10,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (DEMO_CATEGORIES, DEMO_LABELS, demo_context,
-                     demo_labels_map, random_context, reference_distribution,
-                     reference_fact_labels, reference_mean)
+from helpers import (DEMO_CATEGORIES, DEMO_LABELS, benchmark_corpus,
+                     demo_context, demo_labels_map, random_context,
+                     reference_distribution, reference_fact_labels,
+                     reference_mean)
 from latticecell import (CellularModel, ClassDistribution, DimensionError,
                          FormatError, LabelingError, build_lattice,
                          compile_model, load_fixture_model, load_model,
                          save_model)
+from latticecell.bits import iter_bits
 from latticecell.compiler import model_from_dict, model_to_dict
 from latticecell.engine import EngineState
 from strategies import contexts
@@ -100,6 +102,25 @@ def test_compiled_distributions_match_recount():
             assert dist == ClassDistribution(want)
             assert dist.percents() == tuple(int(f * 100 + Fraction(1, 2))
                                             for f in want)
+
+
+def test_equal_counts_share_one_distribution(tmp_path):
+    """In a model of a 210-document benchmark corpus, extent facts with
+    equal counts are one object, equal to the recounted distribution."""
+    docs, ctx = benchmark_corpus(tmp_path, "train-wide", "train-wide/1/0")
+    labels = {d.id: d.category for d in docs}
+    cats = sorted(set(labels.values()))
+    lattice = build_lattice(ctx)
+    model = compile_model(lattice, labels, cats)
+    eligible = [c for c in lattice.concepts if c.extent and c.intent]
+    assert len(eligible) == len(model.extent_facts)
+    shared: dict[tuple, ClassDistribution] = {}
+    for concept, (_, dist) in zip(eligible, model.extent_facts):
+        members = [labels[ctx.object_ids[o]] for o in iter_bits(concept.extent)]
+        counts = tuple(members.count(cat) for cat in cats)
+        assert dist == ClassDistribution.from_counts(counts, len(members))
+        assert shared.setdefault(counts, dist) is dist
+    assert len(shared) < len(eligible) / 10
 
 
 def test_compile_rejects_objects_no_category_counts(demo_model):

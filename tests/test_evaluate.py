@@ -5,17 +5,20 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from helpers import DATA, reference_naive_bayes_table
+from helpers import (DATA, reference_build_vocabulary,
+                     reference_naive_bayes_table)
 import latticecell
 from latticecell import (ConfusionMatrix, CorpusError, DimensionError,
                          DocumentVector, EmptyInputError, LabelingError,
                          PipelineConfig, baseline_knn, baseline_naive_bayes,
-                         metrics, run_experiment, split_corpus)
+                         default_stopwords, load_corpus, metrics,
+                         run_experiment, split_corpus)
 from latticecell.cli import main
 from latticecell.evaluate import _naive_bayes_table
 from latticecell.textprep import Document
@@ -208,6 +211,52 @@ def test_run_experiment_bundled_corpus():
     for name in names:
         assert report.timings["rows"][name]["classify_total_s"] >= 0
         assert report.timings["rows"][name]["per_document_s"] >= 0
+
+
+def _counting(monkeypatch, name):
+    """Record each call of ``latticecell.textprep.<name>``: its first
+    argument, and its result."""
+    calls = []
+    real = getattr(latticecell.textprep, name)
+
+    def counted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args[0], result))
+        return result
+    monkeypatch.setattr(latticecell.textprep, name, counted)
+    return calls
+
+
+def test_training_tokenizes_each_document_once(tmp_path, monkeypatch):
+    """Training documents are tokenized once, for feature selection and
+    for their vectors; test documents once, for their vectors."""
+    texts = Counter(d.text for d in load_corpus(DATA / "corpus"))
+    calls = _counting(monkeypatch, "tokenize")
+    report = run_experiment(DATA / "corpus", PipelineConfig(seed=7))
+    assert len(calls) == report.n_train + report.n_test
+    assert Counter(text for text, _ in calls) == texts
+    calls.clear()
+    assert main(["build", str(DATA / "corpus"), "-o",
+                 str(tmp_path / "lattice.json")]) == 0
+    assert Counter(text for text, _ in calls) == texts
+
+
+def test_training_selects_features_once(tmp_path, monkeypatch):
+    """One ``select_features`` call per training run, whose vocabulary is
+    the oracle's: the benchmark's traced run checks that vocabulary."""
+    config = PipelineConfig(features=12, seed=7)
+    docs = load_corpus(DATA / "corpus")
+    train, _ = split_corpus(docs, config.split, config.seed)
+    stops = default_stopwords()
+    calls = _counting(monkeypatch, "select_features")
+    run_experiment(DATA / "corpus", config)
+    assert [vocab for _, vocab in calls] == [
+        reference_build_vocabulary(train, 12, stops)]
+    calls.clear()
+    assert main(["build", str(DATA / "corpus"), "-o",
+                 str(tmp_path / "lattice.json"), "--features", "12"]) == 0
+    assert [vocab for _, vocab in calls] == [
+        reference_build_vocabulary(docs, 12, stops)]
 
 
 def test_run_experiment_deterministic():

@@ -1,10 +1,12 @@
 """Fuzzing the lattice builder and loader.
 
 On a random context, the column-folding builder gives the halving
-oracle's and the naive oracle's concepts in their order, and the covers
-are the brute transitive reduction. A mutated lattice document either
-raises FormatError on load, or loads as the lattice of the context it
-recovers, with top and bottom in place; such a lattice survives a
+oracle's and the naive oracle's concepts in their order, ``assemble`` at
+any split gives the naive oracle's, and the covers are the brute
+transitive reduction. The int key the builders sort extents by orders
+random extents as ``canonical_key`` does. A mutated lattice document
+either raises FormatError on load, or loads as the lattice of the context
+it recovers, with top and bottom in place; such a lattice survives a
 save/load round trip unchanged and has the brute transitive reduction as
 its covers."""
 
@@ -16,10 +18,12 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (brute_transitive_reduction, demo_context,
                      reference_build_lattice)
-from latticecell import (Concept, FormalContext, FormatError, build_lattice,
-                         enumerate_concepts_naive, load_lattice, save_lattice)
+from latticecell import (Concept, FormalContext, FormatError, assemble,
+                         build_lattice, enumerate_concepts_naive, load_lattice,
+                         save_lattice)
 from latticecell.bits import mask_from_indices
-from latticecell.lattice import (_closed_extents, lattice_from_dict,
+from latticecell.context import canonical_key
+from latticecell.lattice import (_closed_extents, _finish, lattice_from_dict,
                                  lattice_to_dict)
 from strategies import contexts
 
@@ -34,6 +38,42 @@ def test_builder_matches_naive_oracle(ctx):
     # extents, intents and order
     assert list(lattice.concepts) == naive == reference_build_lattice(ctx)
     assert lattice.covers == brute_transitive_reduction(naive)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ctx=contexts(), data=st.data())
+def test_assemble_matches_naive_oracle(ctx, data):
+    """At any attribute split, in order."""
+    k = data.draw(st.integers(0, ctx.n_attributes))
+    low = (1 << k) - 1
+    left = FormalContext(ctx.object_ids, ctx.attribute_names[:k],
+                         tuple(r & low for r in ctx.rows))
+    right = FormalContext(ctx.object_ids, ctx.attribute_names[k:],
+                          tuple(r >> k for r in ctx.rows))
+    lattice = assemble(build_lattice(left), build_lattice(right))
+    assert list(lattice.concepts) == enumerate_concepts_naive(ctx)
+
+
+@st.composite
+def extent_sets(draw):
+    """Extents over 0, 1, 7, 8, 9 or 17-70 objects, with the empty and
+    the full extent; some drawn as index sets, so equal sizes are common."""
+    n = draw(st.sampled_from((0, 1, 7, 8, 9)) | st.integers(17, 70))
+    full = (1 << n) - 1
+    index_set = st.sets(st.integers(0, max(n - 1, 0)), max_size=n).map(
+        lambda indices: mask_from_indices(i for i in indices if i < n))
+    extents = draw(st.sets(st.integers(0, full) | index_set, max_size=40))
+    return n, extents | {0, full}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=extent_sets())
+def test_finish_sorts_extents_as_canonical_key(case):
+    """The int sort key crosses byte boundaries as ``canonical_key`` does."""
+    n, extents = case
+    ctx = FormalContext(tuple(f"o{i}" for i in range(n)), (), (0,) * n)
+    got = [c.extent for c in _finish(ctx, extents).concepts]
+    assert got == sorted(extents, key=lambda e: canonical_key(Concept(e, 0)))
 
 
 # JSON values a lattice file can hold; small ints reach the top/bottom
