@@ -15,7 +15,8 @@ which derives each concept's intent once from its extent.
 Cover edges (the Hasse diagram) are derived from the finished concept list
 on first read, so building, compiling and classifying never pay for them;
 lattice files store them for readers but loading ignores them. The covers
-cost one sweep of the context's rows per concept (neighbour generation).
+cost one sweep per concept of the context's rows or of its columns,
+whichever are fewer (neighbour generation).
 Loading a lattice file checks, with the fold of ``build_lattice``, that its
 concepts are exactly the concepts of the context it recovers, and that
 ``top`` and ``bottom`` point at the top and bottom concepts; otherwise it
@@ -173,8 +174,9 @@ def find_lower_covers(concepts: Sequence[Concept],
     order, as ``_finish`` and ``lattice_from_dict`` guarantee. The transitive
     reduction of a partial order is unique.
     """
-    return frozenset(backend.lower_covers([c.intent for c in concepts],
-                                          ctx.rows))
+    return frozenset(backend.lower_covers([c.extent for c in concepts],
+                                          [c.intent for c in concepts],
+                                          ctx.rows, ctx.columns))
 
 
 def lattice_to_dict(lattice: ConceptLattice) -> dict:

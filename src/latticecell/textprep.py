@@ -13,17 +13,22 @@ distinct term up in a map from folded term to vocabulary bits, built once
 per vocabulary, so it never scans the vocabulary. ``select_features``
 transposes the vectors into one document bitset per term and one per
 category; a term's per-category document counts are then popcounts of
-their intersections, and the class entropy is computed once.
+their intersections, taken one category at a time over every term at C
+speed. The class entropy is computed once, and the information gain once
+per distinct count vector, which many terms share.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
 import unicodedata
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import repeat
+from operator import neg, or_
 from pathlib import Path
 
 from .bits import transpose
@@ -31,7 +36,9 @@ from .context import FormalContext
 from .errors import (CorpusError, DimensionError, EmptyInputError,
                      FormatError, LabelingError)
 
-_WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
+# letter runs of two or more: a run of one never starts a match, and a
+# longer run matches whole from its first letter
+_WORD_RE = re.compile(r"[^\W\d_]{2,}")
 
 DEFAULT_FEATURE_COUNT = 500
 
@@ -94,8 +101,9 @@ def _fold(text: str) -> str:
 
 
 def tokenize(text: str) -> list[str]:
-    """NFC and lowercase, split on non-letters, drop one-letter tokens."""
-    return [t for t in _WORD_RE.findall(_fold(text)) if len(t) >= 2]
+    """NFC and lowercase, then every run of two or more letters: the runs
+    between non-letters, without the one-letter ones."""
+    return _WORD_RE.findall(_fold(text))
 
 
 def remove_stopwords(tokens: Sequence[str], stoplist: Iterable[str]) -> list[str]:
@@ -128,7 +136,7 @@ def default_stopwords() -> frozenset[str]:
 
 
 def _doc_terms(doc: Document, stopwords: Iterable[str]) -> set[str]:
-    return set(remove_stopwords(tokenize(doc.text), stopwords))
+    return set(tokenize(doc.text)).difference(stopwords)
 
 
 def candidate_terms(docs: Sequence[Document],
@@ -163,10 +171,7 @@ def vectorize(doc: Document, vocab: Vocabulary, *,
 
 def _vector(doc: Document, terms: Iterable[str],
             vocab: Vocabulary) -> DocumentVector:
-    masks = vocab.token_masks
-    bits = 0
-    for term in terms:
-        bits |= masks.get(term, 0)
+    bits = reduce(or_, map(vocab.token_masks.get, terms, repeat(0)), 0)
     return DocumentVector(bits, len(vocab), doc.category, doc.id)
 
 
@@ -197,7 +202,8 @@ def select_features(vectors: Sequence[DocumentVector], terms: Sequence[str],
 
     IG(t) = H(C) - P(t) H(C | t present) - P(not t) H(C | t absent), where
     C is a document's category: the per-category counts come from
-    popcounts over term columns, and H(C) is computed once.
+    popcounts over term columns, H(C) is computed once, and IG once per
+    distinct tuple of per-category counts.
     """
     if n < 1:
         raise ValueError("feature count must be >= 1")
@@ -215,18 +221,20 @@ def select_features(vectors: Sequence[DocumentVector], terms: Sequence[str],
     totals = [m.bit_count() for m in masks]
     n_docs = len(vectors)
     h_class = _entropy(totals)
-    scored = []
-    for term, column in zip(terms, transpose((v.bits for v in vectors),
-                                             len(terms))):
-        present = [(column & m).bit_count() for m in masks]
+    columns = transpose((v.bits for v in vectors), len(terms))
+    # term -> its per-category document counts
+    counts = list(zip(*[list(map(int.bit_count, map(m.__and__, columns)))
+                        for m in masks]))
+    gain = {}
+    for present in set(counts):
         absent = [t - p for t, p in zip(totals, present)]
         n_present = sum(present)
-        scored.append((term, h_class
-                       - (n_present / n_docs) * _entropy(present)
-                       - ((n_docs - n_present) / n_docs) * _entropy(absent)))
-    scored.sort(key=lambda ts: (-ts[1], ts[0]))
-    kept = scored[:min(n, len(scored))]
-    return Vocabulary(tuple(t for t, _ in kept), tuple(s for _, s in kept))
+        gain[present] = (h_class
+                         - (n_present / n_docs) * _entropy(present)
+                         - ((n_docs - n_present) / n_docs) * _entropy(absent))
+    # (-score, term) pairs sort as (score descending, term ascending)
+    kept = sorted(zip(map(neg, map(gain.__getitem__, counts)), terms))[:n]
+    return Vocabulary(tuple(t for _, t in kept), tuple(-s for s, _ in kept))
 
 
 def build_vocabulary(docs: Sequence[Document], n: int = DEFAULT_FEATURE_COUNT, *,
@@ -268,24 +276,39 @@ def load_corpus(root: str | Path) -> list[Document]:
     """Labeled corpus: one subdirectory per category, one file per document.
 
     Document ids are file names; order is sorted categories then sorted
-    file names, so loading is deterministic.
+    file names, so loading is deterministic. ``CorpusError`` if the root
+    has no category directory or they hold no file.
     """
     root = Path(root)
     if not root.is_dir():
         raise CorpusError(f"corpus root {root} is not a directory")
     docs: list[Document] = []
     seen: dict[str, Path] = {}
-    subdirs = sorted(p for p in root.iterdir() if p.is_dir())
-    if not subdirs:
+    categories = _entry_names(root, os.DirEntry.is_dir)
+    if not categories:
         raise CorpusError(f"corpus root {root} has no category directories")
-    for sub in subdirs:
-        for path in sorted(p for p in sub.iterdir() if p.is_file()):
-            if path.name in seen:
-                raise CorpusError(f"duplicate document id {path.name!r}: "
-                                  f"{seen[path.name]} and {path}")
-            seen[path.name] = path
-            docs.append(_read_document(path, sub.name))
+    for category in categories:
+        sub = root / category
+        for name in _entry_names(sub, os.DirEntry.is_file):
+            path = sub / name
+            if name in seen:
+                raise CorpusError(f"duplicate document id {name!r}: "
+                                  f"{seen[name]} and {path}")
+            seen[name] = path
+            docs.append(_read_document(path, category))
+    if not docs:
+        raise CorpusError(f"corpus root {root} has no documents")
     return docs
+
+
+def _entry_names(directory: Path, keep) -> list[str]:
+    """Sorted names of the entries of ``directory`` that ``keep`` accepts.
+
+    ``DirEntry.is_dir`` and ``is_file`` follow symlinks, as ``Path``'s do,
+    and on POSIX sorted names are the order of the sorted child paths.
+    """
+    with os.scandir(directory) as entries:
+        return sorted([entry.name for entry in entries if keep(entry)])
 
 
 def _read_document(path: Path, category: str | None = None) -> Document:
@@ -302,6 +325,6 @@ def load_documents(path: str | Path) -> list[Document]:
     if path.is_file():
         return [_read_document(path)]
     if path.is_dir():
-        return [_read_document(p)
-                for p in sorted(q for q in path.iterdir() if q.is_file())]
+        return [_read_document(path / name)
+                for name in _entry_names(path, os.DirEntry.is_file)]
     raise CorpusError(f"no such file or directory: {path}")

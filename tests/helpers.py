@@ -10,6 +10,7 @@ from importlib.resources import files
 
 import math
 import random
+import re
 import unicodedata
 
 from latticecell import (Concept, DocumentVector, EmptyInputError,
@@ -84,6 +85,13 @@ def random_context_of_size(rnd: random.Random, n_obj: int,
     return FormalContext(tuple(f"o{i}" for i in range(n_obj)),
                          tuple(f"a{j}" for j in range(n_attr)),
                          tuple(rows))
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """NFC and lowercase, every run of letters, then the runs of two or
+    more letters: find, then filter."""
+    folded = unicodedata.normalize("NFC", text).lower()
+    return [t for t in re.findall(r"[^\W\d_]+", folded) if len(t) >= 2]
 
 
 def reference_vectorize(doc, vocab, stopwords=()) -> DocumentVector:

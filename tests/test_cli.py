@@ -39,6 +39,19 @@ def test_build_from_corpus(tmp_path, capsys):
     assert "concepts" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["build", "evaluate"])
+def test_a_corpus_without_documents_exits_2(tmp_path, capsys, command):
+    corpus = tmp_path / "corpus"
+    for category in ("sport", "economie"):
+        (corpus / category).mkdir(parents=True)
+    out = tmp_path / "out"
+    rc = main([command, str(corpus), "-o", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: corpus root {corpus} has no "
+                                       f"documents\n")
+    assert not out.exists()
+
+
 def test_build_empty_incidence(tmp_path, capsys):
     src = tmp_path / "empty.csv"
     src.write_text("id,a,b\nx,0,0\ny,0,0\n", encoding="utf-8")

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (DATA, DEMO_CATEGORIES, benchmark_context,
                      brute_transitive_reduction, concept_set, demo_context,
                      demo_labels_map, query_vector, random_context,
+                     random_context_of_size,
                      reference_build_lattice, reference_lower_covers,
                      reference_merge_pairs)
 from latticecell import (Concept, DimensionError, FormalContext, FormatError,
@@ -278,7 +279,7 @@ def test_pipeline_never_computes_covers(ctx, tmp_path, monkeypatch):
     path = tmp_path / "lattice.json"
     save_lattice(build_lattice(ctx), path)
 
-    def refuse(intents, rows):
+    def refuse(extents, intents, rows, columns):
         raise AssertionError("Hasse covers computed")
     monkeypatch.setattr("latticecell.backend.lower_covers", refuse)
     left, right = split_context(ctx)
@@ -347,7 +348,19 @@ def test_merge_pairs_matches_dict_recomputation(bits):
 
 
 def _covers(concepts, ctx):
-    return sorted(backend.lower_covers([c.intent for c in concepts], ctx.rows))
+    return sorted(backend.lower_covers([c.extent for c in concepts],
+                                       [c.intent for c in concepts],
+                                       ctx.rows, ctx.columns))
+
+
+def _dual(concepts, ctx):
+    """The concepts of the transposed context, and that context."""
+    return ([Concept(c.intent, c.extent) for c in concepts],
+            FormalContext(ctx.attribute_names, ctx.object_ids, ctx.columns))
+
+
+def _reversed(edges):
+    return sorted((parent, child) for child, parent in edges)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -362,6 +375,37 @@ def test_pure_lower_covers_matches_brute_force(ctx, shuffle):
     assert set(got) == brute_transitive_reduction(concepts)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ctx=contexts().filter(lambda c: c.n_attributes > c.n_objects),
+       shuffle=st.randoms(use_true_random=False))
+def test_lower_covers_row_and_column_sweeps_match_brute_force(ctx, shuffle):
+    """A context with more attributes than objects is swept by its rows,
+    and its transpose by its columns; both equal the triple loop, and the
+    covers of the transpose are the covers reversed."""
+    concepts = enumerate_concepts_naive(ctx)
+    shuffle.shuffle(concepts)
+    dual, transposed = _dual(concepts, ctx)
+    by_rows, by_columns = _covers(concepts, ctx), _covers(dual, transposed)
+    assert set(by_rows) == brute_transitive_reduction(concepts)
+    assert set(by_columns) == brute_transitive_reduction(dual)
+    assert by_columns == _reversed(by_rows)
+
+
+@pytest.mark.parametrize("shape, side", [((9, 6), "columns"),
+                                         ((6, 9), "rows"), ((7, 7), "rows")])
+def test_lower_covers_sweeps_the_smaller_side(monkeypatch, shape, side):
+    ctx = random_context_of_size(random.Random(5), *shape)
+    swept = []
+    real = backend._neighbours
+    monkeypatch.setattr(backend, "_neighbours",
+                        lambda masks, lines: swept.append(lines)
+                        or real(masks, lines))
+    lattice = build_lattice(ctx)
+    assert set(lattice.covers) == brute_transitive_reduction(
+        list(lattice.concepts))
+    assert swept == [getattr(ctx, side)]
+
+
 @pytest.mark.parametrize("seed", ["cli-classify/1/0", "cli-classify/2/1"])
 def test_lower_covers_matches_pairwise_scan_on_benchmark_lattices(tmp_path,
                                                                    seed):
@@ -370,5 +414,6 @@ def test_lower_covers_matches_pairwise_scan_on_benchmark_lattices(tmp_path,
     ctx = benchmark_context(tmp_path, "cli-classify", seed)
     concepts = build_lattice(ctx).concepts
     assert 1200 < len(concepts) < 1700
-    assert _covers(concepts, ctx) == reference_lower_covers(
-        [c.extent for c in concepts])
+    want = reference_lower_covers([c.extent for c in concepts])
+    assert _covers(concepts, ctx) == want  # the column sweep
+    assert _covers(*_dual(concepts, ctx)) == _reversed(want)  # the row sweep

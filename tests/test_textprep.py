@@ -6,10 +6,11 @@ import re
 import unicodedata
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (DATA, demo_context, reference_build_vocabulary,
                      reference_information_gain, reference_select_features,
-                     reference_vectorize)
+                     reference_tokenize, reference_vectorize)
 from latticecell import (CorpusError, DimensionError, Document,
                          DocumentVector, EmptyInputError, LabelingError,
                          Vocabulary, build_context, build_vocabulary,
@@ -29,6 +30,20 @@ def test_tokenize_basic():
     # NFD stores "é" as "e" and a combining accent, which is not a letter
     assert tokenize(unicodedata.normalize("NFD", "Équipe du ministère")) == [
         "équipe", "du", "ministère"]
+
+
+# digits, "_", separators, letters that make one-letter words, combining
+# marks, letters outside Latin, and letters whose lowercase is two
+# characters ("İ") or that NFC composes with a following mark
+_TEXT_CHARACTERS = st.sampled_from(list("ab Zé_1-9 .'\n\t") + [
+    "\u0301", "\u0308", "\u0327", "ж", "Ж", "α", "Ω", "日", "本", "ß", "ǅ",
+    "İ", "\u0660", "\u2163", "\u00aa", "\u02b0", "\u3005"])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(text=st.text(_TEXT_CHARACTERS | st.characters(), max_size=40))
+def test_tokenize_equals_find_then_filter(text):
+    assert tokenize(text) == reference_tokenize(text)
 
 
 def test_remove_stopwords():
@@ -160,6 +175,44 @@ def test_select_features_equals_per_term_information_gain():
         single += len(set(labels)) == 1
         above += n > n_terms
     assert min(ties, absent, single, above) > 10
+
+
+@st.composite
+def _shared_count_vectors(draw):
+    """Labeled vectors whose 4-24 terms take their document sets from a
+    pool of at most three, so that many terms share a count vector."""
+    n_docs = draw(st.integers(1, 12))
+    cats = draw(st.lists(st.sampled_from(["Zeta", "Beta", "Mu", "Alpha"]),
+                         min_size=1, max_size=4, unique=True))
+    labels = draw(st.lists(st.sampled_from(cats), min_size=n_docs,
+                           max_size=n_docs))
+    pool = draw(st.lists(st.integers(0, (1 << n_docs) - 1), min_size=1,
+                         max_size=3))
+    n_terms = draw(st.integers(4, 24))
+    columns = draw(st.lists(st.sampled_from(pool), min_size=n_terms,
+                            max_size=n_terms))
+    terms = draw(st.permutations([f"t{i:02d}" for i in range(n_terms)]))
+    rows = [sum((col >> d & 1) << j for j, col in enumerate(columns))
+            for d in range(n_docs)]
+    return _labeled_vectors(rows, labels, terms), terms
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_shared_count_vectors(), extra=st.integers(1, 30))
+def test_select_features_equals_reference_on_shared_count_vectors(case,
+                                                                  extra):
+    """Four terms or more over at most three document sets: some two tie,
+    and the cut also falls between two tied terms."""
+    vectors, terms = case
+    ranked = reference_select_features(vectors, terms, len(terms))
+    scores = ranked.ig_scores
+    tie = next(i for i in range(len(scores) - 1)
+               if scores[i] == scores[i + 1])
+    for n in (tie + 1, extra):
+        got = select_features(vectors, terms, n)
+        want = reference_select_features(vectors, terms, n)
+        assert got.terms == want.terms == ranked.terms[:n]
+        assert got.ig_scores == want.ig_scores  # exact, not approx
 
 
 def test_select_features_errors_match_information_gain():
@@ -329,6 +382,47 @@ def test_load_corpus_errors(tmp_path):
     empty.mkdir()
     with pytest.raises(CorpusError):
         load_corpus(empty)
+
+
+def test_load_corpus_without_documents_is_an_error(tmp_path):
+    for category in ("sport", "economie"):
+        (tmp_path / category).mkdir()
+    (tmp_path / "sport" / "nested").mkdir()
+    (tmp_path / "sport" / "nested" / "deep.txt").write_text("stade")
+    with pytest.raises(CorpusError) as err:
+        load_corpus(tmp_path)
+    assert str(err.value) == f"corpus root {tmp_path} has no documents"
+
+
+def _sorted_path_listing(root):
+    """(name, category) in the order of sorted ``Path`` objects."""
+    return [(p.name, sub.name)
+            for sub in sorted(q for q in root.iterdir() if q.is_dir())
+            for p in sorted(q for q in sub.iterdir() if q.is_file())]
+
+
+def test_listing_order_is_sorted_paths_following_symlinks(tmp_path):
+    root, outside = tmp_path / "corpus", tmp_path / "outside"
+    outside.mkdir()
+    (outside / "far.txt").write_text("stade", encoding="utf-8")
+    names = ["b.txt", "B.txt", "a10", "a9", "é.txt", "e\u0301.txt", "_z",
+             "Z", "10", "2", "a b"]
+    for category in ("sport", "Sport", "économie", "10"):
+        (root / category).mkdir(parents=True)
+        for name in names:
+            (root / category / f"{category}-{name}").write_text(
+                "le stade", encoding="utf-8")
+    (root / "10" / "dir.txt").mkdir()  # a directory is not a document
+    (root / "sport" / "link.txt").symlink_to(outside / "far.txt")
+    (root / "sport" / "broken.txt").symlink_to(outside / "missing.txt")
+    (root / "linked").symlink_to(outside, target_is_directory=True)
+    (root / "stray.txt").write_text("pas une catégorie", encoding="utf-8")
+    want = _sorted_path_listing(root)
+    assert ("link.txt", "sport") in want and ("far.txt", "linked") in want
+    assert [(d.id, d.category) for d in load_corpus(root)] == want
+    flat = root / "sport"
+    assert [d.id for d in load_documents(flat)] == [
+        p.name for p in sorted(q for q in flat.iterdir() if q.is_file())]
 
 
 def test_load_corpus_duplicate_ids(tmp_path):
