@@ -11,18 +11,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
 
 from .classify import MEASURES, classify, parse_activation
-from .compiler import (compile_model, load_fixture_model, load_model,
-                       model_from_dict, save_model)
+from .compiler import (CellularModel, compile_model, load_fixture_model,
+                       load_model, model_from_dict, save_model)
 from .context import load_context_csv
-from .errors import FormatError, LatticeCellError, read_json, write_json
+from .errors import FormatError, LatticeCellError, read_converted, write_json
 from .evaluate import BASELINES, PipelineConfig, run_experiment
-from .lattice import (build_lattice, lattice_from_dict, lattice_to_dot,
-                      load_lattice, save_lattice)
+from .lattice import (ConceptLattice, build_lattice, lattice_from_dict,
+                      lattice_to_dot, load_lattice, save_lattice)
 from .textprep import (DEFAULT_FEATURE_COUNT, DocumentVector, Vocabulary,
                        _train_vectors, build_context, default_stopwords,
                        load_corpus, load_documents, load_stopwords, vectorize)
@@ -189,24 +190,20 @@ def cmd_inspect(args) -> int:
         density = sum(r.bit_count() for r in ctx.rows)
         print(f"incidence ones: {density}")
         return 0
-    data = read_json(path)
-    if not isinstance(data, dict):
-        print("unrecognized file")
-        return 1
-    if "concepts" in data:
-        lattice = lattice_from_dict(data)
-        ctx = lattice.context
-        print(f"lattice: {len(lattice.concepts)} concepts, "
-              f"{len(lattice.covers)} edges, "
+    item = read_converted(path, _inspected)
+    if isinstance(item, ConceptLattice):
+        ctx = item.context
+        print(f"lattice: {len(item.concepts)} concepts, "
+              f"{len(item.covers)} edges, "
               f"{ctx.n_objects} objects x {ctx.n_attributes} attributes")
-    elif "facts" in data:
-        model = model_from_dict(data)
-        print(f"model: {model.n_facts} facts, {model.n_rules} rules, "
-              f"categories: {', '.join(model.categories)}, "
-              f"{len(model.vocabulary)} vocabulary terms")
-    elif "averaging" in data:  # timings.json has "rows" too
+    elif isinstance(item, CellularModel):
+        print(f"model: {item.n_facts} facts, {item.n_rules} rules, "
+              f"categories: {', '.join(item.categories)}, "
+              f"{len(item.vocabulary)} vocabulary terms")
+    elif isinstance(item, dict) and "averaging" in item:
+        # timings.json has "rows" too
         try:
-            n_rows, categories = len(data["rows"]), ", ".join(data["categories"])
+            n_rows, categories = len(item["rows"]), ", ".join(item["categories"])
         except (KeyError, TypeError) as exc:
             raise FormatError(f"{path}: malformed report document: {exc}") from exc
         print(f"report: {n_rows} configurations, categories: {categories}")
@@ -214,6 +211,17 @@ def cmd_inspect(args) -> int:
         print("unrecognized file")
         return 1
     return 0
+
+
+def _inspected(data):
+    """A lattice or model document as the lattice or model it holds; any
+    other JSON value as is."""
+    if isinstance(data, dict):
+        if "concepts" in data:
+            return lattice_from_dict(data)
+        if "facts" in data:
+            return model_from_dict(data)
+    return data
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -288,8 +296,16 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call reuses. Building one takes about a
+    millisecond, and it is full of reference cycles, garbage that only a
+    full collection frees."""
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "command", None) == "classify" and not args.paper_fixture:
         if args.model is None:

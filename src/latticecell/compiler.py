@@ -22,13 +22,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
 from .bits import bit_indices, iter_bits, mask_from_indices, transpose
 from .engine import EngineState
 from .errors import (EmptyInputError, FormatError, LabelingError, json_list,
-                     read_json, require_names, require_strings)
+                     read_converted, require_names, require_strings)
 from .lattice import ConceptLattice
 
 
@@ -419,8 +420,8 @@ def model_from_dict(data: dict) -> CellularModel:
     require_names("categories", categories)
     require_names("vocabulary", vocabulary)
     fact_labels = []
-    intent_mask_by_idx: dict[int, int] = {}
-    dist_by_idx: dict[int, ClassDistribution] = {}
+    # per fact, its attribute mask (an int) or its distribution
+    contents: list[int | ClassDistribution] = []
     dist_by_pairs: dict[tuple, ClassDistribution] = {}
     try:
         for i, entry in enumerate(raw_facts):
@@ -438,7 +439,7 @@ def model_from_dict(data: dict) -> CellularModel:
                     if mask >> a & 1:
                         raise FormatError(f"fact {i}: attribute {a} repeated")
                     mask |= 1 << a
-                intent_mask_by_idx[i] = mask
+                contents.append(mask)
             elif entry["kind"] == "extent":
                 # rules repeat a few distinct distributions, so each is
                 # parsed once; a float key equals an int key, so a reused
@@ -450,11 +451,12 @@ def model_from_dict(data: dict) -> CellularModel:
                                            for n, d in key):
                     dist = dist_by_pairs[key] = _distribution_from_pairs(
                         i, pairs, len(categories))
-                dist_by_idx[i] = dist
+                contents.append(dist)
             else:
                 raise FormatError(f"fact {i}: unknown kind {entry['kind']!r}")
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed fact entry: {exc}") from exc
+    n_facts = len(contents)
     intent_facts = []
     extent_facts = []
     try:
@@ -465,16 +467,18 @@ def model_from_dict(data: dict) -> CellularModel:
                 raise FormatError(f"malformed rule entry: rule {k}: premise "
                                   f"{p!r} and conclusion {c!r} must be "
                                   f"integers")
-            if p not in intent_mask_by_idx or c not in dist_by_idx:
+            if not (0 <= p < n_facts and 0 <= c < n_facts
+                    and type(mask := contents[p]) is int
+                    and type(dist := contents[c]) is ClassDistribution):
                 raise FormatError(f"rule {k} wiring does not match fact kinds")
-            intent_facts.append((p, intent_mask_by_idx[p]))
-            extent_facts.append((c, dist_by_idx[c]))
+            intent_facts.append((p, mask))
+            extent_facts.append((c, dist))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed rule entry: {exc}") from exc
     # a model knows a fact's kind only from the rules that join it, so a
     # fact no rule joins could not be written back
-    unreferenced = (set(range(len(fact_labels)))
-                    - {p for p, _ in intent_facts} - {c for c, _ in extent_facts})
+    unreferenced = set(range(n_facts)).difference(
+        map(itemgetter(0), intent_facts), map(itemgetter(0), extent_facts))
     if unreferenced:
         raise FormatError(f"fact {min(unreferenced)} is referenced by no rule")
     # labels are display text, so they may repeat
@@ -517,4 +521,4 @@ def save_model(model: CellularModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> CellularModel:
-    return model_from_dict(read_json(path))
+    return read_converted(path, model_from_dict)

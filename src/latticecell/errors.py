@@ -1,8 +1,9 @@
 """Exception types and the input checks shared across the package."""
 
+import gc
 import json
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
 
@@ -56,6 +57,28 @@ def read_json(path: str | Path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
+
+
+def read_converted(path: str | Path, convert: Callable):
+    """``convert(read_json(path))``, run with the cyclic garbage collector
+    paused and its prior state restored after, even on an error.
+
+    Decoding a lattice or model file and converting it allocate tens of
+    thousands of lists, dicts and tuples, and the collector would scan
+    them again and again for cycles. Loading makes no reference cycle,
+    so reference counting alone frees all of it.
+
+    The collector's switch is global to the process, so this assumes no
+    other thread turns it on or off during the load: one that did would
+    see its choice undone when the load ends. Loads running in several
+    threads at once leave it as it was before the first began."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return convert(read_json(path))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def write_json(path: str | Path, data) -> None:

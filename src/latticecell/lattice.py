@@ -29,15 +29,16 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from json.encoder import encode_basestring
+from operator import and_
 from pathlib import Path
 
 from . import backend
 from .bits import iter_bits
 from .context import Concept, FormalContext, derive_intent
 from .errors import (DimensionError, FormatError, NotSplittableError,
-                     json_list, read_json, require_names)
+                     json_list, read_converted, require_names)
 
 
 @dataclass(frozen=True)
@@ -215,8 +216,8 @@ def lattice_from_dict(data: dict) -> ConceptLattice:
     require_names("objects", object_ids)
     require_names("attributes", attributes)
     object_ids, attributes = tuple(object_ids), tuple(attributes)
-    oidx = {o: i for i, o in enumerate(object_ids)}
-    aidx = {a: i for i, a in enumerate(attributes)}
+    object_bits = {o: 1 << i for i, o in enumerate(object_ids)}
+    attribute_bits = {a: 1 << i for i, a in enumerate(attributes)}
     for name, index in (("top", top), ("bottom", bottom)):
         # bool is an int subclass, and int() would truncate a float
         if type(index) is not int:
@@ -224,44 +225,68 @@ def lattice_from_dict(data: dict) -> ConceptLattice:
         if not 0 <= index < len(raw):
             raise FormatError(f"{name} index {index} outside the "
                               f"{len(raw)} concepts")
-    # Incidence is recoverable: o has a iff some concept holds both.
-    rows = [0] * len(object_ids)
     concepts = []
+    extent_names = []
+    # Incidence is recoverable: o has a iff some concept holds both.
+    rows = dict.fromkeys(object_ids, 0)
     for k, entry in enumerate(raw):
-        if not (isinstance(entry, Mapping) and isinstance(entry.get("extent"), list)
-                and isinstance(entry.get("intent"), list)):
+        if not (isinstance(entry, Mapping)
+                and isinstance(objects := entry.get("extent"), list)
+                and isinstance(names := entry.get("intent"), list)):
             raise FormatError(f"concept {k}: expected a mapping with "
                               f"'extent' and 'intent' lists")
-        try:
-            extent = _name_mask(k, entry["extent"], oidx)
-            intent = _name_mask(k, entry["intent"], aidx)
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"concept {k}: unknown object or attribute "
-                              f"{exc}") from exc
+        extent, intent = _name_masks(k, objects, names, object_bits,
+                                     attribute_bits)
         concepts.append(Concept(extent, intent))
-        for o in iter_bits(extent):
+        extent_names.append(objects)
+        for o in objects:
             rows[o] |= intent
-    ctx = FormalContext(object_ids, attributes, tuple(rows))
-    _check_concepts(ctx, concepts, top, bottom)
+    full = (1 << len(attributes)) - 1
+    intents = [reduce(and_, map(rows.__getitem__, objects), full)
+               for objects in extent_names]
+    ctx = FormalContext(object_ids, attributes, tuple(rows.values()))
+    _check_concepts(ctx, concepts, intents, top, bottom)
     return ConceptLattice(ctx, tuple(concepts), top, bottom)
 
 
-def _name_mask(k: int, names: list, index: dict[str, int]) -> int:
-    """``names``' mask by ``index``; ``FormatError`` if a name repeats."""
-    mask = 0
-    for name in names:
-        bit = 1 << index[name]
-        if mask & bit:
-            raise FormatError(f"concept {k}: {name!r} repeated")
-        mask |= bit
-    return mask
+def _name_masks(k: int, objects: list, attributes: list,
+                object_bits: dict[str, int],
+                attribute_bits: dict[str, int]) -> tuple[int, int]:
+    """Concept ``k``'s extent and intent masks from its object and
+    attribute names; ``FormatError`` for the first name, extent first,
+    that is unknown or repeated."""
+    try:
+        extent = sum(map(object_bits.__getitem__, objects))
+        intent = sum(map(attribute_bits.__getitem__, attributes))
+        # a repeated name carries into a higher bit
+        if (extent.bit_count() == len(objects)
+                and intent.bit_count() == len(attributes)):
+            return extent, intent
+    except (KeyError, TypeError):
+        pass
+    masks = []
+    try:
+        for names, bits in ((objects, object_bits),
+                            (attributes, attribute_bits)):
+            mask = 0
+            for name in names:
+                bit = bits[name]
+                if mask & bit:
+                    raise FormatError(f"concept {k}: {name!r} repeated")
+                mask |= bit
+            masks.append(mask)
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"concept {k}: unknown object or attribute "
+                          f"{exc}") from exc
+    return tuple(masks)
 
 
-def _check_concepts(ctx: FormalContext, concepts: Sequence[Concept], top: int,
-                    bottom: int) -> None:
+def _check_concepts(ctx: FormalContext, concepts: Sequence[Concept],
+                    intents: Sequence[int], top: int, bottom: int) -> None:
     """``FormatError``, naming a concept or a missing closed extent, unless
     ``concepts`` are the concepts of ``ctx``, each once, and ``top`` and
-    ``bottom`` index the top and bottom concepts."""
+    ``bottom`` index the top and bottom concepts. ``intents[k]`` is the
+    set of attributes the objects of concept k share."""
     # a few concepts can recover a context with exponentially many, so the
     # fold stops once it has found more closed extents than there are
     # concepts, and then some closed extent has no concept
@@ -279,7 +304,7 @@ def _check_concepts(ctx: FormalContext, concepts: Sequence[Concept], top: int,
         if extent not in closed:
             raise FormatError(f"concept {k}: its extent is not closed; more "
                               f"objects share its objects' attributes")
-        if intent != derive_intent(ctx, extent):
+        if intent != intents[k]:
             raise FormatError(f"concept {k}: its intent is not the set of "
                               f"attributes its objects share")
     if concepts[top].extent != ctx.full_object_mask:
@@ -316,7 +341,7 @@ def save_lattice(lattice: ConceptLattice, path: str | Path) -> None:
 
 
 def load_lattice(path: str | Path) -> ConceptLattice:
-    return lattice_from_dict(read_json(path))
+    return read_converted(path, lattice_from_dict)
 
 
 def lattice_to_dot(lattice: ConceptLattice) -> str:

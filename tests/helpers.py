@@ -5,6 +5,7 @@ The oracles here are deliberately written in the dumbest workable style
 implementations they check.
 """
 
+from collections.abc import Mapping
 from fractions import Fraction
 from importlib.resources import files
 
@@ -13,14 +14,19 @@ import random
 import re
 import unicodedata
 
-from latticecell import (Concept, DocumentVector, EmptyInputError,
-                         FormalContext, LabelingError, Prediction, Vocabulary,
-                         build_context, build_vocabulary, candidate_terms,
-                         default_stopwords, load_context_csv, load_corpus,
+from latticecell import (CellularModel, ClassDistribution, Concept,
+                         ConceptLattice, DocumentVector, EmptyInputError,
+                         FormalContext, FormatError, LabelingError,
+                         Prediction, Vocabulary, build_context,
+                         build_vocabulary, candidate_terms, default_stopwords,
+                         derive_intent, load_context_csv, load_corpus,
                          parse_activation, remove_stopwords, tokenize,
                          vectorize, vote)
-from latticecell.bits import mask_from_indices
+from latticecell.bits import iter_bits, mask_from_indices
+from latticecell.compiler import _distribution_from_pairs
 from latticecell.context import canonical_key
+from latticecell.errors import require_names, require_strings
+from latticecell.lattice import _closed_extents
 
 DATA = files("latticecell") / "data"
 
@@ -454,3 +460,166 @@ def brute_transitive_reduction(concepts: list[Concept]) -> frozenset[tuple[int, 
 
 def concept_set(concepts) -> set[tuple[int, int]]:
     return {(c.extent, c.intent) for c in concepts}
+
+
+def reference_model_from_dict(data: dict) -> CellularModel:
+    """``model_from_dict`` as a per-fact loop: fact contents in two dicts,
+    and a reused distribution's pairs type-checked at each reuse."""
+    try:
+        categories, vocabulary, raw_facts, raw_rules = (
+            data[key] for key in ("categories", "vocabulary", "facts", "rules"))
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"malformed model document: {exc}") from exc
+    require_names("categories", categories)
+    require_names("vocabulary", vocabulary)
+    fact_labels = []
+    intent_mask_by_idx: dict[int, int] = {}
+    dist_by_idx: dict[int, ClassDistribution] = {}
+    dist_by_pairs: dict[tuple, ClassDistribution] = {}
+    try:
+        for i, entry in enumerate(raw_facts):
+            fact_labels.append(entry["label"])
+            if entry["kind"] == "intent":
+                mask = 0
+                for a in entry["attributes"]:
+                    if type(a) is not int:  # not bool, as for rule indices
+                        raise FormatError(f"fact {i}: attribute {a!r} is not "
+                                          f"an integer")
+                    if not 0 <= a < len(vocabulary):
+                        raise FormatError(
+                            f"fact {i}: attribute {a} outside the "
+                            f"{len(vocabulary)}-term vocabulary")
+                    if mask >> a & 1:
+                        raise FormatError(f"fact {i}: attribute {a} repeated")
+                    mask |= 1 << a
+                intent_mask_by_idx[i] = mask
+            elif entry["kind"] == "extent":
+                # a float key equals an int key, so a reused distribution
+                # must come from integer pairs
+                pairs = entry["distribution"]
+                key = tuple(map(tuple, pairs))
+                dist = dist_by_pairs.get(key)
+                if dist is None or not all(type(n) is int and type(d) is int
+                                           for n, d in key):
+                    dist = dist_by_pairs[key] = _distribution_from_pairs(
+                        i, pairs, len(categories))
+                dist_by_idx[i] = dist
+            else:
+                raise FormatError(f"fact {i}: unknown kind {entry['kind']!r}")
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"malformed fact entry: {exc}") from exc
+    intent_facts = []
+    extent_facts = []
+    try:
+        for k, rule in enumerate(raw_rules):
+            p, c = rule["premise"], rule["conclusion"]
+            if type(p) is not int or type(c) is not int:
+                raise FormatError(f"malformed rule entry: rule {k}: premise "
+                                  f"{p!r} and conclusion {c!r} must be "
+                                  f"integers")
+            if p not in intent_mask_by_idx or c not in dist_by_idx:
+                raise FormatError(f"rule {k} wiring does not match fact kinds")
+            intent_facts.append((p, intent_mask_by_idx[p]))
+            extent_facts.append((c, dist_by_idx[c]))
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"malformed rule entry: {exc}") from exc
+    unreferenced = (set(range(len(fact_labels)))
+                    - {p for p, _ in intent_facts} - {c for c, _ in extent_facts})
+    if unreferenced:
+        raise FormatError(f"fact {min(unreferenced)} is referenced by no rule")
+    require_strings("fact labels", fact_labels)
+    return CellularModel(tuple(categories), tuple(fact_labels),
+                         tuple(intent_facts), tuple(extent_facts),
+                         tuple(vocabulary))
+
+
+def reference_lattice_from_dict(data: dict) -> ConceptLattice:
+    """``lattice_from_dict`` as a per-name loop: masks built name by name,
+    rows recovered bit by bit, and each intent checked against
+    ``derive_intent``."""
+    try:
+        object_ids, attributes, raw, top, bottom = (
+            data[key] for key in ("objects", "attributes", "concepts", "top",
+                                  "bottom"))
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"malformed lattice document: {exc}") from exc
+    if not isinstance(raw, list):
+        raise FormatError("concepts: expected a list")
+    require_names("objects", object_ids)
+    require_names("attributes", attributes)
+    object_ids, attributes = tuple(object_ids), tuple(attributes)
+    oidx = {o: i for i, o in enumerate(object_ids)}
+    aidx = {a: i for i, a in enumerate(attributes)}
+    for name, index in (("top", top), ("bottom", bottom)):
+        if type(index) is not int:
+            raise FormatError(f"{name} index {index!r} is not an integer")
+        if not 0 <= index < len(raw):
+            raise FormatError(f"{name} index {index} outside the "
+                              f"{len(raw)} concepts")
+    rows = [0] * len(object_ids)
+    concepts = []
+    for k, entry in enumerate(raw):
+        if not (isinstance(entry, Mapping) and isinstance(entry.get("extent"), list)
+                and isinstance(entry.get("intent"), list)):
+            raise FormatError(f"concept {k}: expected a mapping with "
+                              f"'extent' and 'intent' lists")
+        try:
+            extent = _reference_name_mask(k, entry["extent"], oidx)
+            intent = _reference_name_mask(k, entry["intent"], aidx)
+        except (KeyError, TypeError) as exc:
+            raise FormatError(f"concept {k}: unknown object or attribute "
+                              f"{exc}") from exc
+        concepts.append(Concept(extent, intent))
+        for o in iter_bits(extent):
+            rows[o] |= intent
+    ctx = FormalContext(object_ids, attributes, tuple(rows))
+    closed = _closed_extents(ctx, len(concepts))
+    missing = closed.difference(c.extent for c in concepts)
+    if missing:
+        extent = min(missing, key=lambda e: (e.bit_count(), e))
+        raise FormatError(f"no concept has the closed extent "
+                          f"{{{', '.join(ctx.object_names(extent))}}}")
+    seen: dict[int, int] = {}
+    for k, (extent, intent) in enumerate(concepts):
+        if seen.setdefault(extent, k) != k:
+            raise FormatError(f"concept {k} repeats the extent of concept "
+                              f"{seen[extent]}")
+        if extent not in closed:
+            raise FormatError(f"concept {k}: its extent is not closed; more "
+                              f"objects share its objects' attributes")
+        if intent != derive_intent(ctx, extent):
+            raise FormatError(f"concept {k}: its intent is not the set of "
+                              f"attributes its objects share")
+    if concepts[top].extent != ctx.full_object_mask:
+        raise FormatError(f"top concept {top} does not hold every object")
+    if concepts[bottom].intent != ctx.full_attribute_mask:
+        raise FormatError(f"bottom concept {bottom} does not hold every "
+                          f"attribute")
+    return ConceptLattice(ctx, tuple(concepts), top, bottom)
+
+
+def _reference_name_mask(k: int, names: list, index: dict[str, int]) -> int:
+    mask = 0
+    for name in names:
+        bit = 1 << index[name]
+        if mask & bit:
+            raise FormatError(f"concept {k}: {name!r} repeated")
+        mask |= bit
+    return mask
+
+
+def assert_same_outcome(load, reference, data):
+    """``load(data)`` equals ``reference(data)``, or both raise a
+    ``FormatError`` with the same text; returns what ``load`` gave."""
+    try:
+        expected = reference(data)
+    except FormatError as exc:
+        try:
+            got = load(data)
+        except FormatError as again:
+            assert str(again) == str(exc)
+            return None
+        raise AssertionError(f"loaded {got!r}; the reference raised {exc}")
+    got = load(data)
+    assert got == expected
+    return got

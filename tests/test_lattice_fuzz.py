@@ -8,16 +8,19 @@ random extents as ``canonical_key`` does. A mutated lattice document
 either raises FormatError on load, or loads as the lattice of the context
 it recovers, with top and bottom in place; such a lattice survives a
 save/load round trip unchanged and has the brute transitive reduction as
-its covers."""
+its covers. Either way the loader does as ``reference_lattice_from_dict``,
+the per-name loop, does."""
 
 import copy
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (brute_transitive_reduction, demo_context,
-                     reference_build_lattice)
+from helpers import (assert_same_outcome, brute_transitive_reduction,
+                     demo_context, reference_build_lattice,
+                     reference_lattice_from_dict)
 from latticecell import (Concept, FormalContext, FormatError, assemble,
                          build_lattice, enumerate_concepts_naive, load_lattice,
                          save_lattice)
@@ -157,6 +160,13 @@ def test_mutated_lattice_loads_or_raises_format_error(lattice_path, data):
     _round_trips(lattice, lattice_path)
 
 
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=mutated_lattices())
+def test_mutated_lattice_loads_as_the_reference_loader(data):
+    assert_same_outcome(lattice_from_dict, reference_lattice_from_dict,
+                        json.loads(json.dumps(data)))
+
+
 def _single_edits():
     """Every demo lattice with one concept, one extent object or one intent
     attribute removed; a removed concept moves the top index down."""
@@ -212,6 +222,51 @@ def test_single_edits_of_the_demo_lattice(lattice_path):
     # 9 deleted concepts, 23 extent objects and 16 intent attributes; nine
     # edits leave the lattice of the context they recover
     assert (len(loaded), loaded.count(True)) == (48, 9)
+
+
+def test_single_edits_load_as_the_reference_loader():
+    for data in _single_edits():
+        assert_same_outcome(lattice_from_dict, reference_lattice_from_dict,
+                            data)
+
+
+def _concept_with(k, **entry):
+    data = copy.deepcopy(DEMO_DICT)
+    data["concepts"][k].update(entry)
+    return data
+
+
+@pytest.mark.parametrize("data, error", [
+    # the first bad name in order, the extent's before the intent's
+    (_concept_with(3, extent=["Doc 1", "Doc 1", "zzz"]),
+     "concept 3: 'Doc 1' repeated"),
+    (_concept_with(3, extent=["zzz", "Doc 1", "Doc 1"]),
+     "concept 3: unknown object or attribute 'zzz'"),
+    (_concept_with(3, extent=["Doc 1", "Doc 1"], intent=["zzz"]),
+     "concept 3: 'Doc 1' repeated"),
+    (_concept_with(3, intent=["zzz", "Stade", "Stade"]),
+     "concept 3: unknown object or attribute 'zzz'"),
+    (_concept_with(3, intent=["Stade", "Pays", "Stade"]),
+     "concept 3: 'Stade' repeated"),
+    (_concept_with(3, extent=[["Doc 1"]]),
+     "concept 3: unknown object or attribute unhashable type: 'list'"),
+    (_concept_with(3, intent=["Stade"]),
+     "concept 3: its extent is not closed; more objects share its objects' "
+     "attributes"),
+])
+def test_bad_concepts_load_as_the_reference_loader(data, error):
+    assert_same_outcome(lattice_from_dict, reference_lattice_from_dict, data)
+    with pytest.raises(FormatError, match=re.escape(error) + "$"):
+        lattice_from_dict(data)
+
+
+@pytest.mark.parametrize("key", sorted(DEMO_DICT))
+@pytest.mark.parametrize("value", [None, 5, 2.5, True, "x", [], {}],
+                         ids=repr)
+def test_a_replaced_top_level_value_loads_as_the_reference_loader(key, value):
+    data = copy.deepcopy(DEMO_DICT)
+    data[key] = value
+    assert_same_outcome(lattice_from_dict, reference_lattice_from_dict, data)
 
 
 def test_top_and_bottom_must_point_at_the_top_and_bottom():

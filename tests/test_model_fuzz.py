@@ -1,13 +1,16 @@
 """Fuzzing the model loader: a mutated model document either loads, and
-then survives a save/load round trip unchanged, or raises FormatError."""
+then survives a save/load round trip unchanged, or raises FormatError;
+either way as ``reference_model_from_dict``, the per-fact loop, does."""
 
 import copy
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import DEMO_CATEGORIES, demo_context, demo_labels_map
+from helpers import (DEMO_CATEGORIES, assert_same_outcome, demo_context,
+                     demo_labels_map, reference_model_from_dict)
 from latticecell import (FormatError, build_lattice, compile_model,
                          load_model, save_model)
 from latticecell.compiler import model_from_dict, model_to_dict
@@ -74,3 +77,77 @@ def test_mutated_model_loads_or_raises_format_error(model_path, data):
         return
     save_model(model, model_path)
     assert load_model(model_path) == model
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=mutated_models())
+def test_mutated_model_loads_as_the_reference_loader(data):
+    assert_same_outcome(model_from_dict, reference_model_from_dict,
+                        json.loads(json.dumps(data)))
+
+
+def _demo_with(**edits):
+    """The demo model document with ``fact<i>_<key>=value`` edits."""
+    data = copy.deepcopy(DEMO_DICT)
+    for name, value in edits.items():
+        fact, key = name.split("_", 1)
+        data["facts"][int(fact[4:])][key] = value
+    return data
+
+
+# facts 1, 5 and 11 share the distribution [[1, 1], [0, 1], [0, 1]], so
+# facts 5 and 11 reuse the one parsed for fact 1
+FLOAT = [[1.0, 1], [0, 1], [0, 1]]
+
+
+@pytest.mark.parametrize("data, error", [
+    (_demo_with(fact5_distribution=FLOAT),
+     "fact 5: fraction [1.0, 1] is not a pair of integers"),
+    (_demo_with(fact11_distribution=FLOAT, fact5_distribution=FLOAT),
+     "fact 5: fraction [1.0, 1] is not a pair of integers"),
+    # an earlier reused float pair wins over a later error of each kind
+    (_demo_with(fact5_distribution=FLOAT, fact7_kind="bogus"),
+     "fact 5: fraction [1.0, 1] is not a pair of integers"),
+    (_demo_with(fact5_distribution=FLOAT, fact8_attributes=[0, 0]),
+     "fact 5: fraction [1.0, 1] is not a pair of integers"),
+    (_demo_with(fact5_distribution=FLOAT, fact9_distribution=7),
+     "fact 5: fraction [1.0, 1] is not a pair of integers"),
+    (_demo_with(fact5_distribution=FLOAT, fact13_distribution=[[1, 0]] * 3),
+     "fact 5: fraction [1.0, 1] is not a pair of integers"),
+    # and an earlier error wins over a later reused float pair
+    (_demo_with(fact11_distribution=FLOAT, fact4_attributes=[0, 0]),
+     "fact 4: attribute 0 repeated"),
+    (_demo_with(fact11_distribution=FLOAT, fact3_distribution=[[1, 1]]),
+     "fact 3: 1 fractions for 3 categories"),
+    # a float pair parsed first is rejected where it stands
+    (_demo_with(fact1_distribution=FLOAT),
+     "fact 1: fraction [1.0, 1] is not a pair of integers"),
+    # a bool pair parses as its int twin, reused or not
+    (_demo_with(fact5_distribution=[[True, 1], [0, 1], [0, True]]), None),
+    (_demo_with(fact1_distribution=[[1, 1], [False, 1], [0, 1]]), None),
+])
+def test_reused_distributions_load_as_the_reference_loader(data, error):
+    got = assert_same_outcome(model_from_dict, reference_model_from_dict, data)
+    if error is None:
+        assert got == model_from_dict(DEMO_DICT)
+    else:
+        with pytest.raises(FormatError, match=re.escape(error) + "$"):
+            model_from_dict(data)
+
+
+@pytest.mark.parametrize("key", sorted(DEMO_DICT))
+@pytest.mark.parametrize("value", [None, 5, 2.5, True, "x", [], {}],
+                         ids=repr)
+def test_a_replaced_top_level_value_loads_as_the_reference_loader(key, value):
+    data = copy.deepcopy(DEMO_DICT)
+    data[key] = value
+    assert_same_outcome(model_from_dict, reference_model_from_dict, data)
+
+
+@pytest.mark.parametrize("facts, error", [
+    (None, "malformed fact entry: 'NoneType' object is not iterable"),
+    (5, "malformed fact entry: 'int' object is not iterable"),
+])
+def test_facts_that_are_not_a_list_raise_format_error(facts, error):
+    with pytest.raises(FormatError, match=re.escape(error) + "$"):
+        model_from_dict({**DEMO_DICT, "facts": facts})
