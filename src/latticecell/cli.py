@@ -164,7 +164,6 @@ def cmd_evaluate(args) -> int:
         split=args.split,
         seed=args.seed,
         baselines=baselines,
-        jobs=args.jobs,
     )
     report = run_experiment(Path(args.corpus), config)
     outdir = Path(args.output)
@@ -283,8 +282,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=float, default=2 / 3,
                    help="train fraction for the seeded random split")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel classification processes")
     _add_common(p)
     p.set_defaults(func=cmd_evaluate)
 

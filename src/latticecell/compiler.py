@@ -369,11 +369,9 @@ def model_to_dict(model: CellularModel) -> dict:
             facts.append({"label": label, "kind": "intent",
                           "attributes": list(bit_indices(intent_by_idx[i]))})
         else:
-            dist = extent_by_idx[i]
-            t = dist.total
             facts.append({"label": label, "kind": "extent",
-                          "distribution": [[c // g, t // g] for c in dist.counts
-                                           for g in (math.gcd(c, t),)]})
+                          "distribution": [[f.numerator, f.denominator] for f
+                                           in extent_by_idx[i].fractions]})
     rules = [{"premise": i, "conclusion": e}
              for (i, _), (e, _) in zip(model.intent_facts, model.extent_facts)]
     return {
@@ -497,10 +495,9 @@ def save_model(model: CellularModel, path: str | Path) -> None:
     for e, dist in model.extent_facts:
         text = rendered.get(dist)
         if text is None:
-            t = dist.total
             text = rendered[dist] = json_list(
-                (json_list((str(c // g), str(t // g)), " " * 8)
-                 for c in dist.counts for g in (math.gcd(c, t),)), " " * 6)
+                (json_list((str(f.numerator), str(f.denominator)), " " * 8)
+                 for f in dist.fractions), " " * 6)
         bodies[e] = '"kind": "extent",\n      "distribution": ' + text
     # a fact listed as both kinds is written as an intent, as model_to_dict does
     for i, mask in model.intent_facts:

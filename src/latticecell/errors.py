@@ -50,18 +50,11 @@ def require_names(key: str, names) -> None:
         raise FormatError(f"{key}: repeated name {repeated[0]!r}")
 
 
-def read_json(path: str | Path):
-    """The JSON document in the UTF-8 file ``path``; ``FormatError`` naming
-    the file when it is not one."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-
-
 def read_converted(path: str | Path, convert: Callable):
-    """``convert(read_json(path))``, run with the cyclic garbage collector
-    paused and its prior state restored after, even on an error.
+    """``convert`` of the JSON document in the UTF-8 file ``path``, run
+    with the cyclic garbage collector paused and its prior state restored
+    after, even on an error. ``FormatError`` naming the file when it does
+    not hold a JSON document.
 
     Decoding a lattice or model file and converting it allocate tens of
     thousands of lists, dicts and tuples, and the collector would scan
@@ -75,7 +68,11 @@ def read_converted(path: str | Path, convert: Callable):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return convert(read_json(path))
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"{path}: {exc}") from exc
+        return convert(doc)
     finally:
         if enabled:
             gc.enable()

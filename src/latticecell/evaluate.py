@@ -21,8 +21,8 @@ from itertools import islice
 from pathlib import Path
 
 from .bits import iter_bits, transpose
-from .classify import (MEASURES, Prediction, _best_first, _exact_keys,
-                       _score_ratio, classify, parse_activation)
+from .classify import (MEASURES, _best_first, _exact_keys, _score_ratio,
+                       classify, parse_activation)
 from .compiler import compile_model
 from .errors import (CorpusError, DimensionError, EmptyInputError,
                      LabelingError)
@@ -231,6 +231,7 @@ class PipelineConfig:
     baselines: tuple[str, ...] = ()
     knn_k: int = 3
     knn_measure: str = "cosine"
+    # only for perfbench/workloads.py, which passes jobs=1; goes when it stops
     jobs: int = 1
 
     def __post_init__(self):
@@ -247,8 +248,8 @@ class PipelineConfig:
             raise ValueError("no similarity measure or baseline to evaluate")
         if not 0 < self.split < 1:
             raise ValueError("split ratio must be in (0, 1)")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        if self.jobs != 1:
+            raise ValueError("jobs must be 1: classification runs in one process")
         if self.knn_k < 1:
             raise ValueError("knn_k must be >= 1")
         if self.knn_measure not in MEASURES:
@@ -356,47 +357,6 @@ def _load_split(corpus_root: Path, config: PipelineConfig):
     return split_corpus(docs, config.split, config.seed)
 
 
-def _classify_chunk(payload):
-    model, vectors, measure, policy = payload
-    return [classify(model, v, measure, policy) for v in vectors]
-
-
-def _classify_all(model, vectors, measure, policy, jobs) -> list[Prediction]:
-    if jobs <= 1 or len(vectors) < 2:
-        return [classify(model, v, measure, policy) for v in vectors]
-    chunk = (len(vectors) + jobs - 1) // jobs
-    payloads = [(model, vectors[i:i + chunk], measure, policy)
-                for i in range(0, len(vectors), chunk)]
-    # imported here: multiprocessing is most of the package's import time
-    from concurrent.futures import ProcessPoolExecutor
-
-    out: list[Prediction] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_classify_chunk, payloads):
-            out.extend(part)
-    return out
-
-
-def _row_predictions(model, train_vectors, test_vectors, categories,
-                     config: PipelineConfig):
-    """Yield ``(row name, predicted categories)`` per report row, in order:
-    the measures, then the baselines."""
-    for measure in config.measures:
-        predictions = _classify_all(model, test_vectors, measure,
-                                    config.activation, config.jobs)
-        yield measure, [p.category for p in predictions]
-    for baseline in config.baselines:
-        if baseline == "nb":
-            nb_table = _naive_bayes_table(train_vectors, categories)
-            yield "naive-bayes", [_naive_bayes_predict(nb_table, v)
-                                  for v in test_vectors]
-        else:
-            knn_table = _knn_table(train_vectors, categories)
-            yield "knn", [_knn_predict(knn_table, v, config.knn_k,
-                                       config.knn_measure)
-                          for v in test_vectors]
-
-
 def run_experiment(corpus_root: str | Path,
                    config: PipelineConfig = PipelineConfig()) -> ExperimentReport:
     """Train, compile, classify, and score; returns the full report.
@@ -443,10 +403,22 @@ def run_experiment(corpus_root: str | Path,
         "rows": {},
     }
 
-    # each row's predictions are computed between t0 and the generator's yield
-    t0 = time.perf_counter()
-    for name, predicted in _row_predictions(model, train_vectors, test_vectors,
-                                            categories, config):
+    # one row per measure, then per baseline; each row's time includes
+    # building its baseline's table
+    for row in (*config.measures, *config.baselines):
+        t0 = time.perf_counter()
+        name = row
+        if row == "nb":
+            name = "naive-bayes"
+            table = _naive_bayes_table(train_vectors, categories)
+            predicted = [_naive_bayes_predict(table, v) for v in test_vectors]
+        elif row == "knn":
+            table = _knn_table(train_vectors, categories)
+            predicted = [_knn_predict(table, v, config.knn_k, config.knn_measure)
+                         for v in test_vectors]
+        else:
+            predicted = [classify(model, v, row, config.activation).category
+                         for v in test_vectors]
         elapsed = time.perf_counter() - t0
         cm = ConfusionMatrix.empty(categories)
         for v, category in zip(test_vectors, predicted):
@@ -456,5 +428,4 @@ def run_experiment(corpus_root: str | Path,
             "classify_total_s": elapsed,
             "per_document_s": elapsed / len(test_vectors),
         }
-        t0 = time.perf_counter()
     return report

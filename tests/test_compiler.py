@@ -455,7 +455,7 @@ def test_derived_labels_match_the_reference_on_random_lattices(
               for oid in ctx.object_ids}
     lattice = build_lattice(ctx)
     model = compile_model(lattice, labels, categories)
-    # a pickled model, as a jobs > 1 run sends it, renders the same labels
+    # a pickled model renders the same labels
     sent = pickle.loads(pickle.dumps(model))
     want = reference_fact_labels(lattice, labels, categories)
     assert model.fact_labels == want

@@ -11,12 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import (DATA, reference_build_vocabulary,
-                     reference_naive_bayes_table)
+from helpers import (DATA, reference_build_vocabulary, reference_classify,
+                     reference_naive_bayes_table, reference_vectorize)
 import latticecell
 from latticecell import (ConfusionMatrix, CorpusError, DimensionError,
                          DocumentVector, EmptyInputError, LabelingError,
                          PipelineConfig, baseline_knn, baseline_naive_bayes,
+                         build_context, build_lattice, compile_model,
                          default_stopwords, load_corpus, metrics,
                          run_experiment, split_corpus)
 from latticecell.cli import main
@@ -281,17 +282,33 @@ def test_run_experiment_formats_no_label(monkeypatch):
     assert set(report.timings["rows"]) >= {"inner", "cosine"}
 
 
-def test_run_experiment_parallel_jobs_match_serial():
-    serial = run_experiment(DATA / "corpus",
-                            PipelineConfig(measures=("inner",), seed=2))
-    parallel = run_experiment(DATA / "corpus",
-                              PipelineConfig(measures=("inner",), seed=2,
-                                             jobs=2))
-    assert json.dumps(serial.to_json_dict()) == json.dumps(parallel.to_json_dict())
+@pytest.mark.parametrize("policy", ["topk:2", "threshold:0.5"])
+def test_run_experiment_rows_match_reference_classify(policy):
+    """Every measure row under a non-default policy scores what the
+    reference classifier predicts on the same split and vectors."""
+    config = PipelineConfig(activation=policy, seed=3)
+    report = run_experiment(DATA / "corpus", config)
+    train, test = split_corpus(load_corpus(DATA / "corpus"), config.split,
+                               config.seed)
+    stops = default_stopwords()
+    vocab = reference_build_vocabulary(train, config.features, stops)
+    train_vectors = [reference_vectorize(d, vocab, stops) for d in train]
+    test_vectors = [reference_vectorize(d, vocab, stops) for d in test]
+    categories = tuple(sorted({d.category for d in train}))
+    model = compile_model(build_lattice(build_context(train_vectors, vocab)),
+                          {d.id: d.category for d in train}, categories)
+    assert [row.name for row in report.rows] == list(config.measures)
+    for row in report.rows:
+        cm = ConfusionMatrix.empty(categories)
+        for v in test_vectors:
+            cm.record(v.category,
+                      reference_classify(model, v, row.name, policy).category)
+        assert row.metrics == metrics(cm)
+        assert row.unclassified == sum(cm.unclassified)
 
 
 def test_import_leaves_process_pool_unloaded():
-    # the pool is imported only by a run that asks for jobs > 1
+    # nothing in the package starts a process pool
     src = str(Path(latticecell.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -369,7 +386,7 @@ def test_report_text_layout():
     assert "macro" in text
 
 
-def test_config_validation():
+def test_config_validation(tmp_path, capsys):
     with pytest.raises(ValueError):
         PipelineConfig(measures=("euclid",))
     with pytest.raises(ValueError):
@@ -383,3 +400,14 @@ def test_config_validation():
         PipelineConfig(knn_k=0)
     with pytest.raises(ValueError, match="unknown k-NN similarity measure"):
         PipelineConfig(knn_measure="euclid")
+    # classification runs in one process; the field accepts only 1
+    assert PipelineConfig(jobs=1) == PipelineConfig()
+    for jobs in (0, 2):
+        with pytest.raises(ValueError, match="runs in one process"):
+            PipelineConfig(jobs=jobs)
+    out = tmp_path / "report"
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", str(DATA / "corpus"), "-o", str(out), "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,14 +1,15 @@
 """The bundled demo's outputs, byte for byte.
 
 ``tests/golden/`` holds what ``build --dot``, ``compile``, ``compile
---paper-fixture`` and ``evaluate --baselines nb,knn --seed 7`` write for
-the bundled data, the counts ``compile`` and ``inspect`` print for the
-demo model and the fixture, and what ``classify`` writes for the bundled context
-and the bundled corpus's text files against the demo model, with one
-``--trace`` dump of the engine's fact and rule tables. ``build
---dot`` runs on both the bundled context and the bundled corpus, so the
-text path is covered too. A change that alters any of these bytes changes
-behaviour, and must regenerate the files on purpose.
+--paper-fixture``, ``evaluate --baselines nb,knn --seed 7`` and one
+``evaluate`` under ``--activation topk:2`` write for the bundled data,
+the counts ``compile`` and ``inspect`` print for the demo model and the
+fixture, and what ``classify`` writes for the bundled context and the
+bundled corpus's text files against the demo model, with one ``--trace``
+dump of the engine's fact and rule tables. ``build --dot`` runs on both
+the bundled context and the bundled corpus, so the text path is covered
+too. A change that alters any of these bytes changes behaviour, and must
+regenerate the files on purpose.
 """
 
 from pathlib import Path
@@ -34,7 +35,10 @@ def outputs(tmp_path_factory):
              "-o", out / "model.json"],
             ["compile", "--paper-fixture", "-o", out / "fixture.json"],
             ["evaluate", DATA / "corpus", "-o", out / "report",
-             "--baselines", "nb,knn", "--seed", "7"]):
+             "--baselines", "nb,knn", "--seed", "7"],
+            ["evaluate", DATA / "corpus", "-o", out / "report_topk",
+             "--similarity", "cosine,inner", "--activation", "topk:2",
+             "--baselines", "knn", "--split", "0.5", "--seed", "3"]):
         assert main([str(a) for a in argv]) == 0
     return out
 
@@ -48,6 +52,7 @@ def outputs(tmp_path_factory):
     ("fixture_model.json", "fixture.json"),
     ("demo_report.json", "report/report.json"),
     ("demo_report.txt", "report/report.txt"),
+    ("demo_report_topk.json", "report_topk/report.json"),
 ])
 def test_demo_output_matches_golden_bytes(outputs, golden, produced):
     assert (outputs / produced).read_bytes() == (GOLDEN / golden).read_bytes()
