@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -21,6 +20,7 @@ from .compiler import CellularModel, ClassDistribution
 from .engine import run_inference, set_facts
 from .errors import DimensionError, EmptyInputError
 from .textprep import DocumentVector
+from .value import Value
 
 MEASURES = ("jaccard", "cosine", "dice", "inner")
 
@@ -65,12 +65,19 @@ def parse_activation(policy: str) -> tuple[str, int | float | None]:
         return "max", None
     kind, sep, arg = policy.partition(":")
     if kind == "topk" and sep:
-        k = int(arg)
+        try:
+            k = int(arg)
+        except ValueError:
+            raise ValueError(f"topk needs an integer K, not {arg!r}") from None
         if k < 1:
             raise ValueError("topk needs K >= 1")
         return "topk", k
     if kind == "threshold" and sep:
-        if not math.isfinite(t := float(arg)):
+        try:
+            t = float(arg)
+        except ValueError:
+            t = math.nan
+        if not math.isfinite(t):
             raise ValueError(f"threshold needs a finite T, not {arg!r}")
         return "threshold", t
     raise ValueError(f"unknown activation policy {policy!r}; "
@@ -198,18 +205,24 @@ def activate(model: CellularModel, doc: DocumentVector, measure: str = "inner",
     return tuple(sorted(top))
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(Value):
     """Outcome of classifying one document vector.
 
     ``category`` is None when the document is unclassifiable (no intent
     activated, or no rule fired).
     """
 
-    category: str | None
-    distribution: ClassDistribution | None
-    fired_vertices: tuple[int, ...]
-    activated_intents: tuple[int, ...]
+    _fields = ("category", "distribution", "fired_vertices",
+               "activated_intents")
+
+    def __init__(self, category: str | None,
+                 distribution: ClassDistribution | None,
+                 fired_vertices: tuple[int, ...],
+                 activated_intents: tuple[int, ...]) -> None:
+        object.__setattr__(self, "category", category)
+        object.__setattr__(self, "distribution", distribution)
+        object.__setattr__(self, "fired_vertices", fired_vertices)
+        object.__setattr__(self, "activated_intents", activated_intents)
 
     @property
     def unclassifiable(self) -> bool:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring
@@ -31,10 +30,10 @@ from .engine import EngineState
 from .errors import (EmptyInputError, FormatError, LabelingError, json_list,
                      read_converted, require_names, require_strings)
 from .lattice import ConceptLattice
+from .value import Value
 
 
-@dataclass(frozen=True, init=False)
-class ClassDistribution:
+class ClassDistribution(Value):
     """Exact per-category fractions ``counts[i] / total``, each in [0, 1],
     summing to 1.
 
@@ -43,8 +42,7 @@ class ClassDistribution:
     integer counts with ``from_counts``.
     """
 
-    counts: tuple[int, ...]
-    total: int
+    _fields = ("counts", "total")
 
     def __init__(self, fractions: Iterable) -> None:
         fracs = [Fraction(f) for f in fractions]
@@ -162,8 +160,7 @@ def _rule_labels(n: int) -> tuple[str, ...]:
     return tuple(f"R{k + 1}" for k in range(n))
 
 
-@dataclass(frozen=True)
-class CellularModel:
+class CellularModel(Value):
     """Compiled rules plus the concept data classification needs.
 
     ``intent_facts`` pairs each intent fact index with its attribute mask
@@ -176,25 +173,30 @@ class CellularModel:
     is derived from them as fact index tuples, and a vote reads
     ``extent_facts[k]`` for each rule k the engine fired. The template
     shares ``fact_labels`` and renders its rule labels on first read, so
-    classification formats no label. Immutable; clone the engine per
-    classification via ``fresh_engine``.
+    classification formats no label; it is left out of equality and repr.
+    Immutable; clone the engine per classification via ``fresh_engine``.
     """
 
-    categories: tuple[str, ...]
-    fact_labels: Sequence[str]
-    intent_facts: tuple[tuple[int, int], ...]
-    extent_facts: tuple[tuple[int, ClassDistribution], ...]
-    vocabulary: tuple[str, ...]
-    engine_template: EngineState = field(init=False, repr=False, compare=False)
+    _fields = ("categories", "fact_labels", "intent_facts", "extent_facts",
+               "vocabulary")
 
-    def __post_init__(self):
-        n = len(self.intent_facts)
-        if n != len(self.extent_facts):
+    def __init__(self, categories: tuple[str, ...],
+                 fact_labels: Sequence[str],
+                 intent_facts: tuple[tuple[int, int], ...],
+                 extent_facts: tuple[tuple[int, ClassDistribution], ...],
+                 vocabulary: tuple[str, ...]) -> None:
+        object.__setattr__(self, "categories", categories)
+        object.__setattr__(self, "fact_labels", fact_labels)
+        object.__setattr__(self, "intent_facts", intent_facts)
+        object.__setattr__(self, "extent_facts", extent_facts)
+        object.__setattr__(self, "vocabulary", vocabulary)
+        n = len(intent_facts)
+        if n != len(extent_facts):
             raise ValueError("one rule per intent/extent fact pair required")
         object.__setattr__(self, "engine_template", EngineState(
-            self.fact_labels, LazyLabels(_rule_labels, (n,), n),
-            [(i,) for i, _ in self.intent_facts],
-            [(e,) for e, _ in self.extent_facts]))
+            fact_labels, LazyLabels(_rule_labels, (n,), n),
+            [(i,) for i, _ in intent_facts],
+            [(e,) for e, _ in extent_facts]))
 
     @property
     def n_facts(self) -> int:
@@ -210,8 +212,8 @@ class CellularModel:
     @cached_property
     def rule_index(self) -> RuleIndex:
         """The bitsets classification reads, derived on first read."""
-        # cached_property writes the instance __dict__ directly, which the
-        # frozen dataclass's __setattr__ does not intercept
+        # cached_property writes the instance __dict__ directly, past the
+        # __setattr__ that keeps the fields frozen
         sizes: dict[int, int] = {}
         for k, (_, mask) in enumerate(self.intent_facts):
             n = mask.bit_count()

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import csv
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
 from .bits import bit_indices, mask_from_indices, transpose
 from .errors import CapacityError, DimensionError, FormatError
+from .value import Value
 
 # Exhaustive enumeration walks every attribute subset; refuse beyond this.
 NAIVE_ATTRIBUTE_LIMIT = 20
@@ -28,33 +28,35 @@ class Concept(NamedTuple):
     intent: int
 
 
-@dataclass(frozen=True)
-class FormalContext:
+class FormalContext(Value):
     """Immutable object x attribute incidence table.
 
-    ``rows[o]`` is the attribute mask of object o; ``columns[a]`` (derived)
-    is the object mask of attribute a. Safe to share across threads.
+    ``rows[o]`` is the attribute mask of object o; ``columns[a]`` (derived,
+    and left out of equality and repr) is the object mask of attribute a.
+    Safe to share across threads.
     """
 
-    object_ids: tuple[str, ...]
-    attribute_names: tuple[str, ...]
-    rows: tuple[int, ...]
-    columns: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("object_ids", "attribute_names", "rows")
 
-    def __post_init__(self):
-        if len(set(self.object_ids)) != len(self.object_ids):
+    def __init__(self, object_ids: tuple[str, ...],
+                 attribute_names: tuple[str, ...],
+                 rows: tuple[int, ...]) -> None:
+        object.__setattr__(self, "object_ids", object_ids)
+        object.__setattr__(self, "attribute_names", attribute_names)
+        object.__setattr__(self, "rows", rows)
+        if len(set(object_ids)) != len(object_ids):
             raise DimensionError("duplicate object ids")
-        if len(set(self.attribute_names)) != len(self.attribute_names):
+        if len(set(attribute_names)) != len(attribute_names):
             raise DimensionError("duplicate attribute names")
-        if len(self.rows) != len(self.object_ids):
+        if len(rows) != len(object_ids):
             raise DimensionError(
-                f"{len(self.rows)} rows for {len(self.object_ids)} objects")
+                f"{len(rows)} rows for {len(object_ids)} objects")
         full = self.full_attribute_mask
-        for oid, row in zip(self.object_ids, self.rows):
+        for oid, row in zip(object_ids, rows):
             if row < 0 or row & ~full:
                 raise DimensionError(f"row for {oid!r} exceeds attribute count")
         object.__setattr__(self, "columns",
-                           tuple(transpose(self.rows, len(self.attribute_names))))
+                           tuple(transpose(rows, len(attribute_names))))
 
     @property
     def n_objects(self) -> int:

@@ -15,7 +15,6 @@ import math
 import random
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -31,17 +30,21 @@ from .textprep import (DEFAULT_FEATURE_COUNT, Document, DocumentVector,
                        _train_vectors, build_context, category_masks,
                        default_stopwords, load_corpus, load_stopwords,
                        vectorize)
+from .value import Value
 
 BASELINES = ("nb", "knn")
 
 
-@dataclass
-class ConfusionMatrix:
+class ConfusionMatrix(Value, frozen=False):
     """Counts indexed [true][predicted], plus per-true unclassified counts."""
 
-    categories: tuple[str, ...]
-    counts: list[list[int]]
-    unclassified: list[int]
+    _fields = ("categories", "counts", "unclassified")
+
+    def __init__(self, categories: tuple[str, ...], counts: list[list[int]],
+                 unclassified: list[int]) -> None:
+        self.categories = categories
+        self.counts = counts
+        self.unclassified = unclassified
 
     @classmethod
     def empty(cls, categories: Sequence[str]) -> "ConfusionMatrix":
@@ -60,20 +63,22 @@ class ConfusionMatrix:
         return sum(map(sum, self.counts)) + sum(self.unclassified)
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(Value):
     """Macro-averaged metrics as exact rationals in [0, 1]."""
 
-    precision: Fraction
-    recall: Fraction
-    accuracy: Fraction
-    error: Fraction
-    f_measure: Fraction
+    _fields = ("precision", "recall", "accuracy", "error", "f_measure")
+
+    def __init__(self, precision: Fraction, recall: Fraction,
+                 accuracy: Fraction, error: Fraction,
+                 f_measure: Fraction) -> None:
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "recall", recall)
+        object.__setattr__(self, "accuracy", accuracy)
+        object.__setattr__(self, "error", error)
+        object.__setattr__(self, "f_measure", f_measure)
 
     def as_floats(self) -> dict[str, float]:
-        return {name: float(getattr(self, name))
-                for name in ("precision", "recall", "accuracy", "error",
-                             "f_measure")}
+        return {name: float(getattr(self, name)) for name in self._fields}
 
 
 def metrics(cm: ConfusionMatrix) -> MetricsReport:
@@ -218,61 +223,79 @@ def baseline_knn(train: Sequence[DocumentVector], doc: DocumentVector,
     return _knn_predict(_knn_table(train, categories), doc, k, measure)
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(Value):
     """Everything an experiment run needs, with the stock defaults."""
 
-    measures: tuple[str, ...] = MEASURES
-    activation: str = "max"
-    features: int = DEFAULT_FEATURE_COUNT
-    stopwords_path: Path | None = None
-    split: float = 2 / 3
-    seed: int = 0
-    baselines: tuple[str, ...] = ()
-    knn_k: int = 3
-    knn_measure: str = "cosine"
-    # only for perfbench/workloads.py, which passes jobs=1; goes when it stops
-    jobs: int = 1
+    _fields = ("measures", "activation", "features", "stopwords_path", "split",
+               "seed", "baselines", "knn_k", "knn_measure", "jobs")
 
-    def __post_init__(self):
-        if self.features < 1:
+    def __init__(self, measures: tuple[str, ...] = MEASURES,
+                 activation: str = "max",
+                 features: int = DEFAULT_FEATURE_COUNT,
+                 stopwords_path: Path | None = None, split: float = 2 / 3,
+                 seed: int = 0, baselines: tuple[str, ...] = (),
+                 knn_k: int = 3, knn_measure: str = "cosine",
+                 # only for perfbench/workloads.py, which passes jobs=1;
+                 # goes when it stops
+                 jobs: int = 1) -> None:
+        object.__setattr__(self, "measures", measures)
+        object.__setattr__(self, "activation", activation)
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "stopwords_path", stopwords_path)
+        object.__setattr__(self, "split", split)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "baselines", baselines)
+        object.__setattr__(self, "knn_k", knn_k)
+        object.__setattr__(self, "knn_measure", knn_measure)
+        object.__setattr__(self, "jobs", jobs)
+        if features < 1:
             raise ValueError("feature count must be >= 1")
-        for kind, names, known in (("similarity measure", self.measures, MEASURES),
-                                   ("baseline", self.baselines, BASELINES)):
+        for kind, names, known in (("similarity measure", measures, MEASURES),
+                                   ("baseline", baselines, BASELINES)):
             for i, name in enumerate(names):
                 if name not in known:
                     raise ValueError(f"unknown {kind} {name!r}")
                 if name in names[:i]:
                     raise ValueError(f"repeated {kind} {name!r}")
-        if not self.measures and not self.baselines:
+        if not measures and not baselines:
             raise ValueError("no similarity measure or baseline to evaluate")
-        if not 0 < self.split < 1:
+        if not 0 < split < 1:
             raise ValueError("split ratio must be in (0, 1)")
-        if self.jobs != 1:
+        if jobs != 1:
             raise ValueError("jobs must be 1: classification runs in one process")
-        if self.knn_k < 1:
+        if knn_k < 1:
             raise ValueError("knn_k must be >= 1")
-        if self.knn_measure not in MEASURES:
+        if knn_measure not in MEASURES:
             raise ValueError(f"unknown k-NN similarity measure "
-                             f"{self.knn_measure!r}")
-        parse_activation(self.activation)
+                             f"{knn_measure!r}")
+        parse_activation(activation)
 
 
-@dataclass
-class ReportRow:
-    name: str
-    metrics: MetricsReport
-    unclassified: int
+class ReportRow(Value, frozen=False):
+    _fields = ("name", "metrics", "unclassified")
+
+    def __init__(self, name: str, metrics: MetricsReport,
+                 unclassified: int) -> None:
+        self.name = name
+        self.metrics = metrics
+        self.unclassified = unclassified
 
 
-@dataclass
-class ExperimentReport:
-    categories: tuple[str, ...]
-    n_train: int
-    n_test: int
-    config: PipelineConfig
-    rows: list[ReportRow] = field(default_factory=list)
-    timings: dict = field(default_factory=dict)
+class ExperimentReport(Value, frozen=False):
+    """One experiment's rows; ``rows`` and ``timings`` default to a new
+    list and dict per report."""
+
+    _fields = ("categories", "n_train", "n_test", "config", "rows", "timings")
+
+    def __init__(self, categories: tuple[str, ...], n_train: int, n_test: int,
+                 config: PipelineConfig, rows: list[ReportRow] | None = None,
+                 timings: dict | None = None) -> None:
+        self.categories = categories
+        self.n_train = n_train
+        self.n_test = n_test
+        self.config = config
+        self.rows = [] if rows is None else rows
+        self.timings = {} if timings is None else timings
 
     def to_json_dict(self) -> dict:
         """Deterministic report payload; timings are deliberately excluded."""

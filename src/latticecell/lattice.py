@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from json.encoder import encode_basestring
 from operator import and_
@@ -39,10 +38,10 @@ from .bits import iter_bits
 from .context import Concept, FormalContext, derive_intent
 from .errors import (DimensionError, FormatError, NotSplittableError,
                      json_list, read_converted, require_names)
+from .value import Value
 
 
-@dataclass(frozen=True)
-class ConceptLattice:
+class ConceptLattice(Value):
     """All concepts of a context, canonically ordered, plus cover edges.
 
     ``covers`` holds (child, parent) index pairs forming the transitive
@@ -52,15 +51,19 @@ class ConceptLattice:
     and the loader checks them. Immutable and shareable.
     """
 
-    context: FormalContext
-    concepts: tuple[Concept, ...]
-    top_index: int
-    bottom_index: int
+    _fields = ("context", "concepts", "top_index", "bottom_index")
+
+    def __init__(self, context: FormalContext, concepts: tuple[Concept, ...],
+                 top_index: int, bottom_index: int) -> None:
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "concepts", concepts)
+        object.__setattr__(self, "top_index", top_index)
+        object.__setattr__(self, "bottom_index", bottom_index)
 
     @cached_property
     def covers(self) -> frozenset[tuple[int, int]]:
-        # cached_property writes the instance __dict__ directly, which the
-        # frozen dataclass's __setattr__ does not intercept
+        # cached_property writes the instance __dict__ directly, past the
+        # __setattr__ that keeps the fields frozen
         return find_lower_covers(self.concepts, self.context)
 
     @property

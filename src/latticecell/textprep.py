@@ -25,7 +25,6 @@ import os
 import re
 import unicodedata
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import repeat
 from operator import neg, or_
@@ -35,6 +34,7 @@ from .bits import transpose
 from .context import FormalContext
 from .errors import (CorpusError, DimensionError, EmptyInputError,
                      FormatError, LabelingError)
+from .value import Value
 
 # letter runs of two or more: a run of one never starts a match, and a
 # longer run matches whole from its first letter
@@ -43,33 +43,36 @@ _WORD_RE = re.compile(r"[^\W\d_]{2,}")
 DEFAULT_FEATURE_COUNT = 500
 
 
-@dataclass(frozen=True)
-class Document:
-    id: str
-    category: str | None
-    text: str
+class Document(Value):
+    _fields = ("id", "category", "text")
+
+    def __init__(self, id: str, category: str | None, text: str) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "category", category)
+        object.__setattr__(self, "text", text)
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class Vocabulary(Value):
     """Selected terms, ordered by (score descending, term ascending).
 
     ``ig_scores`` is None for externally given vocabularies (for example a
     context file's column order), in which case the order is kept as-is.
     """
 
-    terms: tuple[str, ...]
-    ig_scores: tuple[float, ...] | None = None
+    _fields = ("terms", "ig_scores")
 
-    def __post_init__(self):
-        if len(set(self.terms)) != len(self.terms):
+    def __init__(self, terms: tuple[str, ...],
+                 ig_scores: tuple[float, ...] | None = None) -> None:
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "ig_scores", ig_scores)
+        if len(set(terms)) != len(terms):
             raise ValueError("vocabulary terms must be unique")
-        if self.ig_scores is not None:
-            if len(self.ig_scores) != len(self.terms):
+        if ig_scores is not None:
+            if len(ig_scores) != len(terms):
                 raise ValueError("one score per term required")
-            ranking = sorted(zip(self.terms, self.ig_scores),
+            ranking = sorted(zip(terms, ig_scores),
                              key=lambda ts: (-ts[1], ts[0]))
-            if tuple(t for t, _ in ranking) != self.terms:
+            if tuple(t for t, _ in ranking) != terms:
                 raise ValueError("terms must be sorted by score desc, term asc")
 
     def __len__(self) -> int:
@@ -81,17 +84,18 @@ class Vocabulary:
         return _token_masks(self.terms)
 
 
-@dataclass(frozen=True)
-class DocumentVector:
+class DocumentVector(Value):
     """Binary presence vector over a vocabulary."""
 
-    bits: int
-    size: int
-    category: str | None = None
-    doc_id: str | None = None
+    _fields = ("bits", "size", "category", "doc_id")
 
-    def __post_init__(self):
-        if self.bits < 0 or self.bits >> self.size:
+    def __init__(self, bits: int, size: int, category: str | None = None,
+                 doc_id: str | None = None) -> None:
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "category", category)
+        object.__setattr__(self, "doc_id", doc_id)
+        if bits < 0 or bits >> size:
             raise DimensionError("vector bits exceed the vocabulary size")
 
 

@@ -1,0 +1,56 @@
+"""The value semantics of the package's record classes, stated once.
+
+``dataclasses`` would give the same semantics, but importing it pulls in
+``inspect`` and its parsers, and decorating a class generates and execs
+its methods: together more CPU than a CLI call spends on its work. A
+record class here writes its ``__init__`` and lists its fields instead.
+"""
+
+from operator import attrgetter
+
+
+class Value:
+    """Base of a record class that lists its compared fields, two or more,
+    in ``_fields``.
+
+    Instances of one class are equal when those fields are; an instance
+    of another class never is. The repr is ``Name(field=value, ...)`` over
+    the same fields, which are also the positional ``match`` pattern. A
+    class is frozen unless declared with ``frozen=False``: a frozen class
+    hashes over its fields and raises ``AttributeError`` when one is
+    assigned, so its ``__init__`` sets them with ``object.__setattr__``; a
+    mutable class is unhashable. Instances keep a ``__dict__``, which
+    ``cached_property`` and pickling write directly.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # reads two or more fields into a tuple at C speed; an attrgetter
+        # does not bind as a method, hence ``self._key(self)``
+        cls._key = attrgetter(*cls._fields)
+        cls.__match_args__ = cls._fields
+        if not frozen:
+            cls.__hash__ = None
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}("
+                + ", ".join(f"{name}={getattr(self, name)!r}"
+                            for name in self._fields) + ")")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -374,6 +374,10 @@ def test_a_threshold_that_is_not_finite_is_rejected(tmp_path, query_csv, capsys,
     ("bogus", "error: unknown activation policy 'bogus'"),
     ("threshold:nan", "error: threshold needs a finite T"),
     ("topk:0", "error: topk needs K >= 1"),
+    ("topk:1.5", "error: topk needs an integer K, not '1.5'\n"),
+    ("topk:", "error: topk needs an integer K, not ''\n"),
+    ("threshold:", "error: threshold needs a finite T, not ''\n"),
+    ("threshold:half", "error: threshold needs a finite T, not 'half'\n"),
 ])
 @pytest.mark.parametrize("source", ["empty-dir", "header-only-csv"])
 def test_classify_checks_the_policy_without_documents(tmp_path, capsys, policy,

@@ -15,7 +15,8 @@ from helpers import (DEMO_CATEGORIES, DEMO_LABELS, benchmark_corpus,
                      reference_distribution, reference_fact_labels,
                      reference_mean)
 from latticecell import (CellularModel, ClassDistribution, DimensionError,
-                         FormatError, LabelingError, build_lattice,
+                         DocumentVector, FormatError, LabelingError,
+                         PipelineConfig, build_lattice, classify,
                          compile_model, load_fixture_model, load_model,
                          save_model)
 from latticecell.bits import iter_bits
@@ -463,6 +464,24 @@ def test_derived_labels_match_the_reference_on_random_lattices(
     assert sent == model and tuple(sent.fact_labels) == want
     save_model(model, model_path)
     assert load_model(model_path) == model
+
+
+def test_lattice_prediction_and_config_survive_pickling():
+    ctx = demo_context()
+    lattice = build_lattice(ctx)
+    covers = lattice.covers  # a cached value travels with its instance
+    model = compile_model(lattice, demo_labels_map(), DEMO_CATEGORIES)
+    prediction = classify(model, DocumentVector(ctx.rows[0], ctx.n_attributes),
+                          "cosine", "topk:2")
+    assert prediction.category is not None
+    config = PipelineConfig(measures=("cosine",), activation="topk:2", seed=3)
+    for value in (lattice, prediction, config):
+        sent = pickle.loads(pickle.dumps(value))
+        assert type(sent) is type(value) and sent == value
+        assert hash(sent) == hash(value) and repr(sent) == repr(value)
+        with pytest.raises(AttributeError):
+            sent.frozen = True
+    assert pickle.loads(pickle.dumps(lattice)).__dict__["covers"] == covers
 
 
 def test_model_counts_come_without_labels(monkeypatch):

@@ -319,6 +319,19 @@ def test_import_leaves_process_pool_unloaded():
     assert out.strip() == "False"
 
 
+def test_cold_import_loads_neither_dataclasses_nor_inspect():
+    # they cost more CPU to import than a CLI call spends on its work; the
+    # check is on what the import adds, whatever ``site`` loaded before
+    src = str(Path(latticecell.__file__).parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "before = set(sys.modules); import latticecell.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & "
+            "(set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-I", "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def _copy_corpus(root, layout):
     """``layout`` maps a subtree of ``root`` to {category: bundled file names}."""
     import shutil

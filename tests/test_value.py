@@ -1,0 +1,104 @@
+"""The record classes' value semantics: equality, hashing, repr, frozen
+fields, and the fields left out of equality and repr."""
+
+from fractions import Fraction
+
+import pytest
+
+from helpers import demo_context
+from latticecell import (CellularModel, ClassDistribution, ConceptLattice,
+                         ConfusionMatrix, Document, DocumentVector,
+                         ExperimentReport, FormalContext, MetricsReport,
+                         PipelineConfig, Prediction, Vocabulary, build_lattice)
+from latticecell.evaluate import ReportRow
+
+DIST = ClassDistribution.from_counts((1, 3), 4)
+LATTICE = build_lattice(demo_context())
+HALF = Fraction(1, 2)
+METRICS = MetricsReport(HALF, HALF, HALF, HALF, HALF)
+
+# class -> (its fields in order with values, a field and another value)
+CASES = {
+    Document: ({"id": "doc1", "category": "sport", "text": "le stade"},
+               "text", "la mer"),
+    Vocabulary: ({"terms": ("stade", "mer"), "ig_scores": (0.5, 0.25)},
+                 "ig_scores", None),
+    DocumentVector: ({"bits": 5, "size": 3, "category": "sport",
+                      "doc_id": "doc1"}, "bits", 1),
+    FormalContext: ({"object_ids": ("o1", "o2"), "attribute_names": ("a", "b"),
+                     "rows": (1, 3)}, "rows", (1, 2)),
+    ConceptLattice: ({"context": LATTICE.context, "concepts": LATTICE.concepts,
+                      "top_index": LATTICE.top_index,
+                      "bottom_index": LATTICE.bottom_index},
+                     "top_index", LATTICE.bottom_index),
+    ClassDistribution: ({"counts": (1, 3), "total": 4}, "counts", (3, 1)),
+    CellularModel: ({"categories": ("A", "B"), "fact_labels": ("[t]", "[S1]"),
+                     "intent_facts": ((0, 1),), "extent_facts": ((1, DIST),),
+                     "vocabulary": ("t",)}, "vocabulary", ("u",)),
+    Prediction: ({"category": "B", "distribution": DIST,
+                  "fired_vertices": (1,), "activated_intents": (0,)},
+                 "category", None),
+    ConfusionMatrix: ({"categories": ("A", "B"), "counts": [[1, 0], [0, 1]],
+                       "unclassified": [0, 0]}, "unclassified", [1, 0]),
+    MetricsReport: ({"precision": HALF, "recall": HALF, "accuracy": HALF,
+                     "error": HALF, "f_measure": HALF}, "error", Fraction(1)),
+    PipelineConfig: ({"measures": ("cosine",), "activation": "topk:2",
+                      "features": 10, "stopwords_path": None, "split": 0.5,
+                      "seed": 1, "baselines": ("nb",), "knn_k": 3,
+                      "knn_measure": "cosine", "jobs": 1}, "seed", 2),
+    ReportRow: ({"name": "cosine", "metrics": METRICS, "unclassified": 0},
+                "unclassified", 1),
+    ExperimentReport: ({"categories": ("A", "B"), "n_train": 2, "n_test": 1,
+                        "config": PipelineConfig(), "rows": [],
+                        "timings": {}}, "n_test", 2),
+}
+MUTABLE = (ConfusionMatrix, ReportRow, ExperimentReport)
+# derived in the constructor, left out of equality and repr
+EXCLUDED = {FormalContext: "columns", CellularModel: "engine_template"}
+
+
+def build(cls, fields):
+    if issubclass(cls, ClassDistribution):
+        return cls.from_counts(**fields)
+    return cls(**fields)
+
+
+@pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)
+def test_value_semantics(cls):
+    fields, name, other_value = CASES[cls]
+    a, b = build(cls, fields), build(cls, fields)
+    assert a == b and not a != b
+    assert build(cls, {**fields, name: other_value}) != a
+    # an instance of another class with the same values
+    assert build(type("Other", (cls,), {}), fields) != a
+    assert a != tuple(fields.values())
+    assert cls.__match_args__ == tuple(fields)
+    assert repr(a) == (f"{cls.__name__}("
+                       + ", ".join(f"{k}={v!r}" for k, v in fields.items())
+                       + ")")
+    if cls in EXCLUDED:
+        excluded = EXCLUDED[cls]
+        assert hasattr(a, excluded) and f"{excluded}=" not in repr(a)
+        object.__setattr__(b, excluded, None)
+        assert a == b and hash(a) == hash(b)
+    if cls in MUTABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+        setattr(b, name, other_value)
+        assert getattr(b, name) == other_value and a != b
+    else:
+        assert hash(a) == hash(b)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(a, name, other_value)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+        assert a == b and getattr(a, name) == fields[name]
+
+
+def test_experiment_reports_do_not_share_rows_or_timings():
+    config = PipelineConfig()
+    first = ExperimentReport(("A",), 1, 1, config)
+    second = ExperimentReport(("A",), 1, 1, config)
+    first.rows.append(ReportRow("cosine", METRICS, 0))
+    first.timings["build_s"] = 1.0
+    assert second.rows == [] and second.timings == {}
