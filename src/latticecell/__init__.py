@@ -7,6 +7,10 @@ engine, and classify new documents by similarity-driven activation,
 forward chaining, and a majority vote over class distributions.
 """
 
+# the one statement of the version: pyproject.toml and ``cli --version``
+# read it
+__version__ = "0.1.0"
+
 from .backend import active_backend
 from .classify import (MEASURES, Prediction, activate, classify,
                        parse_activation, vote)
@@ -34,5 +38,3 @@ from .textprep import (Document, DocumentVector, Vocabulary, build_context,
                        load_corpus, load_documents, load_stopwords,
                        remove_stopwords, select_features, tokenize,
                        vectorize)
-
-__version__ = "0.1.0"

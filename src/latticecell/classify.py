@@ -11,12 +11,10 @@ prediction.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
-from fractions import Fraction
-from itertools import islice
+from collections.abc import Sequence
 
 from .bits import iter_bits
-from .compiler import CellularModel, ClassDistribution
+from .compiler import CellularModel, ClassDistribution, RuleIndex
 from .engine import run_inference, set_facts
 from .errors import DimensionError, EmptyInputError
 from .textprep import DocumentVector
@@ -40,23 +38,16 @@ def _score_ratio(inter: int, n1: int, n2: int, measure: str) -> tuple[int, int]:
     raise ValueError(f"unknown similarity measure {measure!r}")
 
 
-def _score_key(inter: int, n1: int, n2: int, measure: str):
-    """The measure's exact, order-preserving ranking key: inner's count,
-    the others' ratio as a Fraction (0 over an empty denominator)."""
+def _score_value(inter: int, n1: int, n2: int, measure: str):
+    """The measure's value: the count for inner, the ratio's float for
+    jaccard and dice (0.0 over an empty denominator); cosine's ratio is
+    squared, so its float has a line of its own."""
+    if measure == "cosine":
+        return inter / math.sqrt(n1 * n2) if n1 * n2 else 0.0
     num, den = _score_ratio(inter, n1, n2, measure)
     if measure == "inner":
         return num
-    return Fraction(num, den) if den else Fraction(0)
-
-
-def _score_value(inter: int, n1: int, n2: int, measure: str):
-    """The measure's value: the key itself for inner, its float for jaccard
-    and dice; cosine's key is squared, so its float has a line of its own."""
-    if measure == "cosine":
-        return inter / math.sqrt(n1 * n2) if n1 * n2 else 0.0
-    key = _score_key(inter, n1, n2, measure)
-    # a Fraction's float rounds the same rational as int true division
-    return key if measure == "inner" else float(key)
+    return num / den if den else 0.0
 
 
 def parse_activation(policy: str) -> tuple[str, int | float | None]:
@@ -85,11 +76,12 @@ def parse_activation(policy: str) -> tuple[str, int | float | None]:
 
 
 def _intersections(columns: Sequence[int], bits: int) -> list[tuple[int, int]]:
-    """``(|doc ∩ intent|, rules with that count)`` for each positive count.
+    """``(|bits ∩ mask|, masks with that count)`` for each positive count,
+    over the masks that ``columns`` index (bit k of each is mask k).
 
-    The present terms' rule columns are added into bit-sliced counters
-    (O'Neil & Quass): ``slices[b]`` holds bit b of every rule's count. The
-    rules are then split by those bits, most significant first.
+    The present terms' columns are added into bit-sliced counters
+    (O'Neil & Quass): ``slices[b]`` holds bit b of every mask's count. The
+    masks are then split by those bits, most significant first.
     """
     slices: list[int] = []
     for a in iter_bits(bits):
@@ -120,15 +112,6 @@ def _intersections(columns: Sequence[int], bits: int) -> list[tuple[int, int]]:
     return groups
 
 
-def _best_first(classes: Iterable[tuple[int, int]]) -> list[int]:
-    """The masks of ``(key, mask)`` pairs, those with equal keys merged,
-    best key first."""
-    by_key: dict = {}
-    for key, mask in classes:
-        by_key[key] = by_key.get(key, 0) | mask
-    return [by_key[key] for key in sorted(by_key, reverse=True)]
-
-
 def _exact_keys(ratios: Sequence[tuple[int, int]]) -> list[int]:
     """Ints that compare exactly as the ratios ``num / den`` do, a zero
     denominator reading 0: ``num * 2**2b // den`` for denominators below
@@ -138,17 +121,29 @@ def _exact_keys(ratios: Sequence[tuple[int, int]]) -> list[int]:
     return [(num << shift) // den if den else 0 for num, den in ratios]
 
 
-def _rank_table(measure: str, n1: int,
-                sizes: Iterable[int]) -> dict[int, tuple[int, ...]]:
-    """Per size n2, the rank of each intersection ``0..min(n1, n2)`` among
-    every class of the table: ranks compare exactly as the classes'
-    ``_score_key``s do, and equal keys share a rank."""
-    rows = [(n2, min(n1, n2) + 1) for n2 in sizes]
-    keys = _exact_keys([_score_ratio(inter, n1, n2, measure)
-                        for n2, width in rows for inter in range(width)])
-    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
-    ranks = map(rank.__getitem__, keys)
-    return {n2: tuple(islice(ranks, width)) for n2, width in rows}
+def _classes(index: RuleIndex, bits: int) -> list[tuple[int, int, int]]:
+    """``(|bits ∩ mask|, |mask|, members)`` for each class of the indexed
+    masks sharing both counts, positive intersections only. The masks of
+    one class share every measure's score."""
+    return [(inter, n2, hits & members)
+            for inter, hits in _intersections(index.columns, bits)
+            for n2, members in index.sizes if hits & members]
+
+
+def _ranked(classes: Sequence[tuple[int, int, int]], n1: int,
+            measure: str) -> list[int]:
+    """The members of ``_classes`` for a query of ``n1`` terms, best score
+    first, classes of equal score merged. Inner keys a class on its
+    intersection, the other measures on the exact key of its ratio."""
+    if measure == "inner":
+        keys = [inter for inter, _, _ in classes]
+    else:
+        keys = _exact_keys([_score_ratio(inter, n1, n2, measure)
+                            for inter, n2, _ in classes])
+    by_key: dict[int, int] = {}
+    for key, (_, _, members) in zip(keys, classes):
+        by_key[key] = by_key.get(key, 0) | members
+    return [by_key[key] for key in sorted(by_key, reverse=True)]
 
 
 def activate(model: CellularModel, doc: DocumentVector, measure: str = "inner",
@@ -160,10 +155,8 @@ def activate(model: CellularModel, doc: DocumentVector, measure: str = "inner",
     every intent scoring at least T (and above zero). May be empty.
 
     Rules with the same intersection and intent size share a score, so it
-    is ranked once per such class: inner by the intersection itself, the
-    other measures by the model's cached rank table for this measure and
-    document size. max and threshold list facts in rule order, topk in
-    fact order.
+    is computed once per such class (``_classes``, ``_ranked``). max and
+    threshold list facts in rule order, topk in fact order.
     """
     kind, arg = parse_activation(policy)
     if doc.size != len(model.vocabulary):
@@ -171,13 +164,10 @@ def activate(model: CellularModel, doc: DocumentVector, measure: str = "inner",
                              f"vocabulary has {len(model.vocabulary)} terms")
     if measure not in MEASURES:
         raise ValueError(f"unknown similarity measure {measure!r}")
-    index = model.rule_index
-    n1 = doc.bits.bit_count()
-    classes = [(inter, n2, hits & rules)
-               for inter, hits in _intersections(index.columns, doc.bits)
-               for n2, rules in index.sizes if hits & rules]
+    classes = _classes(model.rule_index, doc.bits)
     if not classes:
         return ()
+    n1 = doc.bits.bit_count()
     if kind == "threshold":
         # threshold compares against the true measure value
         chosen = 0
@@ -185,15 +175,7 @@ def activate(model: CellularModel, doc: DocumentVector, measure: str = "inner",
             if _score_value(inter, n1, n2, measure) >= arg:
                 chosen |= rules
         return tuple(model.intent_facts[k][0] for k in iter_bits(chosen))
-    if measure == "inner":
-        groups = _best_first((inter, rules) for inter, _, rules in classes)
-    else:
-        table = model.rank_tables.get((measure, n1))
-        if table is None:
-            table = model.rank_tables[measure, n1] = _rank_table(
-                measure, n1, (n2 for n2, _ in index.sizes))
-        groups = _best_first((table[n2][inter], rules)
-                             for inter, n2, rules in classes)
+    groups = _ranked(classes, n1, measure)
     if kind == "max":
         return tuple(model.intent_facts[k][0] for k in iter_bits(groups[0]))
     top: list[int] = []

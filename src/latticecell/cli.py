@@ -16,6 +16,7 @@ import json
 import sys
 from pathlib import Path
 
+from . import __version__
 from .classify import MEASURES, classify, parse_activation
 from .compiler import (CellularModel, compile_model, load_fixture_model,
                        load_model, model_from_dict, save_model)
@@ -234,7 +235,7 @@ def make_parser() -> argparse.ArgumentParser:
         prog="latticecell",
         description="Concept-lattice text categorization with a Boolean "
                     "cellular rule engine")
-    parser.add_argument("--version", action="version", version="latticecell 0.1.0")
+    parser.add_argument("--version", action="version", version=f"latticecell {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="build a concept lattice")

@@ -105,14 +105,25 @@ class ClassDistribution(Value):
 
 
 class RuleIndex(NamedTuple):
-    """Per-model bitsets over rule positions (bit k is rule k).
+    """Bitsets over the positions of a list of masks (bit k is mask k):
+    a model's intents, or k-NN's training vectors.
 
-    Activation reads these so that its cost per document follows the rules
-    the document touches, not the rule count.
+    Scoring reads these so that its cost per document follows the masks
+    the document touches, not the mask count.
     """
 
-    columns: tuple[int, ...]  # per attribute: rules whose intent holds it
-    sizes: tuple[tuple[int, int], ...]  # (|intent|, its rules), ascending
+    columns: tuple[int, ...]  # per attribute: masks that hold it
+    sizes: tuple[tuple[int, int], ...]  # (|mask|, its masks), ascending
+
+
+def index_masks(masks: Sequence[int], width: int) -> RuleIndex:
+    """The ``RuleIndex`` of ``masks`` over ``width`` attributes."""
+    sizes: dict[int, int] = {}
+    for k, mask in enumerate(masks):
+        n = mask.bit_count()
+        sizes[n] = sizes.get(n, 0) | 1 << k
+    return RuleIndex(tuple(transpose(masks, width)),
+                     tuple(sorted(sizes.items())))
 
 
 class LazyLabels(Sequence):
@@ -174,7 +185,8 @@ class CellularModel(Value):
     ``extent_facts[k]`` for each rule k the engine fired. The template
     shares ``fact_labels`` and renders its rule labels on first read, so
     classification formats no label; it is left out of equality and repr.
-    Immutable; clone the engine per classification via ``fresh_engine``.
+    Immutable, apart from ``rule_index``, built on first read; clone the
+    engine per classification via ``fresh_engine``.
     """
 
     _fields = ("categories", "fact_labels", "intent_facts", "extent_facts",
@@ -211,22 +223,11 @@ class CellularModel(Value):
 
     @cached_property
     def rule_index(self) -> RuleIndex:
-        """The bitsets classification reads, derived on first read."""
+        """The intents' bitsets activation reads, derived on first read."""
         # cached_property writes the instance __dict__ directly, past the
         # __setattr__ that keeps the fields frozen
-        sizes: dict[int, int] = {}
-        for k, (_, mask) in enumerate(self.intent_facts):
-            n = mask.bit_count()
-            sizes[n] = sizes.get(n, 0) | 1 << k
-        columns = transpose((mask for _, mask in self.intent_facts),
-                            len(self.vocabulary))
-        return RuleIndex(tuple(columns), tuple(sorted(sizes.items())))
-
-    @cached_property
-    def rank_tables(self) -> dict:
-        """Activation's integer rank tables by ``(measure, document size)``,
-        each added by ``classify.activate`` on first use."""
-        return {}
+        return index_masks([mask for _, mask in self.intent_facts],
+                           len(self.vocabulary))
 
 
 def _short_category_names(categories: Sequence[str]) -> list[str]:

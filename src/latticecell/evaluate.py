@@ -20,9 +20,9 @@ from itertools import islice
 from pathlib import Path
 
 from .bits import iter_bits, transpose
-from .classify import (MEASURES, _best_first, _exact_keys, _score_ratio,
-                       classify, parse_activation)
-from .compiler import compile_model
+from .classify import (MEASURES, _classes, _ranked, classify,
+                       parse_activation)
+from .compiler import compile_model, index_masks
 from .errors import (CorpusError, DimensionError, EmptyInputError,
                      LabelingError)
 from .lattice import build_lattice
@@ -180,32 +180,31 @@ def baseline_naive_bayes(train: Sequence[DocumentVector], doc: DocumentVector,
 
 def _knn_table(train: Sequence[DocumentVector],
                categories: Sequence[str] | None = None):
-    """The categories, the vector size and each training vector's bits,
-    popcount and category."""
+    """The categories, the vector size, the training vectors' index (as
+    activation's over intents) and their categories."""
     if not train:
         raise EmptyInputError("k-NN needs a nonempty training set")
     cats = _categories_of(train, categories)
-    return cats, train[0].size, [(v.bits, v.bits.bit_count(), v.category)
-                                 for v in train]
+    size = train[0].size
+    return (cats, size, index_masks([v.bits for v in train], size),
+            [v.category for v in train])
 
 
 def _knn_predict(knn_table, doc: DocumentVector, k: int, measure: str) -> str:
-    cats, size, rows = knn_table
+    cats, size, index, labels = knn_table
     if doc.size != size:
         raise DimensionError("query vector size does not match training vectors")
-    # every training vector of one (intersection, size) class has one key
-    classes: dict[tuple[int, int], int] = {}
-    for i, (bits, n2, _) in enumerate(rows):
-        c = ((doc.bits & bits).bit_count(), n2)
-        classes[c] = classes.get(c, 0) | 1 << i
-    n1 = doc.bits.bit_count()
-    keys = _exact_keys([_score_ratio(inter, n1, n2, measure)
-                        for inter, n2 in classes])
-    ranked = (i for members in _best_first(zip(keys, classes.values()))
-              for i in iter_bits(members))
+    if measure not in MEASURES:
+        raise ValueError(f"unknown similarity measure {measure!r}")
+    groups = _ranked(_classes(index, doc.bits), doc.bits.bit_count(), measure)
+    # the vectors sharing no term with the query score 0, so they come last
+    untouched = (1 << len(labels)) - 1
+    for members in groups:
+        untouched ^= members
+    ranked = (i for members in (*groups, untouched) for i in iter_bits(members))
     votes: dict[str, int] = {}
     for i in islice(ranked, k):
-        votes[rows[i][2]] = votes.get(rows[i][2], 0) + 1
+        votes[labels[i]] = votes.get(labels[i], 0) + 1
     return max(cats, key=lambda c: (votes.get(c, 0), -cats.index(c)))
 
 
@@ -214,9 +213,10 @@ def baseline_knn(train: Sequence[DocumentVector], doc: DocumentVector,
                  categories: Sequence[str] | None = None) -> str:
     """Majority label of the k most similar training vectors.
 
-    Training vectors that share an intersection and a size with the query
-    share a score, so it is computed once per such class. Similarity ties
-    keep training order; label ties fall back to category order.
+    Training vectors that share an intersection with the query and a size
+    share a score, so it is computed once per such class, by the kernel
+    activation uses. Similarity ties keep training order; label ties fall
+    back to category order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -384,8 +384,9 @@ def run_experiment(corpus_root: str | Path,
                    config: PipelineConfig = PipelineConfig()) -> ExperimentReport:
     """Train, compile, classify, and score; returns the full report.
 
-    Wall-clock timings for the lattice build, the compilation, and each
-    configuration's classification pass land in ``report.timings``.
+    Wall-clock timings for the lattice build, the compilation (with the
+    model's rule index), and each configuration's classification pass land
+    in ``report.timings``.
     """
     corpus_root = Path(corpus_root)
     train_docs, test_docs = _load_split(corpus_root, config)
@@ -416,6 +417,10 @@ def run_experiment(corpus_root: str | Path,
     t0 = time.perf_counter()
     model = compile_model(lattice, {d.id: d.category for d in train_docs},
                           categories)
+    if config.measures:
+        # the index every measure row reads is charged to the model, not to
+        # whichever row runs first
+        model.rule_index
     compile_s = time.perf_counter() - t0
 
     report = ExperimentReport(categories, len(train_docs), len(test_docs), config)

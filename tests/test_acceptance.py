@@ -12,13 +12,14 @@ from fractions import Fraction
 
 from helpers import (DATA, DEMO_CATEGORIES, demo_context, demo_labels_map,
                      naive_forward_chain, query_vector, random_context,
-                     reference_distribution, wiring_masks)
+                     reference_distribution, reference_score_key,
+                     wiring_masks)
 from latticecell import (ClassDistribution, DocumentVector, FormalContext,
                          assemble, build_lattice, classify, compile_model,
                          delta_fact, delta_rule, derive_extent, derive_intent,
                          enumerate_concepts_naive, load_fixture_model,
                          run_inference, set_facts, vote)
-from latticecell.classify import MEASURES, _score_key
+from latticecell.classify import MEASURES
 from latticecell.cli import main
 
 
@@ -144,8 +145,8 @@ def _direct_lattice_prediction(lattice, labels, categories, doc, measure):
     for c in eligible:
         inter = (doc.bits & c.intent).bit_count()
         if inter:
-            key = _score_key(inter, doc.bits.bit_count(),
-                             c.intent.bit_count(), measure)
+            key = reference_score_key(inter, doc.bits.bit_count(),
+                                      c.intent.bit_count(), measure)
             positive.append((c, key))
     if not positive:
         return None, None, ()

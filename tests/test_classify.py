@@ -13,7 +13,7 @@ from latticecell import (DimensionError, DocumentVector, EmptyInputError,
                          activate, build_lattice, classify, compile_model,
                          load_fixture_model, model_from_dict, model_to_dict,
                          vote)
-from latticecell.classify import MEASURES, _score_key, _score_value
+from latticecell.classify import MEASURES, _ranked, _score_value
 from latticecell.compiler import ClassDistribution
 
 
@@ -43,37 +43,35 @@ def test_similarity_empty_vectors_score_zero():
 
 @pytest.mark.parametrize("measure", MEASURES)
 def test_scores_equal_their_own_formulas_on_a_grid(measure):
-    """For |v1|, |v2| <= 60 and every overlap, the value and the key equal
-    the references' in value and type."""
+    """For |v1|, |v2| <= 60 and every overlap, the value equals the
+    reference's in value and type."""
     for n1 in range(61):
         for n2 in range(61):
             for inter in range(min(n1, n2) + 1):
                 want = reference_score_value(inter, n1, n2, measure)
-                key = reference_score_key(inter, n1, n2, measure)
-                for got, ref in ((_score_value(inter, n1, n2, measure), want),
-                                 (_score_key(inter, n1, n2, measure), key)):
-                    assert type(got) is type(ref) and got == ref, \
-                        (measure, inter, n1, n2, got, ref)
+                got = _score_value(inter, n1, n2, measure)
+                assert type(got) is type(want) and got == want, \
+                    (measure, inter, n1, n2, got, want)
 
 
 def test_score_key_orders_like_value():
+    """Two classes against one query: ``_ranked`` puts the one of higher
+    value first, and merges them only when their values are equal."""
     rnd = random.Random(3)
     for measure in MEASURES:
         for _ in range(200):
             n1 = rnd.randint(0, 12)
             n2 = rnd.randint(0, 12)
-            m1 = rnd.randint(0, 12)
             m2 = rnd.randint(0, 12)
             i1 = rnd.randint(0, min(n1, n2))
-            i2 = rnd.randint(0, min(m1, m2))
+            i2 = rnd.randint(0, min(n1, m2))
             v1 = _score_value(i1, n1, n2, measure)
-            v2 = _score_value(i2, m1, m2, measure)
-            k1 = _score_key(i1, n1, n2, measure)
-            k2 = _score_key(i2, m1, m2, measure)
+            v2 = _score_value(i2, n1, m2, measure)
+            groups = _ranked([(i1, n2, 1), (i2, m2, 2)], n1, measure)
             if v1 < v2:
-                assert k1 < k2
+                assert groups == [2, 1]
             elif v1 > v2:
-                assert k1 > k2
+                assert groups == [1, 2]
 
 
 def test_activate_fixture_inner_max():
@@ -217,8 +215,9 @@ def test_monotone_measures_agree_on_equal_cardinality_intents():
         doc = rnd.getrandbits(size)
         argmaxes = {}
         for measure in ("jaccard", "dice", "cosine"):
-            keys = [_score_key((doc & m).bit_count(), doc.bit_count(),
-                               m.bit_count(), measure) for m in intents]
+            keys = [reference_score_key((doc & m).bit_count(),
+                                        doc.bit_count(), m.bit_count(),
+                                        measure) for m in intents]
             best = max(keys)
             argmaxes[measure] = {i for i, k in enumerate(keys) if k == best}
         assert argmaxes["jaccard"] == argmaxes["dice"] == argmaxes["cosine"]
@@ -229,8 +228,9 @@ def _direct_lattice_prediction(lattice, labels, categories, doc, measure):
     eligible = [c for c in lattice.concepts if c.extent and c.intent]
     if not eligible:
         return None, ()
-    keys = [_score_key((doc.bits & c.intent).bit_count(),
-                       doc.bits.bit_count(), c.intent.bit_count(), measure)
+    keys = [reference_score_key((doc.bits & c.intent).bit_count(),
+                                doc.bits.bit_count(), c.intent.bit_count(),
+                                measure)
             for c in eligible]
     positive = [(c, k) for c, k, raw in zip(eligible, keys,
                                             (doc.bits & c.intent

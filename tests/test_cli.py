@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from helpers import DATA, demo_context, demo_labels_map
+import latticecell
 from latticecell import build_lattice, compile_model, save_model
 from latticecell.cli import main
 
@@ -19,6 +20,20 @@ def query_csv(tmp_path):
     path = tmp_path / "query.csv"
     path.write_text(QUERY_CSV, encoding="utf-8")
     return path
+
+
+def test_version_is_the_package_version(capsys):
+    """``--version`` prints ``latticecell.__version__``, and pyproject.toml
+    reads the same attribute instead of stating a version of its own."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--version"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == f"latticecell {latticecell.__version__}\n"
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(
+        encoding="utf-8")
+    assert 'dynamic = ["version"]' in pyproject
+    assert 'version = {attr = "latticecell.__version__"}' in pyproject
+    assert not re.search(r'^version = "', pyproject, re.M)
 
 
 def test_build_from_context_csv(tmp_path, capsys):

@@ -20,6 +20,7 @@ from latticecell import (ConfusionMatrix, CorpusError, DimensionError,
                          build_context, build_lattice, compile_model,
                          default_stopwords, load_corpus, metrics,
                          run_experiment, split_corpus)
+from latticecell.classify import MEASURES
 from latticecell.cli import main
 from latticecell.evaluate import _naive_bayes_table
 from latticecell.textprep import Document
@@ -280,6 +281,30 @@ def test_run_experiment_formats_no_label(monkeypatch):
     report = run_experiment(DATA / "corpus",
                             PipelineConfig(baselines=("nb", "knn"), seed=3))
     assert set(report.timings["rows"]) >= {"inner", "cosine"}
+
+
+def test_the_rule_index_is_built_with_the_model(monkeypatch):
+    """``compile_s`` includes the rule index that every measure row reads,
+    so the first row is not charged with it; a run without measures builds
+    no index."""
+    models = []
+    real_compile = latticecell.evaluate.compile_model
+    real_classify = latticecell.evaluate.classify
+
+    def compiled(*args):
+        models.append(real_compile(*args))
+        return models[-1]
+
+    def checked(model, *args):
+        assert "rule_index" in vars(model)
+        return real_classify(model, *args)
+    monkeypatch.setattr(latticecell.evaluate, "compile_model", compiled)
+    monkeypatch.setattr(latticecell.evaluate, "classify", checked)
+    report = run_experiment(DATA / "corpus", PipelineConfig(seed=3))
+    assert [row.name for row in report.rows] == list(MEASURES)
+    run_experiment(DATA / "corpus",
+                   PipelineConfig(measures=(), baselines=("nb",), seed=3))
+    assert "rule_index" not in vars(models[-1])
 
 
 @pytest.mark.parametrize("policy", ["topk:2", "threshold:0.5"])

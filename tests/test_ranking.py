@@ -1,9 +1,9 @@
-"""The class-ranking kernel that k-NN and activation share.
+"""The class kernel that k-NN and activation share.
 
-Both score each (intersection, size) class once. k-NN walks the classes
-by their exact keys; activation ranks them through an integer rank table
-cached on the model per (measure, document size). Each is checked
-against the oracle that scores pair by pair.
+Both index their masks (training vectors or intents) once, find the
+(intersection, size) classes a query touches, and rank each class once
+by its exact key, classes of equal key merged. Each is checked against
+the oracle that scores pair by pair.
 """
 
 import random
@@ -15,11 +15,8 @@ from hypothesis import given, settings, strategies as st
 from helpers import reference_activate, reference_knn, reference_score_key
 from latticecell import DocumentVector, activate, baseline_knn
 from latticecell.bits import mask_from_indices
-from latticecell.classify import (MEASURES, _exact_keys, _rank_table,
-                                 _score_key)
+from latticecell.classify import MEASURES, _exact_keys, _ranked
 from latticecell.compiler import CellularModel, ClassDistribution
-
-RANKED = ("jaccard", "cosine", "dice")
 
 
 @st.composite
@@ -27,7 +24,7 @@ def knn_cases(draw):
     """Training vectors drawn from a small pool, so that more draws than
     pool entries repeat a vector, plus one all-zero vector; a query; and
     a category list holding every training category."""
-    size = draw(st.integers(1, 8))
+    size = draw(st.integers(0, 8))
     pool = draw(st.lists(st.integers(0, 2 ** size - 1), min_size=1,
                          max_size=4))
     rows = draw(st.lists(st.sampled_from(pool), min_size=len(pool) + 1,
@@ -82,19 +79,25 @@ def test_exact_keys_order_ratios_like_fractions_beyond_float_precision():
             assert _sign(key, other_key) == _sign(value, other_value)
 
 
-@pytest.mark.parametrize("measure", RANKED)
-def test_rank_table_orders_classes_like_their_keys(measure):
+@pytest.mark.parametrize("measure", MEASURES)
+def test_ranked_orders_classes_like_their_keys(measure):
+    """Every class for sizes up to 12, one member bit each: the groups
+    come in descending key order, and a group holds exactly the classes of
+    one key."""
     sizes = range(13)
     for n1 in range(13):
-        table = _rank_table(measure, n1, sizes)
-        assert {n2: len(ranks) for n2, ranks in table.items()} == {
-            n2: min(n1, n2) + 1 for n2 in sizes}
-        classes = [(reference_score_key(inter, n1, n2, measure), rank)
-                   for n2 in sizes for inter, rank in enumerate(table[n2])]
-        for key, rank in classes:
-            for other_key, other_rank in classes:
-                assert _sign(rank, other_rank) == _sign(key, other_key), \
-                    (measure, n1, key, other_key)
+        pairs = [(inter, n2) for n2 in sizes for inter in range(min(n1, n2) + 1)]
+        classes = [(inter, n2, 1 << k) for k, (inter, n2) in enumerate(pairs)]
+        groups = _ranked(classes, n1, measure)
+        key_of = {members: reference_score_key(inter, n1, n2, measure)
+                  for inter, n2, members in classes}
+        group_keys = []
+        for group in groups:
+            keys = {key for members, key in key_of.items() if members & group}
+            assert len(keys) == 1, (measure, n1, keys)
+            group_keys.append(keys.pop())
+        assert group_keys == sorted(set(key_of.values()), reverse=True)
+        assert sum(groups) == sum(key_of), (measure, n1)
 
 
 def _tied_model() -> CellularModel:
@@ -114,10 +117,17 @@ def _tied_model() -> CellularModel:
 
 
 def test_one_model_object_activates_like_the_full_scan_across_calls():
-    assert _score_key(1, 3, 1, "jaccard") == _score_key(2, 3, 5, "jaccard")
-    assert _score_key(1, 3, 1, "cosine") == _score_key(2, 3, 4, "cosine")
-    assert _score_key(1, 2, 2, "dice") == _score_key(2, 2, 6, "dice")
+    for measure, a, b in (("jaccard", (1, 3, 1), (2, 3, 5)),
+                          ("cosine", (1, 3, 1), (2, 3, 4)),
+                          ("dice", (1, 2, 2), (2, 2, 6))):
+        assert (reference_score_key(*a, measure)
+                == reference_score_key(*b, measure))
+        inter, n1, n2 = a
+        other_inter, _, other_n2 = b
+        assert _ranked([(inter, n2, 1), (other_inter, other_n2, 2)], n1,
+                       measure) == [3]
     model = _tied_model()
+    before = set(vars(model))
     rnd = random.Random(19)
     docs = [DocumentVector(mask_from_indices(rnd.sample(range(8), n1)), 8)
             for n1 in (3, 2, 5, 3, 1, 8, 2, 4, 3, 0, 6)]
@@ -127,8 +137,5 @@ def test_one_model_object_activates_like_the_full_scan_across_calls():
                 assert (activate(model, doc, measure, policy)
                         == reference_activate(model, doc, measure, policy)), \
                     (doc, measure, policy)
-    # one table per ranked measure and document size that reached ranking;
-    # inner ranks by the intersection itself
-    assert set(model.rank_tables) == {
-        (measure, doc.bits.bit_count()) for measure in RANKED
-        for doc in docs if doc.bits}
+    # activation caches the model's rule index and nothing else
+    assert set(vars(model)) - before == {"rule_index"}
