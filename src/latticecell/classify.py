@@ -4,8 +4,7 @@ A document vector is scored against the intent facts of the model; the
 most similar intents are activated (EF = 1), the engine runs to its
 fixpoint, and the class distributions of the rules that fired are
 averaged. The argmax category wins, ties broken by category order. No
-activation or no fired rule yields an explicitly unclassifiable
-prediction.
+activation yields an explicitly unclassifiable prediction.
 """
 
 from __future__ import annotations
@@ -191,7 +190,7 @@ class Prediction(Value):
     """Outcome of classifying one document vector.
 
     ``category`` is None when the document is unclassifiable (no intent
-    activated, or no rule fired).
+    activated).
     """
 
     _fields = ("category", "distribution", "fired_vertices",
@@ -236,8 +235,7 @@ def classify(model: CellularModel, doc: DocumentVector, measure: str = "inner",
     engine = model.fresh_engine()
     set_facts(engine, activated)
     run_inference(engine, trace)
-    if not engine.er:
-        return Prediction(None, None, (), activated)
+    # an activated intent fact is its rule's only premise, so ER is nonempty
     fired, dists = zip(*(model.extent_facts[k] for k in iter_bits(engine.er)))
     category, mean = vote(dists, model.categories)
     return Prediction(category, mean, fired, activated)

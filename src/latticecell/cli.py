@@ -33,7 +33,7 @@ UNCLASSIFIABLE = "UNCLASSIFIABLE"
 
 
 def _stopwords(args) -> frozenset[str]:
-    if getattr(args, "stopwords", None):
+    if args.stopwords:
         return load_stopwords(args.stopwords)
     return default_stopwords()
 
@@ -305,10 +305,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "classify" and not args.paper_fixture:
+    if args.command == "classify" and not args.paper_fixture:
         if args.model is None:
             parser.error("classify needs MODEL (or --paper-fixture)")
-    elif getattr(args, "command", None) == "classify" and args.paper_fixture:
+    elif args.command == "classify" and args.paper_fixture:
         # with --paper-fixture the positional MODEL slot is really an input
         if args.model is not None:
             args.inputs = [args.model, *args.inputs]

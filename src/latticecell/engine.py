@@ -103,12 +103,6 @@ class EngineState:
             setattr(clone, name, getattr(self, name))
         return clone
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EngineState):
-            return NotImplemented
-        return all(getattr(self, n) == getattr(other, n)
-                   for n in EngineState.__slots__ if n != "cycles")
-
     def __repr__(self) -> str:
         return (f"EngineState({self.n_facts} facts, {self.n_rules} rules, "
                 f"ef={self.ef:#x}, er={self.er:#x})")

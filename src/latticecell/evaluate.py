@@ -33,6 +33,10 @@ from .textprep import (DEFAULT_FEATURE_COUNT, Document, DocumentVector,
 from .value import Value
 
 BASELINES = ("nb", "knn")
+# the k-NN baseline's settings: ``baseline_knn``'s defaults, and the ones
+# ``run_experiment`` runs and reports
+KNN_K = 3
+KNN_MEASURE = "cosine"
 
 
 class ConfusionMatrix(Value, frozen=False):
@@ -209,7 +213,7 @@ def _knn_predict(knn_table, doc: DocumentVector, k: int, measure: str) -> str:
 
 
 def baseline_knn(train: Sequence[DocumentVector], doc: DocumentVector,
-                 k: int = 3, measure: str = "cosine",
+                 k: int = KNN_K, measure: str = KNN_MEASURE,
                  categories: Sequence[str] | None = None) -> str:
     """Majority label of the k most similar training vectors.
 
@@ -227,14 +231,13 @@ class PipelineConfig(Value):
     """Everything an experiment run needs, with the stock defaults."""
 
     _fields = ("measures", "activation", "features", "stopwords_path", "split",
-               "seed", "baselines", "knn_k", "knn_measure", "jobs")
+               "seed", "baselines", "jobs")
 
     def __init__(self, measures: tuple[str, ...] = MEASURES,
                  activation: str = "max",
                  features: int = DEFAULT_FEATURE_COUNT,
                  stopwords_path: Path | None = None, split: float = 2 / 3,
                  seed: int = 0, baselines: tuple[str, ...] = (),
-                 knn_k: int = 3, knn_measure: str = "cosine",
                  # only for perfbench/workloads.py, which passes jobs=1;
                  # goes when it stops
                  jobs: int = 1) -> None:
@@ -245,8 +248,6 @@ class PipelineConfig(Value):
         object.__setattr__(self, "split", split)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "baselines", baselines)
-        object.__setattr__(self, "knn_k", knn_k)
-        object.__setattr__(self, "knn_measure", knn_measure)
         object.__setattr__(self, "jobs", jobs)
         if features < 1:
             raise ValueError("feature count must be >= 1")
@@ -263,11 +264,6 @@ class PipelineConfig(Value):
             raise ValueError("split ratio must be in (0, 1)")
         if jobs != 1:
             raise ValueError("jobs must be 1: classification runs in one process")
-        if knn_k < 1:
-            raise ValueError("knn_k must be >= 1")
-        if knn_measure not in MEASURES:
-            raise ValueError(f"unknown k-NN similarity measure "
-                             f"{knn_measure!r}")
         parse_activation(activation)
 
 
@@ -310,8 +306,8 @@ class ExperimentReport(Value, frozen=False):
                 "split": self.config.split,
                 "seed": self.config.seed,
                 "baselines": list(self.config.baselines),
-                "knn_k": self.config.knn_k,
-                "knn_measure": self.config.knn_measure,
+                "knn_k": KNN_K,
+                "knn_measure": KNN_MEASURE,
             },
             "rows": [
                 {
@@ -386,12 +382,11 @@ def run_experiment(corpus_root: str | Path,
 
     Wall-clock timings for the lattice build, the compilation (with the
     model's rule index), and each configuration's classification pass land
-    in ``report.timings``.
+    in ``report.timings``. A run with no similarity measure builds no
+    lattice or model, and times both as 0.0.
     """
     corpus_root = Path(corpus_root)
     train_docs, test_docs = _load_split(corpus_root, config)
-    if not train_docs:
-        raise CorpusError("training split is empty")
     if not test_docs:
         raise CorpusError("test split is empty")
     stopwords = (load_stopwords(config.stopwords_path)
@@ -409,19 +404,20 @@ def run_experiment(corpus_root: str | Path,
             raise LabelingError(f"test document {d.id!r} has category "
                                 f"{d.category!r} absent from training data")
 
-    ctx = build_context(train_vectors, vocab)
-    t0 = time.perf_counter()
-    lattice = build_lattice(ctx)
-    lattice_build_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    model = compile_model(lattice, {d.id: d.category for d in train_docs},
-                          categories)
+    lattice_build_s = compile_s = 0.0
     if config.measures:
+        ctx = build_context(train_vectors, vocab)
+        t0 = time.perf_counter()
+        lattice = build_lattice(ctx)
+        lattice_build_s = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        model = compile_model(lattice, {d.id: d.category for d in train_docs},
+                              categories)
         # the index every measure row reads is charged to the model, not to
         # whichever row runs first
         model.rule_index
-    compile_s = time.perf_counter() - t0
+        compile_s = time.perf_counter() - t0
 
     report = ExperimentReport(categories, len(train_docs), len(test_docs), config)
     report.timings = {
@@ -442,7 +438,7 @@ def run_experiment(corpus_root: str | Path,
             predicted = [_naive_bayes_predict(table, v) for v in test_vectors]
         elif row == "knn":
             table = _knn_table(train_vectors, categories)
-            predicted = [_knn_predict(table, v, config.knn_k, config.knn_measure)
+            predicted = [_knn_predict(table, v, KNN_K, KNN_MEASURE)
                          for v in test_vectors]
         else:
             predicted = [classify(model, v, row, config.activation).category

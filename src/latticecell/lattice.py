@@ -267,7 +267,7 @@ def _name_masks(k: int, objects: list, attributes: list,
             return extent, intent
     except (KeyError, TypeError):
         pass
-    masks = []
+    # some name is unknown, unhashable or repeated: find the first one
     try:
         for names, bits in ((objects, object_bits),
                             (attributes, attribute_bits)):
@@ -277,11 +277,9 @@ def _name_masks(k: int, objects: list, attributes: list,
                 if mask & bit:
                     raise FormatError(f"concept {k}: {name!r} repeated")
                 mask |= bit
-            masks.append(mask)
     except (KeyError, TypeError) as exc:
         raise FormatError(f"concept {k}: unknown object or attribute "
                           f"{exc}") from exc
-    return tuple(masks)
 
 
 def _check_concepts(ctx: FormalContext, concepts: Sequence[Concept],

@@ -25,7 +25,7 @@ import os
 import re
 import unicodedata
 from collections.abc import Iterable, Sequence
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import repeat
 from operator import neg, or_
 from pathlib import Path
@@ -57,6 +57,8 @@ class Vocabulary(Value):
 
     ``ig_scores`` is None for externally given vocabularies (for example a
     context file's column order), in which case the order is kept as-is.
+    ``token_masks`` maps each folded term to the mask of the vocabulary
+    bits it sets; it is derived, and left out of equality and repr.
     """
 
     _fields = ("terms", "ig_scores")
@@ -74,14 +76,10 @@ class Vocabulary(Value):
                              key=lambda ts: (-ts[1], ts[0]))
             if tuple(t for t, _ in ranking) != terms:
                 raise ValueError("terms must be sorted by score desc, term asc")
+        object.__setattr__(self, "token_masks", _token_masks(terms))
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    @cached_property
-    def token_masks(self) -> dict[str, int]:
-        """Folded term -> mask of the vocabulary bits it sets."""
-        return _token_masks(self.terms)
 
 
 class DocumentVector(Value):
@@ -168,7 +166,7 @@ def vectorize(doc: Document, vocab: Vocabulary, *,
 
     Vocabulary terms are matched after the same NFC and lowercasing as
     tokens, so display-cased context headers line up with the token
-    stream. The token map is built once per ``Vocabulary``.
+    stream. The token map is built with the ``Vocabulary``.
     """
     return _vector(doc, _doc_terms(doc, frozenset(stopwords)), vocab)
 

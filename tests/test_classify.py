@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +14,7 @@ from latticecell import (DimensionError, DocumentVector, EmptyInputError,
                          activate, build_lattice, classify, compile_model,
                          load_fixture_model, model_from_dict, model_to_dict,
                          vote)
-from latticecell.classify import MEASURES, _ranked, _score_value
+from latticecell.classify import MEASURES, _ranked, _score_ratio, _score_value
 from latticecell.compiler import ClassDistribution
 
 
@@ -116,6 +117,24 @@ def test_bad_policy_rejected():
         activate(model, query_vector(), "inner", "topk:0")
 
 
+def test_unknown_measure_rejected():
+    with pytest.raises(ValueError, match="unknown similarity measure 'l2'"):
+        _score_ratio(1, 1, 1, "l2")
+    with pytest.raises(ValueError, match="unknown similarity measure 'l2'"):
+        activate(load_fixture_model(), query_vector(), "l2", "max")
+
+
+def test_readme_library_example_predicts_economie(monkeypatch):
+    """README's Python example runs as printed, from the repository root."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(root)
+    scope = {}
+    exec(example, scope)
+    assert scope["prediction"].category == "Economie"
+
+
 def test_classify_worked_example():
     model = load_fixture_model()
     pred = classify(model, query_vector(), "inner", "max")
@@ -187,6 +206,8 @@ def test_vote_single_and_tie():
     assert category == "Sport"      # tie broken by category order
     with pytest.raises(EmptyInputError):
         vote([], DEMO_CATEGORIES)
+    with pytest.raises(DimensionError, match="width does not match"):
+        vote([d], DEMO_CATEGORIES[:2])
 
 
 def test_vote_output_sums_to_one_random():

@@ -1,7 +1,10 @@
 """Command-line surface: build, compile, classify, evaluate, inspect."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,6 +32,12 @@ def test_version_is_the_package_version(capsys):
         main(["--version"])
     assert exit_info.value.code == 0
     assert capsys.readouterr().out == f"latticecell {latticecell.__version__}\n"
+    # the module runs as a script too
+    src = Path(latticecell.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-m", "latticecell.cli", "--version"],
+                         capture_output=True, text=True, env=env, check=True)
+    assert run.stdout == f"latticecell {latticecell.__version__}\n"
     pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(
         encoding="utf-8")
     assert 'dynamic = ["version"]' in pyproject
@@ -165,6 +174,11 @@ def test_classify_worked_example(query_csv, capsys):
     assert record["distribution"] == [0, 0.835, 0.165]
     assert record["activated_intents"] == [4, 6]
     assert record["fired_vertices"] == [5, 7]
+    # with --paper-fixture the MODEL slot holds the first input
+    rc = main(["classify", "--paper-fixture", str(query_csv), str(query_csv),
+               "--similarity", "inner"])
+    assert rc == 0
+    assert capsys.readouterr().out == (line + "\n") * 2
 
 
 def test_classify_cosine_single_activation(query_csv, capsys):
@@ -433,6 +447,24 @@ def test_missing_input_file_is_an_error_not_a_traceback(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["compile", "-o", "{tmp}/m.json"],
+     "error: compile needs LATTICE and LABELS (or --paper-fixture)\n"),
+    (["compile", "{tmp}/lattice.json", "-o", "{tmp}/m.json"],
+     "error: compile needs LATTICE and LABELS (or --paper-fixture)\n"),
+    (["classify", "{tmp}/q.csv"], "classify needs MODEL (or --paper-fixture)"),
+], ids=["compile-nothing", "compile-no-labels", "classify-no-model"])
+def test_a_missing_positional_argument_exits_2(tmp_path, capsys, argv, message):
+    try:
+        rc = main([a.format(tmp=tmp_path) for a in argv])
+    except SystemExit as exc:  # a usage error, from the parser
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == "" and message in captured.err
+    assert not (tmp_path / "m.json").exists()
+
+
 @pytest.mark.parametrize("command", ["compile", "inspect"])
 @pytest.mark.parametrize("key, value", [
     ("top", float("inf")), ("top", 1.5), ("objects", ["Doc 1", "Doc 1"]),
@@ -491,6 +523,23 @@ def test_repeated_label_names_its_row(tmp_path, capsys):
     assert capsys.readouterr().err == (f"error: {labels}: row 10: repeated "
                                        f"object id 'Doc 1'\n")
     assert not (tmp_path / "m.json").exists()
+
+
+def test_labels_skip_blank_rows_and_name_a_row_of_other_width(tmp_path,
+                                                              capsys):
+    lattice, labels = tmp_path / "lattice.json", tmp_path / "labels.csv"
+    main(["build", str(DATA / "context.csv"), "-o", str(lattice)])
+    rows = (DATA / "labels.csv").read_bytes()
+    labels.write_bytes(b"\n" + rows.replace(b"\n", b"\n\n"))
+    assert main(["compile", str(lattice), str(labels), "-o",
+                 str(tmp_path / "m.json")]) == 0
+    labels.write_bytes(rows + b"Doc 10,Sport,x\n")
+    capsys.readouterr()
+    assert main(["compile", str(lattice), str(labels), "-o",
+                 str(tmp_path / "m2.json")]) == 2
+    assert capsys.readouterr().err == (f"error: {labels}: row 10: expected "
+                                       f"'object_id,category'\n")
+    assert not (tmp_path / "m2.json").exists()
 
 
 def test_a_label_with_an_empty_category_names_its_row(tmp_path, capsys):
@@ -579,6 +628,13 @@ def test_inspect_tells_a_report_from_its_timings(tmp_path, capsys):
             ("list.json", 1, "unrecognized file")):
         assert main(["inspect", str(tmp_path / name)]) == rc
         assert capsys.readouterr() == (out + "\n", "")
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"averaging": "macro", "rows": 3}', encoding="utf-8")
+    assert main(["inspect", str(malformed)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {malformed}: malformed report "
+                                   f"document: ")
 
 
 @pytest.mark.parametrize("kind, key, value, rc, out", [

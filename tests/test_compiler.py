@@ -15,7 +15,8 @@ from helpers import (DEMO_CATEGORIES, DEMO_LABELS, benchmark_corpus,
                      reference_distribution, reference_fact_labels,
                      reference_mean)
 from latticecell import (CellularModel, ClassDistribution, DimensionError,
-                         DocumentVector, FormatError, LabelingError,
+                         DocumentVector, EmptyInputError, FormatError,
+                         LabelingError,
                          PipelineConfig, build_lattice, classify,
                          compile_model, load_fixture_model, load_model,
                          save_model)
@@ -64,6 +65,10 @@ def test_mean_is_exact():
     b = ClassDistribution((0, 1, 0))
     mean = ClassDistribution.mean([a, b])
     assert mean.fractions == (0, Fraction(167, 200), Fraction(33, 200))
+    with pytest.raises(EmptyInputError):
+        ClassDistribution.mean([])
+    with pytest.raises(ValueError, match="share the category list"):
+        ClassDistribution.mean([a, ClassDistribution((1, 0))])
 
 
 def test_mean_and_argmax_match_fraction_mean():
@@ -438,6 +443,10 @@ def test_derived_labels_equal_the_eager_reference(demo_model, model_path):
     want = reference_fact_labels(lattice, demo_labels_map(), DEMO_CATEGORIES)
     model = compile_model(lattice, demo_labels_map(), DEMO_CATEGORIES)
     assert model.fact_labels == want and want == model.fact_labels
+    # a lazy sequence compares, hashes and prints as the rendered tuple
+    assert model.fact_labels != list(want)
+    assert hash(model.fact_labels) == hash(want)
+    assert repr(model.fact_labels) == repr(want)
     assert model.engine_template.fact_labels == want
     assert model.fact_labels[1] == "[S1 (100% S), (0% E), (0% T)]"
     save_model(model, model_path)

@@ -179,7 +179,8 @@ def test_csv_bad_width(tmp_path):
     (b"id,a\nx,1\n\xff,0\n", "can't decode byte 0xff"),
     (b"id,a,a\nx,1,0\n", "row 1: duplicate attribute name 'a'"),
     (b"id,a,b\nx,1,0\ny,0,1\nx,0,0\n", "row 4: duplicate object id 'x'"),
-], ids=["not-utf8", "duplicate-attribute", "duplicate-object"])
+    (b"", "missing header row"),
+], ids=["not-utf8", "duplicate-attribute", "duplicate-object", "no-header"])
 def test_csv_malformed_file_is_a_format_error_naming_it(tmp_path, data,
                                                         message):
     bad = tmp_path / "bad.csv"

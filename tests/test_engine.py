@@ -22,6 +22,7 @@ def test_fresh_state():
     assert eng.fact_if == 0b111
     assert eng.rule_ir == 0b11 and eng.sr == 0b11
     assert eng.rule_labels == ["r1", "r2"]  # kept as given
+    assert repr(eng) == "EngineState(3 facts, 2 rules, ef=0x0, er=0x0)"
 
 
 def test_wiring_validated():

@@ -186,6 +186,20 @@ def test_baselines_reject_training_vectors_of_different_sizes():
         baseline_naive_bayes(train, query)
 
 
+def test_baselines_reject_bad_queries_and_settings():
+    train = [_vec(0b01, 2, "A", 0), _vec(0b10, 2, "B", 1)]
+    query = _vec(0b01, 2, None, 9)
+    for baseline in (baseline_naive_bayes, baseline_knn):
+        with pytest.raises(DimensionError, match="query vector size"):
+            baseline(train, _vec(0b100, 3, None, 9))
+    with pytest.raises(EmptyInputError, match="k-NN needs"):
+        baseline_knn([], query)
+    with pytest.raises(ValueError, match="unknown similarity measure 'l2'"):
+        baseline_knn(train, query, measure="l2")
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        baseline_knn(train, query, k=0)
+
+
 def test_split_corpus_stratified_and_seeded():
     docs = [Document(f"{c}{i}", c, "") for c in "ABC" for i in range(6)]
     train1, test1 = split_corpus(docs, 2 / 3, seed=5)
@@ -285,8 +299,8 @@ def test_run_experiment_formats_no_label(monkeypatch):
 
 def test_the_rule_index_is_built_with_the_model(monkeypatch):
     """``compile_s`` includes the rule index that every measure row reads,
-    so the first row is not charged with it; a run without measures builds
-    no index."""
+    so the first row is not charged with it; a run without measures
+    compiles no model."""
     models = []
     real_compile = latticecell.evaluate.compile_model
     real_classify = latticecell.evaluate.classify
@@ -302,9 +316,10 @@ def test_the_rule_index_is_built_with_the_model(monkeypatch):
     monkeypatch.setattr(latticecell.evaluate, "classify", checked)
     report = run_experiment(DATA / "corpus", PipelineConfig(seed=3))
     assert [row.name for row in report.rows] == list(MEASURES)
-    run_experiment(DATA / "corpus",
-                   PipelineConfig(measures=(), baselines=("nb",), seed=3))
-    assert "rule_index" not in vars(models[-1])
+    report = run_experiment(DATA / "corpus",
+                            PipelineConfig(measures=(), baselines=("nb",), seed=3))
+    assert len(models) == 1
+    assert report.timings["lattice_build_s"] == report.timings["compile_s"] == 0.0
 
 
 @pytest.mark.parametrize("policy", ["topk:2", "threshold:0.5"])
@@ -433,11 +448,6 @@ def test_config_validation(tmp_path, capsys):
         PipelineConfig(split=1.5)
     with pytest.raises(ValueError):
         PipelineConfig(baselines=("svm",))
-    # rejected before any lattice is built, and never written into a report
-    with pytest.raises(ValueError, match="knn_k must be >= 1"):
-        PipelineConfig(knn_k=0)
-    with pytest.raises(ValueError, match="unknown k-NN similarity measure"):
-        PipelineConfig(knn_measure="euclid")
     # classification runs in one process; the field accepts only 1
     assert PipelineConfig(jobs=1) == PipelineConfig()
     for jobs in (0, 2):

@@ -284,6 +284,17 @@ def test_vocabulary_order_enforced():
     with pytest.raises(ValueError):
         Vocabulary(("b", "a"), (0.5, 0.9))
     Vocabulary(("b", "a"))  # unscored vocabularies keep the given order
+    with pytest.raises(ValueError, match="terms must be unique"):
+        Vocabulary(("a", "a"))
+    with pytest.raises(ValueError, match="one score per term"):
+        Vocabulary(("b", "a"), (0.9,))
+
+
+def test_document_vector_bits_fit_its_size():
+    assert DocumentVector(0b111, 3).bits == 0b111
+    for bits in (0b1000, -1):
+        with pytest.raises(DimensionError, match="exceed the vocabulary size"):
+            DocumentVector(bits, 3)
 
 
 def test_vectorize_reference_row():

@@ -44,8 +44,8 @@ CASES = {
                      "error": HALF, "f_measure": HALF}, "error", Fraction(1)),
     PipelineConfig: ({"measures": ("cosine",), "activation": "topk:2",
                       "features": 10, "stopwords_path": None, "split": 0.5,
-                      "seed": 1, "baselines": ("nb",), "knn_k": 3,
-                      "knn_measure": "cosine", "jobs": 1}, "seed", 2),
+                      "seed": 1, "baselines": ("nb",), "jobs": 1},
+                     "seed", 2),
     ReportRow: ({"name": "cosine", "metrics": METRICS, "unclassified": 0},
                 "unclassified", 1),
     ExperimentReport: ({"categories": ("A", "B"), "n_train": 2, "n_test": 1,
