@@ -6,7 +6,7 @@ ops run at C speed, which is what the derivation operators and the engine
 transition functions lean on.
 """
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 
 def mask_from_indices(indices: Iterable[int]) -> int:
@@ -27,6 +27,49 @@ def iter_bits(mask: int):
 def bit_indices(mask: int) -> tuple[int, ...]:
     """Set bit positions of ``mask``, ascending."""
     return tuple(iter_bits(mask))
+
+
+def bit_sliced_counts(rows: Iterable[int]) -> list[int]:
+    """Bit-sliced counters of ``rows`` (O'Neil & Quass): bit j of
+    ``slices[b]`` is bit b of the number of rows that have bit j set.
+
+    Each row is added as a ripple-carry over the slices, one big-int
+    operation per slice it reaches, so every position counts at once.
+    """
+    slices: list[int] = []
+    for carry in rows:
+        b = 0
+        while carry:
+            if b == len(slices):
+                slices.append(carry)
+                break
+            s = slices[b]
+            slices[b] = s ^ carry
+            carry &= s
+            b += 1
+    return slices
+
+
+def split_by_count(members: int,
+                   slices: Sequence[int]) -> list[tuple[int, int]]:
+    """``(count, positions)`` for each distinct count that ``slices`` (as
+    ``bit_sliced_counts`` makes them) give the positions of ``members``.
+
+    The positions are split by one slice at a time, most significant bit
+    first, so only nonempty classes are ever formed.
+    """
+    groups = [(0, members)] if members else []
+    for b in reversed(range(len(slices))):
+        s = slices[b]
+        split = []
+        for count, positions in groups:
+            high = positions & s
+            if high:
+                split.append((count | 1 << b, high))
+            if high != positions:
+                split.append((count, positions ^ high))
+        groups = split
+    return groups
 
 
 def transpose(rows: Iterable[int], width: int) -> list[int]:

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from functools import reduce
+from operator import or_
 
-from .bits import iter_bits
+from .bits import bit_sliced_counts, iter_bits, split_by_count
 from .compiler import CellularModel, ClassDistribution, RuleIndex
 from .engine import run_inference, set_facts
 from .errors import DimensionError, EmptyInputError
@@ -74,43 +76,6 @@ def parse_activation(policy: str) -> tuple[str, int | float | None]:
                      "expected max, topk:K, or threshold:T")
 
 
-def _intersections(columns: Sequence[int], bits: int) -> list[tuple[int, int]]:
-    """``(|bits ∩ mask|, masks with that count)`` for each positive count,
-    over the masks that ``columns`` index (bit k of each is mask k).
-
-    The present terms' columns are added into bit-sliced counters
-    (O'Neil & Quass): ``slices[b]`` holds bit b of every mask's count. The
-    masks are then split by those bits, most significant first.
-    """
-    slices: list[int] = []
-    for a in iter_bits(bits):
-        carry = columns[a]
-        b = 0
-        while carry:
-            if b == len(slices):
-                slices.append(carry)
-                break
-            s = slices[b]
-            slices[b] = s ^ carry
-            carry &= s
-            b += 1
-    hit = 0
-    for s in slices:
-        hit |= s
-    groups = [(0, hit)] if hit else []
-    for b in reversed(range(len(slices))):
-        s = slices[b]
-        split = []
-        for count, rules in groups:
-            high = rules & s
-            if high:
-                split.append((count | 1 << b, high))
-            if high != rules:
-                split.append((count, rules ^ high))
-        groups = split
-    return groups
-
-
 def _exact_keys(ratios: Sequence[tuple[int, int]]) -> list[int]:
     """Ints that compare exactly as the ratios ``num / den`` do, a zero
     denominator reading 0: ``num * 2**2b // den`` for denominators below
@@ -123,9 +88,15 @@ def _exact_keys(ratios: Sequence[tuple[int, int]]) -> list[int]:
 def _classes(index: RuleIndex, bits: int) -> list[tuple[int, int, int]]:
     """``(|bits ∩ mask|, |mask|, members)`` for each class of the indexed
     masks sharing both counts, positive intersections only. The masks of
-    one class share every measure's score."""
+    one class share every measure's score.
+
+    The columns of the terms in ``bits`` (bit k of each is mask k) are
+    added into bit-sliced counters, and the masks that any of them hit
+    are split by those counts, then by size.
+    """
+    slices = bit_sliced_counts(map(index.columns.__getitem__, iter_bits(bits)))
     return [(inter, n2, hits & members)
-            for inter, hits in _intersections(index.columns, bits)
+            for inter, hits in split_by_count(reduce(or_, slices, 0), slices)
             for n2, members in index.sizes if hits & members]
 
 

@@ -120,6 +120,11 @@ def _input_vectors(args, model) -> list[DocumentVector]:
 
 
 def cmd_classify(args) -> int:
+    if args.paper_fixture and args.model is not None:
+        # with --paper-fixture the positional MODEL slot is really an input
+        args.inputs = [args.model, *args.inputs]
+    elif not args.paper_fixture and args.model is None:
+        raise LatticeCellError("classify needs MODEL (or --paper-fixture)")
     # checked here too, as ``classify`` checks the policy only per document
     parse_activation(args.activation)
     model = load_fixture_model() if args.paper_fixture else load_model(args.model)
@@ -303,16 +308,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if args.command == "classify" and not args.paper_fixture:
-        if args.model is None:
-            parser.error("classify needs MODEL (or --paper-fixture)")
-    elif args.command == "classify" and args.paper_fixture:
-        # with --paper-fixture the positional MODEL slot is really an input
-        if args.model is not None:
-            args.inputs = [args.model, *args.inputs]
-            args.model = None
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (LatticeCellError, OSError, ValueError) as exc:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
-from functools import cached_property
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
@@ -30,7 +29,7 @@ from .engine import EngineState
 from .errors import (EmptyInputError, FormatError, LabelingError, json_list,
                      read_converted, require_names, require_strings)
 from .lattice import ConceptLattice
-from .value import Value
+from .value import Value, lazy
 
 
 class ClassDistribution(Value):
@@ -221,11 +220,9 @@ class CellularModel(Value):
     def fresh_engine(self) -> EngineState:
         return self.engine_template.copy()
 
-    @cached_property
+    @lazy
     def rule_index(self) -> RuleIndex:
         """The intents' bitsets activation reads, derived on first read."""
-        # cached_property writes the instance __dict__ directly, past the
-        # __setattr__ that keeps the fields frozen
         return index_masks([mask for _, mask in self.intent_facts],
                            len(self.vocabulary))
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from functools import cached_property, reduce
+from functools import reduce
 from json.encoder import encode_basestring
 from operator import and_
 from pathlib import Path
@@ -38,7 +38,7 @@ from .bits import iter_bits
 from .context import Concept, FormalContext, derive_intent
 from .errors import (DimensionError, FormatError, NotSplittableError,
                      json_list, read_converted, require_names)
-from .value import Value
+from .value import Value, lazy
 
 
 class ConceptLattice(Value):
@@ -60,10 +60,8 @@ class ConceptLattice(Value):
         object.__setattr__(self, "top_index", top_index)
         object.__setattr__(self, "bottom_index", bottom_index)
 
-    @cached_property
+    @lazy
     def covers(self) -> frozenset[tuple[int, int]]:
-        # cached_property writes the instance __dict__ directly, past the
-        # __setattr__ that keeps the fields frozen
         return find_lower_covers(self.concepts, self.context)
 
     @property

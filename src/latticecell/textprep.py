@@ -8,14 +8,16 @@ from.
 
 Training tokenizes each document once: its post-filter term set gives
 both its vector over the candidate terms, which ``select_features``
-scores, and its vector over the selected terms. A vector looks each
-distinct term up in a map from folded term to vocabulary bits, built once
-per vocabulary, so it never scans the vocabulary. ``select_features``
-transposes the vectors into one document bitset per term and one per
-category; a term's per-category document counts are then popcounts of
-their intersections, taken one category at a time over every term at C
-speed. The class entropy is computed once, and the information gain once
-per distinct count vector, which many terms share.
+scores, and its vector over the selected terms. Tokens come out folded
+(NFC, lowercase), so the candidate vectors map each token straight to its
+bit. Any other vector looks each distinct term up in a map from folded
+term to vocabulary bits, built once per vocabulary, so it never scans the
+vocabulary. ``select_features`` adds each category's vectors into
+bit-sliced counters (O'Neil & Quass, "Improved Query Performance with
+Variant Indexes", SIGMOD 1997), whose slice b holds bit b of every term's
+document count, and splits the terms by those counts into the classes
+that share a per-category count vector. The class entropy is computed
+once, and the information gain once per class.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ import unicodedata
 from collections.abc import Iterable, Sequence
 from functools import reduce
 from itertools import repeat
-from operator import neg, or_
+from operator import or_
 from pathlib import Path
 
-from .bits import transpose
+from .bits import bit_sliced_counts, iter_bits, split_by_count
 from .context import FormalContext
 from .errors import (CorpusError, DimensionError, EmptyInputError,
                      FormatError, LabelingError)
@@ -168,13 +170,16 @@ def vectorize(doc: Document, vocab: Vocabulary, *,
     tokens, so display-cased context headers line up with the token
     stream. The token map is built with the ``Vocabulary``.
     """
-    return _vector(doc, _doc_terms(doc, frozenset(stopwords)), vocab)
+    return _vector(doc, _doc_terms(doc, frozenset(stopwords)),
+                   vocab.token_masks, len(vocab))
 
 
-def _vector(doc: Document, terms: Iterable[str],
-            vocab: Vocabulary) -> DocumentVector:
-    bits = reduce(or_, map(vocab.token_masks.get, terms, repeat(0)), 0)
-    return DocumentVector(bits, len(vocab), doc.category, doc.id)
+def _vector(doc: Document, terms: Iterable[str], masks: dict[str, int],
+            size: int) -> DocumentVector:
+    """``doc``'s vector of ``size`` bits: the union of the ``masks`` of its
+    ``terms``, a term without one setting none."""
+    bits = reduce(or_, map(masks.get, terms, repeat(0)), 0)
+    return DocumentVector(bits, size, doc.category, doc.id)
 
 
 def _entropy(counts: Sequence[int]) -> float:
@@ -203,9 +208,13 @@ def select_features(vectors: Sequence[DocumentVector], terms: Sequence[str],
     """Top ``n`` candidate terms by information gain (ties: lexicographic).
 
     IG(t) = H(C) - P(t) H(C | t present) - P(not t) H(C | t absent), where
-    C is a document's category: the per-category counts come from
-    popcounts over term columns, H(C) is computed once, and IG once per
-    distinct tuple of per-category counts.
+    C is a document's category. Each category's vectors are added into
+    bit-sliced counters: bit t of slice b is bit b of term t's document
+    count in that category. The terms are split by those counts, one
+    category after another, into classes that share a per-category count
+    vector. H(C) is computed once and IG once per class; classes of equal
+    gain are merged, and only those that reach the top ``n`` list their
+    terms.
     """
     if n < 1:
         raise ValueError("feature count must be >= 1")
@@ -214,29 +223,40 @@ def select_features(vectors: Sequence[DocumentVector], terms: Sequence[str],
         return Vocabulary((), ())
     if not vectors:
         raise EmptyInputError("information gain over an empty corpus is undefined")
-    by_category = category_masks(vectors)
-    unlabeled = by_category.get(None, 0)
-    if unlabeled:
-        first = (unlabeled & -unlabeled).bit_length() - 1
-        raise LabelingError(f"document {vectors[first].doc_id!r} is unlabeled")
-    masks = list(by_category.values())
-    totals = [m.bit_count() for m in masks]
+    rows: dict[str | None, list[int]] = {}
+    for v in vectors:
+        rows.setdefault(v.category, []).append(v.bits)
+    if None in rows:
+        first = next(v for v in vectors if v.category is None)
+        raise LabelingError(f"document {first.doc_id!r} is unlabeled")
+    totals = [len(r) for r in rows.values()]
     n_docs = len(vectors)
     h_class = _entropy(totals)
-    columns = transpose((v.bits for v in vectors), len(terms))
-    # term -> its per-category document counts
-    counts = list(zip(*[list(map(int.bit_count, map(m.__and__, columns)))
-                        for m in masks]))
-    gain = {}
-    for present in set(counts):
+    # (per-category document counts, the terms that have them); bits of a
+    # vector at or above len(terms) fall outside every class
+    classes = [((), (1 << len(terms)) - 1)]
+    for slices in map(bit_sliced_counts, rows.values()):
+        classes = [(present + (count,), members)
+                   for present, group in classes
+                   for count, members in split_by_count(group, slices)]
+    by_gain: dict[float, int] = {}
+    for present, members in classes:
         absent = [t - p for t, p in zip(totals, present)]
         n_present = sum(present)
-        gain[present] = (h_class
-                         - (n_present / n_docs) * _entropy(present)
-                         - ((n_docs - n_present) / n_docs) * _entropy(absent))
-    # (-score, term) pairs sort as (score descending, term ascending)
-    kept = sorted(zip(map(neg, map(gain.__getitem__, counts)), terms))[:n]
-    return Vocabulary(tuple(t for _, t in kept), tuple(-s for s, _ in kept))
+        gain = (h_class
+                - (n_present / n_docs) * _entropy(present)
+                - ((n_docs - n_present) / n_docs) * _entropy(absent))
+        by_gain[gain] = by_gain.get(gain, 0) | members
+    kept: list[str] = []
+    scores: list[float] = []
+    for gain in sorted(by_gain, reverse=True):
+        tied = sorted(map(terms.__getitem__,
+                          iter_bits(by_gain[gain])))[:n - len(kept)]
+        kept += tied
+        scores += [gain] * len(tied)
+        if len(kept) == n:
+            break
+    return Vocabulary(tuple(kept), tuple(scores))
 
 
 def build_vocabulary(docs: Sequence[Document], n: int = DEFAULT_FEATURE_COUNT, *,
@@ -251,11 +271,15 @@ def _train_vectors(docs: Sequence[Document], n: int, stopwords: Iterable[str]
     document's vector over it, tokenizing each document once."""
     stop = frozenset(stopwords)
     term_sets = [_doc_terms(d, stop) for d in docs]
-    candidates = Vocabulary(tuple(sorted(set().union(*term_sets))))
-    vocab = select_features([_vector(d, terms, candidates)
+    # tokens are folded already, so each candidate is its own map key
+    candidates = {term: 1 << i
+                  for i, term in enumerate(sorted(set().union(*term_sets)))}
+    vocab = select_features([_vector(d, terms, candidates, len(candidates))
                              for d, terms in zip(docs, term_sets)],
-                            candidates.terms, n)
-    return vocab, [_vector(d, terms, vocab) for d, terms in zip(docs, term_sets)]
+                            tuple(candidates), n)
+    masks, size = vocab.token_masks, len(vocab)
+    return vocab, [_vector(d, terms, masks, size)
+                   for d, terms in zip(docs, term_sets)]
 
 
 def build_context(vectors: Sequence[DocumentVector],

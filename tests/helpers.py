@@ -22,9 +22,10 @@ from latticecell import (CellularModel, ClassDistribution, Concept,
                          derive_intent, load_context_csv, load_corpus,
                          parse_activation, remove_stopwords, tokenize,
                          vectorize, vote)
-from latticecell.bits import iter_bits, mask_from_indices
+from latticecell.bits import iter_bits, mask_from_indices, transpose
 from latticecell.compiler import _distribution_from_pairs
 from latticecell.context import canonical_key
+from latticecell.textprep import category_masks
 from latticecell.errors import require_names, require_strings
 from latticecell.lattice import _closed_extents
 
@@ -160,6 +161,42 @@ def reference_select_features(vectors, terms, n) -> Vocabulary:
                      for t in terms),
                     key=lambda ts: (-ts[1], ts[0]))[:n]
     return Vocabulary(tuple(t for t, _ in scored), tuple(s for _, s in scored))
+
+
+def reference_select_by_columns(vectors, terms, n) -> Vocabulary:
+    """``select_features`` by term columns: the vectors transposed into one
+    document bitset per term, a term's per-category counts the popcounts
+    of that column within each category's documents, and the information
+    gain once per distinct count vector, in the same float order."""
+    if n < 1:
+        raise ValueError("feature count must be >= 1")
+    terms = tuple(terms)
+    if not terms:
+        return Vocabulary((), ())
+    if not vectors:
+        raise EmptyInputError("information gain over an empty corpus is undefined")
+    by_category = category_masks(vectors)
+    unlabeled = by_category.get(None, 0)
+    if unlabeled:
+        first = (unlabeled & -unlabeled).bit_length() - 1
+        raise LabelingError(f"document {vectors[first].doc_id!r} is unlabeled")
+    masks = list(by_category.values())
+    totals = [m.bit_count() for m in masks]
+    n_docs = len(vectors)
+    h_class = _reference_entropy(totals)
+    columns = transpose((v.bits for v in vectors), len(terms))
+    counts = list(zip(*[[(m & column).bit_count() for column in columns]
+                        for m in masks]))
+    gain = {}
+    for present in set(counts):
+        absent = [t - p for t, p in zip(totals, present)]
+        n_present = sum(present)
+        gain[present] = (h_class
+                         - (n_present / n_docs) * _reference_entropy(present)
+                         - ((n_docs - n_present) / n_docs)
+                         * _reference_entropy(absent))
+    kept = sorted(((-gain[c], t) for c, t in zip(counts, terms)))[:n]
+    return Vocabulary(tuple(t for _, t in kept), tuple(-s for s, _ in kept))
 
 
 def reference_build_vocabulary(docs, n, stopwords=()) -> Vocabulary:

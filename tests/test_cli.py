@@ -452,16 +452,14 @@ def test_missing_input_file_is_an_error_not_a_traceback(tmp_path, capsys, argv):
      "error: compile needs LATTICE and LABELS (or --paper-fixture)\n"),
     (["compile", "{tmp}/lattice.json", "-o", "{tmp}/m.json"],
      "error: compile needs LATTICE and LABELS (or --paper-fixture)\n"),
-    (["classify", "{tmp}/q.csv"], "classify needs MODEL (or --paper-fixture)"),
+    (["classify", "{tmp}/q.csv"],
+     "error: classify needs MODEL (or --paper-fixture)\n"),
 ], ids=["compile-nothing", "compile-no-labels", "classify-no-model"])
 def test_a_missing_positional_argument_exits_2(tmp_path, capsys, argv, message):
-    try:
-        rc = main([a.format(tmp=tmp_path) for a in argv])
-    except SystemExit as exc:  # a usage error, from the parser
-        rc = exc.code
+    rc = main([a.format(tmp=tmp_path) for a in argv])
     captured = capsys.readouterr()
     assert rc == 2
-    assert captured.out == "" and message in captured.err
+    assert captured.out == "" and captured.err == message
     assert not (tmp_path / "m.json").exists()
 
 

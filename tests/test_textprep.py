@@ -6,10 +6,11 @@ import re
 import unicodedata
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (DATA, demo_context, reference_build_vocabulary,
-                     reference_information_gain, reference_select_features,
+                     reference_information_gain, reference_select_by_columns,
+                     reference_select_features,
                      reference_tokenize, reference_vectorize)
 from latticecell import (CorpusError, DimensionError, Document,
                          DocumentVector, EmptyInputError, LabelingError,
@@ -17,6 +18,7 @@ from latticecell import (CorpusError, DimensionError, Document,
                          candidate_terms, default_stopwords, load_corpus,
                          load_documents, load_stopwords, remove_stopwords,
                          select_features, tokenize, vectorize)
+from latticecell import textprep
 
 FR_STOPS = default_stopwords()
 
@@ -46,6 +48,15 @@ def test_tokenize_equals_find_then_filter(text):
     assert tokenize(text) == reference_tokenize(text)
 
 
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(text=st.text(_TEXT_CHARACTERS | st.characters(), max_size=40))
+def test_every_token_is_its_own_fold(text):
+    """Training maps each token straight to its candidate bit, with no
+    NFC or lowercasing of its own, so each token must already be folded."""
+    for token in tokenize(text):
+        assert textprep._fold(token) == token
+
+
 def test_remove_stopwords():
     toks = ["le", "ministre", "la", "puissance"]
     assert remove_stopwords(toks, FR_STOPS) == ["ministre", "puissance"]
@@ -72,6 +83,17 @@ def test_load_stopwords(tmp_path):
 def _labeled_vectors(bit_rows, labels, terms):
     return [DocumentVector(bits, len(terms), cat, f"d{i}")
             for i, (bits, cat) in enumerate(zip(bit_rows, labels))]
+
+
+def _from_columns(columns, labels, terms, high=()):
+    """Vectors whose term j occurs in the documents of ``columns[j]``,
+    each also setting the bits of its ``high`` entry above the terms."""
+    high = list(high) or [0] * len(labels)
+    rows = [sum((col >> d & 1) << j for j, col in enumerate(columns))
+            | extra << len(terms) for d, extra in enumerate(high)]
+    return [DocumentVector(bits, max(bits.bit_length(), len(terms)), cat,
+                           f"d{i}")
+            for i, (bits, cat) in enumerate(zip(rows, labels))]
 
 
 def _ig_score(vectors, terms, term):
@@ -213,6 +235,99 @@ def test_select_features_equals_reference_on_shared_count_vectors(case,
         want = reference_select_features(vectors, terms, n)
         assert got.terms == want.terms == ranked.terms[:n]
         assert got.ig_scores == want.ig_scores  # exact, not approx
+
+
+def _swap(column, first, second, labels):
+    """``column`` with the documents of two categories exchanged, the k-th
+    document of one for the k-th of the other."""
+    a = [d for d, c in enumerate(labels) if c == first]
+    b = [d for d, c in enumerate(labels) if c == second]
+    swapped = column
+    for i, j in zip(a, b):
+        swapped &= ~(1 << i | 1 << j)
+        swapped |= (column >> i & 1) << j | (column >> j & 1) << i
+    return swapped
+
+
+@st.composite
+def _selection_inputs(draw):
+    """``select_features``' arguments: unsorted and sometimes repeated
+    terms; categories, often of equal size, whose documents some columns
+    swap, so that distinct count vectors tie; bits above the terms;
+    sometimes no document, an unlabeled one, or ``n`` beyond the terms or
+    below 1."""
+    terms = draw(st.lists(st.sampled_from(["mu", "alpha", "zeta", "pi", "ab"]),
+                          max_size=8))
+    cats = draw(st.lists(st.sampled_from(["Zeta", "Beta", "Mu", "Alpha"]),
+                         min_size=1, max_size=4, unique=True))
+    extra = draw(st.lists(st.sampled_from(cats), max_size=3))
+    labels = draw(st.permutations(cats * draw(st.integers(0, 4)) + extra))
+    n_docs = len(labels)
+    if n_docs and draw(st.integers(0, 9)) == 0:
+        labels[draw(st.integers(0, n_docs - 1))] = None
+    pool = draw(st.lists(st.integers(0, (1 << n_docs) - 1), min_size=1,
+                         max_size=3))
+    columns = [draw(st.sampled_from(pool)) for _ in terms]
+    if len(cats) > 1:
+        columns = [_swap(col, cats[0], cats[1], labels)
+                   if draw(st.booleans()) else col for col in columns]
+    high = draw(st.lists(st.integers(0, 7), min_size=n_docs, max_size=n_docs))
+    n = draw(st.integers(0, len(terms) + 3))
+    return _from_columns(columns, labels, terms, high), terms, n
+
+
+def _outcome(select, vectors, terms, n):
+    """The vocabulary with its scores' exact bits, or the exception."""
+    try:
+        vocab = select(vectors, terms, n)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return vocab, [score.hex() for score in vocab.ig_scores]
+
+
+# two categories of two documents: "y" is in both A documents, "x" in both
+# B ones, so the two count vectors differ and their gains tie
+_SWAPPED = (_from_columns([0b1010, 0b0101], ["A", "B", "A", "B"], ("x", "y")),
+            ("x", "y"), 1)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_selection_inputs())
+@example(case=_SWAPPED)
+@example(case=(_from_columns([0b011, 0b110, 0b011], ["A", "B", "A"],
+                             ("pi", "mu", "ab")), ["pi", "mu", "ab"], 5))
+@example(case=(_from_columns([0b11, 0b01], ["A", "A"], ("zeta", "alpha"),
+                             [5, 2]), ("zeta", "alpha"), 1))
+@example(case=(_from_columns([0b01, 0b10, 0b01], ["A", "B"],
+                             ("mu", "pi", "mu")), ("mu", "pi", "mu"), 3))
+def test_select_features_equals_the_column_oracle(case):
+    """The bit-sliced selection equals transposing the vectors into term
+    columns and counting each column per category: the same vocabulary,
+    the same score bits, or the same exception. Covered: unsorted and
+    repeated terms, ties between distinct count vectors, ``n`` beyond the
+    terms, one category, and vector bits above the terms."""
+    vectors, terms, n = case
+    assert (_outcome(select_features, vectors, terms, n)
+            == _outcome(reference_select_by_columns, vectors, terms, n))
+
+
+def test_categories_swapped_give_distinct_count_vectors_the_same_gain():
+    vectors, terms, n = _SWAPPED
+    want = reference_select_by_columns(vectors, terms, 2)
+    assert want.terms == ("x", "y") and want.ig_scores == (1.0, 1.0)
+    assert select_features(vectors, terms, n) == Vocabulary(("x",), (1.0,))
+
+
+def test_training_maps_only_the_selected_terms(monkeypatch):
+    """The candidate vectors use a plain term-to-bit map: the one token
+    map training builds is the selected vocabulary's."""
+    calls = []
+    token_masks = textprep._token_masks
+    monkeypatch.setattr(textprep, "_token_masks",
+                        lambda terms: calls.append(terms) or token_masks(terms))
+    vocab = build_vocabulary(load_corpus(DATA / "corpus"), 20,
+                             stopwords=FR_STOPS)
+    assert calls == [vocab.terms]
 
 
 def test_select_features_errors_match_information_gain():

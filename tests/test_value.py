@@ -1,6 +1,7 @@
 """The record classes' value semantics: equality, hashing, repr, frozen
 fields, and the fields left out of equality and repr."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,10 @@ from helpers import demo_context
 from latticecell import (CellularModel, ClassDistribution, ConceptLattice,
                          ConfusionMatrix, Document, DocumentVector,
                          ExperimentReport, FormalContext, MetricsReport,
-                         PipelineConfig, Prediction, Vocabulary, build_lattice)
+                         PipelineConfig, Prediction, Vocabulary, build_lattice,
+                         compile_model)
 from latticecell.evaluate import ReportRow
+from latticecell.value import Value, lazy
 
 DIST = ClassDistribution.from_counts((1, 3), 4)
 LATTICE = build_lattice(demo_context())
@@ -102,3 +105,38 @@ def test_experiment_reports_do_not_share_rows_or_timings():
     first.rows.append(ReportRow("cosine", METRICS, 0))
     first.timings["build_s"] = 1.0
     assert second.rows == [] and second.timings == {}
+
+
+class _Pair(Value):
+    _fields = ("a", "b")
+    derived: list = []
+
+    def __init__(self, a, b) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    @lazy
+    def total(self):
+        _Pair.derived.append(self)
+        return self.a + self.b
+
+
+def test_a_lazy_value_is_derived_once_on_first_read():
+    pair = _Pair(1, 2)
+    assert _Pair.derived == []
+    assert pair.total == 3 and pair.total == 3 and _Pair.derived == [pair]
+    assert pair == _Pair(1, 2) and hash(pair) == hash(_Pair(1, 2))
+    assert repr(pair) == "_Pair(a=1, b=2)"
+    with pytest.raises(AttributeError):
+        pair.total = 4
+    sent = pickle.loads(pickle.dumps(pair))
+    assert sent.total == 3 and _Pair.derived == [pair]
+
+
+def test_rule_index_and_covers_stay_lazy():
+    lattice = build_lattice(demo_context())
+    labels = dict(zip(lattice.context.object_ids, "AB" * 5))
+    model = compile_model(lattice, labels, ("A", "B"))
+    assert "covers" not in vars(lattice) and "rule_index" not in vars(model)
+    assert lattice.covers is lattice.covers
+    assert model.rule_index is model.rule_index
