@@ -115,14 +115,14 @@ class RuleIndex(NamedTuple):
     sizes: tuple[tuple[int, int], ...]  # (|mask|, its masks), ascending
 
 
-def index_masks(masks: Sequence[int], width: int) -> RuleIndex:
-    """The ``RuleIndex`` of ``masks`` over ``width`` attributes."""
+def index_masks(masks: Sequence[int], columns: Sequence[int]) -> RuleIndex:
+    """The ``RuleIndex`` of ``masks``, whose ``columns`` (per attribute,
+    the masks that hold it) the caller has transposed."""
     sizes: dict[int, int] = {}
     for k, mask in enumerate(masks):
         n = mask.bit_count()
         sizes[n] = sizes.get(n, 0) | 1 << k
-    return RuleIndex(tuple(transpose(masks, width)),
-                     tuple(sorted(sizes.items())))
+    return RuleIndex(tuple(columns), tuple(sorted(sizes.items())))
 
 
 class LazyLabels(Sequence):
@@ -223,8 +223,8 @@ class CellularModel(Value):
     @lazy
     def rule_index(self) -> RuleIndex:
         """The intents' bitsets activation reads, derived on first read."""
-        return index_masks([mask for _, mask in self.intent_facts],
-                           len(self.vocabulary))
+        intents = [mask for _, mask in self.intent_facts]
+        return index_masks(intents, transpose(intents, len(self.vocabulary)))
 
 
 def _short_category_names(categories: Sequence[str]) -> list[str]:

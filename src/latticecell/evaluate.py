@@ -134,16 +134,23 @@ def _categories_of(train: Sequence[DocumentVector],
 
 
 def _naive_bayes_table(train: Sequence[DocumentVector],
-                       categories: Sequence[str] | None = None):
+                       categories: Sequence[str] | None = None,
+                       columns: Sequence[int] | None = None):
     """The vector size and, per category with training members, its log
-    prior and per-attribute log p and log(1 - p), p add-one smoothed."""
+    prior and per-attribute log p and log(1 - p), p add-one smoothed.
+
+    ``columns`` are the training vectors transposed (bit r of column j is
+    bit j of ``train[r]``), as a context over them holds them; transposed
+    here if not given.
+    """
     if not train:
         raise EmptyInputError("naive Bayes needs a nonempty training set")
     cats = _categories_of(train, categories)
     size = train[0].size
     n_total = len(train)
     by_category = category_masks(train)
-    columns = transpose((v.bits for v in train), size)
+    if columns is None:
+        columns = transpose((v.bits for v in train), size)
     table = []
     for cat in cats:
         members = by_category.get(cat, 0)
@@ -183,14 +190,19 @@ def baseline_naive_bayes(train: Sequence[DocumentVector], doc: DocumentVector,
 
 
 def _knn_table(train: Sequence[DocumentVector],
-               categories: Sequence[str] | None = None):
+               categories: Sequence[str] | None = None,
+               columns: Sequence[int] | None = None):
     """The categories, the vector size, the training vectors' index (as
-    activation's over intents) and their categories."""
+    activation's over intents) and their categories; ``columns`` as for
+    ``_naive_bayes_table``."""
     if not train:
         raise EmptyInputError("k-NN needs a nonempty training set")
     cats = _categories_of(train, categories)
     size = train[0].size
-    return (cats, size, index_masks([v.bits for v in train], size),
+    masks = [v.bits for v in train]
+    if columns is None:
+        columns = transpose(masks, size)
+    return (cats, size, index_masks(masks, columns),
             [v.category for v in train])
 
 
@@ -404,9 +416,11 @@ def run_experiment(corpus_root: str | Path,
             raise LabelingError(f"test document {d.id!r} has category "
                                 f"{d.category!r} absent from training data")
 
+    # its columns are the one transpose of the training vectors, which
+    # the baselines' tables read too
+    ctx = build_context(train_vectors, vocab)
     lattice_build_s = compile_s = 0.0
     if config.measures:
-        ctx = build_context(train_vectors, vocab)
         t0 = time.perf_counter()
         lattice = build_lattice(ctx)
         lattice_build_s = time.perf_counter() - t0
@@ -434,10 +448,11 @@ def run_experiment(corpus_root: str | Path,
         name = row
         if row == "nb":
             name = "naive-bayes"
-            table = _naive_bayes_table(train_vectors, categories)
+            table = _naive_bayes_table(train_vectors, categories,
+                                       ctx.columns)
             predicted = [_naive_bayes_predict(table, v) for v in test_vectors]
         elif row == "knn":
-            table = _knn_table(train_vectors, categories)
+            table = _knn_table(train_vectors, categories, ctx.columns)
             predicted = [_knn_predict(table, v, KNN_K, KNN_MEASURE)
                          for v in test_vectors]
         else:

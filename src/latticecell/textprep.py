@@ -304,24 +304,27 @@ def load_corpus(root: str | Path) -> list[Document]:
     Document ids are file names; order is sorted categories then sorted
     file names, so loading is deterministic. ``CorpusError`` if the root
     has no category directory or they hold no file.
+
+    Each document is read as bytes with ``os.read`` and decoded as UTF-8
+    once; ``\\r\\n`` and a lone ``\\r`` read as ``\\n``, as in a text-mode
+    ``open``. A file that cannot be read or decoded is a ``CorpusError``
+    naming it.
     """
     root = Path(root)
     if not root.is_dir():
         raise CorpusError(f"corpus root {root} is not a directory")
     docs: list[Document] = []
-    seen: dict[str, Path] = {}
+    seen: dict[str, str] = {}
     categories = _entry_names(root, os.DirEntry.is_dir)
     if not categories:
         raise CorpusError(f"corpus root {root} has no category directories")
     for category in categories:
-        sub = root / category
-        for name in _entry_names(sub, os.DirEntry.is_file):
-            path = sub / name
+        for name, path in _file_paths(root / category):
             if name in seen:
                 raise CorpusError(f"duplicate document id {name!r}: "
                                   f"{seen[name]} and {path}")
             seen[name] = path
-            docs.append(_read_document(path, category))
+            docs.append(Document(name, category, _read_text(path)))
     if not docs:
         raise CorpusError(f"corpus root {root} has no documents")
     return docs
@@ -337,20 +340,52 @@ def _entry_names(directory: Path, keep) -> list[str]:
         return sorted([entry.name for entry in entries if keep(entry)])
 
 
-def _read_document(path: Path, category: str | None = None) -> Document:
+def _file_paths(directory: Path) -> list[tuple[str, str]]:
+    """``(name, path)`` of each file in ``directory``, sorted by name.
+
+    Each path is spelled as ``str(directory / name)``, from one ``Path``
+    per directory: its prefix is ``directory / "_"`` without the ``_``,
+    which is empty for ``.``, where joining by ``os.path.join`` would
+    add ``./``.
+    """
+    prefix = os.fspath(directory / "_")[:-1]
+    return [(name, prefix + name)
+            for name in _entry_names(directory, os.DirEntry.is_file)]
+
+
+# O_BINARY keeps Windows from translating line endings itself
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+_READ_CHUNK = 1 << 16
+
+
+def _read_text(path: str) -> str:
+    """The text of the file at ``path``, as ``Path.read_text`` reads it
+    as UTF-8, without a buffered text stream per file."""
     try:
-        text = path.read_text(encoding="utf-8")
+        fd = os.open(path, _READ_FLAGS)
+        try:
+            chunks = []
+            while chunk := os.read(fd, _READ_CHUNK):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        # decoded whole, as a text stream's read() does, so an invalid
+        # byte is reported at its offset in the file
+        text = b"".join(chunks).decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"cannot read document {path}: {exc}") from exc
-    return Document(path.name, category, text)
+    if "\r" in text:  # universal newlines
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def load_documents(path: str | Path) -> list[Document]:
-    """Unlabeled input: a single file or a flat directory of files."""
+    """Unlabeled input: a single file or a flat directory of files, read
+    as ``load_corpus`` reads a document."""
     path = Path(path)
     if path.is_file():
-        return [_read_document(path)]
+        return [Document(path.name, None, _read_text(os.fspath(path)))]
     if path.is_dir():
-        return [_read_document(path / name)
-                for name in _entry_names(path, os.DirEntry.is_file)]
+        return [Document(name, None, _read_text(file))
+                for name, file in _file_paths(path)]
     raise CorpusError(f"no such file or directory: {path}")

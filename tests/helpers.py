@@ -8,6 +8,7 @@ implementations they check.
 from collections.abc import Mapping
 from fractions import Fraction
 from importlib.resources import files
+from pathlib import Path
 
 import math
 import random
@@ -15,7 +16,8 @@ import re
 import unicodedata
 
 from latticecell import (CellularModel, ClassDistribution, Concept,
-                         ConceptLattice, DocumentVector, EmptyInputError,
+                         ConceptLattice, CorpusError, Document,
+                         DocumentVector, EmptyInputError,
                          FormalContext, FormatError, LabelingError,
                          Prediction, Vocabulary, build_context,
                          build_vocabulary, candidate_terms, default_stopwords,
@@ -92,6 +94,54 @@ def random_context_of_size(rnd: random.Random, n_obj: int,
     return FormalContext(tuple(f"o{i}" for i in range(n_obj)),
                          tuple(f"a{j}" for j in range(n_attr)),
                          tuple(rows))
+
+
+def _reference_names(directory: Path, keep) -> list[str]:
+    return sorted(p.name for p in directory.iterdir() if keep(p))
+
+
+def _reference_read(path: Path, category=None) -> Document:
+    """One document, read through ``Path.read_text``'s text stream."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CorpusError(f"cannot read document {path}: {exc}") from exc
+    return Document(path.name, category, text)
+
+
+def reference_load_corpus(root) -> list[Document]:
+    """``load_corpus`` with a ``Path`` joined per document and each
+    document read by ``Path.read_text``."""
+    root = Path(root)
+    if not root.is_dir():
+        raise CorpusError(f"corpus root {root} is not a directory")
+    docs, seen = [], {}
+    categories = _reference_names(root, Path.is_dir)
+    if not categories:
+        raise CorpusError(f"corpus root {root} has no category directories")
+    for category in categories:
+        sub = root / category
+        for name in _reference_names(sub, Path.is_file):
+            path = sub / name
+            if name in seen:
+                raise CorpusError(f"duplicate document id {name!r}: "
+                                  f"{seen[name]} and {path}")
+            seen[name] = path
+            docs.append(_reference_read(path, category))
+    if not docs:
+        raise CorpusError(f"corpus root {root} has no documents")
+    return docs
+
+
+def reference_load_documents(path) -> list[Document]:
+    """``load_documents`` read as ``reference_load_corpus`` reads."""
+    path = Path(path)
+    if path.is_file():
+        return [_reference_read(path)]
+    if path.is_dir():
+        return [_reference_read(path / name)
+                for name in _reference_names(path, Path.is_file)]
+    raise CorpusError(f"no such file or directory: {path}")
 
 
 def reference_tokenize(text: str) -> list[str]:

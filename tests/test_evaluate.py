@@ -459,3 +459,18 @@ def test_config_validation(tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("measures", [(), ("inner",)])
+def test_the_baselines_read_the_context_columns(monkeypatch, measures):
+    """``run_experiment`` transposes the training vectors once, for the
+    context's columns, and both baseline tables read those: with the
+    baselines' own transpose refused, the report is unchanged."""
+    config = PipelineConfig(measures=measures, baselines=("nb", "knn"),
+                            seed=7)
+    want = run_experiment(DATA / "corpus", config).to_json_dict()
+
+    def refused(*args):
+        raise AssertionError("the training vectors transposed again")
+    monkeypatch.setattr(latticecell.evaluate, "transpose", refused)
+    assert run_experiment(DATA / "corpus", config).to_json_dict() == want

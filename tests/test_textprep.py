@@ -3,13 +3,16 @@
 import math
 import random
 import re
+import tempfile
 import unicodedata
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (DATA, demo_context, reference_build_vocabulary,
-                     reference_information_gain, reference_select_by_columns,
+                     reference_information_gain, reference_load_corpus,
+                     reference_load_documents, reference_select_by_columns,
                      reference_select_features,
                      reference_tokenize, reference_vectorize)
 from latticecell import (CorpusError, DimensionError, Document,
@@ -575,3 +578,98 @@ def test_load_documents_undecodable_single_file(tmp_path):
     with pytest.raises(CorpusError) as err:
         load_documents(f)
     assert str(f) in str(err.value)
+
+
+def _loaded(load, path):
+    """What ``load(path)`` returns, or the text of its ``CorpusError``."""
+    try:
+        return load(path)
+    except CorpusError as exc:
+        return f"CorpusError: {exc}"
+
+
+def _unlike_the_oracle(root: Path) -> list[str]:
+    """``root`` holds category directories of files: the loads of the
+    corpus, of each category as a flat directory and of each file alone
+    whose documents or ``CorpusError`` text differ from the
+    ``Path.read_text`` oracle's. Named, not shown: a diff of long texts
+    would take minutes."""
+    loads = [(load_corpus, reference_load_corpus, root)]
+    for sub in sorted(root.iterdir()):
+        loads += [(load_documents, reference_load_documents, path)
+                  for path in (sub, *sorted(sub.iterdir()))]
+    return [f"{load.__name__}({path})" for load, oracle, path in loads
+            if _loaded(load, path) != _loaded(oracle, path)]
+
+
+# pieces of a document's bytes: every kind of line end (a piece list that
+# ends in "\r" leaves a lone trailing CR), a byte-order mark, multi-byte
+# UTF-8, and bytes that are not UTF-8 or cut a character short
+_BYTE_PIECES = st.sampled_from([
+    b"le stade", b" ", b"\n", b"\r", b"\r\n", b"\r\r\n", b"\n\r",
+    b"\xef\xbb\xbf", "é".encode(), "€".encode(), "𝄞".encode(), b"\xff",
+    b"\xc3", b"\xe2\x82", b"\x80", b"\xed\xa0\x80"])
+_DOCUMENT_BYTES = st.lists(_BYTE_PIECES, max_size=10).map(b"".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_DOCUMENT_BYTES, min_size=1, max_size=4))
+@example([b"stade\r"])
+@example([b"\xef\xbb\xbfl\xc3\xa9\r\r\nstade\r\n", b"fin\xc3"])
+def test_loaders_read_bytes_as_read_text(contents):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for i, data in enumerate(contents):
+            sub = root / f"c{i % 2}"
+            sub.mkdir(exist_ok=True)
+            (sub / f"d{i}.txt").write_bytes(data)
+        assert _unlike_the_oracle(root) == []
+
+
+@pytest.mark.parametrize("chunk", [2, 3, textprep._READ_CHUNK])
+def test_a_document_longer_than_one_read(tmp_path, monkeypatch, chunk):
+    # "é" and then "\r\n" straddle the end of the first chunk, "€" later
+    # ones, and an invalid byte lies past the first
+    monkeypatch.setattr(textprep, "_READ_CHUNK", chunk)
+    head = "a" * (chunk - 1)
+    (tmp_path / "c").mkdir()
+    (tmp_path / "c" / "accent.txt").write_bytes(
+        f"{head}é\r\n€\r€\r\nfin\r".encode())
+    (tmp_path / "c" / "crlf.txt").write_bytes(f"{head}\r\nstade".encode())
+    texts = [d.text for d in load_corpus(tmp_path)]
+    assert texts == [f"{head}é\n€\n€\nfin\n", f"{head}\nstade"]
+    assert _unlike_the_oracle(tmp_path) == []
+    (tmp_path / "c" / "invalid.txt").write_bytes(f"{head}é{head}".encode()
+                                                 + b"\xff")
+    assert _unlike_the_oracle(tmp_path) == []
+    with pytest.raises(CorpusError, match="invalid.txt: .* in position "
+                       f"{2 * chunk}: invalid start byte"):
+        load_corpus(tmp_path)
+
+
+@pytest.mark.parametrize("spelling", ["./corpus/", "corpus", ".", ""])
+def test_messages_spell_paths_as_the_oracle(tmp_path, monkeypatch, spelling):
+    monkeypatch.chdir(tmp_path)
+    root = tmp_path / spelling
+    for category in ("a", "b"):
+        (root / category).mkdir(parents=True)
+        (root / category / "same.txt").write_text("texte", encoding="utf-8")
+    message = _loaded(load_corpus, spelling)
+    assert message == _loaded(reference_load_corpus, spelling)
+    a, b = (str(Path(spelling, c, "same.txt")) for c in "ab")
+    assert message == (f"CorpusError: duplicate document id 'same.txt': "
+                       f"{a} and {b}")
+    (root / "b" / "same.txt").unlink()
+    (root / "b" / "latin1.txt").write_bytes("l'\xe9quipe".encode("latin-1"))
+    message = _loaded(load_corpus, spelling)
+    assert message == _loaded(reference_load_corpus, spelling)
+    assert message.startswith(
+        f"CorpusError: cannot read document {Path(spelling, 'b', 'latin1.txt')}: "
+        "'utf-8' codec can't decode byte 0xe9")
+    assert (_loaded(load_documents, Path(spelling, "b"))
+            == _loaded(reference_load_documents, Path(spelling, "b")))
+    # a flat directory spelled "." names its files without "./"
+    monkeypatch.chdir(root / "b")
+    message = _loaded(load_documents, ".")
+    assert message == _loaded(reference_load_documents, ".")
+    assert message.startswith("CorpusError: cannot read document latin1.txt: ")
