@@ -198,8 +198,9 @@ def cmd_inspect(args) -> int:
     item = read_converted(path, _inspected)
     if isinstance(item, ConceptLattice):
         ctx = item.context
-        print(f"lattice: {len(item.concepts)} concepts, "
-              f"{len(item.covers)} edges, "
+        n, e = len(item.concepts), len(item.covers)
+        print(f"lattice: {n} concept{'s' * (n != 1)}, "
+              f"{e} edge{'s' * (e != 1)}, "
               f"{ctx.n_objects} objects x {ctx.n_attributes} attributes")
     elif isinstance(item, CellularModel):
         print(f"model: {item.n_facts} facts, {item.n_rules} rules, "

@@ -8,10 +8,12 @@ empty extent) are skipped. Classification later activates intent facts by
 similarity, runs the engine, and votes over the established extent facts.
 
 A class distribution is exact: integer per-category counts over a common
-total. Compilation counts an extent's objects per category by popcount
-and builds one distribution per distinct count vector, the vote averages
-over the lcm of the totals, and the model file stores each value as a
-reduced ``[numerator, denominator]`` pair.
+total. Compilation keeps the rules with one ``compress`` over the
+concepts, counts each category as the popcounts of the extents against
+that category's object bitset in one ``map``, and builds one distribution
+per distinct count vector. The vote averages over the lcm of the totals,
+and the model file stores each value as a reduced ``[numerator,
+denominator]`` pair.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
+from itertools import compress, count
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
@@ -285,37 +288,37 @@ def compile_model(lattice: ConceptLattice, labels: Mapping[str, str],
         else:
             category_masks[order[cat]] |= 1 << o
 
-    # rule k links intent fact 2k to extent fact 2k + 1; rules with equal
-    # counts share one distribution
-    distributions: dict[tuple[int, ...], ClassDistribution] = {}
-    intent_facts = []
-    extent_facts = []
-    vertices = []
-    for vertex, concept in enumerate(lattice.concepts):
-        extent = concept.extent
-        if concept.intent == 0 or extent == 0:
-            continue
-        stray = extent & uncounted
-        if stray:
-            o = (stray & -stray).bit_length() - 1
-            if aligned[o] is None:
-                raise LabelingError(f"{ctx.object_ids[o]} unlabeled")
-            raise LabelingError(f"{ctx.object_ids[o]} has unknown "
-                                f"category {aligned[o]!r}")
-        counts = tuple([(extent & mask).bit_count() for mask in category_masks])
-        dist = distributions.get(counts)
-        if dist is None:
-            dist = distributions[counts] = ClassDistribution.from_counts(
-                counts, extent.bit_count())
-        fact = 2 * len(vertices)
-        intent_facts.append((fact, concept.intent))
-        extent_facts.append((fact + 1, dist))
-        vertices.append(vertex)
+    concepts = lattice.concepts
+    kept = list(map(all, concepts))  # a nonempty extent and intent
+    vertices = tuple(compress(count(), kept))
+    rules = list(compress(concepts, kept))
+    extents = list(map(itemgetter(0), rules))
+    # the rules are counted in order up to the first that holds an
+    # uncounted object, which is then named
+    n = next(compress(count(), map(uncounted.__and__, extents)), len(rules))
+    counted = extents[:n]
+    vectors = list(zip(*[map(int.bit_count, map(mask.__and__, counted))
+                         for mask in category_masks])) or [()] * n
+    # rules with equal counts share one distribution
+    dists: dict[tuple[int, ...], ClassDistribution] = {}
+    for counts, total in zip(vectors, map(int.bit_count, counted)):
+        if counts not in dists:
+            dists[counts] = ClassDistribution.from_counts(counts, total)
+    if n < len(rules):
+        stray = extents[n] & uncounted
+        o = (stray & -stray).bit_length() - 1
+        if aligned[o] is None:
+            raise LabelingError(f"{ctx.object_ids[o]} unlabeled")
+        raise LabelingError(f"{ctx.object_ids[o]} has unknown "
+                            f"category {aligned[o]!r}")
+    # rule k links intent fact 2k to extent fact 2k + 1
+    intent_facts = tuple(zip(range(0, 2 * n, 2), map(itemgetter(1), rules)))
+    extent_facts = tuple(zip(range(1, 2 * n, 2),
+                             map(dists.__getitem__, vectors)))
     categories = tuple(categories)
-    intent_facts, extent_facts = tuple(intent_facts), tuple(extent_facts)
     labels = LazyLabels(_compiled_labels,
                         (categories, ctx.attribute_names, intent_facts,
-                         extent_facts, tuple(vertices)), 2 * len(vertices))
+                         extent_facts, vertices), 2 * n)
     return CellularModel(categories, labels, intent_facts, extent_facts,
                          ctx.attribute_names)
 

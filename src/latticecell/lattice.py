@@ -6,11 +6,15 @@ column at a time: the extents over attributes a0..ak are those over
 a0..ak-1 plus each of them intersected with column ak. That is the
 divide-and-conquer assembly L(a0..ak) = assemble(L(a0..ak-1), L({ak}))
 split at the last attribute, on extents alone, and each fold step is one
-C-level ``map`` into a set. The columns go in sparsest first: the result
-does not depend on the order, and that order keeps the intermediate sets
-small. ``assemble`` joins two partial lattices built over any attribute
-partition the same way, on extents alone, and both end in ``_finish``,
-which derives each concept's intent once from its extent.
+C-level ``map`` into a set, with no Python code per pair. The columns go
+in sparsest first: the result does not depend on the order, and that
+order keeps the intermediate sets small. ``assemble`` joins two partial
+lattices built over any attribute partition the same way, each extent of
+one intersected with every extent of the other in one ``map``. Both end
+in ``_finish``: it sorts the extents by one int each, the extent size
+above its complemented bit reversal (extents of one size go by their
+lowest differing object), derives every intent in one loop as the
+attributes its extent's objects share, and makes the concepts in one map.
 
 Cover edges (the Hasse diagram) are derived from the finished concept list
 on first read, so building, compiling and classifying never pay for them;
@@ -29,13 +33,14 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from functools import reduce
+from itertools import repeat
 from json.encoder import encode_basestring
 from operator import and_
 from pathlib import Path
 
 from . import backend
 from .bits import iter_bits
-from .context import Concept, FormalContext, derive_intent
+from .context import Concept, FormalContext
 from .errors import (DimensionError, FormatError, NotSplittableError,
                      json_list, read_converted, require_names)
 from .value import Value, lazy
@@ -109,13 +114,9 @@ _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def _finish(ctx: FormalContext, extents: Iterable[int]) -> ConceptLattice:
-    """The lattice of ``ctx`` from its closed extents: each intent is the
-    attributes its extent's objects share, in canonical concept order.
-
-    Each extent's sort key is its size above its complemented bit
-    reversal, so among extents of one size the one holding the lowest
-    object where two differ sorts first, as under ``canonical_key``.
-    """
+    """The lattice of ``ctx`` from its closed extents, in canonical concept
+    order: of two extents of one size, the one holding the lowest object
+    where they differ sorts first, as under ``canonical_key``."""
     width = -(-ctx.n_objects // 8)
     low = (1 << 8 * width) - 1
 
@@ -124,11 +125,26 @@ def _finish(ctx: FormalContext, extents: Iterable[int]) -> ConceptLattice:
                                    .translate(_BIT_REVERSED), "big")
         return extent.bit_count() << 8 * width | low ^ reversed_
 
-    concepts = [Concept(e, derive_intent(ctx, e))
-                for e in sorted(extents, key=key)]
+    extents = sorted(extents, key=key)
+    # the key refuses what is negative or wider than the bytes
+    if max(extents, default=0) >> ctx.n_objects:
+        raise DimensionError(f"object mask does not fit {ctx.n_objects} bits")
+    # object n - 1 is the highest of a mask n bits long: rows[n] is its
+    # row and bits[n] its bit
+    rows, bits = (0, *ctx.rows), (0, *(1 << o for o in range(ctx.n_objects)))
+    full = ctx.full_attribute_mask
+    intents = []
+    for objects in extents:
+        intent = full
+        while objects and intent:
+            n = objects.bit_length()
+            intent &= rows[n]
+            objects ^= bits[n]
+        intents.append(intent)
+    concepts = tuple(map(tuple.__new__, repeat(Concept), zip(extents, intents)))
     # canonical order is extent-cardinality ascending: the unique minimal
     # extent sorts first and the full-extent top sorts last
-    return ConceptLattice(ctx, tuple(concepts),
+    return ConceptLattice(ctx, concepts,
                           top_index=len(concepts) - 1, bottom_index=0)
 
 

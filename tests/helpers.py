@@ -25,11 +25,12 @@ from latticecell import (CellularModel, ClassDistribution, Concept,
                          parse_activation, remove_stopwords, tokenize,
                          vectorize, vote)
 from latticecell.bits import iter_bits, mask_from_indices, transpose
-from latticecell.compiler import _distribution_from_pairs
+from latticecell.compiler import (LazyLabels, _compiled_labels,
+                                  _distribution_from_pairs)
 from latticecell.context import canonical_key
 from latticecell.textprep import category_masks
 from latticecell.errors import require_names, require_strings
-from latticecell.lattice import _closed_extents
+from latticecell.lattice import _BIT_REVERSED, _closed_extents
 
 DATA = files("latticecell") / "data"
 
@@ -710,3 +711,96 @@ def assert_same_outcome(load, reference, data):
     got = load(data)
     assert got == expected
     return got
+
+
+def assert_same_result(call, reference):
+    """``call()`` equals ``reference()``, or both raise an exception of the
+    same type with the same text; returns what ``call`` gave."""
+    try:
+        expected = reference()
+    except Exception as exc:
+        try:
+            got = call()
+        except Exception as again:
+            assert (type(again), str(again)) == (type(exc), str(exc))
+            return None
+        raise AssertionError(f"gave {got!r}; the reference raised {exc!r}")
+    got = call()
+    assert got == expected
+    return got
+
+
+def reference_finish(ctx: FormalContext, extents) -> ConceptLattice:
+    """``lattice._finish`` with one ``derive_intent`` and one ``Concept``
+    call per extent."""
+    width = -(-ctx.n_objects // 8)
+    low = (1 << 8 * width) - 1
+
+    def key(extent: int) -> int:
+        reversed_ = int.from_bytes(extent.to_bytes(width, "little")
+                                   .translate(_BIT_REVERSED), "big")
+        return extent.bit_count() << 8 * width | low ^ reversed_
+
+    concepts = [Concept(e, derive_intent(ctx, e))
+                for e in sorted(extents, key=key)]
+    # canonical order is extent-cardinality ascending: the unique minimal
+    # extent sorts first and the full-extent top sorts last
+    return ConceptLattice(ctx, tuple(concepts),
+                          top_index=len(concepts) - 1, bottom_index=0)
+
+
+def reference_compile_model(lattice, labels, categories) -> CellularModel:
+    """``compile_model`` as a loop over the concepts: a stray object check,
+    a count per category and two facts per rule, concept by concept."""
+    order: dict[str, int] = {}
+    for i, category in enumerate(categories):
+        if order.setdefault(category, i) != i:
+            raise LabelingError(f"category {category!r} repeated")
+    ctx = lattice.context
+    missing = [oid for oid in ctx.object_ids if oid not in labels]
+    if missing:
+        raise LabelingError(f"{missing[0]} unlabeled")
+    aligned = [labels[oid] for oid in ctx.object_ids]
+    # one object bitset per category, so a rule's counts are popcounts of
+    # its extent, and one of the objects no category counts
+    category_masks = [0] * len(categories)
+    uncounted = 0
+    for o, cat in enumerate(aligned):
+        if cat is None or cat not in order:
+            uncounted |= 1 << o
+        else:
+            category_masks[order[cat]] |= 1 << o
+
+    # rule k links intent fact 2k to extent fact 2k + 1; rules with equal
+    # counts share one distribution
+    distributions: dict[tuple[int, ...], ClassDistribution] = {}
+    intent_facts = []
+    extent_facts = []
+    vertices = []
+    for vertex, concept in enumerate(lattice.concepts):
+        extent = concept.extent
+        if concept.intent == 0 or extent == 0:
+            continue
+        stray = extent & uncounted
+        if stray:
+            o = (stray & -stray).bit_length() - 1
+            if aligned[o] is None:
+                raise LabelingError(f"{ctx.object_ids[o]} unlabeled")
+            raise LabelingError(f"{ctx.object_ids[o]} has unknown "
+                                f"category {aligned[o]!r}")
+        counts = tuple([(extent & mask).bit_count() for mask in category_masks])
+        dist = distributions.get(counts)
+        if dist is None:
+            dist = distributions[counts] = ClassDistribution.from_counts(
+                counts, extent.bit_count())
+        fact = 2 * len(vertices)
+        intent_facts.append((fact, concept.intent))
+        extent_facts.append((fact + 1, dist))
+        vertices.append(vertex)
+    categories = tuple(categories)
+    intent_facts, extent_facts = tuple(intent_facts), tuple(extent_facts)
+    labels = LazyLabels(_compiled_labels,
+                        (categories, ctx.attribute_names, intent_facts,
+                         extent_facts, tuple(vertices)), 2 * len(vertices))
+    return CellularModel(categories, labels, intent_facts, extent_facts,
+                         ctx.attribute_names)

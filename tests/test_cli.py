@@ -613,6 +613,20 @@ def test_inspect_files(tmp_path, capsys):
     assert "12 facts" in out and "6 rules" in out
 
 
+@pytest.mark.parametrize("csv, counts", [
+    ("id,a\nx,1\n", "1 concept, 0 edges"),
+    ("id,a,b\nx,0,0\ny,0,0\n", "2 concepts, 1 edge"),
+], ids=["one-concept", "one-edge"])
+def test_inspect_counts_a_lattice_as_build_does(tmp_path, capsys, csv, counts):
+    """``inspect`` names one concept or one edge in the singular."""
+    source, lattice = tmp_path / "context.csv", tmp_path / "lattice.json"
+    source.write_text(csv, encoding="utf-8")
+    assert main(["build", str(source), "-o", str(lattice)]) == 0
+    assert capsys.readouterr().out == f"{counts}\n"
+    assert main(["inspect", str(lattice)]) == 0
+    assert capsys.readouterr().out.startswith(f"lattice: {counts}, ")
+
+
 def test_inspect_tells_a_report_from_its_timings(tmp_path, capsys):
     main(["evaluate", str(DATA / "corpus"), "-o", str(tmp_path / "report"),
           "--similarity", "inner", "--baselines", "nb"])

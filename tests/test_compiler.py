@@ -4,24 +4,29 @@ import gc
 import math
 import pickle
 import random
+import re
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (DEMO_CATEGORIES, DEMO_LABELS, benchmark_corpus,
-                     demo_context, demo_labels_map, random_context,
+from helpers import (DEMO_CATEGORIES, DEMO_LABELS, assert_same_result,
+                     benchmark_corpus, demo_context, demo_labels_map,
+                     random_context, reference_compile_model,
                      reference_distribution, reference_fact_labels,
-                     reference_mean)
-from latticecell import (CellularModel, ClassDistribution, DimensionError,
-                         DocumentVector, EmptyInputError, FormatError,
-                         LabelingError,
-                         PipelineConfig, build_lattice, classify,
-                         compile_model, load_fixture_model, load_model,
-                         save_model)
+                     reference_finish, reference_mean)
+from latticecell import (CellularModel, ClassDistribution, Concept,
+                         ConceptLattice, DimensionError, DocumentVector,
+                         EmptyInputError, FormalContext, FormatError,
+                         LabelingError, PipelineConfig, assemble,
+                         build_lattice, classify, compile_model,
+                         load_fixture_model, load_model, save_model,
+                         split_context)
 from latticecell.bits import iter_bits
 from latticecell.compiler import model_from_dict, model_to_dict
+from latticecell.lattice import _closed_extents, _finish
 from latticecell.engine import EngineState
 from strategies import contexts
 
@@ -211,6 +216,124 @@ def test_compile_respects_skip_rule_random():
         assert model.engine_template.n_facts == 2 * expected
         for _, dist in model.extent_facts:
             assert sum(dist.fractions) == 1
+
+
+@pytest.fixture(scope="module")
+def benchmark_corpora(tmp_path_factory):
+    """The context and labels of one corpus of each gated benchmark
+    workload."""
+    corpora = []
+    for workload in ("train-wide", "cli-classify"):
+        docs, ctx = benchmark_corpus(tmp_path_factory.mktemp(workload),
+                                     workload, f"{workload}/3/0")
+        corpora.append((ctx, {d.id: d.category for d in docs}))
+    return corpora
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_bulk_lattice_and_model_equal_the_concept_loops(benchmark_corpora,
+                                                        data):
+    """``_finish`` (through ``assemble`` too) and ``compile_model`` give
+    what ``reference_finish`` and ``reference_compile_model`` give, or raise
+    the same error with the same text. The contexts are random or from the
+    benchmark, with a column every object has (a top concept with an
+    intent) or a row with every attribute (a bottom concept with objects),
+    and with or without an extent beyond the object count. The labels may
+    leave an object out or give it none or an unknown category; the
+    categories may repeat one or be none."""
+    source = data.draw(st.sampled_from((None,) * 6 + (0, 1)))
+    if source is None:
+        rnd = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        ctx = random_context(rnd, 12, 10)
+        labels = {oid: rnd.choice("xyz") for oid in ctx.object_ids}
+    else:
+        ctx, labels = benchmark_corpora[source]
+    rows = list(ctx.rows)
+    if data.draw(st.booleans()):
+        column = 1 << data.draw(st.integers(0, ctx.n_attributes - 1))
+        rows = [row | column for row in rows]
+    if data.draw(st.booleans()):
+        rows[data.draw(st.integers(0, ctx.n_objects - 1))] = (
+            ctx.full_attribute_mask)
+    ctx = FormalContext(ctx.object_ids, ctx.attribute_names, tuple(rows))
+    # a negative extent, or one bit at or past the object count: below the
+    # byte width DimensionError, from it on OverflowError
+    width = -(-ctx.n_objects // 8)
+    stray = data.draw(st.none() | st.just(-1) | st.integers(
+        ctx.n_objects, 8 * width + 4).map(lambda b: 1 << b))
+    extents = _closed_extents(ctx)
+    if stray is not None:
+        extents.add(stray)
+    lattice = assert_same_result(lambda: _finish(ctx, extents),
+                                 lambda: reference_finish(ctx, extents))
+    assert (lattice is None) == (stray is not None)
+    if ctx.n_attributes > 1:
+        parts = [build_lattice(part) for part in split_context(ctx)]
+        if stray is not None:  # in both parts, so that it survives the meet
+            parts = [ConceptLattice(part.context,
+                                    part.concepts + (Concept(stray, 0),),
+                                    part.top_index, part.bottom_index)
+                     for part in parts]
+
+        def reference_assemble():
+            with mock.patch("latticecell.lattice._finish", reference_finish):
+                return assemble(*parts)
+
+        assembled = assert_same_result(lambda: assemble(*parts),
+                                       reference_assemble)
+        assert assembled is None or assembled.concepts == build_lattice(
+            ctx).concepts
+    if lattice is None:  # compile a lattice with the stray bits anyway
+        concepts = list(reference_finish(ctx, _closed_extents(ctx)).concepts)
+        k = data.draw(st.integers(0, len(concepts) - 1))
+        concepts[k] = Concept(concepts[k].extent | stray, concepts[k].intent)
+        lattice = ConceptLattice(ctx, tuple(concepts), len(concepts) - 1, 0)
+    else:
+        assert {type(c) for c in lattice.concepts} == {Concept}
+
+    labels = dict(labels)
+    categories = sorted(set(labels.values()))
+    categories = data.draw(st.sampled_from((
+        categories, categories[::-1], categories + ["unused"],
+        categories + categories[:1], [])))
+    for _ in range(data.draw(st.integers(0, 2))):
+        oid = data.draw(st.sampled_from(ctx.object_ids))
+        defect = data.draw(st.sampled_from(("left out", None, "unknown")))
+        if defect == "left out":
+            labels.pop(oid, None)
+        else:
+            labels[oid] = defect
+    model = assert_same_result(
+        lambda: compile_model(lattice, labels, categories),
+        lambda: reference_compile_model(lattice, labels, categories))
+    if model is not None:
+        want = reference_compile_model(lattice, labels, categories)
+        assert tuple(model.fact_labels) == tuple(want.fact_labels)
+
+
+@pytest.mark.parametrize("categories, counts", [(DEMO_CATEGORIES, "0, 0, 0"),
+                                               ((), "")])
+def test_compile_refuses_an_extent_past_the_objects_in_concept_order(
+        categories, counts):
+    """A hand-made lattice whose bottom extent holds only an object past
+    the last one: compiling it raises the ``ValueError`` of that first
+    rule's counts, as the concept loop did, not the ``LabelingError`` of
+    the later rules that hold Doc 5, whose category is unknown, nor the
+    error of a model with fewer extent facts than rules."""
+    lattice = build_lattice(demo_context())
+    concepts = list(lattice.concepts)
+    assert concepts[0] == (0, lattice.context.full_attribute_mask)
+    concepts[0] = Concept(1 << lattice.context.n_objects, concepts[0].intent)
+    lattice = ConceptLattice(lattice.context, tuple(concepts),
+                             len(concepts) - 1, 0)
+    labels = {**demo_labels_map(), "Doc 5": "Opera"}
+    with pytest.raises(ValueError, match=re.escape(
+            f"counts ({counts}) are not a distribution over 1")):
+        compile_model(lattice, labels, categories)
+    assert_same_result(
+        lambda: compile_model(lattice, labels, categories),
+        lambda: reference_compile_model(lattice, labels, categories))
 
 
 def test_fixture_model_contents():
