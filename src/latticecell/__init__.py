@@ -17,9 +17,9 @@ from .classify import (MEASURES, Prediction, activate, classify,
 from .compiler import (CellularModel, ClassDistribution, compile_model,
                        load_fixture_model, load_model, model_from_dict,
                        model_to_dict, save_model)
-from .context import (Concept, FormalContext, close_objects, derive_extent,
-                      derive_intent, enumerate_concepts_naive, is_closed,
-                      is_subconcept, load_context_csv, save_context_csv)
+from .context import (Concept, FormalContext, derive_extent, derive_intent,
+                      enumerate_concepts_naive, load_context_csv,
+                      save_context_csv)
 from .engine import (EngineState, delta_fact, delta_rule, render_fact_table,
                      render_rule_table, render_snapshot, run_inference,
                      set_facts)
@@ -31,8 +31,8 @@ from .evaluate import (BASELINES, ConfusionMatrix, ExperimentReport,
                        baseline_naive_bayes, metrics, run_experiment,
                        split_corpus)
 from .lattice import (ConceptLattice, appose, assemble, build_lattice,
-                      find_lower_covers, lattice_to_dot,
-                      load_lattice, save_lattice, split_context)
+                      lattice_to_dot, load_lattice, save_lattice,
+                      split_context)
 from .textprep import (Document, DocumentVector, Vocabulary, build_context,
                        build_vocabulary, candidate_terms, default_stopwords,
                        load_corpus, load_documents, load_stopwords,

@@ -5,6 +5,14 @@ most similar intents are activated (EF = 1), the engine runs to its
 fixpoint, and the class distributions of the rules that fired are
 averaged. The argmax category wins, ties broken by category order. No
 activation yields an explicitly unclassifiable prediction.
+
+Activation does not score every intent. The rule index holds, per term,
+the bitset of the rules whose intent has it. The document's terms' bitsets
+are added into bit-sliced counters, and the rules they hit are split into
+classes of one intersection size and one intent size, each scored once.
+Inner ranks a class by its intersection size; Jaccard, Cosine and Dice by
+an exact integer key of the score's ratio, so equal scores tie exactly,
+and ``threshold:T`` compares each class's score with T.
 """
 
 from __future__ import annotations
@@ -87,13 +95,8 @@ def _exact_keys(ratios: Sequence[tuple[int, int]]) -> list[int]:
 
 def _classes(index: RuleIndex, bits: int) -> list[tuple[int, int, int]]:
     """``(|bits ∩ mask|, |mask|, members)`` for each class of the indexed
-    masks sharing both counts, positive intersections only. The masks of
-    one class share every measure's score.
-
-    The columns of the terms in ``bits`` (bit k of each is mask k) are
-    added into bit-sliced counters, and the masks that any of them hit
-    are split by those counts, then by size.
-    """
+    masks sharing both counts, positive intersections only, from the
+    bit-sliced counts of the columns of the terms in ``bits``."""
     slices = bit_sliced_counts(map(index.columns.__getitem__, iter_bits(bits)))
     return [(inter, n2, hits & members)
             for inter, hits in split_by_count(reduce(or_, slices, 0), slices)
@@ -122,11 +125,8 @@ def activate(model: CellularModel, doc: DocumentVector, measure: str = "inner",
 
     max: every intent achieving the (positive) maximal score. topk:K: the K
     best by (score desc, intent order), positive scores only. threshold:T:
-    every intent scoring at least T (and above zero). May be empty.
-
-    Rules with the same intersection and intent size share a score, so it
-    is computed once per such class (``_classes``, ``_ranked``). max and
-    threshold list facts in rule order, topk in fact order.
+    every intent scoring at least T (and above zero). May be empty. max
+    and threshold list facts in rule order, topk in fact order.
     """
     kind, arg = parse_activation(policy)
     if doc.size != len(model.vocabulary):
@@ -175,10 +175,6 @@ class Prediction(Value):
         object.__setattr__(self, "distribution", distribution)
         object.__setattr__(self, "fired_vertices", fired_vertices)
         object.__setattr__(self, "activated_intents", activated_intents)
-
-    @property
-    def unclassifiable(self) -> bool:
-        return self.category is None
 
 
 def vote(distributions: Sequence[ClassDistribution],

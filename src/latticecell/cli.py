@@ -32,6 +32,11 @@ from .textprep import (DEFAULT_FEATURE_COUNT, DocumentVector, Vocabulary,
 UNCLASSIFIABLE = "UNCLASSIFIABLE"
 
 
+def _count(n: int, noun: str) -> str:
+    """``n`` and ``noun``, plural unless ``n`` is 1: "1 rule", "7 rules"."""
+    return f"{n} {noun}{'s' * (n != 1)}"
+
+
 def _stopwords(args) -> frozenset[str]:
     if args.stopwords:
         return load_stopwords(args.stopwords)
@@ -73,8 +78,8 @@ def cmd_build(args) -> int:
     save_lattice(lattice, args.output)
     if args.dot:
         Path(args.dot).write_text(lattice_to_dot(lattice), encoding="utf-8")
-    n, e = len(lattice.concepts), len(lattice.covers)
-    print(f"{n} concept{'s' * (n != 1)}, {e} edge{'s' * (e != 1)}")
+    print(f"{_count(len(lattice.concepts), 'concept')}, "
+          f"{_count(len(lattice.covers), 'edge')}")
     return 0
 
 
@@ -91,7 +96,7 @@ def cmd_compile(args) -> int:
                              if o in labels})
         model = compile_model(lattice, labels, categories)
     save_model(model, args.output)
-    print(f"{model.n_facts} facts, {model.n_rules} rules")
+    print(f"{_count(model.n_facts, 'fact')}, {_count(model.n_rules, 'rule')}")
     return 0
 
 
@@ -191,28 +196,31 @@ def cmd_inspect(args) -> int:
     path = Path(args.file)
     if path.suffix.lower() == ".csv":
         ctx = load_context_csv(path)
-        print(f"context: {ctx.n_objects} objects x {ctx.n_attributes} attributes")
+        print(f"context: {_count(ctx.n_objects, 'object')} x "
+              f"{_count(ctx.n_attributes, 'attribute')}")
         density = sum(r.bit_count() for r in ctx.rows)
         print(f"incidence ones: {density}")
         return 0
     item = read_converted(path, _inspected)
     if isinstance(item, ConceptLattice):
         ctx = item.context
-        n, e = len(item.concepts), len(item.covers)
-        print(f"lattice: {n} concept{'s' * (n != 1)}, "
-              f"{e} edge{'s' * (e != 1)}, "
-              f"{ctx.n_objects} objects x {ctx.n_attributes} attributes")
+        print(f"lattice: {_count(len(item.concepts), 'concept')}, "
+              f"{_count(len(item.covers), 'edge')}, "
+              f"{_count(ctx.n_objects, 'object')} x "
+              f"{_count(ctx.n_attributes, 'attribute')}")
     elif isinstance(item, CellularModel):
-        print(f"model: {item.n_facts} facts, {item.n_rules} rules, "
+        print(f"model: {_count(item.n_facts, 'fact')}, "
+              f"{_count(item.n_rules, 'rule')}, "
               f"categories: {', '.join(item.categories)}, "
-              f"{len(item.vocabulary)} vocabulary terms")
+              f"{_count(len(item.vocabulary), 'vocabulary term')}")
     elif isinstance(item, dict) and "averaging" in item:
         # timings.json has "rows" too
         try:
             n_rows, categories = len(item["rows"]), ", ".join(item["categories"])
         except (KeyError, TypeError) as exc:
             raise FormatError(f"{path}: malformed report document: {exc}") from exc
-        print(f"report: {n_rows} configurations, categories: {categories}")
+        print(f"report: {_count(n_rows, 'configuration')}, "
+              f"categories: {categories}")
     else:
         print("unrecognized file")
         return 1

@@ -364,17 +364,23 @@ def load_fixture_model() -> CellularModel:
 
 
 def model_to_dict(model: CellularModel) -> dict:
+    """The JSON form of ``model``; a fact that no rule joins, or that is
+    both a premise and a conclusion, is a ``ValueError``: no file holds it."""
     intent_by_idx = dict(model.intent_facts)
     extent_by_idx = dict(model.extent_facts)
     facts = []
     for i, label in enumerate(model.fact_labels):
         if i in intent_by_idx:
+            if i in extent_by_idx:
+                raise ValueError(f"fact {i} is both a premise and a conclusion")
             facts.append({"label": label, "kind": "intent",
                           "attributes": list(bit_indices(intent_by_idx[i]))})
-        else:
+        elif i in extent_by_idx:
             facts.append({"label": label, "kind": "extent",
                           "distribution": [[f.numerator, f.denominator] for f
                                            in extent_by_idx[i].fractions]})
+        else:
+            raise ValueError(f"fact {i} is referenced by no rule")
     rules = [{"premise": i, "conclusion": e}
              for (i, _), (e, _) in zip(model.intent_facts, model.extent_facts)]
     return {
@@ -491,21 +497,27 @@ def model_from_dict(data: dict) -> CellularModel:
 
 def save_model(model: CellularModel, path: str | Path) -> None:
     """Write ``model`` to ``path``: the same bytes as ``write_json(path,
-    model_to_dict(model))``, rendered from text templates. Rules repeat a
-    few distinct distributions, so each is rendered once."""
+    model_to_dict(model))``, rendered from text templates, or a
+    ``ValueError`` where that raises one. Rules repeat a few distinct
+    distributions, so each is rendered once."""
     bodies: dict[int, str] = {}
     rendered: dict[ClassDistribution, str] = {}
+    premise_of = model.engine_template.watchers
     for e, dist in model.extent_facts:
+        if premise_of[e]:
+            raise ValueError(f"fact {e} is both a premise and a conclusion")
         text = rendered.get(dist)
         if text is None:
             text = rendered[dist] = json_list(
                 (json_list((str(f.numerator), str(f.denominator)), " " * 8)
                  for f in dist.fractions), " " * 6)
         bodies[e] = '"kind": "extent",\n      "distribution": ' + text
-    # a fact listed as both kinds is written as an intent, as model_to_dict does
     for i, mask in model.intent_facts:
         bodies[i] = ('"kind": "intent",\n      "attributes": '
                      + json_list(map(str, iter_bits(mask)), " " * 6))
+    if len(bodies) != model.n_facts:  # fact indices are in range
+        f = min(set(range(model.n_facts)).difference(bodies))
+        raise ValueError(f"fact {f} is referenced by no rule")
     facts = (f'{{\n      "label": {label},\n      {bodies[i]}\n    }}'
              for i, label in enumerate(map(encode_basestring, model.fact_labels)))
     rules = (f'{{\n      "premise": {i},\n      "conclusion": {e}\n    }}'

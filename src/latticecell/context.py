@@ -117,26 +117,6 @@ def derive_extent(ctx: FormalContext, attributes: int) -> int:
     return extent
 
 
-def close_objects(ctx: FormalContext, objects: int) -> Concept:
-    """Smallest concept whose extent contains the given objects."""
-    intent = derive_intent(ctx, objects)
-    return Concept(derive_extent(ctx, intent), intent)
-
-
-def is_subconcept(c1: Concept, c2: Concept) -> bool:
-    """True iff c1 <= c2, i.e. extent(c1) is a subset of extent(c2).
-
-    Both concepts must come from the same context.
-    """
-    return c1.extent | c2.extent == c2.extent
-
-
-def is_closed(ctx: FormalContext, concept: Concept) -> bool:
-    """True iff extent and intent derive each other in ``ctx``."""
-    return (derive_intent(ctx, concept.extent) == concept.intent
-            and derive_extent(ctx, concept.intent) == concept.extent)
-
-
 def canonical_key(concept: Concept) -> tuple[int, tuple[int, ...]]:
     """Sort key: extent cardinality ascending, then lexicographic extent."""
     return concept.extent.bit_count(), bit_indices(concept.extent)

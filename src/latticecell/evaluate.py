@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -39,28 +39,32 @@ KNN_K = 3
 KNN_MEASURE = "cosine"
 
 
-class ConfusionMatrix(Value, frozen=False):
+class ConfusionMatrix(Value):
     """Counts indexed [true][predicted], plus per-true unclassified counts."""
 
     _fields = ("categories", "counts", "unclassified")
 
-    def __init__(self, categories: tuple[str, ...], counts: list[list[int]],
-                 unclassified: list[int]) -> None:
-        self.categories = categories
-        self.counts = counts
-        self.unclassified = unclassified
+    def __init__(self, categories: tuple[str, ...],
+                 counts: tuple[tuple[int, ...], ...],
+                 unclassified: tuple[int, ...]) -> None:
+        object.__setattr__(self, "categories", categories)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "unclassified", unclassified)
 
     @classmethod
-    def empty(cls, categories: Sequence[str]) -> "ConfusionMatrix":
+    def from_pairs(cls, categories: tuple[str, ...],
+                   pairs: Iterable[tuple[str, str | None]]) -> "ConfusionMatrix":
+        """Counts of (true, predicted) pairs; None predicts no category."""
         n = len(categories)
-        return cls(tuple(categories), [[0] * n for _ in range(n)], [0] * n)
-
-    def record(self, true_category: str, predicted: str | None) -> None:
-        t = self.categories.index(true_category)
-        if predicted is None:
-            self.unclassified[t] += 1
-        else:
-            self.counts[t][self.categories.index(predicted)] += 1
+        counts = [[0] * n for _ in range(n)]
+        unclassified = [0] * n
+        for true_category, predicted in pairs:
+            t = categories.index(true_category)
+            if predicted is None:
+                unclassified[t] += 1
+            else:
+                counts[t][categories.index(predicted)] += 1
+        return cls(categories, tuple(map(tuple, counts)), tuple(unclassified))
 
     @property
     def total(self) -> int:
@@ -279,31 +283,31 @@ class PipelineConfig(Value):
         parse_activation(activation)
 
 
-class ReportRow(Value, frozen=False):
+class ReportRow(Value):
     _fields = ("name", "metrics", "unclassified")
 
     def __init__(self, name: str, metrics: MetricsReport,
                  unclassified: int) -> None:
-        self.name = name
-        self.metrics = metrics
-        self.unclassified = unclassified
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "metrics", metrics)
+        object.__setattr__(self, "unclassified", unclassified)
 
 
-class ExperimentReport(Value, frozen=False):
-    """One experiment's rows; ``rows`` and ``timings`` default to a new
-    list and dict per report."""
+class ExperimentReport(Value):
+    """One experiment's rows, one per measure and then per baseline, and
+    its wall-clock ``timings``. A dict is unhashable, so a report is too."""
 
     _fields = ("categories", "n_train", "n_test", "config", "rows", "timings")
 
     def __init__(self, categories: tuple[str, ...], n_train: int, n_test: int,
-                 config: PipelineConfig, rows: list[ReportRow] | None = None,
-                 timings: dict | None = None) -> None:
-        self.categories = categories
-        self.n_train = n_train
-        self.n_test = n_test
-        self.config = config
-        self.rows = [] if rows is None else rows
-        self.timings = {} if timings is None else timings
+                 config: PipelineConfig, rows: tuple[ReportRow, ...],
+                 timings: dict) -> None:
+        object.__setattr__(self, "categories", categories)
+        object.__setattr__(self, "n_train", n_train)
+        object.__setattr__(self, "n_test", n_test)
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "timings", timings)
 
     def to_json_dict(self) -> dict:
         """Deterministic report payload; timings are deliberately excluded."""
@@ -433,14 +437,14 @@ def run_experiment(corpus_root: str | Path,
         model.rule_index
         compile_s = time.perf_counter() - t0
 
-    report = ExperimentReport(categories, len(train_docs), len(test_docs), config)
-    report.timings = {
+    timings = {
         "vocabulary_s": vocabulary_s,
         "lattice_build_s": lattice_build_s,
         "compile_s": compile_s,
         "rows": {},
     }
-
+    rows: list[ReportRow] = []
+    truth = [v.category for v in test_vectors]
     # one row per measure, then per baseline; each row's time includes
     # building its baseline's table
     for row in (*config.measures, *config.baselines):
@@ -459,12 +463,11 @@ def run_experiment(corpus_root: str | Path,
             predicted = [classify(model, v, row, config.activation).category
                          for v in test_vectors]
         elapsed = time.perf_counter() - t0
-        cm = ConfusionMatrix.empty(categories)
-        for v, category in zip(test_vectors, predicted):
-            cm.record(v.category, category)
-        report.rows.append(ReportRow(name, metrics(cm), sum(cm.unclassified)))
-        report.timings["rows"][name] = {
+        cm = ConfusionMatrix.from_pairs(categories, zip(truth, predicted))
+        rows.append(ReportRow(name, metrics(cm), sum(cm.unclassified)))
+        timings["rows"][name] = {
             "classify_total_s": elapsed,
             "per_document_s": elapsed / len(test_vectors),
         }
-    return report
+    return ExperimentReport(categories, len(train_docs), len(test_docs),
+                            config, tuple(rows), timings)

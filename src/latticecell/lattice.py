@@ -67,15 +67,10 @@ class ConceptLattice(Value):
 
     @lazy
     def covers(self) -> frozenset[tuple[int, int]]:
-        return find_lower_covers(self.concepts, self.context)
-
-    @property
-    def top(self) -> Concept:
-        return self.concepts[self.top_index]
-
-    @property
-    def bottom(self) -> Concept:
-        return self.concepts[self.bottom_index]
+        concepts, ctx = self.concepts, self.context
+        return frozenset(backend.lower_covers([c.extent for c in concepts],
+                                              [c.intent for c in concepts],
+                                              ctx.rows, ctx.columns))
 
 
 def split_context(ctx: FormalContext) -> tuple[FormalContext, FormalContext]:
@@ -182,19 +177,6 @@ def assemble(l1: ConceptLattice, l2: ConceptLattice) -> ConceptLattice:
     for concept in l1.concepts:
         extents.update(map(concept.extent.__and__, right))
     return _finish(ctx, extents)
-
-
-def find_lower_covers(concepts: Sequence[Concept],
-                      ctx: FormalContext) -> frozenset[tuple[int, int]]:
-    """Cover edges (child, parent): strict extent inclusion with nothing between.
-
-    ``concepts`` must be all the concepts of ``ctx``, each once, in any
-    order, as ``_finish`` and ``lattice_from_dict`` guarantee. The transitive
-    reduction of a partial order is unique.
-    """
-    return frozenset(backend.lower_covers([c.extent for c in concepts],
-                                          [c.intent for c in concepts],
-                                          ctx.rows, ctx.columns))
 
 
 def lattice_to_dict(lattice: ConceptLattice) -> dict:
@@ -378,10 +360,3 @@ def lattice_to_dot(lattice: ConceptLattice) -> str:
         lines.append(f"  n{child} -> n{parent};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-__all__ = [
-    "ConceptLattice", "appose", "assemble", "build_lattice",
-    "find_lower_covers", "lattice_from_dict", "lattice_to_dict",
-    "lattice_to_dot", "load_lattice", "save_lattice", "split_context",
-]

@@ -15,26 +15,21 @@ class Value:
 
     Instances of one class are equal when those fields are; an instance
     of another class never is. The repr is ``Name(field=value, ...)`` over
-    the same fields, which are also the positional ``match`` pattern. A
-    class is frozen unless declared with ``frozen=False``: a frozen class
-    hashes over its fields and raises ``AttributeError`` when one is
-    assigned, so its ``__init__`` sets them with ``object.__setattr__``; a
-    mutable class is unhashable. A value derived from the fields on first
-    read is declared with ``lazy``.
+    the same fields, which are also the positional ``match`` pattern. An
+    instance hashes over its fields and raises ``AttributeError`` when one
+    is assigned or deleted, so ``__init__`` sets them with
+    ``object.__setattr__``. A value derived from the fields on first read
+    is declared with ``lazy``.
     """
 
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs) -> None:
+    def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         # reads two or more fields into a tuple at C speed; an attrgetter
         # does not bind as a method, hence ``self._key(self)``
         cls._key = attrgetter(*cls._fields)
         cls.__match_args__ = cls._fields
-        if not frozen:
-            cls.__hash__ = None
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -143,7 +143,6 @@ def test_classify_worked_example():
                                            Fraction(33, 200))
     assert pred.fired_vertices == (5, 7)
     assert pred.activated_intents == (4, 6)
-    assert not pred.unclassifiable
 
 
 def test_a_rule_that_did_not_fire_casts_no_vote():
@@ -178,7 +177,6 @@ def test_classify_single_vertex_returns_its_distribution():
 def test_classify_zero_vector_unclassifiable():
     model = load_fixture_model()
     pred = classify(model, DocumentVector(0, 6), "inner", "max")
-    assert pred.unclassifiable
     assert pred.category is None
     assert pred.distribution is None
     assert pred.fired_vertices == ()

@@ -613,18 +613,30 @@ def test_inspect_files(tmp_path, capsys):
     assert "12 facts" in out and "6 rules" in out
 
 
-@pytest.mark.parametrize("csv, counts", [
-    ("id,a\nx,1\n", "1 concept, 0 edges"),
-    ("id,a,b\nx,0,0\ny,0,0\n", "2 concepts, 1 edge"),
+@pytest.mark.parametrize("csv, counts, shape, labels, model", [
+    ("id,a\nx,1\n", "1 concept, 0 edges", "1 object x 1 attribute", "x,A\n",
+     "2 facts, 1 rule, categories: A, 1 vocabulary term"),
+    ("id,a,b\nx,0,0\ny,0,0\n", "2 concepts, 1 edge",
+     "2 objects x 2 attributes", "x,A\ny,B\n",
+     "0 facts, 0 rules, categories: A, B, 2 vocabulary terms"),
 ], ids=["one-concept", "one-edge"])
-def test_inspect_counts_a_lattice_as_build_does(tmp_path, capsys, csv, counts):
-    """``inspect`` names one concept or one edge in the singular."""
+def test_inspect_counts_a_lattice_as_build_does(tmp_path, capsys, csv, counts,
+                                                shape, labels, model):
+    """Every count the CLI prints names one of a kind in the singular."""
     source, lattice = tmp_path / "context.csv", tmp_path / "lattice.json"
     source.write_text(csv, encoding="utf-8")
+    (tmp_path / "labels.csv").write_text(labels, encoding="utf-8")
     assert main(["build", str(source), "-o", str(lattice)]) == 0
     assert capsys.readouterr().out == f"{counts}\n"
     assert main(["inspect", str(lattice)]) == 0
-    assert capsys.readouterr().out.startswith(f"lattice: {counts}, ")
+    assert capsys.readouterr().out == f"lattice: {counts}, {shape}\n"
+    assert main(["inspect", str(source)]) == 0
+    assert capsys.readouterr().out.startswith(f"context: {shape}\n")
+    assert main(["compile", str(lattice), str(tmp_path / "labels.csv"),
+                 "-o", str(tmp_path / "model.json")]) == 0
+    assert capsys.readouterr().out == model.partition(", categories")[0] + "\n"
+    assert main(["inspect", str(tmp_path / "model.json")]) == 0
+    assert capsys.readouterr().out == f"model: {model}\n"
 
 
 def test_inspect_tells_a_report_from_its_timings(tmp_path, capsys):

@@ -6,9 +6,8 @@ import pytest
 
 from helpers import demo_context, random_context
 from latticecell import (CapacityError, Concept, DimensionError,
-                         FormalContext, FormatError, close_objects,
-                         derive_extent, derive_intent,
-                         enumerate_concepts_naive, is_closed, is_subconcept,
+                         FormalContext, FormatError, derive_extent,
+                         derive_intent, enumerate_concepts_naive,
                          load_context_csv, save_context_csv)
 from latticecell.context import NAIVE_ATTRIBUTE_LIMIT, canonical_key
 
@@ -68,30 +67,24 @@ def test_derivation_dimension_errors(ctx):
         derive_intent(ctx, -1)
 
 
-def test_close_objects_examples(ctx):
-    c = close_objects(ctx, ctx.object_mask(["Doc 5"]))
+def closure(ctx, objects):
+    """The smallest concept whose extent holds ``objects``."""
+    intent = derive_intent(ctx, objects)
+    return Concept(derive_extent(ctx, intent), intent)
+
+
+def test_closure_examples(ctx):
+    c = closure(ctx, ctx.object_mask(["Doc 5"]))
     assert ctx.object_names(c.extent) == ("Doc 5", "Doc 6")
     assert ctx.attribute_labels(c.intent) == ("Ministre", "Puissance")
-    assert is_closed(ctx, c)
+    assert closure(ctx, c.extent) == c
 
-    c = close_objects(ctx, ctx.object_mask(["Doc 1", "Doc 2"]))
+    c = closure(ctx, ctx.object_mask(["Doc 1", "Doc 2"]))
     assert ctx.object_names(c.extent) == ("Doc 1", "Doc 2")
     assert ctx.attribute_labels(c.intent) == ("Stade", "Pays")
 
-    top = close_objects(ctx, ctx.full_object_mask)
+    top = closure(ctx, ctx.full_object_mask)
     assert top == Concept(ctx.full_object_mask, 0)
-
-
-def test_is_subconcept(ctx):
-    small = close_objects(ctx, ctx.object_mask(["Doc 1", "Doc 2"]))
-    large = close_objects(ctx, ctx.object_mask(["Doc 1", "Doc 2", "Doc 7"]))
-    assert is_subconcept(small, large)
-    assert not is_subconcept(large, small)
-    assert is_subconcept(small, small)
-    c9 = close_objects(ctx, ctx.object_mask(["Doc 9"]))
-    c56 = close_objects(ctx, ctx.object_mask(["Doc 5"]))
-    assert not is_subconcept(c9, c56)
-    assert not is_subconcept(c56, c9)
 
 
 def test_naive_enumeration_demo(ctx):
@@ -135,7 +128,8 @@ def test_concepts_are_closed_everywhere():
     for _ in range(25):
         ctx = random_context(rnd, 10, 8)
         for c in enumerate_concepts_naive(ctx):
-            assert is_closed(ctx, c)
+            assert derive_intent(ctx, c.extent) == c.intent
+            assert derive_extent(ctx, c.intent) == c.extent
 
 
 def test_galois_laws_random():

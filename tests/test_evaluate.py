@@ -28,15 +28,8 @@ from latticecell.textprep import Document
 CATS = ("S", "E", "T")
 
 
-def cm_from(pairs):
-    cm = ConfusionMatrix.empty(CATS)
-    for true, predicted in pairs:
-        cm.record(true, predicted)
-    return cm
-
-
 def test_metrics_perfect():
-    cm = cm_from([("S", "S"), ("E", "E"), ("T", "T")])
+    cm = ConfusionMatrix.from_pairs(CATS, [("S", "S"), ("E", "E"), ("T", "T")])
     m = metrics(cm)
     assert m.precision == m.recall == m.accuracy == m.f_measure == 1
     assert m.error == 0
@@ -44,7 +37,7 @@ def test_metrics_perfect():
 
 def test_metrics_hand_example():
     # truth (S, E, T), predictions (S, E, E)
-    cm = cm_from([("S", "S"), ("E", "E"), ("T", "E")])
+    cm = ConfusionMatrix.from_pairs(CATS, [("S", "S"), ("E", "E"), ("T", "E")])
     m = metrics(cm)
     assert m.accuracy == Fraction(2, 3)
     assert m.error == Fraction(1, 3)
@@ -56,12 +49,12 @@ def test_metrics_hand_example():
 
 
 def test_metrics_single_class_predictor():
-    cm = cm_from([("S", "S"), ("E", "S"), ("T", "S")])
+    cm = ConfusionMatrix.from_pairs(CATS, [("S", "S"), ("E", "S"), ("T", "S")])
     assert metrics(cm).accuracy == Fraction(1, 3)
 
 
 def test_metrics_unclassified_counts_against():
-    cm = cm_from([("S", "S"), ("E", None), ("T", "T")])
+    cm = ConfusionMatrix.from_pairs(CATS, [("S", "S"), ("E", None), ("T", "T")])
     m = metrics(cm)
     assert cm.total == 3
     assert m.accuracy == Fraction(2, 3)
@@ -71,7 +64,7 @@ def test_metrics_unclassified_counts_against():
 
 def test_metrics_empty_matrix():
     with pytest.raises(EmptyInputError):
-        metrics(ConfusionMatrix.empty(CATS))
+        metrics(ConfusionMatrix.from_pairs(CATS, []))
 
 
 def _vec(bits, size, cat, n):
@@ -339,10 +332,9 @@ def test_run_experiment_rows_match_reference_classify(policy):
                           {d.id: d.category for d in train}, categories)
     assert [row.name for row in report.rows] == list(config.measures)
     for row in report.rows:
-        cm = ConfusionMatrix.empty(categories)
-        for v in test_vectors:
-            cm.record(v.category,
-                      reference_classify(model, v, row.name, policy).category)
+        cm = ConfusionMatrix.from_pairs(categories, (
+            (v.category, reference_classify(model, v, row.name, policy).category)
+            for v in test_vectors))
         assert row.metrics == metrics(cm)
         assert row.unclassified == sum(cm.unclassified)
 

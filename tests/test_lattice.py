@@ -14,10 +14,10 @@ from helpers import (DATA, DEMO_CATEGORIES, benchmark_context,
                      random_context_of_size,
                      reference_build_lattice, reference_lower_covers,
                      reference_merge_pairs)
-from latticecell import (Concept, DimensionError, FormalContext, FormatError,
-                         NotSplittableError, PipelineConfig, assemble,
-                         backend, build_lattice, classify, compile_model,
-                         enumerate_concepts_naive, find_lower_covers,
+from latticecell import (Concept, ConceptLattice, DimensionError,
+                         FormalContext, FormatError, NotSplittableError,
+                         PipelineConfig, assemble, backend, build_lattice,
+                         classify, compile_model, enumerate_concepts_naive,
                          load_lattice, run_experiment, save_lattice,
                          split_context)
 from latticecell.cli import main
@@ -57,8 +57,8 @@ def test_build_demo(ctx):
     assert len(lattice.concepts) == 9
     assert len(lattice.covers) == 12
     assert list(lattice.concepts) == enumerate_concepts_naive(ctx)
-    assert lattice.top.extent == ctx.full_object_mask
-    assert lattice.bottom.extent == 0
+    assert lattice.concepts[lattice.top_index].extent == ctx.full_object_mask
+    assert lattice.concepts[lattice.bottom_index].extent == 0
     assert lattice.covers == brute_transitive_reduction(list(lattice.concepts))
 
 
@@ -143,10 +143,10 @@ def test_pairwise_intersections_demo(ctx):
     assert extents == {c.extent for c in enumerate_concepts_naive(ctx)}
 
 
-def test_find_lower_covers_chain():
+def test_covers_of_a_chain():
     ctx = FormalContext(("o0", "o1", "o2"), ("a", "b"), (0b11, 0, 0))
-    concepts = [Concept(0b001, 0b11), Concept(0b111, 0)]
-    assert find_lower_covers(concepts, ctx) == {(0, 1)}
+    concepts = (Concept(0b001, 0b11), Concept(0b111, 0))
+    assert ConceptLattice(ctx, concepts, 1, 0).covers == {(0, 1)}
 
 
 def test_oracle_equivalence_random_small():

@@ -81,6 +81,31 @@ def test_save_model_without_rules_writes_empty_lists(out):
     assert b'"facts": [],\n  "rules": []\n}' in out.read_bytes()
 
 
+HALF = ClassDistribution.from_counts((1, 1), 2)
+
+
+@pytest.mark.parametrize("n_facts, premises, conclusions, message", [
+    (3, (0,), (1,), "fact 2 is referenced by no rule"),
+    (3, (0, 1), (1, 2), "fact 1 is both a premise and a conclusion"),
+    # as many facts of each kind as there are facts, one of them of both
+    (4, (0, 1), (1, 2), "fact 1 is both a premise and a conclusion"),
+], ids=["unreferenced", "both", "both-and-unreferenced"])
+@pytest.mark.parametrize("writer", ["save_model", "model_to_dict"])
+def test_writers_reject_a_model_no_file_can_hold(tmp_path, writer, n_facts,
+                                                 premises, conclusions,
+                                                 message):
+    """A file gives each fact one kind, which the loader checks against the
+    rules; a fact that is neither or both is a ``ValueError`` naming it,
+    and no file is written."""
+    model = CellularModel(("a", "b"), tuple(f"[f{i}]" for i in range(n_facts)),
+                          tuple((i, 1) for i in premises),
+                          tuple((e, HALF) for e in conclusions), ("t",))
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        save_model(model, path) if writer == "save_model" else model_to_dict(model)
+    assert not path.exists()
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(ctx=contexts())
 def test_save_lattice_writes_the_oracle_bytes(out, ctx):
