@@ -34,7 +34,6 @@ from .lattice import (ConceptLattice, appose, assemble, build_lattice,
                       lattice_to_dot, load_lattice, save_lattice,
                       split_context)
 from .textprep import (Document, DocumentVector, Vocabulary, build_context,
-                       build_vocabulary, candidate_terms, default_stopwords,
-                       load_corpus, load_documents, load_stopwords,
-                       remove_stopwords, select_features, tokenize,
-                       vectorize)
+                       default_stopwords, load_corpus, load_documents,
+                       load_stopwords, remove_stopwords, select_features,
+                       tokenize, train_vectors, vectorize)

@@ -26,8 +26,9 @@ from .evaluate import BASELINES, PipelineConfig, run_experiment
 from .lattice import (ConceptLattice, build_lattice, lattice_from_dict,
                       lattice_to_dot, load_lattice, save_lattice)
 from .textprep import (DEFAULT_FEATURE_COUNT, DocumentVector, Vocabulary,
-                       _train_vectors, build_context, default_stopwords,
-                       load_corpus, load_documents, load_stopwords, vectorize)
+                       build_context, default_stopwords, load_corpus,
+                       load_documents, load_stopwords, train_vectors,
+                       vectorize)
 
 UNCLASSIFIABLE = "UNCLASSIFIABLE"
 
@@ -70,7 +71,8 @@ def cmd_build(args) -> int:
     source = Path(args.input)
     if source.is_dir():
         docs = load_corpus(source)
-        vocab, vectors = _train_vectors(docs, args.features, _stopwords(args))
+        vocab, vectors = train_vectors(docs, args.features,
+                                       stopwords=_stopwords(args))
         ctx = build_context(vectors, vocab)
     else:
         ctx = load_context_csv(source)

@@ -363,6 +363,19 @@ def load_fixture_model() -> CellularModel:
                          _FIXTURE_VOCABULARY)
 
 
+def _unwritable_fact(model: CellularModel) -> ValueError:
+    """The error both writers raise for ``model``, which a writer has found
+    no file can hold: it names the lowest-index fact that no rule joins or
+    that is both a premise and a conclusion."""
+    premises = set(map(itemgetter(0), model.intent_facts))
+    conclusions = set(map(itemgetter(0), model.extent_facts))
+    # a file can hold a fact of exactly one of the two kinds
+    f = min(set(range(model.n_facts)).difference(premises ^ conclusions))
+    if f in premises:
+        return ValueError(f"fact {f} is both a premise and a conclusion")
+    return ValueError(f"fact {f} is referenced by no rule")
+
+
 def model_to_dict(model: CellularModel) -> dict:
     """The JSON form of ``model``; a fact that no rule joins, or that is
     both a premise and a conclusion, is a ``ValueError``: no file holds it."""
@@ -372,7 +385,7 @@ def model_to_dict(model: CellularModel) -> dict:
     for i, label in enumerate(model.fact_labels):
         if i in intent_by_idx:
             if i in extent_by_idx:
-                raise ValueError(f"fact {i} is both a premise and a conclusion")
+                raise _unwritable_fact(model)
             facts.append({"label": label, "kind": "intent",
                           "attributes": list(bit_indices(intent_by_idx[i]))})
         elif i in extent_by_idx:
@@ -380,7 +393,7 @@ def model_to_dict(model: CellularModel) -> dict:
                           "distribution": [[f.numerator, f.denominator] for f
                                            in extent_by_idx[i].fractions]})
         else:
-            raise ValueError(f"fact {i} is referenced by no rule")
+            raise _unwritable_fact(model)
     rules = [{"premise": i, "conclusion": e}
              for (i, _), (e, _) in zip(model.intent_facts, model.extent_facts)]
     return {
@@ -505,7 +518,7 @@ def save_model(model: CellularModel, path: str | Path) -> None:
     premise_of = model.engine_template.watchers
     for e, dist in model.extent_facts:
         if premise_of[e]:
-            raise ValueError(f"fact {e} is both a premise and a conclusion")
+            raise _unwritable_fact(model)
         text = rendered.get(dist)
         if text is None:
             text = rendered[dist] = json_list(
@@ -516,8 +529,7 @@ def save_model(model: CellularModel, path: str | Path) -> None:
         bodies[i] = ('"kind": "intent",\n      "attributes": '
                      + json_list(map(str, iter_bits(mask)), " " * 6))
     if len(bodies) != model.n_facts:  # fact indices are in range
-        f = min(set(range(model.n_facts)).difference(bodies))
-        raise ValueError(f"fact {f} is referenced by no rule")
+        raise _unwritable_fact(model)
     facts = (f'{{\n      "label": {label},\n      {bodies[i]}\n    }}'
              for i, label in enumerate(map(encode_basestring, model.fact_labels)))
     rules = (f'{{\n      "premise": {i},\n      "conclusion": {e}\n    }}'

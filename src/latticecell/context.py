@@ -9,11 +9,10 @@ composition is a closure operator whose fixed points are the concepts.
 from __future__ import annotations
 
 import csv
-from collections.abc import Iterable
 from pathlib import Path
 from typing import NamedTuple
 
-from .bits import bit_indices, mask_from_indices, transpose
+from .bits import bit_indices, transpose
 from .errors import CapacityError, DimensionError, FormatError
 from .value import Value
 
@@ -73,14 +72,6 @@ class FormalContext(Value):
     @property
     def full_attribute_mask(self) -> int:
         return (1 << self.n_attributes) - 1
-
-    def object_mask(self, ids: Iterable[str]) -> int:
-        index = {oid: i for i, oid in enumerate(self.object_ids)}
-        return mask_from_indices(index[i] for i in ids)
-
-    def attribute_mask(self, names: Iterable[str]) -> int:
-        index = {name: i for i, name in enumerate(self.attribute_names)}
-        return mask_from_indices(index[n] for n in names)
 
     def object_names(self, mask: int) -> tuple[str, ...]:
         return tuple(self.object_ids[i] for i in bit_indices(mask))

@@ -27,9 +27,8 @@ from .errors import (CorpusError, DimensionError, EmptyInputError,
                      LabelingError)
 from .lattice import build_lattice
 from .textprep import (DEFAULT_FEATURE_COUNT, Document, DocumentVector,
-                       _train_vectors, build_context, category_masks,
-                       default_stopwords, load_corpus, load_stopwords,
-                       vectorize)
+                       build_context, category_masks, default_stopwords,
+                       load_corpus, load_stopwords, train_vectors, vectorize)
 from .value import Value
 
 BASELINES = ("nb", "knn")
@@ -409,8 +408,8 @@ def run_experiment(corpus_root: str | Path,
                  if config.stopwords_path else default_stopwords())
 
     t0 = time.perf_counter()
-    vocab, train_vectors = _train_vectors(train_docs, config.features,
-                                          stopwords)
+    vocab, training = train_vectors(train_docs, config.features,
+                                    stopwords=stopwords)
     vocabulary_s = time.perf_counter() - t0
 
     test_vectors = [vectorize(d, vocab, stopwords=stopwords) for d in test_docs]
@@ -422,7 +421,7 @@ def run_experiment(corpus_root: str | Path,
 
     # its columns are the one transpose of the training vectors, which
     # the baselines' tables read too
-    ctx = build_context(train_vectors, vocab)
+    ctx = build_context(training, vocab)
     lattice_build_s = compile_s = 0.0
     if config.measures:
         t0 = time.perf_counter()
@@ -452,11 +451,10 @@ def run_experiment(corpus_root: str | Path,
         name = row
         if row == "nb":
             name = "naive-bayes"
-            table = _naive_bayes_table(train_vectors, categories,
-                                       ctx.columns)
+            table = _naive_bayes_table(training, categories, ctx.columns)
             predicted = [_naive_bayes_predict(table, v) for v in test_vectors]
         elif row == "knn":
-            table = _knn_table(train_vectors, categories, ctx.columns)
+            table = _knn_table(training, categories, ctx.columns)
             predicted = [_knn_predict(table, v, KNN_K, KNN_MEASURE)
                          for v in test_vectors]
         else:

@@ -6,8 +6,8 @@ the top N, and set one bit per selected term that occurs in the document.
 The resulting vectors stack into the formal context the lattice is built
 from.
 
-Training tokenizes each document once: its post-filter term set gives
-both its vector over the candidate terms, which ``select_features``
+``train_vectors`` tokenizes each document once: its post-filter term set
+gives both its vector over the candidate terms, which ``select_features``
 scores, and its vector over the selected terms. Tokens come out folded
 (NFC, lowercase), so the candidate vectors map each token straight to its
 bit. Any other vector looks each distinct term up in a map from folded
@@ -143,16 +143,6 @@ def _doc_terms(doc: Document, stopwords: Iterable[str]) -> set[str]:
     return set(tokenize(doc.text)).difference(stopwords)
 
 
-def candidate_terms(docs: Sequence[Document],
-                    stopwords: Iterable[str] = ()) -> tuple[str, ...]:
-    """All distinct post-filter tokens across the corpus, sorted."""
-    stop = frozenset(stopwords)
-    terms: set[str] = set()
-    for doc in docs:
-        terms |= _doc_terms(doc, stop)
-    return tuple(sorted(terms))
-
-
 def _token_masks(terms: Sequence[str]) -> dict[str, int]:
     # terms differing only in case (display-cased headers) share one key
     masks: dict[str, int] = {}
@@ -259,16 +249,15 @@ def select_features(vectors: Sequence[DocumentVector], terms: Sequence[str],
     return Vocabulary(tuple(kept), tuple(scores))
 
 
-def build_vocabulary(docs: Sequence[Document], n: int = DEFAULT_FEATURE_COUNT, *,
-                     stopwords: Iterable[str] = ()) -> Vocabulary:
-    """Candidate extraction + information-gain selection in one step."""
-    return _train_vectors(docs, n, stopwords)[0]
+def train_vectors(docs: Sequence[Document], n: int = DEFAULT_FEATURE_COUNT,
+                  *, stopwords: Iterable[str] = ()
+                  ) -> tuple[Vocabulary, list[DocumentVector]]:
+    """The vocabulary of ``docs`` and each document's vector over it.
 
-
-def _train_vectors(docs: Sequence[Document], n: int, stopwords: Iterable[str]
-                   ) -> tuple[Vocabulary, list[DocumentVector]]:
-    """``build_vocabulary(docs, n, stopwords=stopwords)`` and each
-    document's vector over it, tokenizing each document once."""
+    The candidates are all distinct post-filter tokens of the corpus,
+    sorted; ``select_features`` keeps the top ``n``. Each document is
+    tokenized once.
+    """
     stop = frozenset(stopwords)
     term_sets = [_doc_terms(d, stop) for d in docs]
     # tokens are folded already, so each candidate is its own map key

@@ -20,10 +20,8 @@ from latticecell import (CellularModel, ClassDistribution, Concept,
                          DocumentVector, EmptyInputError,
                          FormalContext, FormatError, LabelingError,
                          Prediction, Vocabulary, build_context,
-                         build_vocabulary, candidate_terms, default_stopwords,
-                         derive_intent, load_context_csv, load_corpus,
-                         parse_activation, remove_stopwords, tokenize,
-                         vectorize, vote)
+                         default_stopwords, derive_intent, load_context_csv,
+                         load_corpus, parse_activation, train_vectors, vote)
 from latticecell.bits import iter_bits, mask_from_indices, transpose
 from latticecell.compiler import (LazyLabels, _compiled_labels,
                                   _distribution_from_pairs)
@@ -50,6 +48,15 @@ def demo_labels_map() -> dict[str, str]:
     return dict(zip(ctx.object_ids, DEMO_LABELS))
 
 
+def names_mask(names, chosen) -> int:
+    """The bitset of the positions in ``names`` of the ``chosen`` names,
+    say a context's object ids or attribute names."""
+    mask = 0
+    for name in chosen:
+        mask |= 1 << names.index(name)
+    return mask
+
+
 def benchmark_corpus(tmp_path, workload_name: str, seed: str):
     """The documents of one corpus of a benchmark workload, and their
     context over the workload's feature count."""
@@ -58,10 +65,9 @@ def benchmark_corpus(tmp_path, workload_name: str, seed: str):
 
     workload = WORKLOADS[workload_name]
     docs = load_corpus(generate(tmp_path, workload.shape, seed).root)
-    stopwords = default_stopwords()
-    vocab = build_vocabulary(docs, workload.features, stopwords=stopwords)
-    return docs, build_context([vectorize(d, vocab, stopwords=stopwords)
-                                for d in docs], vocab)
+    vocab, vectors = train_vectors(docs, workload.features,
+                                   stopwords=default_stopwords())
+    return docs, build_context(vectors, vocab)
 
 
 def benchmark_context(tmp_path, workload_name: str, seed: str) -> FormalContext:
@@ -154,8 +160,8 @@ def reference_tokenize(text: str) -> list[str]:
 
 def reference_vectorize(doc, vocab, stopwords=()) -> DocumentVector:
     """Presence vector by testing every vocabulary term, in NFC and
-    lowercased, against the document's token set."""
-    present = set(remove_stopwords(tokenize(doc.text), set(stopwords)))
+    lowercased, against the document's token set less the stopwords."""
+    present = set(reference_tokenize(doc.text)) - set(stopwords)
     bits = 0
     for i, term in enumerate(vocab.terms):
         if unicodedata.normalize("NFC", term).lower() in present:
@@ -250,9 +256,15 @@ def reference_select_by_columns(vectors, terms, n) -> Vocabulary:
     return Vocabulary(tuple(t for _, t in kept), tuple(-s for s, _ in kept))
 
 
-def reference_build_vocabulary(docs, n, stopwords=()) -> Vocabulary:
-    """Candidates, full-scan vectors and per-term information gain."""
-    terms = candidate_terms(docs, stopwords)
+def reference_vocabulary(docs, n, stopwords=()) -> Vocabulary:
+    """Candidates (every post-filter token of the corpus, sorted),
+    full-scan vectors and per-term information gain."""
+    candidates = set()
+    for doc in docs:
+        for token in reference_tokenize(doc.text):
+            if token not in stopwords:
+                candidates.add(token)
+    terms = tuple(sorted(candidates))
     vectors = [reference_vectorize(d, Vocabulary(terms), stopwords)
                for d in docs]
     return reference_select_features(vectors, terms, n)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (DEMO_CATEGORIES, DEMO_LABELS, assert_same_result,
                      benchmark_corpus, demo_context, demo_labels_map,
-                     random_context, reference_compile_model,
+                     names_mask, random_context, reference_compile_model,
                      reference_distribution, reference_fact_labels,
                      reference_finish, reference_mean)
 from latticecell import (CellularModel, ClassDistribution, Concept,
@@ -45,7 +45,7 @@ def test_distribution_examples(demo_model):
     for ids, want in ((["Doc 5", "Doc 6", "Doc 8"], (0, 1, 0)),
                       (["Doc 3", "Doc 7"], (Fraction(1, 2), 0, Fraction(1, 2))),
                       (["Doc 9"], (0, 0, 1))):
-        extent = ctx.object_mask(ids)
+        extent = names_mask(ctx.object_ids, ids)
         assert by_extent[extent].fractions == want
         assert want == reference_distribution(extent, DEMO_LABELS,
                                               DEMO_CATEGORIES)

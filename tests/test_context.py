@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import demo_context, random_context
+from helpers import demo_context, names_mask, random_context
 from latticecell import (CapacityError, Concept, DimensionError,
                          FormalContext, FormatError, derive_extent,
                          derive_intent, enumerate_concepts_naive,
@@ -40,21 +40,22 @@ def test_row_length_checked():
 
 
 def test_derive_intent_examples(ctx):
-    docs56 = ctx.object_mask(["Doc 5", "Doc 6"])
+    docs56 = names_mask(ctx.object_ids, ["Doc 5", "Doc 6"])
     assert ctx.attribute_labels(derive_intent(ctx, docs56)) == ("Ministre",
                                                                 "Puissance")
     # empty object set shares every attribute
     assert derive_intent(ctx, 0) == ctx.full_attribute_mask
     # Doc 4 carries nothing
-    assert derive_intent(ctx, ctx.object_mask(["Doc 4"])) == 0
+    assert derive_intent(ctx, names_mask(ctx.object_ids, ["Doc 4"])) == 0
 
 
 def test_derive_extent_examples(ctx):
-    assert ctx.object_names(derive_extent(ctx, ctx.attribute_mask(["Ministre"]))) \
-        == ("Doc 5", "Doc 6", "Doc 8")
-    assert ctx.object_names(derive_extent(ctx, ctx.attribute_mask(["Visage"]))) \
-        == ("Doc 3", "Doc 7")
-    assert derive_extent(ctx, ctx.attribute_mask(["Pays", "Visage"])) == 0
+    def extent(*names):
+        return derive_extent(ctx, names_mask(ctx.attribute_names, names))
+
+    assert ctx.object_names(extent("Ministre")) == ("Doc 5", "Doc 6", "Doc 8")
+    assert ctx.object_names(extent("Visage")) == ("Doc 3", "Doc 7")
+    assert extent("Pays", "Visage") == 0
     assert derive_extent(ctx, 0) == ctx.full_object_mask
 
 
@@ -74,12 +75,12 @@ def closure(ctx, objects):
 
 
 def test_closure_examples(ctx):
-    c = closure(ctx, ctx.object_mask(["Doc 5"]))
+    c = closure(ctx, names_mask(ctx.object_ids, ["Doc 5"]))
     assert ctx.object_names(c.extent) == ("Doc 5", "Doc 6")
     assert ctx.attribute_labels(c.intent) == ("Ministre", "Puissance")
     assert closure(ctx, c.extent) == c
 
-    c = closure(ctx, ctx.object_mask(["Doc 1", "Doc 2"]))
+    c = closure(ctx, names_mask(ctx.object_ids, ["Doc 1", "Doc 2"]))
     assert ctx.object_names(c.extent) == ("Doc 1", "Doc 2")
     assert ctx.attribute_labels(c.intent) == ("Stade", "Pays")
 

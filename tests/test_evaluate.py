@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import (DATA, reference_build_vocabulary, reference_classify,
-                     reference_naive_bayes_table, reference_vectorize)
+from helpers import (DATA, reference_classify, reference_naive_bayes_table,
+                     reference_vectorize, reference_vocabulary)
 import latticecell
 from latticecell import (ConfusionMatrix, CorpusError, DimensionError,
                          DocumentVector, EmptyInputError, LabelingError,
@@ -260,12 +260,12 @@ def test_training_selects_features_once(tmp_path, monkeypatch):
     calls = _counting(monkeypatch, "select_features")
     run_experiment(DATA / "corpus", config)
     assert [vocab for _, vocab in calls] == [
-        reference_build_vocabulary(train, 12, stops)]
+        reference_vocabulary(train, 12, stops)]
     calls.clear()
     assert main(["build", str(DATA / "corpus"), "-o",
                  str(tmp_path / "lattice.json"), "--features", "12"]) == 0
     assert [vocab for _, vocab in calls] == [
-        reference_build_vocabulary(docs, 12, stops)]
+        reference_vocabulary(docs, 12, stops)]
 
 
 def test_run_experiment_deterministic():
@@ -324,7 +324,7 @@ def test_run_experiment_rows_match_reference_classify(policy):
     train, test = split_corpus(load_corpus(DATA / "corpus"), config.split,
                                config.seed)
     stops = default_stopwords()
-    vocab = reference_build_vocabulary(train, config.features, stops)
+    vocab = reference_vocabulary(train, config.features, stops)
     train_vectors = [reference_vectorize(d, vocab, stops) for d in train]
     test_vectors = [reference_vectorize(d, vocab, stops) for d in test]
     categories = tuple(sorted({d.category for d in train}))

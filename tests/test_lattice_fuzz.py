@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (assert_same_outcome, brute_transitive_reduction,
-                     demo_context, reference_build_lattice,
+                     demo_context, names_mask, reference_build_lattice,
                      reference_lattice_from_dict)
 from latticecell import (Concept, FormalContext, FormatError, assemble,
                          build_lattice, enumerate_concepts_naive, load_lattice,
@@ -196,8 +196,8 @@ def _recovered_lattice(data):
         tuple(mask_from_indices(j for j, a in enumerate(attributes)
                                 if a in shared[o])
               for o in data["objects"]))
-    concepts = [Concept(ctx.object_mask(c["extent"]),
-                        ctx.attribute_mask(c["intent"]))
+    concepts = [Concept(names_mask(ctx.object_ids, c["extent"]),
+                        names_mask(ctx.attribute_names, c["intent"]))
                 for c in data["concepts"]]
     return ctx, concepts
 

@@ -10,17 +10,17 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import (DATA, demo_context, reference_build_vocabulary,
+from helpers import (DATA, benchmark_corpus, demo_context,
                      reference_information_gain, reference_load_corpus,
                      reference_load_documents, reference_select_by_columns,
-                     reference_select_features,
-                     reference_tokenize, reference_vectorize)
+                     reference_select_features, reference_tokenize,
+                     reference_vectorize, reference_vocabulary)
 from latticecell import (CorpusError, DimensionError, Document,
                          DocumentVector, EmptyInputError, LabelingError,
-                         Vocabulary, build_context, build_vocabulary,
-                         candidate_terms, default_stopwords, load_corpus,
-                         load_documents, load_stopwords, remove_stopwords,
-                         select_features, tokenize, vectorize)
+                         Vocabulary, build_context, default_stopwords,
+                         load_corpus, load_documents, load_stopwords,
+                         remove_stopwords, select_features, tokenize,
+                         train_vectors, vectorize)
 from latticecell import textprep
 
 FR_STOPS = default_stopwords()
@@ -79,8 +79,9 @@ def test_load_stopwords(tmp_path):
     # an NFD entry filters the NFC token
     f.write_text(unicodedata.normalize("NFD", "Été\nà\n"), encoding="utf-8")
     assert load_stopwords(f) == {"été", "à"}
-    assert remove_stopwords(tokenize("Été à Paris"), load_stopwords(f)) == [
-        "paris"]
+    vocab, _ = train_vectors([Document("d", "A", "Été à Paris")],
+                             stopwords=load_stopwords(f))
+    assert vocab.terms == ("paris",)
 
 
 def _labeled_vectors(bit_rows, labels, terms):
@@ -328,7 +329,7 @@ def test_training_maps_only_the_selected_terms(monkeypatch):
     token_masks = textprep._token_masks
     monkeypatch.setattr(textprep, "_token_masks",
                         lambda terms: calls.append(terms) or token_masks(terms))
-    vocab = build_vocabulary(load_corpus(DATA / "corpus"), 20,
+    vocab, _ = train_vectors(load_corpus(DATA / "corpus"), 20,
                              stopwords=FR_STOPS)
     assert calls == [vocab.terms]
 
@@ -364,21 +365,35 @@ def _in_form(form, docs):
             for d in docs]
 
 
+def _assert_trains_as_the_references(docs, n, stops, form="NFC"):
+    """``train_vectors`` of ``docs`` in ``form`` gives the full-scan
+    vocabulary of ``docs`` and each document's full-scan vector over it."""
+    texts = _in_form(form, docs)
+    vocab, vectors = train_vectors(texts, n, stopwords=stops)
+    assert vocab == reference_vocabulary(docs, n, stops)
+    assert vectors == [reference_vectorize(d, vocab, stops) for d in texts]
+
+
 @pytest.mark.parametrize("form", ["NFC", "NFD"], ids=["plain", "nfd"])
-def test_build_vocabulary_matches_full_scan_reference(form):
+def test_training_matches_full_scan_references(form):
     """The corpora are written in NFC; their NFD form gives the same
     vocabulary."""
     docs = load_corpus(DATA / "corpus")
     for n in (1, 6, 1000):
-        assert (build_vocabulary(_in_form(form, docs), n, stopwords=FR_STOPS)
-                == reference_build_vocabulary(docs, n, FR_STOPS))
+        _assert_trains_as_the_references(docs, n, FR_STOPS, form)
     rnd = random.Random(53)
     for _ in range(60):
         docs = _random_corpus(rnd)
         n = rnd.randint(1, 20)
         stops = FR_STOPS if rnd.random() < 0.5 else ()
-        assert (build_vocabulary(_in_form(form, docs), n, stopwords=stops)
-                == reference_build_vocabulary(docs, n, stops))
+        _assert_trains_as_the_references(docs, n, stops, form)
+
+
+def test_training_matches_full_scan_references_on_a_benchmark_corpus(tmp_path):
+    """A 210-document corpus of 1,331 candidate terms, of which the
+    workload keeps 100."""
+    docs, _ = benchmark_corpus(tmp_path, "train-wide", "train-wide/1/0")
+    _assert_trains_as_the_references(docs, 100, FR_STOPS)
 
 
 def test_nfc_and_nfd_texts_give_equal_vectors():
@@ -388,7 +403,7 @@ def test_nfc_and_nfd_texts_give_equal_vectors():
         nfc = _random_corpus(rnd)
         nfd = _in_form("NFD", nfc)
         decomposed += nfd != nfc  # "équipe" and "chaîne" decompose
-        vocab = build_vocabulary(nfc, 20, stopwords=FR_STOPS)
+        vocab, _ = train_vectors(nfc, 20, stopwords=FR_STOPS)
         # the vocabulary's own terms, decomposed, still match
         for terms in (vocab, Vocabulary(tuple(
                 unicodedata.normalize("NFD", t) for t in vocab.terms))):
@@ -494,14 +509,12 @@ def test_corpus_round_trips_to_reference_context():
 
 def test_feature_selection_on_bundled_corpus():
     docs = load_corpus(DATA / "corpus")
-    vocab = build_vocabulary(docs, 6, stopwords=FR_STOPS)
+    vocab, _ = train_vectors(docs, 6, stopwords=FR_STOPS)
     assert set(vocab.terms) == {"stade", "pays", "personnage", "ministre",
                                 "puissance", "visage"}
     # the everywhere-present filler carries zero information
-    terms = candidate_terms(docs, FR_STOPS)
-    vectors = [vectorize(d, Vocabulary(terms), stopwords=FR_STOPS)
-               for d in docs]
-    assert _ig_score(vectors, terms, "journal") == pytest.approx(0.0)
+    every, _ = train_vectors(docs, 1000, stopwords=FR_STOPS)
+    assert every.ig_scores[every.terms.index("journal")] == pytest.approx(0.0)
 
 
 def test_load_corpus_errors(tmp_path):

@@ -89,7 +89,10 @@ HALF = ClassDistribution.from_counts((1, 1), 2)
     (3, (0, 1), (1, 2), "fact 1 is both a premise and a conclusion"),
     # as many facts of each kind as there are facts, one of them of both
     (4, (0, 1), (1, 2), "fact 1 is both a premise and a conclusion"),
-], ids=["unreferenced", "both", "both-and-unreferenced"])
+    # the lowest of the two faulty facts is named, whichever its fault
+    (4, (0, 3), (1, 3), "fact 2 is referenced by no rule"),
+], ids=["unreferenced", "both", "both-and-unreferenced",
+        "unreferenced-and-both"])
 @pytest.mark.parametrize("writer", ["save_model", "model_to_dict"])
 def test_writers_reject_a_model_no_file_can_hold(tmp_path, writer, n_facts,
                                                  premises, conclusions,
