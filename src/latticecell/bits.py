@@ -4,9 +4,18 @@ Bit vectors throughout the package are plain Python ints: bit i set means
 element i is in the set. Ints are immutable, hashable, and their bitwise
 ops run at C speed, which is what the derivation operators and the engine
 transition functions lean on.
+
+``transpose`` works by byte lanes, each step a C-level operation: the
+rows are packed into fixed-width little-endian records with one
+``bytes.join``; lane j, the j-th byte of every record, is one strided
+slice, reversed so that the last row comes first; and each bit t of the
+lane is read as one column by translating the lane to a ``0``/``1`` text
+through a 256-byte table and parsing it with ``int(text, 2)``. Base 2 is
+exempt from the int/str digit limit, so no row count is too large.
 """
 
 from collections.abc import Iterable, Sequence
+from itertools import repeat
 
 
 def mask_from_indices(indices: Iterable[int]) -> int:
@@ -72,18 +81,25 @@ def split_by_count(members: int,
     return groups
 
 
+# byte value -> b"0" or b"1", its bit t, for each bit t of a byte
+_BIT_TABLES = [(b"0" * (1 << t) + b"1" * (1 << t)) * (128 >> t)
+               for t in range(8)]
+
+
 def transpose(rows: Iterable[int], width: int) -> list[int]:
     """Columns of a bit matrix: bit r of column j is bit j of ``rows[r]``.
 
     Bits of a row at or above ``width`` are ignored.
     """
     full = (1 << width) - 1
-    cols = [0] * width
-    for r, row in enumerate(rows):
-        bit = 1 << r
-        row &= full
-        while row:
-            low = row & -row
-            cols[low.bit_length() - 1] |= bit
-            row ^= low
+    lanes = (width + 7) >> 3
+    data = b"".join(map(int.to_bytes, map(full.__and__, rows),
+                        repeat(lanes), repeat("little")))
+    if not data:  # no rows, or no columns
+        return [0] * width
+    cols: list[int] = []
+    for j in range(lanes):
+        lane = data[j::lanes][::-1]
+        cols += [int(lane.translate(table), 2)
+                 for table in _BIT_TABLES[:width - 8 * j]]
     return cols

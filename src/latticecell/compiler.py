@@ -14,6 +14,13 @@ that category's object bitset in one ``map``, and builds one distribution
 per distinct count vector. The vote averages over the lcm of the totals,
 and the model file stores each value as a reduced ``[numerator,
 denominator]`` pair.
+
+A model's intents lie within its vocabulary, so the rule index that
+activation reads is two C-level passes over them: ``bits.transpose``
+gives each attribute's column of rules, and the columns' bit-sliced
+counts, split by ``bits.split_by_count``, give the rules of each intent
+size. The engine template's wiring is one 1-tuple of fact indices per
+rule, zipped from the fact pairs.
 """
 
 from __future__ import annotations
@@ -27,10 +34,12 @@ from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .bits import bit_indices, iter_bits, mask_from_indices, transpose
+from .bits import (bit_indices, bit_sliced_counts, iter_bits,
+                   mask_from_indices, split_by_count, transpose)
 from .engine import EngineState
-from .errors import (EmptyInputError, FormatError, LabelingError, json_list,
-                     read_converted, require_names, require_strings)
+from .errors import (DimensionError, EmptyInputError, FormatError,
+                     LabelingError, json_list, read_converted, require_names,
+                     require_strings)
 from .lattice import ConceptLattice
 from .value import Value, lazy
 
@@ -120,12 +129,12 @@ class RuleIndex(NamedTuple):
 
 def index_masks(masks: Sequence[int], columns: Sequence[int]) -> RuleIndex:
     """The ``RuleIndex`` of ``masks``, whose ``columns`` (per attribute,
-    the masks that hold it) the caller has transposed."""
-    sizes: dict[int, int] = {}
-    for k, mask in enumerate(masks):
-        n = mask.bit_count()
-        sizes[n] = sizes.get(n, 0) | 1 << k
-    return RuleIndex(tuple(columns), tuple(sorted(sizes.items())))
+    the masks that hold it) the caller has transposed; every bit of every
+    mask is in a column, so the columns' bit-sliced counts are the masks'
+    sizes."""
+    full = (1 << len(masks)) - 1
+    return RuleIndex(tuple(columns), tuple(sorted(
+        split_by_count(full, bit_sliced_counts(columns)))))
 
 
 class LazyLabels(Sequence):
@@ -177,18 +186,19 @@ class CellularModel(Value):
     """Compiled rules plus the concept data classification needs.
 
     ``intent_facts`` pairs each intent fact index with its attribute mask
-    over ``vocabulary``; ``extent_facts`` pairs each extent fact index with
-    its class distribution (integer counts over a total). Fact indices
-    point into ``fact_labels``: the labels as given for a loaded or fixture
-    model, a ``LazyLabels`` for a compiled one. Rule k, labeled ``R{k+1}``,
-    links intent fact k (its premise) to extent fact k (its conclusion);
-    these pairs are the only statement of the wiring: ``engine_template``
-    is derived from them as fact index tuples, and a vote reads
-    ``extent_facts[k]`` for each rule k the engine fired. The template
-    shares ``fact_labels`` and renders its rule labels on first read, so
-    classification formats no label; it is left out of equality and repr.
-    Immutable, apart from ``rule_index``, built on first read; clone the
-    engine per classification via ``fresh_engine``.
+    over ``vocabulary`` (a mask with a bit past the vocabulary, or a
+    negative one, is a ``DimensionError``); ``extent_facts`` pairs each
+    extent fact index with its class distribution (integer counts over a
+    total). Fact indices point into ``fact_labels``: the labels as given for
+    a loaded or fixture model, a ``LazyLabels`` for a compiled one. Rule k,
+    labeled ``R{k+1}``, links intent fact k (its premise) to extent fact k
+    (its conclusion); these pairs are the only statement of the wiring:
+    ``engine_template`` is derived from them as fact index tuples, and a
+    vote reads ``extent_facts[k]`` for each rule k the engine fired. The
+    template shares ``fact_labels`` and renders its rule labels on first
+    read, so classification formats no label; it is left out of equality and
+    repr. Immutable, apart from ``rule_index``, built on first read; clone
+    the engine per classification via ``fresh_engine``.
     """
 
     _fields = ("categories", "fact_labels", "intent_facts", "extent_facts",
@@ -207,10 +217,17 @@ class CellularModel(Value):
         n = len(intent_facts)
         if n != len(extent_facts):
             raise ValueError("one rule per intent/extent fact pair required")
+        width = len(vocabulary)
+        if n and (min(map(itemgetter(1), intent_facts)) < 0
+                  or max(map(itemgetter(1), intent_facts)) >> width):
+            k = next(k for k, (_, mask) in enumerate(intent_facts)
+                     if mask < 0 or mask >> width)
+            raise DimensionError(f"rule {k}: intent outside the "
+                                 f"{width}-term vocabulary")
         object.__setattr__(self, "engine_template", EngineState(
             fact_labels, LazyLabels(_rule_labels, (n,), n),
-            [(i,) for i, _ in intent_facts],
-            [(e,) for e, _ in extent_facts]))
+            tuple(zip(map(itemgetter(0), intent_facts))),
+            tuple(zip(map(itemgetter(0), extent_facts)))))
 
     @property
     def n_facts(self) -> int:

@@ -16,13 +16,13 @@ import re
 import unicodedata
 
 from latticecell import (CellularModel, ClassDistribution, Concept,
-                         ConceptLattice, CorpusError, Document,
-                         DocumentVector, EmptyInputError,
+                         ConceptLattice, CorpusError, DimensionError,
+                         Document, DocumentVector, EmptyInputError,
                          FormalContext, FormatError, LabelingError,
                          Prediction, Vocabulary, build_context,
                          default_stopwords, derive_intent, load_context_csv,
                          load_corpus, parse_activation, train_vectors, vote)
-from latticecell.bits import iter_bits, mask_from_indices, transpose
+from latticecell.bits import iter_bits, mask_from_indices
 from latticecell.compiler import (LazyLabels, _compiled_labels,
                                   _distribution_from_pairs)
 from latticecell.context import canonical_key
@@ -241,7 +241,7 @@ def reference_select_by_columns(vectors, terms, n) -> Vocabulary:
     totals = [m.bit_count() for m in masks]
     n_docs = len(vectors)
     h_class = _reference_entropy(totals)
-    columns = transpose((v.bits for v in vectors), len(terms))
+    columns = reference_transpose((v.bits for v in vectors), len(terms))
     counts = list(zip(*[[(m & column).bit_count() for column in columns]
                         for m in masks]))
     gain = {}
@@ -301,6 +301,54 @@ def reference_knn(train, doc, k, measure, categories=None) -> str:
 
     votes = [train[i].category for i in sorted(range(len(train)), key=key)[:k]]
     return max(cats, key=lambda c: (votes.count(c), -cats.index(c)))
+
+
+def reference_transpose(rows, width: int) -> list[int]:
+    """``bits.transpose`` by walking each set bit of each row: bit r of
+    column j is bit j of ``rows[r]``, bits at or above ``width`` ignored."""
+    full = (1 << width) - 1
+    cols = [0] * width
+    for r, row in enumerate(rows):
+        bit = 1 << r
+        row &= full
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
+    return cols
+
+
+def reference_mask_sizes(masks) -> tuple[tuple[int, int], ...]:
+    """``RuleIndex.sizes`` by one ``bit_count`` per mask: ``(size, the
+    positions of the masks of that size)``, ascending by size."""
+    sizes: dict[int, int] = {}
+    for k, mask in enumerate(masks):
+        n = mask.bit_count()
+        sizes[n] = sizes.get(n, 0) | 1 << k
+    return tuple(sorted(sizes.items()))
+
+
+def reference_engine_wiring(fact_labels, rule_labels, premises, conclusions):
+    """``EngineState``'s ``(premises, conclusions, watchers)``, the watchers
+    grouped through a dict of lists, or the ``DimensionError`` it raises."""
+    n_rules = len(rule_labels)
+    if len(premises) != n_rules or len(conclusions) != n_rules:
+        raise DimensionError("premise/conclusion lists must match rule count")
+    n_facts = len(fact_labels)
+    premises = tuple(map(tuple, premises))
+    conclusions = tuple(map(tuple, conclusions))
+    for wiring in (premises, conclusions):
+        for j, facts in enumerate(wiring):
+            if not all(0 <= f < n_facts for f in facts):
+                raise DimensionError(f"rule {j} wiring exceeds fact count")
+    watching: dict[int, list[int]] = {}
+    for j, facts in enumerate(premises):
+        for f in facts:
+            watching.setdefault(f, []).append(j)
+    watchers: list[tuple[int, ...]] = [()] * n_facts
+    for f, rules in watching.items():
+        watchers[f] = tuple(rules)
+    return premises, conclusions, tuple(watchers)
 
 
 def wiring_masks(state) -> tuple[list[int], list[int]]:

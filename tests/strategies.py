@@ -2,8 +2,9 @@
 
 from hypothesis import strategies as st
 
+from helpers import reference_transpose
 from latticecell import FormalContext
-from latticecell.bits import mask_from_indices, transpose
+from latticecell.bits import mask_from_indices
 
 
 @st.composite
@@ -18,4 +19,4 @@ def contexts(draw):
                             min_size=n_attributes, max_size=n_attributes))
     return FormalContext(tuple(f"o{i}" for i in range(n_objects)),
                          tuple(f"a{j}" for j in range(n_attributes)),
-                         tuple(transpose(columns, n_objects)))
+                         tuple(reference_transpose(columns, n_objects)))

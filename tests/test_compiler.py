@@ -554,6 +554,25 @@ def test_model_invariants_enforced():
                       model.extent_facts, model.vocabulary)
 
 
+@pytest.mark.parametrize("mask", [1 << 6, 0b1000001, -1, -(1 << 7)])
+def test_model_rejects_an_intent_outside_its_vocabulary(mask):
+    """A model whose intent has a bit at or past its vocabulary, or is
+    negative, could be written but not loaded back, and its rule index
+    would count the bit in a size but hold it in no column."""
+    model = load_fixture_model()
+    intent_facts = list(model.intent_facts)
+    intent_facts[2] = (intent_facts[2][0], mask)
+    with pytest.raises(DimensionError, match=r"^rule 2: intent outside the "
+                                             r"6-term vocabulary$"):
+        CellularModel(model.categories, model.fact_labels,
+                      tuple(intent_facts), model.extent_facts,
+                      model.vocabulary)
+    # the last attribute fits
+    intent_facts[2] = (intent_facts[2][0], (1 << 6) - 1)
+    CellularModel(model.categories, model.fact_labels, tuple(intent_facts),
+                  model.extent_facts, model.vocabulary)
+
+
 @pytest.fixture(scope="module")
 def model_path(tmp_path_factory):
     return tmp_path_factory.mktemp("models") / "model.json"
