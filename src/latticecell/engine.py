@@ -21,15 +21,11 @@ is a premise of. So the wiring's size is linear in the incidences, and the
 fact step re-checks only the rules watching an established fact, as in
 Dowling & Gallier's linear-time Horn chaining: a cycle costs the touched
 rules, not all of them. The cells, the cycle count and the per-cycle
-snapshots are those of a scan over every rule. When each rule has one
-premise fact and no two rules share one, as in every compiled model,
-``watchers`` is set in one C-level pass; otherwise the rules are grouped
-by premise fact in a dict of lists.
+snapshots are those of a scan over every rule.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Sequence
 from itertools import chain
 
@@ -66,25 +62,22 @@ class EngineState:
         if len(premises) != len(rule_labels) or len(conclusions) != len(rule_labels):
             raise DimensionError("premise/conclusion lists must match rule count")
         n_facts = len(fact_labels)
-        n_rules = len(rule_labels)
         self.premises = tuple(map(tuple, premises))
         self.conclusions = tuple(map(tuple, conclusions))
-        used = _facts_in_range(self.premises, n_facts)
-        _facts_in_range(self.conclusions, n_facts)
+        for wiring in (self.premises, self.conclusions):
+            used = list(chain.from_iterable(wiring))
+            if used and not (0 <= min(used) and max(used) < n_facts):
+                j = next(j for j, facts in enumerate(wiring)
+                         if not all(0 <= f < n_facts for f in facts))
+                raise DimensionError(f"rule {j} wiring exceeds fact count")
         # a fact no rule watches shares the one empty tuple
+        watching: dict[int, list[int]] = {}
+        for j, facts in enumerate(self.premises):
+            for f in facts:
+                watching.setdefault(f, []).append(j)
         watchers: list[tuple[int, ...]] = [()] * n_facts
-        if len(used) == n_rules == len(set(used)) and all(self.premises):
-            # n_rules nonempty premises of n_rules distinct facts: fact
-            # used[j] is rule j's one premise, watched by it alone
-            deque(map(watchers.__setitem__, used, zip(range(n_rules))),
-                  maxlen=0)
-        else:
-            watching: dict[int, list[int]] = {}
-            for j, facts in enumerate(self.premises):
-                for f in facts:
-                    watching.setdefault(f, []).append(j)
-            for f, rules in watching.items():
-                watchers[f] = tuple(rules)
+        for f, rules in watching.items():
+            watchers[f] = tuple(rules)
         self.watchers = tuple(watchers)
         self.fact_labels = fact_labels
         self.rule_labels = rule_labels
@@ -113,18 +106,6 @@ class EngineState:
     def __repr__(self) -> str:
         return (f"EngineState({self.n_facts} facts, {self.n_rules} rules, "
                 f"ef={self.ef:#x}, er={self.er:#x})")
-
-
-def _facts_in_range(wiring: tuple[tuple[int, ...], ...],
-                    n_facts: int) -> list[int]:
-    """The fact indices of ``wiring``, rule by rule; one outside
-    ``range(n_facts)`` is a ``DimensionError`` naming its rule."""
-    used = list(chain.from_iterable(wiring))
-    if used and not (0 <= min(used) and max(used) < n_facts):
-        j = next(j for j, facts in enumerate(wiring)
-                 if not all(0 <= f < n_facts for f in facts))
-        raise DimensionError(f"rule {j} wiring exceeds fact count")
-    return used
 
 
 def set_facts(state: EngineState, indices: Iterable[int]) -> EngineState:

@@ -18,10 +18,6 @@ Variant Indexes", SIGMOD 1997), whose slice b holds bit b of every term's
 document count, and splits the terms by those counts into the classes
 that share a per-category count vector. The class entropy is computed
 once, and the information gain once per class.
-
-``tokenize`` matches ASCII text with ``[a-z]{2,}`` after lowercasing:
-NFC leaves ASCII text as it is, and its only lowercase letters are a-z.
-Other text is folded and matched with a Unicode letter class.
 """
 
 from __future__ import annotations
@@ -45,8 +41,6 @@ from .value import Value
 # letter runs of two or more: a run of one never starts a match, and a
 # longer run matches whole from its first letter
 _WORD_RE = re.compile(r"[^\W\d_]{2,}")
-# the same runs in lowercased ASCII text
-_ASCII_WORD_RE = re.compile(r"[a-z]{2,}")
 
 DEFAULT_FEATURE_COUNT = 500
 
@@ -113,8 +107,6 @@ def _fold(text: str) -> str:
 def tokenize(text: str) -> list[str]:
     """NFC and lowercase, then every run of two or more letters: the runs
     between non-letters, without the one-letter ones."""
-    if text.isascii():
-        return _ASCII_WORD_RE.findall(text.lower())
     return _WORD_RE.findall(_fold(text))
 
 

@@ -16,8 +16,8 @@ import re
 import unicodedata
 
 from latticecell import (CellularModel, ClassDistribution, Concept,
-                         ConceptLattice, CorpusError, DimensionError,
-                         Document, DocumentVector, EmptyInputError,
+                         ConceptLattice, CorpusError, Document,
+                         DocumentVector, EmptyInputError,
                          FormalContext, FormatError, LabelingError,
                          Prediction, Vocabulary, build_context,
                          default_stopwords, derive_intent, load_context_csv,
@@ -326,29 +326,6 @@ def reference_mask_sizes(masks) -> tuple[tuple[int, int], ...]:
         n = mask.bit_count()
         sizes[n] = sizes.get(n, 0) | 1 << k
     return tuple(sorted(sizes.items()))
-
-
-def reference_engine_wiring(fact_labels, rule_labels, premises, conclusions):
-    """``EngineState``'s ``(premises, conclusions, watchers)``, the watchers
-    grouped through a dict of lists, or the ``DimensionError`` it raises."""
-    n_rules = len(rule_labels)
-    if len(premises) != n_rules or len(conclusions) != n_rules:
-        raise DimensionError("premise/conclusion lists must match rule count")
-    n_facts = len(fact_labels)
-    premises = tuple(map(tuple, premises))
-    conclusions = tuple(map(tuple, conclusions))
-    for wiring in (premises, conclusions):
-        for j, facts in enumerate(wiring):
-            if not all(0 <= f < n_facts for f in facts):
-                raise DimensionError(f"rule {j} wiring exceeds fact count")
-    watching: dict[int, list[int]] = {}
-    for j, facts in enumerate(premises):
-        for f in facts:
-            watching.setdefault(f, []).append(j)
-    watchers: list[tuple[int, ...]] = [()] * n_facts
-    for f, rules in watching.items():
-        watchers[f] = tuple(rules)
-    return premises, conclusions, tuple(watchers)
 
 
 def wiring_masks(state) -> tuple[list[int], list[int]]:

@@ -3,18 +3,12 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
-from helpers import (DEMO_CATEGORIES, assert_same_result, benchmark_corpus,
-                     demo_context, demo_labels_map, naive_forward_chain,
-                     reference_engine_wiring, reference_fact_step,
-                     wiring_masks)
-from latticecell import (DimensionError, EngineState, build_lattice,
-                         compile_model, delta_fact, delta_rule,
+from helpers import naive_forward_chain, reference_fact_step, wiring_masks
+from latticecell import (DimensionError, EngineState, delta_fact, delta_rule,
                          load_fixture_model, render_fact_table,
                          render_rule_table, run_inference, set_facts)
 from latticecell.compiler import model_from_dict, model_to_dict
-from strategies import contexts
 
 
 def chain_engine():
@@ -255,82 +249,14 @@ def test_copy_isolated():
     assert clone.ef == 0b111
 
 
-def _wiring(state):
-    return state.premises, state.conclusions, state.watchers
-
-
-@st.composite
-def wirings(draw):
-    """Labels for 0-8 facts and 0-8 rules, and each rule's premise and
-    conclusion fact indices, a few outside the facts; the rule count of
-    one list is sometimes off by one. Half of the time each rule has one
-    premise fact of its own, as in a compiled model."""
-    n_facts, n_rules = draw(st.integers(0, 8)), draw(st.integers(0, 8))
-    fact = (st.integers(0, max(n_facts - 1, 0))
-            | st.sampled_from((-1, n_facts)))
-    facts = st.lists(fact, max_size=3).map(tuple)
-    if n_rules <= n_facts and draw(st.booleans()):
-        own = draw(st.permutations(range(n_facts)))[:n_rules]
-        premises = [(f,) for f in own]
-    else:
-        premises = draw(st.lists(facts, min_size=n_rules, max_size=n_rules))
-    n_conclusions = n_rules + draw(st.sampled_from((0, 0, 0, 0, 1, -1)))
-    conclusions = draw(st.lists(facts, min_size=max(n_conclusions, 0),
-                                max_size=max(n_conclusions, 0)))
-    return ([f"f{i}" for i in range(n_facts)],
-            [f"r{j}" for j in range(n_rules)], premises, conclusions)
-
-
-@settings(max_examples=500, deadline=None, derandomize=True)
-@given(wiring=wirings())
-# as many premise facts as rules, all distinct, but not one per rule
-@example(wiring=(["f0", "f1"], ["r0", "r1"], [(), (0, 1)], [(0,), (1,)]))
-def test_wiring_equals_the_dict_of_lists(wiring):
-    """Hand-built states, with shared, repeated, missing and multiple
-    premises: the same index tuples as grouping the rules by premise fact
-    in a dict of lists, or the same ``DimensionError`` text."""
-    assert_same_result(lambda: _wiring(EngineState(*wiring)),
-                       lambda: reference_engine_wiring(*wiring))
-
-
-def _model_wiring(model):
-    """What the dict of lists gives for ``model``'s rules."""
-    return reference_engine_wiring(
-        model.fact_labels, model.engine_template.rule_labels,
-        [(i,) for i, _ in model.intent_facts],
-        [(e,) for e, _ in model.extent_facts])
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(ctx=contexts(), data=st.data())
-def test_compiled_wiring_equals_the_dict_of_lists(ctx, data):
-    labels = {oid: data.draw(st.sampled_from(("A", "B")))
-              for oid in ctx.object_ids}
-    model = compile_model(build_lattice(ctx), labels, ("A", "B"))
-    assert _wiring(model.engine_template) == _model_wiring(model)
-
-
-def test_bundled_and_benchmark_wiring_equal_the_dict_of_lists(tmp_path):
-    docs, ctx = benchmark_corpus(tmp_path, "train-wide", "train-wide/1/1")
-    benchmark = compile_model(build_lattice(ctx),
-                              {d.id: d.category for d in docs},
-                              sorted({d.category for d in docs}))
-    demo = compile_model(build_lattice(demo_context()), demo_labels_map(),
-                         DEMO_CATEGORIES)
-    for model in (benchmark, demo, load_fixture_model()):
-        assert _wiring(model.engine_template) == _model_wiring(model)
-    assert benchmark.n_rules > 2000
-
-
 def test_a_loaded_shared_premise_is_watched_by_both_rules():
     """A model file may give two rules one premise fact; that fact's
-    watchers are both rules, in rule order."""
+    watchers are both rules, in rule order, and establishing it fires
+    both."""
     data = model_to_dict(load_fixture_model())
     data["rules"].append({"premise": 4, "conclusion": 1})
-    model = model_from_dict(data)
-    state = model.engine_template
+    state = model_from_dict(data).engine_template
     assert state.watchers[4] == (2, 6)
-    assert _wiring(state) == _model_wiring(model)
     set_facts(state, [4])
     run_inference(state)
     assert state.er == 1 << 2 | 1 << 6

@@ -60,27 +60,6 @@ def test_every_token_is_its_own_fold(text):
         assert textprep._fold(token) == token
 
 
-# ASCII text, which ``tokenize`` matches by a pattern of its own: letters
-# of both cases, digits, "_", punctuation, whitespace and control codes
-_ASCII_TEXT = st.text(st.sampled_from(list("abzAZ_09 .'-\n\t\r"))
-                      | st.characters(max_codepoint=127), max_size=40)
-
-
-@settings(max_examples=500, deadline=None, derandomize=True)
-@given(text=_ASCII_TEXT)
-@example(text="A1-B2 Le ministre, la PUISSANCE.\x00zz_yy")
-def test_ascii_tokenize_equals_find_then_filter(text):
-    assert text.isascii()
-    assert tokenize(text) == reference_tokenize(text)
-
-
-@settings(max_examples=500, deadline=None, derandomize=True)
-@given(text=_ASCII_TEXT)
-def test_every_ascii_token_is_its_own_fold(text):
-    for token in tokenize(text):
-        assert textprep._fold(token) == token
-
-
 def test_remove_stopwords():
     toks = ["le", "ministre", "la", "puissance"]
     assert remove_stopwords(toks, FR_STOPS) == ["ministre", "puissance"]
