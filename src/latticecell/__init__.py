@@ -27,8 +27,7 @@ from .errors import (CapacityError, CorpusError, DimensionError,
                      EmptyInputError, FormatError, LabelingError,
                      LatticeCellError, NotSplittableError)
 from .evaluate import (BASELINES, ConfusionMatrix, ExperimentReport,
-                       MetricsReport, PipelineConfig, baseline_knn,
-                       baseline_naive_bayes, metrics, run_experiment,
+                       MetricsReport, PipelineConfig, metrics, run_experiment,
                        split_corpus)
 from .lattice import (ConceptLattice, appose, assemble, build_lattice,
                       lattice_to_dot, load_lattice, save_lattice,

@@ -1,10 +1,12 @@
-"""Metrics, reference baselines, and the end-to-end experiment runner.
+"""Metrics and the end-to-end experiment runner.
 
 The runner loads a labeled corpus, splits it, builds the vocabulary and
 lattice from the training half only, compiles the cellular model, and
 classifies the test half once per configured similarity measure plus once
-per baseline. Every classifier consumes the same binary vectors, so the
-comparison isolates the classification method. Precision and recall are
+per baseline: Bernoulli naive Bayes, and k-NN at ``KNN_K`` by
+``KNN_MEASURE``. Each baseline is trained once per run, on the training
+context's columns. Every classifier consumes the same binary vectors, so
+the comparison isolates the classification method. Precision and recall are
 macro-averaged over categories; unclassifiable documents count as wrong
 for accuracy and as misses for recall.
 """
@@ -14,17 +16,17 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
-from .bits import iter_bits, transpose
+from .bits import iter_bits
 from .classify import (MEASURES, _classes, _ranked, classify,
                        parse_activation)
-from .compiler import compile_model, index_masks
-from .errors import (CorpusError, DimensionError, EmptyInputError,
-                     LabelingError)
+from .compiler import RuleIndex, compile_model, index_masks
+from .errors import CorpusError, EmptyInputError, LabelingError
 from .lattice import build_lattice
 from .textprep import (DEFAULT_FEATURE_COUNT, Document, DocumentVector,
                        build_context, category_masks, default_stopwords,
@@ -32,8 +34,7 @@ from .textprep import (DEFAULT_FEATURE_COUNT, Document, DocumentVector,
 from .value import Value
 
 BASELINES = ("nb", "knn")
-# the k-NN baseline's settings: ``baseline_knn``'s defaults, and the ones
-# ``run_experiment`` runs and reports
+# the k-NN baseline's settings, which ``run_experiment`` runs and reports
 KNN_K = 3
 KNN_MEASURE = "cosine"
 
@@ -110,56 +111,17 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
     return MetricsReport(precision, recall, accuracy, 1 - accuracy, f)
 
 
-def _categories_of(train: Sequence[DocumentVector],
-                   categories: Sequence[str] | None = None) -> list[str]:
-    """``categories``, or else the training categories in first-seen order.
-
-    Every training vector must carry one of them: a baseline would
-    otherwise count a vector whose category it cannot predict. Every one
-    must also have the first one's size, which is the size a query is
-    checked against.
-    """
-    cats = [] if categories is None else list(categories)
-    known = set(cats)
-    for v in train:
-        if v.size != train[0].size:
-            raise DimensionError(f"training vector {v.doc_id!r} has {v.size} "
-                                 f"bits, the first has {train[0].size}")
-        if v.category not in known:
-            if v.category is None:
-                raise LabelingError(f"training vector {v.doc_id!r} is unlabeled")
-            if categories is not None:
-                raise LabelingError(f"training vector {v.doc_id!r} has "
-                                    f"unknown category {v.category!r}")
-            cats.append(v.category)
-            known.add(v.category)
-    return cats
-
-
 def _naive_bayes_table(train: Sequence[DocumentVector],
-                       categories: Sequence[str] | None = None,
-                       columns: Sequence[int] | None = None):
-    """The vector size and, per category with training members, its log
-    prior and per-attribute log p and log(1 - p), p add-one smoothed.
-
-    ``columns`` are the training vectors transposed (bit r of column j is
-    bit j of ``train[r]``), as a context over them holds them; transposed
-    here if not given.
-    """
-    if not train:
-        raise EmptyInputError("naive Bayes needs a nonempty training set")
-    cats = _categories_of(train, categories)
-    size = train[0].size
+                       categories: Sequence[str], columns: Sequence[int]):
+    """The vector size and, per category, its log prior and per-attribute
+    log p and log(1 - p), p add-one smoothed. Bit r of ``columns[j]`` is
+    bit j of ``train[r]``, as the training context holds them."""
     n_total = len(train)
     by_category = category_masks(train)
-    if columns is None:
-        columns = transpose((v.bits for v in train), size)
     table = []
-    for cat in cats:
-        members = by_category.get(cat, 0)
+    for cat in categories:
+        members = by_category[cat]
         n_c = members.bit_count()
-        if n_c == 0:
-            continue
         log_p = []
         log_q = []
         for column in columns:
@@ -168,13 +130,13 @@ def _naive_bayes_table(train: Sequence[DocumentVector],
             log_p.append(math.log(p))
             log_q.append(math.log(1.0 - p))
         table.append((cat, math.log(n_c / n_total), log_p, log_q))
-    return size, table
+    return len(columns), table
 
 
 def _naive_bayes_predict(nb_table, doc: DocumentVector) -> str:
+    """Bernoulli naive Bayes: the category of the highest log posterior,
+    ties by category order."""
     size, table = nb_table
-    if doc.size != size:
-        raise DimensionError("query vector size does not match training vectors")
     best_cat = None
     best_score = -math.inf
     for cat, score, log_p, log_q in table:
@@ -186,60 +148,27 @@ def _naive_bayes_predict(nb_table, doc: DocumentVector) -> str:
     return best_cat
 
 
-def baseline_naive_bayes(train: Sequence[DocumentVector], doc: DocumentVector,
-                         categories: Sequence[str] | None = None) -> str:
-    """Bernoulli naive Bayes with add-one smoothing; ties by category order."""
-    return _naive_bayes_predict(_naive_bayes_table(train, categories), doc)
-
-
-def _knn_table(train: Sequence[DocumentVector],
-               categories: Sequence[str] | None = None,
-               columns: Sequence[int] | None = None):
-    """The categories, the vector size, the training vectors' index (as
-    activation's over intents) and their categories; ``columns`` as for
-    ``_naive_bayes_table``."""
-    if not train:
-        raise EmptyInputError("k-NN needs a nonempty training set")
-    cats = _categories_of(train, categories)
-    size = train[0].size
-    masks = [v.bits for v in train]
-    if columns is None:
-        columns = transpose(masks, size)
-    return (cats, size, index_masks(masks, columns),
-            [v.category for v in train])
-
-
-def _knn_predict(knn_table, doc: DocumentVector, k: int, measure: str) -> str:
-    cats, size, index, labels = knn_table
-    if doc.size != size:
-        raise DimensionError("query vector size does not match training vectors")
-    if measure not in MEASURES:
-        raise ValueError(f"unknown similarity measure {measure!r}")
-    groups = _ranked(_classes(index, doc.bits), doc.bits.bit_count(), measure)
-    # the vectors sharing no term with the query score 0, so they come last
-    untouched = (1 << len(labels)) - 1
-    for members in groups:
-        untouched ^= members
-    ranked = (i for members in (*groups, untouched) for i in iter_bits(members))
-    votes: dict[str, int] = {}
-    for i in islice(ranked, k):
-        votes[labels[i]] = votes.get(labels[i], 0) + 1
-    return max(cats, key=lambda c: (votes.get(c, 0), -cats.index(c)))
-
-
-def baseline_knn(train: Sequence[DocumentVector], doc: DocumentVector,
-                 k: int = KNN_K, measure: str = KNN_MEASURE,
-                 categories: Sequence[str] | None = None) -> str:
-    """Majority label of the k most similar training vectors.
+def _knn_predict(index: RuleIndex, labels: Sequence[str],
+                 categories: Sequence[str], doc: DocumentVector) -> str:
+    """The majority label of the ``KNN_K`` training vectors most similar
+    to ``doc`` by ``KNN_MEASURE``. ``index`` is ``index_masks`` over the
+    training vectors, and ``labels`` are their categories.
 
     Training vectors that share an intersection with the query and a size
     share a score, so it is computed once per such class, by the kernel
     activation uses. Similarity ties keep training order; label ties fall
     back to category order.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _knn_predict(_knn_table(train, categories), doc, k, measure)
+    groups = _ranked(_classes(index, doc.bits), doc.bits.bit_count(),
+                     KNN_MEASURE)
+    # the vectors sharing no term with the query score 0, so they come last
+    untouched = (1 << len(labels)) - 1
+    for members in groups:
+        untouched ^= members
+    ranked = (i for members in (*groups, untouched) for i in iter_bits(members))
+    votes = Counter(labels[i] for i in islice(ranked, KNN_K))
+    # max keeps the first of equal counts
+    return max(categories, key=votes.__getitem__)
 
 
 class PipelineConfig(Value):
@@ -444,8 +373,8 @@ def run_experiment(corpus_root: str | Path,
     }
     rows: list[ReportRow] = []
     truth = [v.category for v in test_vectors]
-    # one row per measure, then per baseline; each row's time includes
-    # building its baseline's table
+    # one row per measure, then per baseline; a baseline row's time
+    # includes training it
     for row in (*config.measures, *config.baselines):
         t0 = time.perf_counter()
         name = row
@@ -454,8 +383,9 @@ def run_experiment(corpus_root: str | Path,
             table = _naive_bayes_table(training, categories, ctx.columns)
             predicted = [_naive_bayes_predict(table, v) for v in test_vectors]
         elif row == "knn":
-            table = _knn_table(training, categories, ctx.columns)
-            predicted = [_knn_predict(table, v, KNN_K, KNN_MEASURE)
+            index = index_masks([v.bits for v in training], ctx.columns)
+            labels = [v.category for v in training]
+            predicted = [_knn_predict(index, labels, categories, v)
                          for v in test_vectors]
         else:
             predicted = [classify(model, v, row, config.activation).category

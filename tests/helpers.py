@@ -287,11 +287,10 @@ def reference_naive_bayes_table(train, categories):
     return size, table
 
 
-def reference_knn(train, doc, k, measure, categories=None) -> str:
+def reference_knn(train, doc, k, measure, categories) -> str:
     """k-NN by sorting every training vector on (key desc, index), one key
     per pair, then a majority vote with ties by category order."""
-    cats = (list(dict.fromkeys(v.category for v in train))
-            if categories is None else list(categories))
+    cats = list(categories)
     n1 = doc.bits.bit_count()
 
     def key(i):

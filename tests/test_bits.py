@@ -5,10 +5,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import (benchmark_corpus, reference_mask_sizes,
                      reference_transpose)
-from latticecell import DocumentVector, build_lattice, compile_model
+from latticecell import build_lattice, compile_model
 from latticecell.bits import transpose
 from latticecell.compiler import index_masks
-from latticecell.evaluate import _knn_table
 
 
 @pytest.fixture(scope="module")
@@ -89,8 +88,7 @@ def test_index_sizes_of_a_benchmark_model(train_wide):
 def test_knn_index_sizes_count_a_vector_with_no_term():
     """A training vector with no selected term has size 0, and is split
     out of the index's sizes as such."""
-    train = [DocumentVector(bits, 4, cat, f"d{i}") for i, (bits, cat)
-             in enumerate([(0b0110, "A"), (0, "B"), (0b1000, "A"), (0, "A")])]
-    _, _, index, _ = _knn_table(train)
-    assert index.sizes == reference_mask_sizes([v.bits for v in train])
+    masks = [0b0110, 0, 0b1000, 0]
+    index = index_masks(masks, transpose(masks, 4))
+    assert index.sizes == reference_mask_sizes(masks)
     assert index.sizes[0] == (0, 0b1010)

@@ -2,7 +2,6 @@
 
 import json
 import os
-import random
 import subprocess
 import sys
 from collections import Counter
@@ -11,19 +10,24 @@ from pathlib import Path
 
 import pytest
 
+from hypothesis import given, settings
+
 from helpers import (DATA, reference_classify, reference_naive_bayes_table,
-                     reference_vectorize, reference_vocabulary)
+                     reference_transpose, reference_vectorize,
+                     reference_vocabulary)
 import latticecell
-from latticecell import (ConfusionMatrix, CorpusError, DimensionError,
-                         DocumentVector, EmptyInputError, LabelingError,
-                         PipelineConfig, baseline_knn, baseline_naive_bayes,
+from latticecell import (ConfusionMatrix, CorpusError, DocumentVector,
+                         EmptyInputError, LabelingError, PipelineConfig,
                          build_context, build_lattice, compile_model,
                          default_stopwords, load_corpus, metrics,
                          run_experiment, split_corpus)
 from latticecell.classify import MEASURES
 from latticecell.cli import main
-from latticecell.evaluate import _naive_bayes_table
+from latticecell.compiler import index_masks
+from latticecell.evaluate import (_knn_predict, _naive_bayes_predict,
+                                  _naive_bayes_table)
 from latticecell.textprep import Document
+from strategies import labeled_vectors
 
 CATS = ("S", "E", "T")
 
@@ -71,18 +75,45 @@ def _vec(bits, size, cat, n):
     return DocumentVector(bits, size, cat, f"d{n}")
 
 
+def _naive_bayes(train, doc, categories):
+    """Naive Bayes as ``run_experiment`` trains it, on the training
+    vectors' columns."""
+    columns = reference_transpose([v.bits for v in train], train[0].size)
+    return _naive_bayes_predict(
+        _naive_bayes_table(train, categories, columns), doc)
+
+
+def _knn(train, doc, categories):
+    """k-NN as ``run_experiment`` trains it, on an index of the training
+    vectors' columns."""
+    masks = [v.bits for v in train]
+    index = index_masks(masks, reference_transpose(masks, train[0].size))
+    return _knn_predict(index, [v.category for v in train], categories, doc)
+
+
+def _reference_naive_bayes_predict(nb_table, doc):
+    """The first category of the highest log posterior, each summed in
+    attribute order."""
+    size, table = nb_table
+
+    def score(row):
+        _, total, log_p, log_q = row
+        for i in range(size):
+            total += log_p[i] if (doc.bits >> i) & 1 else log_q[i]
+        return total
+    return max(table, key=score)[0]
+
+
 def test_naive_bayes_disjoint_vocab():
     train = [_vec(0b0011, 4, "A", 0), _vec(0b1100, 4, "B", 1)]
-    assert baseline_naive_bayes(train, _vec(0b0011, 4, None, 9)) == "A"
-    assert baseline_naive_bayes(train, _vec(0b1100, 4, None, 9)) == "B"
+    assert _naive_bayes(train, _vec(0b0011, 4, None, 9), ("A", "B")) == "A"
+    assert _naive_bayes(train, _vec(0b1100, 4, None, 9), ("A", "B")) == "B"
 
 
 def test_naive_bayes_uniform_tie_first_category():
     train = [_vec(0b01, 2, "A", 0), _vec(0b01, 2, "B", 1)]
-    assert baseline_naive_bayes(train, _vec(0b01, 2, None, 9),
-                                ("A", "B")) == "A"
-    assert baseline_naive_bayes(train, _vec(0b01, 2, None, 9),
-                                ("B", "A")) == "B"
+    assert _naive_bayes(train, _vec(0b01, 2, None, 9), ("A", "B")) == "A"
+    assert _naive_bayes(train, _vec(0b01, 2, None, 9), ("B", "A")) == "B"
 
 
 def test_naive_bayes_hand_posteriors():
@@ -91,106 +122,72 @@ def test_naive_bayes_hand_posteriors():
     # score(A) = log(1/2 * 3/4 * 1/2) > score(B) = log(1/2 * 1/4 * 1/2)
     train = [_vec(0b01, 2, "A", 0), _vec(0b11, 2, "A", 1),
              _vec(0b10, 2, "B", 2), _vec(0b00, 2, "B", 3)]
-    assert baseline_naive_bayes(train, _vec(0b01, 2, None, 9)) == "A"
+    for cats in (("A", "B"), ("B", "A")):
+        assert _naive_bayes(train, _vec(0b01, 2, None, 9), cats) == "A"
 
 
-def test_naive_bayes_table_equals_member_count():
-    rnd = random.Random(61)
-    for _ in range(100):
-        size = rnd.randint(1, 9)
-        train = [_vec(rnd.getrandbits(size), size, rnd.choice("BAC"), n)
-                 for n in range(rnd.randint(1, 12))]
-        seen = list(dict.fromkeys(v.category for v in train))
-        given = rnd.sample("ABCD", rnd.randint(1, 4))  # may miss or add some
-        assert _naive_bayes_table(train) == reference_naive_bayes_table(train, seen)
-        if set(seen) <= set(given):
-            assert (_naive_bayes_table(train, given)
-                    == reference_naive_bayes_table(train, given))
-        else:
-            with pytest.raises(LabelingError, match="unknown category"):
-                _naive_bayes_table(train, given)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=labeled_vectors())
+def test_naive_bayes_table_equals_member_count(case):
+    """The table counts each attribute member by member, and a query,
+    drawn or all-zero, gets the first category of the highest posterior,
+    with the categories in both orders."""
+    train, query, categories = case
+    size = train[0].size
+    columns = reference_transpose([v.bits for v in train], size)
+    for cats in (categories, categories[::-1]):
+        table = _naive_bayes_table(train, cats, columns)
+        want = reference_naive_bayes_table(train, cats)
+        assert table == want
+        for bits in (query, 0):
+            doc = DocumentVector(bits, size)
+            assert (_naive_bayes_predict(table, doc)
+                    == _reference_naive_bayes_predict(want, doc)), (bits, cats)
 
 
-def test_naive_bayes_empty_training():
-    with pytest.raises(EmptyInputError):
-        baseline_naive_bayes([], _vec(0, 1, None, 0))
+# the k-NN cases are for k = 3 by cosine, the settings the report states
 
 
 def test_knn_exact_match():
-    train = [_vec(0b110, 3, "A", 0), _vec(0b100, 3, "B", 1),
-             _vec(0b101, 3, "B", 2)]
-    assert baseline_knn(train, _vec(0b101, 3, None, 9), k=1) == "B"
+    # the exact match and the query's two halves, all A, outvote B, which
+    # is larger but shares no term with the query
+    train = [_vec(0b1100, 4, "B", 0), _vec(0b0011, 4, "A", 1),
+             _vec(0b1000, 4, "B", 2), _vec(0b0001, 4, "A", 3),
+             _vec(0b1100, 4, "B", 4), _vec(0b0010, 4, "A", 5),
+             _vec(0b0100, 4, "B", 6)]
+    assert _knn(train, _vec(0b0011, 4, None, 9), ("A", "B")) == "A"
+    assert _knn(train, _vec(0b0011, 4, None, 9), ("B", "A")) == "A"
 
 
 def test_knn_majority_of_three():
+    # cosine 1, 1/sqrt(2) and 1/2: the exact match is A, the other two B
     train = [_vec(0b110, 3, "A", 0), _vec(0b100, 3, "B", 1),
              _vec(0b101, 3, "B", 2)]
-    assert baseline_knn(train, _vec(0b110, 3, None, 9), k=3) == "B"
-    assert baseline_knn(train, _vec(0b110, 3, None, 9), k=1) == "A"
+    assert _knn(train, _vec(0b110, 3, None, 9), ("A", "B")) == "B"
 
 
 def test_knn_global_tie_first_category():
-    train = [_vec(0b01, 2, "A", 0), _vec(0b10, 2, "A", 1),
-             _vec(0b01, 2, "B", 2), _vec(0b10, 2, "B", 3)]
-    assert baseline_knn(train, _vec(0b11, 2, None, 9), k=4,
-                        categories=("A", "B")) == "A"
-    assert baseline_knn(train, _vec(0b11, 2, None, 9), k=4,
-                        categories=("B", "A")) == "B"
+    # three neighbours of three categories, one vote each
+    train = [_vec(0b01, 2, "C", 0), _vec(0b10, 2, "B", 1),
+             _vec(0b11, 2, "A", 2)]
+    query = _vec(0b11, 2, None, 9)
+    for cats in (("A", "B", "C"), ("C", "B", "A"), ("B", "C", "A")):
+        assert _knn(train, query, cats) == cats[0]
+    # fewer training vectors than k: each votes once
+    two = [_vec(0b01, 2, "B", 0), _vec(0b10, 2, "A", 1)]
+    for cats in (("A", "B"), ("B", "A")):
+        assert _knn(two, query, cats) == cats[0]
 
 
 def test_knn_distance_ties_keep_training_order():
-    # both training vectors score identically; k=1 must take the earlier one
-    train = [_vec(0b01, 2, "B", 0), _vec(0b10, 2, "A", 1)]
-    assert baseline_knn(train, _vec(0b11, 2, None, 9), k=1,
-                        categories=("A", "B")) == "B"
-    flipped = [_vec(0b10, 2, "A", 0), _vec(0b01, 2, "B", 1)]
-    assert baseline_knn(flipped, _vec(0b11, 2, None, 9), k=1,
-                        categories=("A", "B")) == "A"
-
-
-def test_baselines_reject_training_vectors_outside_categories():
-    # the stray vector equals the query, so it is its nearest neighbour
+    # the exact match first, then four vectors tied at 1/sqrt(2), of
+    # which the two earliest in training order vote
+    tied = [_vec(0b01, 2, "B", 0), _vec(0b10, 2, "B", 1),
+            _vec(0b01, 2, "A", 2), _vec(0b10, 2, "A", 3)]
+    exact = _vec(0b11, 2, "A", 4)
     query = _vec(0b11, 2, None, 9)
-    labelled = [_vec(0b01, 2, "A", 0), _vec(0b10, 2, "B", 1)]
-    for stray, message in ((None, "'d2' is unlabeled"),
-                           ("C", "'d2' has unknown category 'C'")):
-        train = labelled + [_vec(0b11, 2, stray, 2)]
-        with pytest.raises(LabelingError, match=message):
-            baseline_knn(train, query, k=1, categories=["A", "B"])
-        with pytest.raises(LabelingError, match=message):
-            baseline_naive_bayes(train, query, categories=["A", "B"])
-    train = labelled + [_vec(0b11, 2, None, 2)]
-    with pytest.raises(LabelingError, match="'d2' is unlabeled"):
-        baseline_knn(train, query, k=1)
-    with pytest.raises(LabelingError, match="'d2' is unlabeled"):
-        baseline_naive_bayes(train, query)
-
-
-def test_baselines_reject_training_vectors_of_different_sizes():
-    # a query is checked against the first vector's size only, so unchecked
-    # the 5-bit "B" vector would be matched against this 3-bit query
-    train = [_vec(0b011, 3, "A", 0), _vec(0b11100, 5, "B", 1),
-             _vec(0b001, 3, "A", 2)]
-    query = _vec(0b100, 3, None, 9)
-    message = "training vector 'd1' has 5 bits, the first has 3"
-    with pytest.raises(DimensionError, match=message):
-        baseline_knn(train, query, k=1)
-    with pytest.raises(DimensionError, match=message):
-        baseline_naive_bayes(train, query)
-
-
-def test_baselines_reject_bad_queries_and_settings():
-    train = [_vec(0b01, 2, "A", 0), _vec(0b10, 2, "B", 1)]
-    query = _vec(0b01, 2, None, 9)
-    for baseline in (baseline_naive_bayes, baseline_knn):
-        with pytest.raises(DimensionError, match="query vector size"):
-            baseline(train, _vec(0b100, 3, None, 9))
-    with pytest.raises(EmptyInputError, match="k-NN needs"):
-        baseline_knn([], query)
-    with pytest.raises(ValueError, match="unknown similarity measure 'l2'"):
-        baseline_knn(train, query, measure="l2")
-    with pytest.raises(ValueError, match="k must be >= 1"):
-        baseline_knn(train, query, k=0)
+    assert _knn(tied + [exact], query, ("A", "B")) == "B"
+    assert _knn(tied[2:] + tied[:2] + [exact], query, ("A", "B")) == "A"
 
 
 def test_split_corpus_stratified_and_seeded():
@@ -451,18 +448,3 @@ def test_config_validation(tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("measures", [(), ("inner",)])
-def test_the_baselines_read_the_context_columns(monkeypatch, measures):
-    """``run_experiment`` transposes the training vectors once, for the
-    context's columns, and both baseline tables read those: with the
-    baselines' own transpose refused, the report is unchanged."""
-    config = PipelineConfig(measures=measures, baselines=("nb", "knn"),
-                            seed=7)
-    want = run_experiment(DATA / "corpus", config).to_json_dict()
-
-    def refused(*args):
-        raise AssertionError("the training vectors transposed again")
-    monkeypatch.setattr(latticecell.evaluate, "transpose", refused)
-    assert run_experiment(DATA / "corpus", config).to_json_dict() == want

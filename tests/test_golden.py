@@ -6,12 +6,14 @@
 the counts ``compile`` and ``inspect`` print for the demo model and the
 fixture, and what ``classify`` writes for the bundled context and the
 bundled corpus's text files against the demo model, with one ``--trace``
-dump of the engine's fact and rule tables. ``build --dot`` runs on both
+dump of the engine's fact and rule tables. A baselines-only ``evaluate``
+must score the first report's baseline rows. ``build --dot`` runs on both
 the bundled context and the bundled corpus, so the text path is covered
 too. A change that alters any of these bytes changes behaviour, and must
 regenerate the files on purpose.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -38,7 +40,9 @@ def outputs(tmp_path_factory):
              "--baselines", "nb,knn", "--seed", "7"],
             ["evaluate", DATA / "corpus", "-o", out / "report_topk",
              "--similarity", "cosine,inner", "--activation", "topk:2",
-             "--baselines", "knn", "--split", "0.5", "--seed", "3"]):
+             "--baselines", "knn", "--split", "0.5", "--seed", "3"],
+            ["evaluate", DATA / "corpus", "-o", out / "report_baselines",
+             "--similarity", "", "--baselines", "nb,knn", "--seed", "7"]):
         assert main([str(a) for a in argv]) == 0
     return out
 
@@ -56,6 +60,17 @@ def outputs(tmp_path_factory):
 ])
 def test_demo_output_matches_golden_bytes(outputs, golden, produced):
     assert (outputs / produced).read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_a_baselines_only_report_has_the_golden_baseline_rows(outputs):
+    """``--similarity ""`` builds no lattice or model, and scores the
+    baselines as the full run does."""
+    rows = json.loads((outputs / "report_baselines" / "report.json")
+                      .read_text(encoding="utf-8"))["rows"]
+    golden = json.loads((GOLDEN / "demo_report.json")
+                        .read_text(encoding="utf-8"))["rows"]
+    assert rows == [row for row in golden
+                    if row["name"] in ("naive-bayes", "knn")]
 
 
 def test_demo_classify_matches_golden_bytes(tmp_path):

@@ -10,48 +10,35 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
-from helpers import reference_activate, reference_knn, reference_score_key
-from latticecell import DocumentVector, activate, baseline_knn
+from helpers import (reference_activate, reference_knn, reference_score_key,
+                     reference_transpose)
+from latticecell import DocumentVector, activate
 from latticecell.bits import mask_from_indices
 from latticecell.classify import MEASURES, _exact_keys, _ranked
-from latticecell.compiler import CellularModel, ClassDistribution
-
-
-@st.composite
-def knn_cases(draw):
-    """Training vectors drawn from a small pool, so that more draws than
-    pool entries repeat a vector, plus one all-zero vector; a query; and
-    a category list holding every training category."""
-    size = draw(st.integers(0, 8))
-    pool = draw(st.lists(st.integers(0, 2 ** size - 1), min_size=1,
-                         max_size=4))
-    rows = draw(st.lists(st.sampled_from(pool), min_size=len(pool) + 1,
-                         max_size=12))
-    rows.insert(draw(st.integers(0, len(rows))), 0)
-    labels = draw(st.lists(st.sampled_from("ABC"), min_size=len(rows),
-                           max_size=len(rows)))
-    train = [DocumentVector(bits, size, label, f"d{n}")
-             for n, (bits, label) in enumerate(zip(rows, labels))]
-    query = draw(st.integers(0, 2 ** size - 1))
-    categories = draw(st.permutations("ABCD"))
-    return train, query, categories
+from latticecell.compiler import CellularModel, ClassDistribution, index_masks
+from latticecell.evaluate import KNN_K, KNN_MEASURE, _knn_predict
+from strategies import labeled_vectors
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(case=knn_cases())
+@given(case=labeled_vectors())
 def test_knn_equals_the_sorting_oracle(case):
+    """k-NN as ``run_experiment`` trains it, on an index of the training
+    vectors' columns, for the drawn query and the all-zero one, with the
+    categories in both orders."""
     train, query, categories = case
     size = train[0].size
+    masks = [v.bits for v in train]
+    index = index_masks(masks, reference_transpose(masks, size))
+    labels = [v.category for v in train]
     for bits in (query, 0):
         doc = DocumentVector(bits, size)
-        for cats in (None, categories):
-            for measure in MEASURES:
-                for k in (1, 3, 5, len(train) + 2):
-                    assert (baseline_knn(train, doc, k, measure, cats)
-                            == reference_knn(train, doc, k, measure, cats)), \
-                        (bits, cats, measure, k)
+        for cats in (categories, categories[::-1]):
+            assert (_knn_predict(index, labels, cats, doc)
+                    == reference_knn(train, doc, KNN_K, KNN_MEASURE, cats)), \
+                (bits, cats)
 
 
 def _sign(a, b) -> int:
