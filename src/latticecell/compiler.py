@@ -19,8 +19,9 @@ A model's intents lie within its vocabulary, so the rule index that
 activation reads is two C-level passes over them: ``bits.transpose``
 gives each attribute's column of rules, and the columns' bit-sliced
 counts, split by ``bits.split_by_count``, give the rules of each intent
-size. The engine template's wiring is one 1-tuple of fact indices per
-rule, zipped from the fact pairs.
+size. The engine template's wiring, built on first read, is one 1-tuple
+of fact indices per rule, zipped from the fact pairs. The constructor
+admits only models a file holds, so the writers check nothing.
 """
 
 from __future__ import annotations
@@ -190,15 +191,17 @@ class CellularModel(Value):
     negative one, is a ``DimensionError``); ``extent_facts`` pairs each
     extent fact index with its class distribution (integer counts over a
     total). Fact indices point into ``fact_labels``: the labels as given for
-    a loaded or fixture model, a ``LazyLabels`` for a compiled one. Rule k,
-    labeled ``R{k+1}``, links intent fact k (its premise) to extent fact k
-    (its conclusion); these pairs are the only statement of the wiring:
-    ``engine_template`` is derived from them as fact index tuples, and a
-    vote reads ``extent_facts[k]`` for each rule k the engine fired. The
-    template shares ``fact_labels`` and renders its rule labels on first
-    read, so classification formats no label; it is left out of equality and
-    repr. Immutable, apart from ``rule_index``, built on first read; clone
-    the engine per classification via ``fresh_engine``.
+    a loaded or fixture model, a ``LazyLabels`` for a compiled one; one
+    outside them is a ``DimensionError``, and a fact that is both a premise
+    and a conclusion, or neither, a ``ValueError``, as no file holds it.
+    Rule k, labeled ``R{k+1}``, links intent fact k (its premise) to extent
+    fact k (its conclusion); these pairs are the only statement of the
+    wiring: ``engine_template`` is derived from them as fact index tuples,
+    and a vote reads ``extent_facts[k]`` for each rule k the engine fired.
+    The template shares ``fact_labels`` and renders its rule labels on first
+    read, so classification formats no label. Immutable, apart from
+    ``rule_index`` and ``engine_template``, built on first read and left
+    out of equality and repr; clone the engine via ``fresh_engine``.
     """
 
     _fields = ("categories", "fact_labels", "intent_facts", "extent_facts",
@@ -224,10 +227,21 @@ class CellularModel(Value):
                      if mask < 0 or mask >> width)
             raise DimensionError(f"rule {k}: intent outside the "
                                  f"{width}-term vocabulary")
-        object.__setattr__(self, "engine_template", EngineState(
-            fact_labels, LazyLabels(_rule_labels, (n,), n),
-            tuple(zip(map(itemgetter(0), intent_facts))),
-            tuple(zip(map(itemgetter(0), extent_facts)))))
+        n_facts = len(fact_labels)
+        premises = set(map(itemgetter(0), intent_facts))
+        conclusions = set(map(itemgetter(0), extent_facts))
+        facts = premises | conclusions
+        if facts and (min(facts) < 0 or max(facts) >= n_facts):
+            # premises first, as ``EngineState`` checks them
+            j = next(j for wiring in (intent_facts, extent_facts)
+                     for j, (f, _) in enumerate(wiring) if not 0 <= f < n_facts)
+            raise DimensionError(f"rule {j} wiring exceeds fact count")
+        # a file gives each fact exactly one of the two kinds
+        if not len(facts) == len(premises) + len(conclusions) == n_facts:
+            f = min(set(range(n_facts)).difference(premises ^ conclusions))
+            if f in premises:
+                raise ValueError(f"fact {f} is both a premise and a conclusion")
+            raise ValueError(f"fact {f} is referenced by no rule")
 
     @property
     def n_facts(self) -> int:
@@ -239,6 +253,14 @@ class CellularModel(Value):
 
     def fresh_engine(self) -> EngineState:
         return self.engine_template.copy()
+
+    @lazy
+    def engine_template(self) -> EngineState:
+        """The engine classification clones, derived on first read."""
+        n = self.n_rules
+        return EngineState(self.fact_labels, LazyLabels(_rule_labels, (n,), n),
+                           tuple(zip(map(itemgetter(0), self.intent_facts))),
+                           tuple(zip(map(itemgetter(0), self.extent_facts))))
 
     @lazy
     def rule_index(self) -> RuleIndex:
@@ -380,37 +402,19 @@ def load_fixture_model() -> CellularModel:
                          _FIXTURE_VOCABULARY)
 
 
-def _unwritable_fact(model: CellularModel) -> ValueError:
-    """The error both writers raise for ``model``, which a writer has found
-    no file can hold: it names the lowest-index fact that no rule joins or
-    that is both a premise and a conclusion."""
-    premises = set(map(itemgetter(0), model.intent_facts))
-    conclusions = set(map(itemgetter(0), model.extent_facts))
-    # a file can hold a fact of exactly one of the two kinds
-    f = min(set(range(model.n_facts)).difference(premises ^ conclusions))
-    if f in premises:
-        return ValueError(f"fact {f} is both a premise and a conclusion")
-    return ValueError(f"fact {f} is referenced by no rule")
-
-
 def model_to_dict(model: CellularModel) -> dict:
-    """The JSON form of ``model``; a fact that no rule joins, or that is
-    both a premise and a conclusion, is a ``ValueError``: no file holds it."""
+    """The JSON form of ``model``; the rules give each fact its kind."""
     intent_by_idx = dict(model.intent_facts)
     extent_by_idx = dict(model.extent_facts)
     facts = []
     for i, label in enumerate(model.fact_labels):
         if i in intent_by_idx:
-            if i in extent_by_idx:
-                raise _unwritable_fact(model)
             facts.append({"label": label, "kind": "intent",
                           "attributes": list(bit_indices(intent_by_idx[i]))})
-        elif i in extent_by_idx:
+        else:
             facts.append({"label": label, "kind": "extent",
                           "distribution": [[f.numerator, f.denominator] for f
                                            in extent_by_idx[i].fractions]})
-        else:
-            raise _unwritable_fact(model)
     rules = [{"premise": i, "conclusion": e}
              for (i, _), (e, _) in zip(model.intent_facts, model.extent_facts)]
     return {
@@ -512,30 +516,25 @@ def model_from_dict(data: dict) -> CellularModel:
             extent_facts.append((c, dist))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed rule entry: {exc}") from exc
-    # a model knows a fact's kind only from the rules that join it, so a
-    # fact no rule joins could not be written back
-    unreferenced = set(range(n_facts)).difference(
-        map(itemgetter(0), intent_facts), map(itemgetter(0), extent_facts))
-    if unreferenced:
-        raise FormatError(f"fact {min(unreferenced)} is referenced by no rule")
+    # of the model's shape checks, only a fact no rule joins can fail here
+    try:
+        model = CellularModel(tuple(categories), tuple(fact_labels),
+                              tuple(intent_facts), tuple(extent_facts),
+                              tuple(vocabulary))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
     # labels are display text, so they may repeat
     require_strings("fact labels", fact_labels)
-    return CellularModel(tuple(categories), tuple(fact_labels),
-                         tuple(intent_facts), tuple(extent_facts),
-                         tuple(vocabulary))
+    return model
 
 
 def save_model(model: CellularModel, path: str | Path) -> None:
     """Write ``model`` to ``path``: the same bytes as ``write_json(path,
-    model_to_dict(model))``, rendered from text templates, or a
-    ``ValueError`` where that raises one. Rules repeat a few distinct
-    distributions, so each is rendered once."""
+    model_to_dict(model))``, rendered from text templates. Rules repeat a
+    few distinct distributions, so each is rendered once."""
     bodies: dict[int, str] = {}
     rendered: dict[ClassDistribution, str] = {}
-    premise_of = model.engine_template.watchers
     for e, dist in model.extent_facts:
-        if premise_of[e]:
-            raise _unwritable_fact(model)
         text = rendered.get(dist)
         if text is None:
             text = rendered[dist] = json_list(
@@ -545,8 +544,6 @@ def save_model(model: CellularModel, path: str | Path) -> None:
     for i, mask in model.intent_facts:
         bodies[i] = ('"kind": "intent",\n      "attributes": '
                      + json_list(map(str, iter_bits(mask)), " " * 6))
-    if len(bodies) != model.n_facts:  # fact indices are in range
-        raise _unwritable_fact(model)
     facts = (f'{{\n      "label": {label},\n      {bodies[i]}\n    }}'
              for i, label in enumerate(map(encode_basestring, model.fact_labels)))
     rules = (f'{{\n      "premise": {i},\n      "conclusion": {e}\n    }}'

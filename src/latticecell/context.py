@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .bits import bit_indices, transpose
 from .errors import CapacityError, DimensionError, FormatError
-from .value import Value
+from .value import Value, lazy
 
 # Exhaustive enumeration walks every attribute subset; refuse beyond this.
 NAIVE_ATTRIBUTE_LIMIT = 20
@@ -30,9 +30,9 @@ class Concept(NamedTuple):
 class FormalContext(Value):
     """Immutable object x attribute incidence table.
 
-    ``rows[o]`` is the attribute mask of object o; ``columns[a]`` (derived,
-    and left out of equality and repr) is the object mask of attribute a.
-    Safe to share across threads.
+    ``rows[o]`` is the attribute mask of object o; ``columns[a]``, derived
+    on first read and left out of equality and repr, is the object mask of
+    attribute a. Safe to share across threads.
     """
 
     _fields = ("object_ids", "attribute_names", "rows")
@@ -54,8 +54,10 @@ class FormalContext(Value):
         for oid, row in zip(object_ids, rows):
             if row < 0 or row & ~full:
                 raise DimensionError(f"row for {oid!r} exceeds attribute count")
-        object.__setattr__(self, "columns",
-                           tuple(transpose(rows, len(attribute_names))))
+
+    @lazy
+    def columns(self) -> tuple[int, ...]:
+        return tuple(transpose(self.rows, self.n_attributes))
 
     @property
     def n_objects(self) -> int:

@@ -325,9 +325,9 @@ def run_experiment(corpus_root: str | Path,
     """Train, compile, classify, and score; returns the full report.
 
     Wall-clock timings for the lattice build, the compilation (with the
-    model's rule index), and each configuration's classification pass land
-    in ``report.timings``. A run with no similarity measure builds no
-    lattice or model, and times both as 0.0.
+    model's rule index and engine), and each configuration's
+    classification pass land in ``report.timings``. A run with no
+    similarity measure builds no lattice or model, and times both as 0.0.
     """
     corpus_root = Path(corpus_root)
     train_docs, test_docs = _load_split(corpus_root, config)
@@ -360,9 +360,9 @@ def run_experiment(corpus_root: str | Path,
         t0 = time.perf_counter()
         model = compile_model(lattice, {d.id: d.category for d in train_docs},
                               categories)
-        # the index every measure row reads is charged to the model, not to
-        # whichever row runs first
-        model.rule_index
+        # the index and the engine every measure row reads are charged to
+        # the model, not to whichever row runs first
+        model.rule_index, model.engine_template
         compile_s = time.perf_counter() - t0
 
     timings = {

@@ -32,10 +32,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from functools import reduce
 from itertools import repeat
 from json.encoder import encode_basestring
-from operator import and_
 from pathlib import Path
 
 from . import backend
@@ -108,6 +106,23 @@ def _closed_extents(ctx: FormalContext, limit: float = math.inf) -> set[int]:
 _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
+def _intents(ctx: FormalContext, extents: Iterable[int]) -> list[int]:
+    """Per extent, the attributes its objects share (all for no object)."""
+    # object n - 1 is the highest of a mask n bits long: rows[n] is its
+    # row and bits[n] its bit
+    rows, bits = (0, *ctx.rows), (0, *(1 << o for o in range(ctx.n_objects)))
+    full = ctx.full_attribute_mask
+    intents = []
+    for objects in extents:
+        intent = full
+        while objects and intent:
+            n = objects.bit_length()
+            intent &= rows[n]
+            objects ^= bits[n]
+        intents.append(intent)
+    return intents
+
+
 def _finish(ctx: FormalContext, extents: Iterable[int]) -> ConceptLattice:
     """The lattice of ``ctx`` from its closed extents, in canonical concept
     order: of two extents of one size, the one holding the lowest object
@@ -124,19 +139,8 @@ def _finish(ctx: FormalContext, extents: Iterable[int]) -> ConceptLattice:
     # the key refuses what is negative or wider than the bytes
     if max(extents, default=0) >> ctx.n_objects:
         raise DimensionError(f"object mask does not fit {ctx.n_objects} bits")
-    # object n - 1 is the highest of a mask n bits long: rows[n] is its
-    # row and bits[n] its bit
-    rows, bits = (0, *ctx.rows), (0, *(1 << o for o in range(ctx.n_objects)))
-    full = ctx.full_attribute_mask
-    intents = []
-    for objects in extents:
-        intent = full
-        while objects and intent:
-            n = objects.bit_length()
-            intent &= rows[n]
-            objects ^= bits[n]
-        intents.append(intent)
-    concepts = tuple(map(tuple.__new__, repeat(Concept), zip(extents, intents)))
+    concepts = tuple(map(tuple.__new__, repeat(Concept),
+                         zip(extents, _intents(ctx, extents))))
     # canonical order is extent-cardinality ascending: the unique minimal
     # extent sorts first and the full-extent top sorts last
     return ConceptLattice(ctx, concepts,
@@ -225,7 +229,6 @@ def lattice_from_dict(data: dict) -> ConceptLattice:
             raise FormatError(f"{name} index {index} outside the "
                               f"{len(raw)} concepts")
     concepts = []
-    extent_names = []
     # Incidence is recoverable: o has a iff some concept holds both.
     rows = dict.fromkeys(object_ids, 0)
     for k, entry in enumerate(raw):
@@ -237,14 +240,11 @@ def lattice_from_dict(data: dict) -> ConceptLattice:
         extent, intent = _name_masks(k, objects, names, object_bits,
                                      attribute_bits)
         concepts.append(Concept(extent, intent))
-        extent_names.append(objects)
         for o in objects:
             rows[o] |= intent
-    full = (1 << len(attributes)) - 1
-    intents = [reduce(and_, map(rows.__getitem__, objects), full)
-               for objects in extent_names]
     ctx = FormalContext(object_ids, attributes, tuple(rows.values()))
-    _check_concepts(ctx, concepts, intents, top, bottom)
+    _check_concepts(ctx, concepts,
+                    _intents(ctx, [c.extent for c in concepts]), top, bottom)
     return ConceptLattice(ctx, tuple(concepts), top, bottom)
 
 

@@ -12,11 +12,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (DEMO_CATEGORIES, DEMO_LABELS, assert_same_result,
-                     benchmark_corpus, demo_context, demo_labels_map,
-                     names_mask, random_context, reference_compile_model,
-                     reference_distribution, reference_fact_labels,
-                     reference_finish, reference_mean)
+from helpers import (DEMO_CATEGORIES, DEMO_LABELS, assert_same_outcome,
+                     assert_same_result, benchmark_corpus, demo_context,
+                     demo_labels_map, names_mask, random_context,
+                     reference_compile_model, reference_distribution,
+                     reference_fact_labels, reference_finish, reference_mean,
+                     reference_model_from_dict)
 from latticecell import (CellularModel, ClassDistribution, Concept,
                          ConceptLattice, DimensionError, DocumentVector,
                          EmptyInputError, FormalContext, FormatError,
@@ -554,6 +555,49 @@ def test_model_invariants_enforced():
                       model.extent_facts, model.vocabulary)
 
 
+HALF = ClassDistribution.from_counts((1, 1), 2)
+
+
+@pytest.mark.parametrize("n_facts, premises, conclusions, error, message", [
+    (3, (0,), (1,), ValueError, "fact 2 is referenced by no rule"),
+    (3, (0, 1), (1, 2), ValueError,
+     "fact 1 is both a premise and a conclusion"),
+    # as many facts of each kind as there are facts, one of them of both
+    (4, (0, 1), (1, 2), ValueError,
+     "fact 1 is both a premise and a conclusion"),
+    # the lowest of the two faulty facts is named, whichever its fault
+    (4, (0, 3), (1, 3), ValueError, "fact 2 is referenced by no rule"),
+    (4, (0, 4), (1, 2), DimensionError, "rule 1 wiring exceeds fact count"),
+    (4, (0, 1), (2, -1), DimensionError, "rule 1 wiring exceeds fact count"),
+    # premises are checked first, as ``EngineState`` checks them
+    (4, (0, 1, 4), (-1, 2, 3), DimensionError,
+     "rule 2 wiring exceeds fact count"),
+], ids=["unreferenced", "both", "both-and-unreferenced",
+        "unreferenced-and-both", "premise-out-of-range",
+        "conclusion-out-of-range", "premise-before-conclusion"])
+def test_model_rejects_a_shape_no_file_can_hold(n_facts, premises,
+                                                conclusions, error, message):
+    """A file gives each fact one kind, which the loader checks against the
+    rules, and its rules name only its facts; a model of any other shape is
+    refused where it is made, naming the lowest faulty fact or rule."""
+    with pytest.raises(error, match=f"^{message}$"):
+        CellularModel(("a", "b"), tuple(f"[f{i}]" for i in range(n_facts)),
+                      tuple((i, 1) for i in premises),
+                      tuple((e, HALF) for e in conclusions), ("t",))
+
+
+def test_model_loader_names_a_fact_no_rule_joins_before_a_bad_label(
+        demo_model):
+    """The loader's model is made before its labels' types are checked, so
+    a fact no rule joins is named first, as by the reference loader."""
+    data = model_to_dict(demo_model)
+    data["rules"].pop()
+    data["facts"][0]["label"] = 5
+    assert_same_outcome(model_from_dict, reference_model_from_dict, data)
+    with pytest.raises(FormatError, match="^fact 12 is referenced by no rule$"):
+        model_from_dict(data)
+
+
 @pytest.mark.parametrize("mask", [1 << 6, 0b1000001, -1, -(1 << 7)])
 def test_model_rejects_an_intent_outside_its_vocabulary(mask):
     """A model whose intent has a bit at or past its vocabulary, or is
@@ -655,22 +699,24 @@ def test_model_counts_come_without_labels(monkeypatch):
 
 
 def _wiring_bytes(n_rules: int) -> int:
-    """Bytes a model's engine template holds for ``n_rules`` rules, each
-    with a distinct intent fact and an extent fact shared by ten rules."""
+    """Bytes a model and its engine template hold for ``n_rules`` rules,
+    each with a distinct intent fact and an extent fact shared by ten
+    rules."""
     dist = ClassDistribution.from_counts((1, 1), 2)
-    intent_facts = tuple((2 * k, 1) for k in range(n_rules))
-    extent_facts = tuple((2 * (k // 10) + 1, dist) for k in range(n_rules))
-    fact_labels = ("f",) * (2 * n_rules)
+    intent_facts = tuple((k, 1) for k in range(n_rules))
+    extent_facts = tuple((n_rules + k // 10, dist) for k in range(n_rules))
+    fact_labels = ("f",) * (n_rules + -(-n_rules // 10))
     gc.collect()  # a full collection empties the tuple free lists
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         model = CellularModel(("a", "b"), fact_labels, intent_facts,
                               extent_facts, ("t",))
+        engine = model.engine_template
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert model.engine_template.n_rules == n_rules
+    assert engine.n_rules == n_rules
     return held
 
 

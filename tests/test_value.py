@@ -11,7 +11,8 @@ from latticecell import (CellularModel, ClassDistribution, ConceptLattice,
                          ConfusionMatrix, Document, DocumentVector,
                          ExperimentReport, FormalContext, MetricsReport,
                          PipelineConfig, Prediction, Vocabulary, build_lattice,
-                         compile_model)
+                         compile_model, load_model, save_model)
+from latticecell.compiler import model_to_dict
 from latticecell.evaluate import ReportRow
 from latticecell.value import Value, lazy
 
@@ -58,7 +59,7 @@ CASES = {
 # a field holds a dict, so the record is unhashable, as a tuple holding a
 # list is
 UNHASHABLE = (ExperimentReport,)
-# derived in the constructor, left out of equality and repr
+# derived on first read, left out of equality and repr
 EXCLUDED = {FormalContext: "columns", CellularModel: "engine_template"}
 
 
@@ -129,10 +130,22 @@ def test_a_lazy_value_is_derived_once_on_first_read():
     assert sent.total == 3 and _Pair.derived == [pair]
 
 
-def test_rule_index_and_covers_stay_lazy():
-    lattice = build_lattice(demo_context())
+def test_rule_index_and_covers_stay_lazy(tmp_path):
+    """Compiling, writing and loading a model derive neither its rule index
+    nor its engine, and loading a context does not transpose it."""
+    ctx = demo_context()
+    assert "columns" not in vars(ctx)
+    lattice = build_lattice(ctx)
     labels = dict(zip(lattice.context.object_ids, "AB" * 5))
     model = compile_model(lattice, labels, ("A", "B"))
-    assert "covers" not in vars(lattice) and "rule_index" not in vars(model)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    model_to_dict(model)
+    loaded = load_model(path)
+    assert "covers" not in vars(lattice)
+    for m in (model, loaded):
+        assert not {"rule_index", "engine_template"} & set(vars(m))
     assert lattice.covers is lattice.covers
     assert model.rule_index is model.rule_index
+    assert model.engine_template is model.engine_template
+    assert ctx.columns is ctx.columns
