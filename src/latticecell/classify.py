@@ -1,10 +1,13 @@
 """Similarity-driven activation, inference, and majority vote.
 
 A document vector is scored against the intent facts of the model; the
-most similar intents are activated (EF = 1), the engine runs to its
-fixpoint, and the class distributions of the rules that fired are
-averaged. The argmax category wins, ties broken by category order. No
-activation yields an explicitly unclassifiable prediction.
+most similar intents are activated (EF = 1), and the class distributions
+of the rules that fire at the engine's fixpoint are averaged. The argmax
+category wins, ties broken by category order. No activation yields an
+explicitly unclassifiable prediction. No rule of a model concludes a
+premise, so the fixpoint is one step: the rules of the activated facts.
+``classify`` reads them from the model and runs the engine only to trace
+it.
 
 Activation does not score every intent. The rule index holds, per term,
 the bitset of the rules whose intent has it. The document's terms' bitsets
@@ -20,6 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from functools import reduce
+from itertools import chain
 from operator import or_
 
 from .bits import bit_sliced_counts, iter_bits, split_by_count
@@ -125,8 +129,10 @@ def activate(model: CellularModel, doc: DocumentVector, measure: str = "inner",
 
     max: every intent achieving the (positive) maximal score. topk:K: the K
     best by (score desc, intent order), positive scores only. threshold:T:
-    every intent scoring at least T (and above zero). May be empty. max
-    and threshold list facts in rule order, topk in fact order.
+    every intent scoring at least T (and above zero). May be empty. Each
+    fact is listed once, also where rules share it as their premise: max
+    and threshold in the order of each fact's first chosen rule, topk in
+    fact order.
     """
     kind, arg = parse_activation(policy)
     if doc.size != len(model.vocabulary):
@@ -144,17 +150,25 @@ def activate(model: CellularModel, doc: DocumentVector, measure: str = "inner",
         for inter, n2, rules in classes:
             if _score_value(inter, n1, n2, measure) >= arg:
                 chosen |= rules
-        return tuple(model.intent_facts[k][0] for k in iter_bits(chosen))
+        return _facts(model, chosen)
     groups = _ranked(classes, n1, measure)
     if kind == "max":
-        return tuple(model.intent_facts[k][0] for k in iter_bits(groups[0]))
-    top: list[int] = []
+        return _facts(model, groups[0])
+    top: set[int] = set()
     for rules in groups:
-        tied = sorted(model.intent_facts[k][0] for k in iter_bits(rules))
-        top.extend(tied[:arg - len(top)])
+        tied = sorted({model.intent_facts[k][0]
+                       for k in iter_bits(rules)}.difference(top))
+        top.update(tied[:arg - len(top)])
         if len(top) == arg:
             break
     return tuple(sorted(top))
+
+
+def _facts(model: CellularModel, rules: int) -> tuple[int, ...]:
+    """The premise facts of the rules in the bitset ``rules``, each once,
+    in the order of its first rule."""
+    return tuple(dict.fromkeys([model.intent_facts[k][0]
+                                for k in iter_bits(rules)]))
 
 
 class Prediction(Value):
@@ -191,18 +205,32 @@ def vote(distributions: Sequence[ClassDistribution],
 def classify(model: CellularModel, doc: DocumentVector, measure: str = "inner",
              policy: str = "max",
              trace: list[str] | None = None) -> Prediction:
-    """Activate, run the engine to fixpoint, and vote over the rules that
+    """Activate, take the engine's fixpoint, and vote over the rules that
     fired (the engine's ER at the fixpoint), in rule order.
+
+    A rule's one premise is an intent fact and no intent fact is a
+    conclusion, so the engine fires exactly the rules of the activated
+    facts in its first cycle and changes nothing in its second; the
+    fixpoint is read from ``model.premise_rules`` without running it. With
+    a ``trace`` list the engine runs, and a snapshot of both layers is
+    appended before the run and after each cycle.
 
     Deterministic for identical inputs; the shared model is never mutated.
     """
     activated = activate(model, doc, measure, policy)
     if not activated:
         return Prediction(None, None, (), ())
-    engine = model.fresh_engine()
-    set_facts(engine, activated)
-    run_inference(engine, trace)
-    # an activated intent fact is its rule's only premise, so ER is nonempty
-    fired, dists = zip(*(model.extent_facts[k] for k in iter_bits(engine.er)))
+    if trace is None:
+        # the facts are distinct and each rule has one premise, so the
+        # facts' rules are too
+        rules = sorted(chain.from_iterable(
+            map(model.premise_rules.__getitem__, activated)))
+    else:
+        engine = model.fresh_engine()
+        set_facts(engine, activated)
+        run_inference(engine, trace)
+        rules = iter_bits(engine.er)
+    # an activated fact is some rule's premise, so some rule fired
+    fired, dists = zip(*map(model.extent_facts.__getitem__, rules))
     category, mean = vote(dists, model.categories)
     return Prediction(category, mean, fired, activated)

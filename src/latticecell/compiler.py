@@ -5,7 +5,7 @@ rule linking two fact cells: an intent fact carrying the concept's
 attribute set and an extent fact carrying the class distribution of the
 concept's documents. The top and bottom of the lattice (empty intent or
 empty extent) are skipped. Classification later activates intent facts by
-similarity, runs the engine, and votes over the established extent facts.
+similarity and votes over the extent facts the engine establishes.
 
 A class distribution is exact: integer per-category counts over a common
 total. Compilation keeps the rules with one ``compress`` over the
@@ -19,9 +19,10 @@ A model's intents lie within its vocabulary, so the rule index that
 activation reads is two C-level passes over them: ``bits.transpose``
 gives each attribute's column of rules, and the columns' bit-sliced
 counts, split by ``bits.split_by_count``, give the rules of each intent
-size. The engine template's wiring, built on first read, is one 1-tuple
-of fact indices per rule, zipped from the fact pairs. The constructor
-admits only models a file holds, so the writers check nothing.
+size. The fact-to-rules map that classification reads, and the engine
+template that ``--trace`` runs, are built on first read from the fact
+pairs. The constructor admits only models a file holds, so the writers
+check nothing.
 """
 
 from __future__ import annotations
@@ -196,12 +197,15 @@ class CellularModel(Value):
     and a conclusion, or neither, a ``ValueError``, as no file holds it.
     Rule k, labeled ``R{k+1}``, links intent fact k (its premise) to extent
     fact k (its conclusion); these pairs are the only statement of the
-    wiring: ``engine_template`` is derived from them as fact index tuples,
-    and a vote reads ``extent_facts[k]`` for each rule k the engine fired.
-    The template shares ``fact_labels`` and renders its rule labels on first
-    read, so classification formats no label. Immutable, apart from
-    ``rule_index`` and ``engine_template``, built on first read and left
-    out of equality and repr; clone the engine via ``fresh_engine``.
+    wiring. No conclusion is a premise, so the engine's fixpoint is one
+    step, and ``premise_rules``, derived from the pairs, gives it: the
+    rules of the activated facts, for which a vote reads ``extent_facts[k]``.
+    ``engine_template`` is derived from the pairs as fact index tuples, and
+    only a traced classification runs it; it shares ``fact_labels`` and
+    renders its rule labels on first read. Immutable, apart from
+    ``rule_index``, ``premise_rules`` and ``engine_template``, built on
+    first read and left out of equality and repr; clone the engine via
+    ``fresh_engine``.
     """
 
     _fields = ("categories", "fact_labels", "intent_facts", "extent_facts",
@@ -256,11 +260,25 @@ class CellularModel(Value):
 
     @lazy
     def engine_template(self) -> EngineState:
-        """The engine classification clones, derived on first read."""
+        """The engine a traced classification clones, derived on first
+        read."""
         n = self.n_rules
         return EngineState(self.fact_labels, LazyLabels(_rule_labels, (n,), n),
                            tuple(zip(map(itemgetter(0), self.intent_facts))),
                            tuple(zip(map(itemgetter(0), self.extent_facts))))
+
+    @lazy
+    def premise_rules(self) -> dict[int, tuple[int, ...]]:
+        """Per premise fact, the rules it is the premise of, in rule order
+        (its engine ``watchers``), derived on first read."""
+        premises = list(map(itemgetter(0), self.intent_facts))
+        rules = dict(zip(premises, zip(count())))
+        if len(rules) < len(premises):  # a loaded model may share a premise
+            shared: dict[int, list[int]] = {}
+            for k, f in enumerate(premises):
+                shared.setdefault(f, []).append(k)
+            rules = {f: tuple(ks) for f, ks in shared.items()}
+        return rules
 
     @lazy
     def rule_index(self) -> RuleIndex:

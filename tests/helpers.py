@@ -403,7 +403,9 @@ def reference_score_key(inter: int, n1: int, n2: int, measure: str):
 
 
 def reference_activate(model, doc, measure, policy) -> tuple[int, ...]:
-    """Activation by scoring every intent fact of the model, one by one."""
+    """Activation by scoring every rule's intent fact, one by one. A fact
+    that several rules share as their premise is listed once: max and
+    threshold at its first chosen rule, topk counting it once toward K."""
     kind, arg = parse_activation(policy)
     n1 = doc.bits.bit_count()
     scored = []
@@ -417,14 +419,24 @@ def reference_activate(model, doc, measure, policy) -> tuple[int, ...]:
         keys = [reference_score_key(inter, n1, n2, measure)
                 for _, inter, n2 in scored]
         best = max(keys)
-        return tuple(fact for (fact, _, _), key in zip(scored, keys)
-                     if key == best)
-    if kind == "topk":
+        chosen = [fact for (fact, _, _), key in zip(scored, keys)
+                  if key == best]
+    elif kind == "topk":
         ranked = sorted(scored, key=lambda s: (
             -reference_score_key(s[1], n1, s[2], measure), s[0]))
-        return tuple(sorted(fact for fact, _, _ in ranked[:arg]))
-    return tuple(fact for fact, inter, n2 in scored
-                 if reference_score_value(inter, n1, n2, measure) >= arg)
+        top: list[int] = []
+        for fact, _, _ in ranked:
+            if len(top) < arg and fact not in top:
+                top.append(fact)
+        return tuple(sorted(top))
+    else:
+        chosen = [fact for fact, inter, n2 in scored
+                  if reference_score_value(inter, n1, n2, measure) >= arg]
+    firsts: list[int] = []
+    for fact in chosen:
+        if fact not in firsts:
+            firsts.append(fact)
+    return tuple(firsts)
 
 
 def reference_classify(model, doc, measure, policy) -> Prediction:

@@ -3,8 +3,10 @@
 from hypothesis import strategies as st
 
 from helpers import reference_transpose
-from latticecell import DocumentVector, FormalContext
+from latticecell import (DocumentVector, FormalContext, build_lattice,
+                         compile_model)
 from latticecell.bits import mask_from_indices
+from latticecell.compiler import model_from_dict, model_to_dict
 
 
 @st.composite
@@ -41,3 +43,28 @@ def labeled_vectors(draw):
     query = draw(st.integers(0, 2 ** size - 1))
     categories = draw(st.permutations(sorted(set(labels))))
     return train, query, categories
+
+
+@st.composite
+def models(draw):
+    """A model compiled from a drawn context and labels, then through its
+    dict form with 0-4 rules inserted, each pairing a drawn rule's premise
+    with a drawn rule's conclusion: a repeat of a rule when both are one
+    rule's, else a second rule of that premise; and a query over its
+    vocabulary."""
+    ctx = draw(contexts())
+    labels = draw(st.lists(st.sampled_from("ABC"), min_size=len(ctx.object_ids),
+                           max_size=len(ctx.object_ids)))
+    data = model_to_dict(compile_model(build_lattice(ctx),
+                                       dict(zip(ctx.object_ids, labels)),
+                                       ("A", "B", "C")))
+    rules = data["rules"]
+    if rules:
+        for _ in range(draw(st.integers(0, 4))):
+            premise = draw(st.sampled_from(rules))["premise"]
+            conclusion = draw(st.sampled_from(rules))["conclusion"]
+            rules.insert(draw(st.integers(0, len(rules))),
+                         {"premise": premise, "conclusion": conclusion})
+    width = len(ctx.attribute_names)
+    query = draw(st.integers(0, 2 ** width - 1))
+    return model_from_dict(data), DocumentVector(query, width)

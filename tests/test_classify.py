@@ -5,6 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from helpers import (DEMO_CATEGORIES, demo_context, demo_labels_map,
                      query_vector, random_context, reference_activate,
@@ -14,8 +15,12 @@ from latticecell import (DimensionError, DocumentVector, EmptyInputError,
                          activate, build_lattice, classify, compile_model,
                          load_fixture_model, model_from_dict, model_to_dict,
                          vote)
-from latticecell.classify import MEASURES, _ranked, _score_ratio, _score_value
-from latticecell.compiler import ClassDistribution
+from latticecell.bits import iter_bits
+from latticecell.classify import (MEASURES, Prediction, _ranked, _score_ratio,
+                                  _score_value)
+from latticecell.compiler import CellularModel, ClassDistribution
+from latticecell.engine import run_inference, set_facts
+from strategies import models
 
 
 def test_similarity_reference_values():
@@ -163,6 +168,41 @@ def test_a_rule_that_did_not_fire_casts_no_vote():
     assert personnage.fired_vertices == (11, 5)
     assert personnage.distribution.fractions == (0, Fraction(67, 200),
                                                  Fraction(133, 200))
+
+
+def test_rules_sharing_a_premise_activate_it_once():
+    """The fixture plus [Puissance, Ministre] -> S0's extent fact: the
+    query activates facts 4 and 6 once each under every policy that picks
+    two, and all three rules of those facts vote, in rule order."""
+    data = model_to_dict(load_fixture_model())
+    data["rules"].append({"premise": 4, "conclusion": 1})
+    model = model_from_dict(data)
+    for policy in ("max", "threshold:1", "topk:2"):
+        pred = classify(model, query_vector(), "inner", policy)
+        assert pred.activated_intents == (4, 6), policy
+        assert pred.fired_vertices == (5, 7, 1), policy
+        assert pred.distribution.fractions == (Fraction(1, 3),
+                                               Fraction(167, 300),
+                                               Fraction(11, 100))
+        assert pred == reference_classify(model, query_vector(), "inner",
+                                          policy)
+    assert activate(model, query_vector(), "inner", "topk:1") == (4,)
+
+
+def test_topk_counts_a_fact_once_at_its_best_rule():
+    """Built directly, a model may give one premise fact two intents (a
+    file cannot). topk:2 then takes fact 0 at its better rule and fact 3
+    next, and the engine fires all three rules of the two facts."""
+    dist = ClassDistribution.from_counts((1, 0), 1)
+    model = CellularModel(("A", "B"), ("[a]", "[S1]", "[S2]", "[b]", "[S3]"),
+                          ((0, 0b001), (0, 0b011), (3, 0b010)),
+                          ((1, dist), (2, dist), (4, dist)), ("a", "b", "c"))
+    doc = DocumentVector(0b011, 3)
+    assert activate(model, doc, "inner", "topk:2") == (0, 3)
+    assert reference_activate(model, doc, "inner", "topk:2") == (0, 3)
+    pred = classify(model, doc, "inner", "topk:2")
+    assert pred.fired_vertices == (1, 2, 4)
+    assert classify(model, doc, "inner", "topk:2", []) == pred
 
 
 def test_classify_single_vertex_returns_its_distribution():
@@ -352,3 +392,33 @@ def test_engine_wiring_is_derived_from_rule_pairs(source):
     assert eng.rule_labels == tuple(f"R{k + 1}" for k in range(eng.n_rules))
     assert eng.fact_labels == model.fact_labels
     assert eng.ef == 0
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(models())
+def test_classify_reads_the_engine_fixpoint(case):
+    """On models whose rules share premises or repeat, an untraced
+    classify equals a traced one, and both equal a vote over the ER of a
+    full engine run, which takes two cycles whenever a fact is activated."""
+    model, doc = case
+    for measure in MEASURES:
+        for policy in POLICIES:
+            pred = classify(model, doc, measure, policy)
+            trace = []
+            assert classify(model, doc, measure, policy, trace) == pred
+            activated = activate(model, doc, measure, policy)
+            engine = model.fresh_engine()
+            set_facts(engine, activated)
+            run_inference(engine)
+            fired = [model.extent_facts[k] for k in iter_bits(engine.er)]
+            if activated:
+                assert engine.cycles == 2 and len(trace) == 3
+                category, mean = vote([dist for _, dist in fired],
+                                      model.categories)
+                want = Prediction(category, mean,
+                                  tuple(fact for fact, _ in fired), activated)
+            else:
+                assert not fired and trace == []
+                want = Prediction(None, None, (), ())
+            assert pred == want
+            assert pred == reference_classify(model, doc, measure, policy)

@@ -288,9 +288,9 @@ def test_run_experiment_formats_no_label(monkeypatch):
 
 
 def test_the_rule_index_is_built_with_the_model(monkeypatch):
-    """``compile_s`` includes the rule index and the engine template that
-    every measure row reads, so the first row is not charged with them; a
-    run without measures compiles no model."""
+    """``compile_s`` includes the rule index and the fact-to-rules map that
+    every measure row reads, so the first row is not charged with them; no
+    row builds the engine, and a run without measures compiles no model."""
     models = []
     real_compile = latticecell.evaluate.compile_model
     real_classify = latticecell.evaluate.classify
@@ -300,12 +300,13 @@ def test_the_rule_index_is_built_with_the_model(monkeypatch):
         return models[-1]
 
     def checked(model, *args):
-        assert {"rule_index", "engine_template"} <= set(vars(model))
+        assert {"rule_index", "premise_rules"} <= set(vars(model))
         return real_classify(model, *args)
     monkeypatch.setattr(latticecell.evaluate, "compile_model", compiled)
     monkeypatch.setattr(latticecell.evaluate, "classify", checked)
     report = run_experiment(DATA / "corpus", PipelineConfig(seed=3))
     assert [row.name for row in report.rows] == list(MEASURES)
+    assert "engine_template" not in vars(models[0])
     report = run_experiment(DATA / "corpus",
                             PipelineConfig(measures=(), baselines=("nb",), seed=3))
     assert len(models) == 1
