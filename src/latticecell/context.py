@@ -149,6 +149,9 @@ def load_context_csv(path: str | Path) -> FormalContext:
         raise FormatError(f"{path}: {exc}") from exc
 
 
+_BINARY_CELLS = frozenset(("0", "1"))
+
+
 def _read_context_csv(path: Path, reader) -> FormalContext:
     header = next(reader, None)
     if header is None or len(header) < 1:
@@ -168,16 +171,16 @@ def _read_context_csv(path: Path, reader) -> FormalContext:
         if record[0] in object_ids:
             raise FormatError(f"{path}: row {lineno}: duplicate object id "
                               f"{record[0]!r}")
-        mask = 0
-        for col, cell in enumerate(record[1:]):
-            if cell == "1":
-                mask |= 1 << col
-            elif cell != "0":
-                raise FormatError(
-                    f"{path}: row {lineno}, column {col + 2}: "
-                    f"cell must be '0' or '1', got {cell!r}")
+        cells = record[1:]
+        # int() alone would take " 1", "1_0" or other scripts' digits
+        if not set(cells) <= _BINARY_CELLS:
+            col, cell = next((col, cell) for col, cell in enumerate(cells)
+                             if cell not in _BINARY_CELLS)
+            raise FormatError(f"{path}: row {lineno}, column {col + 2}: "
+                              f"cell must be '0' or '1', got {cell!r}")
         object_ids[record[0]] = None
-        rows.append(mask)
+        # cell j is bit j: the first cell is the last binary digit
+        rows.append(int("".join(cells)[::-1], 2) if cells else 0)
     return FormalContext(tuple(object_ids), attributes, tuple(rows))
 
 

@@ -19,8 +19,10 @@ attributes its extent's objects share, and makes the concepts in one map.
 Cover edges (the Hasse diagram) are derived from the finished concept list
 on first read, so building, compiling and classifying never pay for them;
 lattice files store them for readers but loading ignores them. The covers
-cost one sweep per concept of the context's rows or of its columns,
-whichever are fewer (neighbour generation).
+are a transitive reduction over the concepts in size order, in whatever
+order the list holds them, on whichever of the intents and the extents
+has fewer bits: one AND per such bit and one per edge
+(``backend.lower_covers``).
 Loading a lattice file checks, with the fold of ``build_lattice``, that its
 concepts are exactly the concepts of the context it recovers, and that
 ``top`` and ``bottom`` point at the top and bottom concepts; otherwise it
@@ -45,13 +47,14 @@ from .value import Value, lazy
 
 
 class ConceptLattice(Value):
-    """All concepts of a context, canonically ordered, plus cover edges.
+    """All concepts of a context plus cover edges.
 
     ``covers`` holds (child, parent) index pairs forming the transitive
-    reduction of the subconcept order. It is derived from ``concepts`` and
-    the context on first read and cached; it is never read from a lattice
-    file. ``concepts`` are the context's concepts, as the builders make them
-    and the loader checks them. Immutable and shareable.
+    reduction of the subconcept order. It is derived from the extents and
+    intents of ``concepts`` alone on first read and cached; it is never
+    read from a lattice file. ``concepts`` are the context's concepts, as
+    the builders make them (canonically ordered) and the loader checks them
+    (in the file's order). Immutable and shareable.
     """
 
     _fields = ("context", "concepts", "top_index", "bottom_index")
@@ -65,10 +68,9 @@ class ConceptLattice(Value):
 
     @lazy
     def covers(self) -> frozenset[tuple[int, int]]:
-        concepts, ctx = self.concepts, self.context
+        concepts = self.concepts
         return frozenset(backend.lower_covers([c.extent for c in concepts],
-                                              [c.intent for c in concepts],
-                                              ctx.rows, ctx.columns))
+                                              [c.intent for c in concepts]))
 
 
 def split_context(ctx: FormalContext) -> tuple[FormalContext, FormalContext]:

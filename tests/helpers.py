@@ -302,6 +302,40 @@ def reference_knn(train, doc, k, measure, categories) -> str:
     return max(cats, key=lambda c: (votes.count(c), -cats.index(c)))
 
 
+def reference_read_context_csv(path: Path, reader) -> FormalContext:
+    """``context._read_context_csv`` one cell at a time: the same context
+    from the same CSV records, or the same ``FormatError`` text."""
+    header = next(reader, None)
+    if header is None or len(header) < 1:
+        raise FormatError(f"{path}: missing header row")
+    attributes = tuple(header[1:])
+    if len(set(attributes)) != len(attributes):
+        name = next(a for i, a in enumerate(attributes) if a in attributes[:i])
+        raise FormatError(f"{path}: row 1: duplicate attribute name {name!r}")
+    object_ids: dict[str, None] = {}
+    rows: list[int] = []
+    for lineno, record in enumerate(reader, start=2):
+        if not record:
+            continue
+        if len(record) != len(attributes) + 1:
+            raise FormatError(f"{path}: row {lineno}: expected "
+                              f"{len(attributes) + 1} cells, got {len(record)}")
+        if record[0] in object_ids:
+            raise FormatError(f"{path}: row {lineno}: duplicate object id "
+                              f"{record[0]!r}")
+        mask = 0
+        for col, cell in enumerate(record[1:]):
+            if cell == "1":
+                mask |= 1 << col
+            elif cell != "0":
+                raise FormatError(
+                    f"{path}: row {lineno}, column {col + 2}: "
+                    f"cell must be '0' or '1', got {cell!r}")
+        object_ids[record[0]] = None
+        rows.append(mask)
+    return FormalContext(tuple(object_ids), attributes, tuple(rows))
+
+
 def reference_transpose(rows, width: int) -> list[int]:
     """``bits.transpose`` by walking each set bit of each row: bit r of
     column j is bit j of ``rows[r]``, bits at or above ``width`` ignored."""

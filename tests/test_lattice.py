@@ -279,7 +279,7 @@ def test_pipeline_never_computes_covers(ctx, tmp_path, monkeypatch):
     path = tmp_path / "lattice.json"
     save_lattice(build_lattice(ctx), path)
 
-    def refuse(extents, intents, rows, columns):
+    def refuse(extents, intents):
         raise AssertionError("Hasse covers computed")
     monkeypatch.setattr("latticecell.backend.lower_covers", refuse)
     left, right = split_context(ctx)
@@ -320,6 +320,27 @@ def test_load_derives_covers_ignoring_stored_ones(tmp_path, ctx):
     assert path.read_text(encoding="utf-8") == good
 
 
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+@pytest.mark.parametrize("shape", [None, (9, 6), (6, 9), (20, 10)])
+def test_lattice_file_in_any_concept_order_loads_the_same_covers(shape,
+                                                                 order):
+    """A lattice file may list its concepts in any order, with ``top`` and
+    ``bottom`` pointing at them there: loading it gives the built
+    lattice's covers under that index map. ``None`` is the demo context."""
+    ctx = (demo_context() if shape is None
+           else random_context_of_size(random.Random(3), *shape))
+    built = build_lattice(ctx)
+    data = lattice_to_dict(built)
+    positions = _reordered(len(built.concepts), order, seed=len(ctx.rows))
+    at = {p: k for k, p in enumerate(positions)}
+    data["concepts"] = [data["concepts"][p] for p in positions]
+    data["top"], data["bottom"] = at[built.top_index], at[built.bottom_index]
+    loaded = lattice_from_dict(data)
+    assert loaded.concepts == tuple(built.concepts[p] for p in positions)
+    assert {(positions[child], positions[parent])
+            for child, parent in loaded.covers} == built.covers
+
+
 def test_active_backend_is_pure():
     assert backend.active_backend() == "pure"
 
@@ -347,30 +368,38 @@ def test_merge_pairs_matches_dict_recomputation(bits):
         assert len(got[0]) < len(e1) * len(e2)
 
 
-def _covers(concepts, ctx):
+def _covers(concepts):
     return sorted(backend.lower_covers([c.extent for c in concepts],
-                                       [c.intent for c in concepts],
-                                       ctx.rows, ctx.columns))
+                                       [c.intent for c in concepts]))
 
 
-def _dual(concepts, ctx):
-    """The concepts of the transposed context, and that context."""
-    return ([Concept(c.intent, c.extent) for c in concepts],
-            FormalContext(ctx.attribute_names, ctx.object_ids, ctx.columns))
+def _dual(concepts):
+    """The concepts of the transposed context."""
+    return [Concept(c.intent, c.extent) for c in concepts]
 
 
 def _reversed(edges):
     return sorted((parent, child) for child, parent in edges)
 
 
+def _reordered(n, order, seed=0):
+    """The indices 0..n-1 in the canonical, reversed or a shuffled order."""
+    positions = list(range(n))
+    if order == "reversed":
+        positions.reverse()
+    elif order == "shuffled":
+        random.Random(seed).shuffle(positions)
+    return positions
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(ctx=contexts(), shuffle=st.randoms(use_true_random=False))
 def test_pure_lower_covers_matches_brute_force(ctx, shuffle):
-    """Neighbour generation against the pairwise scan and the triple loop,
-    on every concept of a random context in a random order."""
+    """The size-ordered reduction against the pairwise scan and the triple
+    loop, on every concept of a random context in a random order."""
     concepts = enumerate_concepts_naive(ctx)
     shuffle.shuffle(concepts)
-    got = _covers(concepts, ctx)
+    got = _covers(concepts)
     assert got == reference_lower_covers([c.extent for c in concepts])
     assert set(got) == brute_transitive_reduction(concepts)
 
@@ -379,31 +408,58 @@ def test_pure_lower_covers_matches_brute_force(ctx, shuffle):
 @given(ctx=contexts().filter(lambda c: c.n_attributes > c.n_objects),
        shuffle=st.randoms(use_true_random=False))
 def test_lower_covers_row_and_column_sweeps_match_brute_force(ctx, shuffle):
-    """A context with more attributes than objects is swept by its rows,
-    and its transpose by its columns; both equal the triple loop, and the
-    covers of the transpose are the covers reversed."""
+    """The covers of a context with more attributes than objects, and of
+    its transpose, both equal the triple loop, and the covers of the
+    transpose are the covers reversed. The transpose swaps the extents and
+    the intents, so where the two sides have different incidence counts,
+    one of the pair runs on the intents and the other on the extents."""
     concepts = enumerate_concepts_naive(ctx)
     shuffle.shuffle(concepts)
-    dual, transposed = _dual(concepts, ctx)
-    by_rows, by_columns = _covers(concepts, ctx), _covers(dual, transposed)
-    assert set(by_rows) == brute_transitive_reduction(concepts)
-    assert set(by_columns) == brute_transitive_reduction(dual)
-    assert by_columns == _reversed(by_rows)
+    dual = _dual(concepts)
+    covers, dual_covers = _covers(concepts), _covers(dual)
+    assert set(covers) == brute_transitive_reduction(concepts)
+    assert set(dual_covers) == brute_transitive_reduction(dual)
+    assert dual_covers == _reversed(covers)
 
 
-@pytest.mark.parametrize("shape, side", [((9, 6), "columns"),
-                                         ((6, 9), "rows"), ((7, 7), "rows")])
-def test_lower_covers_sweeps_the_smaller_side(monkeypatch, shape, side):
+@pytest.mark.parametrize("order", ["canonical", "reversed", "shuffled"])
+@pytest.mark.parametrize("shape", [(9, 6), (6, 9), (12, 12), (40, 8)])
+def test_lower_covers_keeps_its_edges_in_any_concept_order(shape, order):
+    """The kernel puts the concepts in size order itself: listed in any
+    order, they get the canonical list's edges once the indices are mapped
+    back."""
+    ctx = random_context_of_size(random.Random(11), *shape)
+    concepts = build_lattice(ctx).concepts
+    positions = _reordered(len(concepts), order, seed=shape[0])
+    got = _covers([concepts[p] for p in positions])
+    mapped = sorted((positions[child], positions[parent])
+                    for child, parent in got)
+    assert mapped == _covers(concepts) == reference_lower_covers(
+        [c.extent for c in concepts])
+
+
+@pytest.mark.parametrize("shape, side", [((30, 6), "intents"),
+                                         ((6, 30), "extents")])
+def test_lower_covers_runs_on_the_side_with_fewer_incidences(monkeypatch,
+                                                             shape, side):
+    """Many objects over few attributes give short intents and long
+    extents, so the reduction runs on the intents; the transposed shape
+    runs on the extents. Both give the pairwise scan's edges."""
     ctx = random_context_of_size(random.Random(5), *shape)
-    swept = []
-    real = backend._neighbours
-    monkeypatch.setattr(backend, "_neighbours",
-                        lambda masks, lines: swept.append(lines)
-                        or real(masks, lines))
-    lattice = build_lattice(ctx)
-    assert set(lattice.covers) == brute_transitive_reduction(
-        list(lattice.concepts))
-    assert swept == [getattr(ctx, side)]
+    concepts = build_lattice(ctx).concepts
+    masks = {"extents": [c.extent for c in concepts],
+             "intents": [c.intent for c in concepts]}
+    incidences = {name: sum(map(int.bit_count, m))
+                  for name, m in masks.items()}
+    other = ({"extents", "intents"} - {side}).pop()
+    assert incidences[side] < incidences[other]
+    seen = []
+    real = backend._minimal_supersets
+    monkeypatch.setattr(backend, "_minimal_supersets",
+                        lambda given: seen.append(given) or real(given))
+    got = sorted(backend.lower_covers(masks["extents"], masks["intents"]))
+    assert seen == [masks[side]]
+    assert got == reference_lower_covers(masks["extents"])
 
 
 @pytest.mark.parametrize("seed", ["cli-classify/1/0", "cli-classify/2/1"])
@@ -415,5 +471,5 @@ def test_lower_covers_matches_pairwise_scan_on_benchmark_lattices(tmp_path,
     concepts = build_lattice(ctx).concepts
     assert 1200 < len(concepts) < 1700
     want = reference_lower_covers([c.extent for c in concepts])
-    assert _covers(concepts, ctx) == want  # the column sweep
-    assert _covers(*_dual(concepts, ctx)) == _reversed(want)  # the row sweep
+    assert _covers(concepts) == want
+    assert _covers(_dual(concepts)) == _reversed(want)
