@@ -10,7 +10,6 @@ and ``inspect`` summarizes a context, lattice, model or report file.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -45,6 +44,8 @@ def _stopwords(args) -> frozenset[str]:
 
 
 def _labels_from_csv(path: Path) -> dict[str, str]:
+    import csv
+
     labels: dict[str, str] = {}
     try:
         # utf-8-sig drops the byte-order mark some spreadsheets write

@@ -28,13 +28,12 @@ check nothing.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from fractions import Fraction
 from itertools import compress, count
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
 
 from .bits import (bit_indices, bit_sliced_counts, iter_bits,
                    mask_from_indices, split_by_count, transpose)
@@ -58,6 +57,8 @@ class ClassDistribution(Value):
     _fields = ("counts", "total")
 
     def __init__(self, fractions: Iterable) -> None:
+        from fractions import Fraction
+
         fracs = [Fraction(f) for f in fractions]
         if any(f < 0 or f > 1 for f in fracs):
             raise ValueError("fractions must lie in [0, 1]")
@@ -87,8 +88,10 @@ class ClassDistribution(Value):
         object.__setattr__(self, "total", total // g)
 
     @property
-    def fractions(self) -> tuple[Fraction, ...]:
-        """The per-category fractions as exact rationals."""
+    def fractions(self) -> tuple:
+        """The per-category fractions as exact rationals (``Fraction``s)."""
+        from fractions import Fraction
+
         return tuple(Fraction(c, self.total) for c in self.counts)
 
     def argmax(self) -> int:
@@ -117,16 +120,17 @@ class ClassDistribution(Value):
             common * len(distributions))
 
 
-class RuleIndex(NamedTuple):
+class RuleIndex(namedtuple("RuleIndex", "columns sizes")):
     """Bitsets over the positions of a list of masks (bit k is mask k):
     a model's intents, or k-NN's training vectors.
 
-    Scoring reads these so that its cost per document follows the masks
-    the document touches, not the mask count.
+    ``columns`` holds, per attribute, the masks that hold it; ``sizes``
+    the ``(|mask|, its masks)`` pairs, ascending. Scoring reads these so
+    that its cost per document follows the masks the document touches,
+    not the mask count.
     """
 
-    columns: tuple[int, ...]  # per attribute: masks that hold it
-    sizes: tuple[tuple[int, int], ...]  # (|mask|, its masks), ascending
+    __slots__ = ()
 
 
 def index_masks(masks: Sequence[int], columns: Sequence[int]) -> RuleIndex:
@@ -446,13 +450,15 @@ def model_to_dict(model: CellularModel) -> dict:
 def _distribution_from_pairs(i: int, pairs, n_categories: int) -> ClassDistribution:
     """Fact ``i``'s distribution from its ``[numerator, denominator]`` pairs.
 
-    A pair need not be reduced, and its denominator may be negative.
-    ``ClassDistribution`` checks that the values lie in [0, 1] and sum to 1.
+    A pair need not be reduced, and its denominator may be negative. The
+    values must lie in [0, 1] and sum to 1, checked in integers over the
+    lcm of the denominators, with ``ClassDistribution``'s messages.
     """
     if len(pairs) != n_categories:
         raise FormatError(f"fact {i}: {len(pairs)} fractions for "
                           f"{n_categories} categories")
-    fractions = []
+    numerators = []
+    denominators = []
     for pair in pairs:
         try:
             n, d = pair
@@ -463,11 +469,20 @@ def _distribution_from_pairs(i: int, pairs, n_categories: int) -> ClassDistribut
                               "of integers")
         if d == 0:
             raise FormatError(f"fact {i}: zero denominator")
-        fractions.append(Fraction(n, d))
-    try:
-        return ClassDistribution(fractions)
-    except ValueError as exc:
-        raise FormatError(f"fact {i}: {exc}") from exc
+        if d < 0:
+            n, d = -n, -d
+        numerators.append(n)
+        denominators.append(d)
+    if any(n < 0 or n > d for n, d in zip(numerators, denominators)):
+        raise FormatError(f"fact {i}: fractions must lie in [0, 1]")
+    total = math.lcm(*denominators)
+    counts = [n * (total // d) for n, d in zip(numerators, denominators)]
+    got = sum(counts)
+    if got != total:
+        g = math.gcd(got, total)
+        text = f"{got // g}" if g == total else f"{got // g}/{total // g}"
+        raise FormatError(f"fact {i}: fractions sum to {text}, expected 1")
+    return ClassDistribution.from_counts(counts, total)
 
 
 def model_from_dict(data: dict) -> CellularModel:
@@ -555,9 +570,12 @@ def save_model(model: CellularModel, path: str | Path) -> None:
     for e, dist in model.extent_facts:
         text = rendered.get(dist)
         if text is None:
+            # each count over the total as a reduced pair, as
+            # ``dist.fractions`` gives it
+            t = dist.total
             text = rendered[dist] = json_list(
-                (json_list((str(f.numerator), str(f.denominator)), " " * 8)
-                 for f in dist.fractions), " " * 6)
+                (json_list((str(c // g), str(t // g)), " " * 8)
+                 for c in dist.counts for g in [math.gcd(c, t)]), " " * 6)
         bodies[e] = '"kind": "extent",\n      "distribution": ' + text
     for i, mask in model.intent_facts:
         bodies[i] = ('"kind": "intent",\n      "attributes": '

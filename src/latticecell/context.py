@@ -8,9 +8,8 @@ composition is a closure operator whose fixed points are the concepts.
 
 from __future__ import annotations
 
-import csv
+from collections import namedtuple
 from pathlib import Path
-from typing import NamedTuple
 
 from .bits import bit_indices, transpose
 from .errors import CapacityError, DimensionError, FormatError
@@ -20,11 +19,10 @@ from .value import Value, lazy
 NAIVE_ATTRIBUTE_LIMIT = 20
 
 
-class Concept(NamedTuple):
+class Concept(namedtuple("Concept", "extent intent")):
     """A closed (extent, intent) pair, both as int bitsets."""
 
-    extent: int
-    intent: int
+    __slots__ = ()
 
 
 class FormalContext(Value):
@@ -141,6 +139,8 @@ def load_context_csv(path: str | Path) -> FormalContext:
     Malformed input, including text that is not UTF-8 and duplicate object
     ids or attribute names, raises ``FormatError`` naming the file.
     """
+    import csv
+
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8") as fh:
@@ -185,6 +185,8 @@ def _read_context_csv(path: Path, reader) -> FormalContext:
 
 
 def save_context_csv(ctx: FormalContext, path: str | Path) -> None:
+    import csv
+
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

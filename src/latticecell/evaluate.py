@@ -14,11 +14,9 @@ for accuracy and as misses for recall.
 from __future__ import annotations
 
 import math
-import random
 import time
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
@@ -72,13 +70,13 @@ class ConfusionMatrix(Value):
 
 
 class MetricsReport(Value):
-    """Macro-averaged metrics as exact rationals in [0, 1]."""
+    """Macro-averaged metrics as exact rationals (``Fraction``s) in
+    [0, 1]."""
 
     _fields = ("precision", "recall", "accuracy", "error", "f_measure")
 
-    def __init__(self, precision: Fraction, recall: Fraction,
-                 accuracy: Fraction, error: Fraction,
-                 f_measure: Fraction) -> None:
+    def __init__(self, precision, recall, accuracy, error,
+                 f_measure) -> None:
         object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "recall", recall)
         object.__setattr__(self, "accuracy", accuracy)
@@ -91,6 +89,8 @@ class MetricsReport(Value):
 
 def metrics(cm: ConfusionMatrix) -> MetricsReport:
     """Macro precision/recall, accuracy = trace/total, F = 2PR/(P+R)."""
+    from fractions import Fraction
+
     total = cm.total
     if total == 0:
         raise EmptyInputError("metrics over an empty confusion matrix")
@@ -293,6 +293,8 @@ class ExperimentReport(Value):
 def split_corpus(docs: Sequence[Document], ratio: float,
                  seed: int) -> tuple[list[Document], list[Document]]:
     """Seeded per-category (stratified) shuffle split; train share = ratio."""
+    import random
+
     rnd = random.Random(seed)
     by_cat: dict[str, list[Document]] = {}
     for doc in docs:

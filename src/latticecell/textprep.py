@@ -133,10 +133,10 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
 
 def default_stopwords() -> frozenset[str]:
     """The small French stoplist bundled with the package."""
-    from importlib.resources import files
-
-    return _stopword_lines(
-        (files("latticecell") / "data" / "stopwords_fr.txt").read_text("utf-8"))
+    # what ``pkgutil.get_data`` does, without importing it or
+    # ``importlib.resources``; the package loader reads from a zip too
+    path = os.path.join(os.path.dirname(__file__), "data", "stopwords_fr.txt")
+    return _stopword_lines(__spec__.loader.get_data(path).decode("utf-8"))
 
 
 def _doc_terms(doc: Document, stopwords: Iterable[str]) -> set[str]:

@@ -4,6 +4,11 @@
 ``inspect`` and its parsers, and decorating a class generates and execs
 its methods: together more CPU than a CLI call spends on its work. A
 record class here writes its ``__init__`` and lists its fields instead.
+
+The same start-up rule holds across the package: a module imported at
+module level is one every command needs. One that a single command
+needs (``csv``, ``fractions``, ``random``) is imported inside the
+function that uses it, and ``typing`` is not imported at all.
 """
 
 from operator import attrgetter

@@ -23,8 +23,7 @@ from latticecell import (CellularModel, ClassDistribution, Concept,
                          default_stopwords, derive_intent, load_context_csv,
                          load_corpus, parse_activation, train_vectors, vote)
 from latticecell.bits import iter_bits, mask_from_indices
-from latticecell.compiler import (LazyLabels, _compiled_labels,
-                                  _distribution_from_pairs)
+from latticecell.compiler import LazyLabels, _compiled_labels
 from latticecell.context import canonical_key
 from latticecell.textprep import category_masks
 from latticecell.errors import require_names, require_strings
@@ -632,6 +631,33 @@ def concept_set(concepts) -> set[tuple[int, int]]:
     return {(c.extent, c.intent) for c in concepts}
 
 
+def reference_distribution_from_pairs(i: int, pairs,
+                                      n_categories: int) -> ClassDistribution:
+    """``compiler._distribution_from_pairs`` in ``Fraction``s: the same
+    distribution from the same ``[numerator, denominator]`` pairs, or the
+    same ``FormatError`` text, with ``ClassDistribution``'s own range and
+    sum checks."""
+    if len(pairs) != n_categories:
+        raise FormatError(f"fact {i}: {len(pairs)} fractions for "
+                          f"{n_categories} categories")
+    fractions = []
+    for pair in pairs:
+        try:
+            n, d = pair
+        except ValueError as exc:  # not a pair
+            raise FormatError(f"fact {i}: {exc}") from exc
+        if not (isinstance(n, int) and isinstance(d, int)):
+            raise FormatError(f"fact {i}: fraction {pair!r} is not a pair "
+                              "of integers")
+        if d == 0:
+            raise FormatError(f"fact {i}: zero denominator")
+        fractions.append(Fraction(n, d))
+    try:
+        return ClassDistribution(fractions)
+    except ValueError as exc:
+        raise FormatError(f"fact {i}: {exc}") from exc
+
+
 def reference_model_from_dict(data: dict) -> CellularModel:
     """``model_from_dict`` as a per-fact loop: fact contents in two dicts,
     and a reused distribution's pairs type-checked at each reuse."""
@@ -671,8 +697,9 @@ def reference_model_from_dict(data: dict) -> CellularModel:
                 dist = dist_by_pairs.get(key)
                 if dist is None or not all(type(n) is int and type(d) is int
                                            for n, d in key):
-                    dist = dist_by_pairs[key] = _distribution_from_pairs(
-                        i, pairs, len(categories))
+                    dist = dist_by_pairs[key] = (
+                        reference_distribution_from_pairs(
+                            i, pairs, len(categories)))
                 dist_by_idx[i] = dist
             else:
                 raise FormatError(f"fact {i}: unknown kind {entry['kind']!r}")

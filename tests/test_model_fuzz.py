@@ -1,6 +1,8 @@
 """Fuzzing the model loader: a mutated model document either loads, and
 then survives a save/load round trip unchanged, or raises FormatError;
-either way as ``reference_model_from_dict``, the per-fact loop, does."""
+either way as ``reference_model_from_dict``, the per-fact loop, does. A
+drawn list of ``[numerator, denominator]`` pairs parses in integers as
+``reference_distribution_from_pairs`` parses it in ``Fraction``s."""
 
 import copy
 import json
@@ -9,11 +11,14 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (DEMO_CATEGORIES, assert_same_outcome, demo_context,
-                     demo_labels_map, reference_model_from_dict)
+from helpers import (DEMO_CATEGORIES, assert_same_outcome, assert_same_result,
+                     demo_context, demo_labels_map,
+                     reference_distribution_from_pairs,
+                     reference_model_from_dict)
 from latticecell import (FormatError, build_lattice, compile_model,
                          load_model, save_model)
-from latticecell.compiler import model_from_dict, model_to_dict
+from latticecell.compiler import (_distribution_from_pairs, model_from_dict,
+                                  model_to_dict)
 
 DEMO_DICT = model_to_dict(compile_model(build_lattice(demo_context()),
                                         demo_labels_map(), DEMO_CATEGORIES))
@@ -151,3 +156,62 @@ def test_a_replaced_top_level_value_loads_as_the_reference_loader(key, value):
 def test_facts_that_are_not_a_list_raise_format_error(facts, error):
     with pytest.raises(FormatError, match=re.escape(error) + "$"):
         model_from_dict({**DEMO_DICT, "facts": facts})
+
+
+# what a pair's slot can hold: small ints (zero and negative included),
+# ints far beyond a float's precision, bools, floats, strings and None
+pair_items = (st.integers(-4, 12) | st.integers(-2**70, 2**70) | st.booleans()
+              | st.floats(allow_nan=False) | st.text(max_size=2) | st.none())
+int_pairs = st.lists(st.integers(-4, 12) | st.booleans(), min_size=2,
+                     max_size=2)
+
+
+@st.composite
+def distributions_as_pairs(draw):
+    """Counts over a drawn total, each as a pair scaled by a nonzero,
+    possibly negative, factor: unreduced, and summing to 1. Half the
+    time, each 0 and 1 is written as a bool."""
+    total = draw(st.integers(1, 12))
+    cuts = sorted(draw(st.lists(st.integers(0, total), max_size=3)))
+    counts = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+    pairs = [[c * k, total * k] for c in counts
+             for k in [draw(st.integers(-3, 3).filter(bool))]]
+    if draw(st.booleans()):
+        pairs = [[bool(v) if v in (0, 1) else v for v in pair]
+                 for pair in pairs]
+    return pairs
+
+
+@st.composite
+def pair_lists(draw):
+    """A category count and, one time in ten, a value that is not a list;
+    else pairs that sum to 1, or integer pairs, with 0-2 of them replaced
+    by another integer pair, a 1- to 3-item list, or a value that is not
+    a list. The count is, three times in four, the list's length."""
+    if draw(st.integers(0, 9)) == 0:
+        pairs = draw(pair_items)
+    else:
+        pairs = draw(distributions_as_pairs() | st.lists(int_pairs, max_size=4))
+        replacements = (int_pairs, int_pairs,
+                        st.lists(pair_items, min_size=1, max_size=3), pair_items)
+        for _ in range(draw(st.integers(0, 2)) if pairs else 0):
+            at = draw(st.integers(0, len(pairs) - 1))
+            pairs[at] = draw(replacements[draw(st.integers(0, 3))])
+    width = len(pairs) if isinstance(pairs, list) else 0
+    if draw(st.integers(0, 3)) == 0:
+        return pairs, draw(st.integers(0, 4))
+    return pairs, width
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(drawn=pair_lists())
+def test_pairs_parse_as_the_fraction_parser(drawn):
+    """The integer parser gives an equal distribution of plain ints, or
+    raises the same exception with the same text, for any category count,
+    zero included."""
+    pairs, n_categories = drawn
+    got = assert_same_result(
+        lambda: _distribution_from_pairs(7, pairs, n_categories),
+        lambda: reference_distribution_from_pairs(7, pairs, n_categories))
+    if got is not None:
+        assert {type(v) for v in (*got.counts, got.total)} == {int}
