@@ -28,9 +28,7 @@ from operator import or_
 
 from .bits import bit_sliced_counts, iter_bits, split_by_count
 from .compiler import CellularModel, ClassDistribution, RuleIndex
-from .engine import run_inference, set_facts
 from .errors import DimensionError, EmptyInputError
-from .textprep import DocumentVector
 from .value import Value
 
 MEASURES = ("jaccard", "cosine", "dice", "inner")
@@ -226,6 +224,8 @@ def classify(model: CellularModel, doc: DocumentVector, measure: str = "inner",
         rules = sorted(chain.from_iterable(
             map(model.premise_rules.__getitem__, activated)))
     else:
+        from .engine import run_inference, set_facts
+
         engine = model.fresh_engine()
         set_facts(engine, activated)
         run_inference(engine, trace)

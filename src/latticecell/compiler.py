@@ -31,17 +31,14 @@ import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import compress, count
-from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
 
 from .bits import (bit_indices, bit_sliced_counts, iter_bits,
                    mask_from_indices, split_by_count, transpose)
-from .engine import EngineState
 from .errors import (DimensionError, EmptyInputError, FormatError,
                      LabelingError, json_list, read_converted, require_names,
                      require_strings)
-from .lattice import ConceptLattice
 from .value import Value, lazy
 
 
@@ -266,6 +263,8 @@ class CellularModel(Value):
     def engine_template(self) -> EngineState:
         """The engine a traced classification clones, derived on first
         read."""
+        from .engine import EngineState
+
         n = self.n_rules
         return EngineState(self.fact_labels, LazyLabels(_rule_labels, (n,), n),
                            tuple(zip(map(itemgetter(0), self.intent_facts))),
@@ -565,6 +564,8 @@ def save_model(model: CellularModel, path: str | Path) -> None:
     """Write ``model`` to ``path``: the same bytes as ``write_json(path,
     model_to_dict(model))``, rendered from text templates. Rules repeat a
     few distinct distributions, so each is rendered once."""
+    from json.encoder import encode_basestring
+
     bodies: dict[int, str] = {}
     rendered: dict[ClassDistribution, str] = {}
     for e, dist in model.extent_facts:

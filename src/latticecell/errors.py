@@ -1,7 +1,6 @@
 """Exception types and the input checks shared across the package."""
 
 import gc
-import json
 from collections import Counter
 from collections.abc import Callable, Iterable
 from pathlib import Path
@@ -65,6 +64,8 @@ def read_converted(path: str | Path, convert: Callable):
     other thread turns it on or off during the load: one that did would
     see its choice undone when the load ends. Loads running in several
     threads at once leave it as it was before the first began."""
+    import json
+
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -86,6 +87,8 @@ def write_json(path: str | Path, data) -> None:
     file. ``save_model`` and ``save_lattice`` render their schemas from
     text templates instead, and the bytes this writes for ``model_to_dict``
     and ``lattice_to_dict`` are their oracle."""
+    import json
+
     Path(path).write_text(json.dumps(data, ensure_ascii=False, indent=2) + "\n",
                           encoding="utf-8")
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import repeat
-from json.encoder import encode_basestring
 from pathlib import Path
 
 from . import backend
@@ -317,6 +316,8 @@ def save_lattice(lattice: ConceptLattice, path: str | Path) -> None:
     """Write ``lattice`` to ``path``: the same bytes as ``write_json(path,
     lattice_to_dict(lattice))``, rendered from text templates with each
     object and attribute name encoded once."""
+    from json.encoder import encode_basestring
+
     ctx = lattice.context
     objects = list(map(encode_basestring, ctx.object_ids))
     attributes = list(map(encode_basestring, ctx.attribute_names))

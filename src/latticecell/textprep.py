@@ -377,4 +377,6 @@ def load_documents(path: str | Path) -> list[Document]:
     if path.is_dir():
         return [Document(name, None, _read_text(file))
                 for name, file in _file_paths(path)]
+    if path.exists():
+        raise CorpusError(f"not a regular file or directory: {path}")
     raise CorpusError(f"no such file or directory: {path}")

@@ -7,8 +7,11 @@ record class here writes its ``__init__`` and lists its fields instead.
 
 The same start-up rule holds across the package: a module imported at
 module level is one every command needs. One that a single command
-needs (``csv``, ``fractions``, ``random``) is imported inside the
-function that uses it, and ``typing`` is not imported at all.
+needs (``csv``, ``fractions``, ``random``), or that only file reading and
+writing needs (``json``), is imported inside the function that uses it,
+and ``typing`` is not imported at all. The package namespace imports a
+submodule the first time one of its names is read, so a library user's
+``import latticecell`` loads ``classify`` and the modules it imports.
 """
 
 from operator import attrgetter

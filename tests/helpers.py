@@ -147,6 +147,8 @@ def reference_load_documents(path) -> list[Document]:
     if path.is_dir():
         return [_reference_read(path / name)
                 for name in _reference_names(path, Path.is_file)]
+    if path.exists():
+        raise CorpusError(f"not a regular file or directory: {path}")
     raise CorpusError(f"no such file or directory: {path}")
 
 

@@ -447,6 +447,21 @@ def test_missing_input_file_is_an_error_not_a_traceback(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+def test_classify_names_an_input_that_is_not_a_file_or_directory(tmp_path,
+                                                                 capsys):
+    """A path that exists but is neither a regular file nor a directory
+    (here a FIFO, as ``/dev/null`` is a device) is not reported missing."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    rc = main(["classify", str(Path(__file__).parent / "golden" /
+                                "demo_model.json"), str(fifo)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: not a regular file or directory: {fifo}\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["compile", "-o", "{tmp}/m.json"],
      "error: compile needs LATTICE and LABELS (or --paper-fixture)\n"),

@@ -4,7 +4,11 @@ A clean interpreter (``-I -S``: no site hooks, no user paths) imports the
 package from this checkout and runs the commands one after another,
 noting after each which of the modules below are loaded. A module only
 one command needs is imported inside the function that uses it, so
-``build``, ``classify`` and ``inspect`` load none of them.
+``build``, ``classify`` and ``inspect`` load none of the standard
+library's watched here. The package's namespace imports a submodule on
+first use, and ``json`` is imported where a file is read or written, so
+``import latticecell`` loads ``classify`` and what it imports, and
+``load_corpus`` adds only the text modules.
 """
 
 import json
@@ -12,20 +16,27 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from helpers import DATA
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).parent / "golden"
 
-WATCHED = ("fractions", "decimal", "numbers", "typing", "csv", "random",
-           "importlib.resources", "tempfile", "zipfile")
+STDLIB = ("fractions", "decimal", "numbers", "typing", "csv", "random",
+          "importlib.resources", "tempfile", "zipfile")
+PACKAGE = tuple(f"latticecell.{name}" for name in (
+    "backend", "bits", "classify", "cli", "compiler", "context", "engine",
+    "errors", "evaluate", "lattice", "textprep", "value"))
+WATCHED = (*STDLIB, "json", *PACKAGE)
 
 # each step's arguments to ``cli.main``; the modules watched are noted
-# after each step, cumulatively
+# after each step, cumulatively. The arguments are Python literals, so
+# that reading them loads no ``json``.
 SCRIPT = """
-import json, sys
+import ast, sys
 sys.path.insert(0, sys.argv[1])
-watched, steps = json.loads(sys.argv[2]), json.loads(sys.argv[3])
+watched, steps = map(ast.literal_eval, sys.argv[2:4])
 loaded = {}
 def note(step):
     loaded[step] = sorted(m for m in watched if m in sys.modules)
@@ -37,11 +48,15 @@ from latticecell.cli import main
 for step, argv in steps.items():
     assert main(argv) == 0, step
     note(step)
+import json
 print(json.dumps(loaded))
 """
 
 
-def _loaded_after_each_step(tmp_path) -> dict[str, list[str]]:
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory) -> dict[str, list[str]]:
+    """The watched modules loaded after each step, in one interpreter."""
+    tmp_path = tmp_path_factory.mktemp("startup")
     corpus = DATA / "corpus"
     model = GOLDEN / "demo_model.json"
     steps = {
@@ -64,21 +79,34 @@ def _loaded_after_each_step(tmp_path) -> dict[str, list[str]]:
              for k, v in steps.items()}
     done = subprocess.run(
         [sys.executable, "-I", "-S", "-c", SCRIPT, str(SRC),
-         json.dumps(WATCHED), json.dumps(steps)],
+         repr(WATCHED), repr(steps)],
         cwd=tmp_path, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_commands_load_only_the_modules_they_use(tmp_path):
-    """Nothing watched loads for the import, ``load_corpus``, ``build``,
-    ``classify`` on text files or ``inspect``; ``csv`` loads for
-    ``compile`` (its labels file) and CSV inputs; ``evaluate`` adds
-    ``fractions`` (with ``decimal`` and ``numbers``) for its metrics and
-    ``random`` for its split."""
-    loaded = _loaded_after_each_step(tmp_path)
+def test_commands_load_only_the_modules_they_use(loaded):
+    """No standard-library module watched loads for the import,
+    ``load_corpus``, ``build``, ``classify`` on text files or ``inspect``;
+    ``csv`` loads for ``compile`` (its labels file) and CSV inputs;
+    ``evaluate`` adds ``fractions`` (with ``decimal`` and ``numbers``) for
+    its metrics and ``random`` for its split."""
+    stdlib = {step: [m for m in modules if m in STDLIB]
+              for step, modules in loaded.items()}
     for step in ("import", "load_corpus", "build", "classify",
                  "inspect model", "inspect lattice"):
-        assert loaded[step] == [], step
-    assert loaded["compile"] == loaded["classify csv"] == ["csv"]
-    assert loaded["evaluate"] == ["csv", "decimal", "fractions", "numbers",
+        assert stdlib[step] == [], step
+    assert stdlib["compile"] == stdlib["classify csv"] == ["csv"]
+    assert stdlib["evaluate"] == ["csv", "decimal", "fractions", "numbers",
                                   "random"]
+
+
+def test_the_package_imports_its_modules_on_first_use(loaded):
+    """``import latticecell`` loads ``classify`` and the modules it
+    imports; ``load_corpus`` adds ``context`` and ``textprep``; neither
+    loads ``json``, which loads with the first command, the CLI."""
+    assert loaded["import"] == ["latticecell.bits", "latticecell.classify",
+                                "latticecell.compiler", "latticecell.errors",
+                                "latticecell.value"]
+    assert loaded["load_corpus"] == sorted(
+        [*loaded["import"], "latticecell.context", "latticecell.textprep"])
+    assert "json" in loaded["build"]
