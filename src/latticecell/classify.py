@@ -6,8 +6,8 @@ of the rules that fire at the engine's fixpoint are averaged. The argmax
 category wins, ties broken by category order. No activation yields an
 explicitly unclassifiable prediction. No rule of a model concludes a
 premise, so the fixpoint is one step: the rules of the activated facts.
-``classify`` reads them from the model and runs the engine only to trace
-it.
+``classify`` always votes over them, read from the model, and runs an
+engine only to trace it.
 
 Activation does not score every intent. The rule index holds, per term,
 the bitset of the rules whose intent has it. The document's terms' bitsets
@@ -154,8 +154,8 @@ def activate(model: CellularModel, doc: DocumentVector, measure: str = "inner",
         return _facts(model, groups[0])
     top: set[int] = set()
     for rules in groups:
-        tied = sorted({model.intent_facts[k][0]
-                       for k in iter_bits(rules)}.difference(top))
+        # a fact's rules share its intent, so they share a group too
+        tied = sorted({model.intent_facts[k][0] for k in iter_bits(rules)})
         top.update(tied[:arg - len(top)])
         if len(top) == arg:
             break
@@ -210,27 +210,23 @@ def classify(model: CellularModel, doc: DocumentVector, measure: str = "inner",
     conclusion, so the engine fires exactly the rules of the activated
     facts in its first cycle and changes nothing in its second; the
     fixpoint is read from ``model.premise_rules`` without running it. With
-    a ``trace`` list the engine runs, and a snapshot of both layers is
-    appended before the run and after each cycle.
+    a ``trace`` list a fresh engine also runs, only to append a snapshot of
+    both layers before the run and after each cycle; the vote is the same.
 
     Deterministic for identical inputs; the shared model is never mutated.
     """
     activated = activate(model, doc, measure, policy)
     if not activated:
         return Prediction(None, None, (), ())
-    if trace is None:
-        # the facts are distinct and each rule has one premise, so the
-        # facts' rules are too
-        rules = sorted(chain.from_iterable(
-            map(model.premise_rules.__getitem__, activated)))
-    else:
+    if trace is not None:
         from .engine import run_inference, set_facts
 
-        engine = model.fresh_engine()
-        set_facts(engine, activated)
-        run_inference(engine, trace)
-        rules = iter_bits(engine.er)
-    # an activated fact is some rule's premise, so some rule fired
+        run_inference(set_facts(model.engine_template, activated), trace)
+    # the facts are distinct and each rule has one premise, so the facts'
+    # rules are too; an activated fact is some rule's premise, so some
+    # rule fired
+    rules = sorted(chain.from_iterable(
+        map(model.premise_rules.__getitem__, activated)))
     fired, dists = zip(*map(model.extent_facts.__getitem__, rules))
     category, mean = vote(dists, model.categories)
     return Prediction(category, mean, fired, activated)

@@ -19,10 +19,10 @@ A model's intents lie within its vocabulary, so the rule index that
 activation reads is two C-level passes over them: ``bits.transpose``
 gives each attribute's column of rules, and the columns' bit-sliced
 counts, split by ``bits.split_by_count``, give the rules of each intent
-size. The fact-to-rules map that classification reads, and the engine
-template that ``--trace`` runs, are built on first read from the fact
-pairs. The constructor admits only models a file holds, so the writers
-check nothing.
+size. The fact-to-rules map that classification reads is built on first
+read from the fact pairs; the engine that ``--trace`` runs is built anew
+from them on each read. The constructor admits only models a file holds,
+so the writers check nothing.
 """
 
 from __future__ import annotations
@@ -194,19 +194,19 @@ class CellularModel(Value):
     extent fact index with its class distribution (integer counts over a
     total). Fact indices point into ``fact_labels``: the labels as given for
     a loaded or fixture model, a ``LazyLabels`` for a compiled one; one
-    outside them is a ``DimensionError``, and a fact that is both a premise
-    and a conclusion, or neither, a ``ValueError``, as no file holds it.
-    Rule k, labeled ``R{k+1}``, links intent fact k (its premise) to extent
-    fact k (its conclusion); these pairs are the only statement of the
-    wiring. No conclusion is a premise, so the engine's fixpoint is one
-    step, and ``premise_rules``, derived from the pairs, gives it: the
-    rules of the activated facts, for which a vote reads ``extent_facts[k]``.
-    ``engine_template`` is derived from the pairs as fact index tuples, and
-    only a traced classification runs it; it shares ``fact_labels`` and
-    renders its rule labels on first read. Immutable, apart from
-    ``rule_index``, ``premise_rules`` and ``engine_template``, built on
-    first read and left out of equality and repr; clone the engine via
-    ``fresh_engine``.
+    outside them is a ``DimensionError``; a fact that is both a premise and
+    a conclusion, or neither, or a premise with two intents, is a
+    ``ValueError``, as no file holds it. Rule k, labeled ``R{k+1}``, links
+    intent fact k (its premise) to extent fact k (its conclusion); these
+    pairs are the only statement of the wiring. No conclusion is a
+    premise, so the engine's fixpoint is one step, and ``premise_rules``,
+    derived from the pairs, gives it: the rules of the activated facts, for
+    which a vote reads ``extent_facts[k]``. Each read of
+    ``engine_template`` builds a fresh engine from the pairs, which only a
+    traced classification runs; it shares ``fact_labels`` and renders its
+    rule labels on first read. Immutable, apart from ``rule_index`` and
+    ``premise_rules``, built on first read and left out of equality and
+    repr.
     """
 
     _fields = ("categories", "fact_labels", "intent_facts", "extent_facts",
@@ -247,6 +247,11 @@ class CellularModel(Value):
             if f in premises:
                 raise ValueError(f"fact {f} is both a premise and a conclusion")
             raise ValueError(f"fact {f} is referenced by no rule")
+        # rules may share a premise fact, but a file gives it one intent
+        if len(premises) < n and len(set(intent_facts)) > len(premises):
+            intents = dict(intent_facts)
+            f = min(f for f, mask in intent_facts if intents[f] != mask)
+            raise ValueError(f"fact {f} carries two intents")
 
     @property
     def n_facts(self) -> int:
@@ -256,13 +261,10 @@ class CellularModel(Value):
     def n_rules(self) -> int:
         return len(self.intent_facts)
 
-    def fresh_engine(self) -> EngineState:
-        return self.engine_template.copy()
-
-    @lazy
+    @property
     def engine_template(self) -> EngineState:
-        """The engine a traced classification clones, derived on first
-        read."""
+        """A new engine over the rules, in its fresh state, built from the
+        fact pairs on each read."""
         from .engine import EngineState
 
         n = self.n_rules

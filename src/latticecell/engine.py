@@ -97,12 +97,6 @@ class EngineState:
     def n_rules(self) -> int:
         return len(self.rule_labels)
 
-    def copy(self) -> "EngineState":
-        clone = EngineState.__new__(EngineState)
-        for name in EngineState.__slots__:
-            setattr(clone, name, getattr(self, name))
-        return clone
-
     def __repr__(self) -> str:
         return (f"EngineState({self.n_facts} facts, {self.n_rules} rules, "
                 f"ef={self.ef:#x}, er={self.er:#x})")

@@ -38,7 +38,7 @@ def test_criterion_1_worked_example():
     assert [labels[i] for i in pred.activated_intents] == \
         ["[Puissance, Ministre]", "[Visage, Puissance, Ministre]"]
 
-    engine = model.fresh_engine()
+    engine = model.engine_template
     set_facts(engine, pred.activated_intents)
     assert engine.ef == sum(1 << i for i in pred.activated_intents)
 
@@ -271,13 +271,13 @@ def test_criterion_9_timing_and_single_pass(tmp_path, capsys):
         if model.engine_template.n_rules == 0:
             continue
         active = [i for i, _ in model.intent_facts if rnd.random() < 0.5]
-        one = model.fresh_engine()
+        one = model.engine_template
         set_facts(one, active)
         delta_rule(delta_fact(one))
         after_one = (one.ef, one.er)
         delta_rule(delta_fact(one))
         assert (one.ef, one.er) == after_one   # nothing left to derive
-        full = model.fresh_engine()
+        full = model.engine_template
         set_facts(full, active)
         run_inference(full)
         assert (full.ef, full.er) == after_one

@@ -19,7 +19,7 @@ from latticecell.bits import iter_bits
 from latticecell.classify import (MEASURES, Prediction, _ranked, _score_ratio,
                                   _score_value)
 from latticecell.compiler import CellularModel, ClassDistribution
-from latticecell.engine import run_inference, set_facts
+from latticecell.engine import EngineState, run_inference, set_facts
 from strategies import models
 
 
@@ -189,20 +189,14 @@ def test_rules_sharing_a_premise_activate_it_once():
     assert activate(model, query_vector(), "inner", "topk:1") == (4,)
 
 
-def test_topk_counts_a_fact_once_at_its_best_rule():
-    """Built directly, a model may give one premise fact two intents (a
-    file cannot). topk:2 then takes fact 0 at its better rule and fact 3
-    next, and the engine fires all three rules of the two facts."""
+def test_a_premise_fact_has_one_intent():
+    """No file gives one premise fact two intents, so no model does: its
+    rules all score alike, and activation never meets the fact twice."""
     dist = ClassDistribution.from_counts((1, 0), 1)
-    model = CellularModel(("A", "B"), ("[a]", "[S1]", "[S2]", "[b]", "[S3]"),
-                          ((0, 0b001), (0, 0b011), (3, 0b010)),
-                          ((1, dist), (2, dist), (4, dist)), ("a", "b", "c"))
-    doc = DocumentVector(0b011, 3)
-    assert activate(model, doc, "inner", "topk:2") == (0, 3)
-    assert reference_activate(model, doc, "inner", "topk:2") == (0, 3)
-    pred = classify(model, doc, "inner", "topk:2")
-    assert pred.fired_vertices == (1, 2, 4)
-    assert classify(model, doc, "inner", "topk:2", []) == pred
+    with pytest.raises(ValueError, match="^fact 0 carries two intents$"):
+        CellularModel(("A", "B"), ("[a]", "[S1]", "[S2]", "[b]", "[S3]"),
+                      ((0, 0b001), (0, 0b011), (3, 0b010)),
+                      ((1, dist), (2, dist), (4, dist)), ("a", "b", "c"))
 
 
 def test_classify_single_vertex_returns_its_distribution():
@@ -394,6 +388,29 @@ def test_engine_wiring_is_derived_from_rule_pairs(source):
     assert eng.ef == 0
 
 
+def test_a_traced_classify_stores_no_engine_on_the_model():
+    model = load_fixture_model()
+    trace = []
+    pred = classify(model, query_vector(), "inner", "max", trace)
+    assert len(trace) == 3
+    assert pred == classify(model, query_vector(), "inner", "max")
+    assert not [value for value in vars(model).values()
+                if isinstance(value, EngineState)]
+
+
+def test_each_engine_template_read_is_a_fresh_engine():
+    """A run of one read's engine leaves the next read's untouched."""
+    model = load_fixture_model()
+    ran = run_inference(set_facts(model.engine_template, (4, 6)))
+    assert ran.er and ran.cycles == 2
+    fresh = model.engine_template
+    assert fresh is not ran
+    n_facts, n_rules = fresh.n_facts, fresh.n_rules
+    assert (fresh.ef, fresh.sf, fresh.er, fresh.cycles) == (0, 0, 0, 0)
+    assert fresh.fact_if == (1 << n_facts) - 1
+    assert fresh.rule_ir == fresh.sr == (1 << n_rules) - 1
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(models())
 def test_classify_reads_the_engine_fixpoint(case):
@@ -407,9 +424,8 @@ def test_classify_reads_the_engine_fixpoint(case):
             trace = []
             assert classify(model, doc, measure, policy, trace) == pred
             activated = activate(model, doc, measure, policy)
-            engine = model.fresh_engine()
-            set_facts(engine, activated)
-            run_inference(engine)
+            engine = run_inference(set_facts(model.engine_template,
+                                             activated))
             fired = [model.extent_facts[k] for k in iter_bits(engine.er)]
             if activated:
                 assert engine.cycles == 2 and len(trace) == 3

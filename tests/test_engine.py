@@ -130,7 +130,7 @@ def test_no_initial_facts_is_fixpoint():
 
 def test_fixture_inference_matches_reference_tables():
     model = load_fixture_model()
-    eng = model.fresh_engine()
+    eng = model.engine_template
     labels = eng.fact_labels
     activated = [labels.index("[Puissance, Ministre]"),
                  labels.index("[Visage, Puissance, Ministre]")]
@@ -238,15 +238,6 @@ def test_trace_snapshots():
     run_inference(eng, trace)
     assert len(trace) == eng.cycles + 1
     assert "Facts" in trace[0] and "Rules" in trace[0]
-
-
-def test_copy_isolated():
-    eng = chain_engine()
-    clone = eng.copy()
-    set_facts(clone, [0])
-    run_inference(clone)
-    assert eng.ef == 0
-    assert clone.ef == 0b111
 
 
 def test_a_loaded_shared_premise_is_watched_by_both_rules():

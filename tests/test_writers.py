@@ -17,7 +17,7 @@ from helpers import random_context_of_size
 from latticecell import (CellularModel, ClassDistribution, FormalContext,
                          build_lattice, compile_model, save_lattice,
                          save_model)
-from latticecell.compiler import model_to_dict
+from latticecell.compiler import load_model, model_from_dict, model_to_dict
 from latticecell.lattice import lattice_to_dict
 
 # text that JSON must escape or pass through: quotes, backslashes,
@@ -38,22 +38,30 @@ def out(tmp_path_factory):
 @st.composite
 def models(draw):
     """Up to 5 rules over arbitrary names, their facts in a shuffled order,
-    drawing their distributions from a small pool so that some repeat."""
+    some rules sharing a premise fact (with its one intent), drawing their
+    distributions from a small pool so that some repeat."""
     categories = draw(st.lists(texts, min_size=1, max_size=4, unique=True))
     vocabulary = draw(st.lists(texts, max_size=6, unique=True))
     n_rules = draw(st.integers(0, 5))
-    order = draw(st.permutations(range(2 * n_rules)))
+    n_premises = draw(st.integers(min(n_rules, 1), n_rules))
+    n_facts = n_premises + n_rules
+    order = draw(st.permutations(range(n_facts)))
+    intents = draw(st.lists(st.integers(0, (1 << len(vocabulary)) - 1),
+                            min_size=n_premises, max_size=n_premises))
+    # every premise is some rule's; the other rules draw theirs
+    premises = draw(st.permutations(
+        [*range(n_premises), *draw(st.lists(
+            st.integers(0, max(n_premises - 1, 0)),
+            min_size=n_rules - n_premises, max_size=n_rules - n_premises))]))
     counts = st.lists(st.integers(0, 150), min_size=len(categories),
                       max_size=len(categories)).filter(any)
     pool = [ClassDistribution.from_counts(c, sum(c))
             for c in draw(st.lists(counts, min_size=1, max_size=3))]
-    intents = st.integers(0, (1 << len(vocabulary)) - 1)
     return CellularModel(
         tuple(categories),
-        tuple(draw(st.lists(texts, min_size=2 * n_rules,
-                            max_size=2 * n_rules))),
-        tuple((i, draw(intents)) for i in order[:n_rules]),
-        tuple((e, draw(st.sampled_from(pool))) for e in order[n_rules:]),
+        tuple(draw(st.lists(texts, min_size=n_facts, max_size=n_facts))),
+        tuple((order[p], intents[p]) for p in premises),
+        tuple((e, draw(st.sampled_from(pool))) for e in order[n_premises:]),
         tuple(vocabulary))
 
 
@@ -74,6 +82,16 @@ def test_save_model_writes_the_oracle_bytes(out, model):
     assert out.read_bytes() == oracle_bytes(model_to_dict(model))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(model=models())
+def test_a_model_survives_its_file_and_its_dict(out, model):
+    """Rules sharing a premise fact included, every model the constructor
+    accepts loads back equal, from its file and from its dict form."""
+    save_model(model, out)
+    assert load_model(out) == model
+    assert model_from_dict(model_to_dict(model)) == model
+
+
 def test_save_model_without_rules_writes_empty_lists(out):
     model = CellularModel(("a",), (), (), (), ())
     save_model(model, out)
@@ -91,22 +109,25 @@ HALF = ClassDistribution.from_counts((1, 1), 2)
     (4, (0, 1), (1, 2), "fact 1 is both a premise and a conclusion"),
     # the lowest of the two faulty facts is named, whichever its fault
     (4, (0, 3), (1, 3), "fact 2 is referenced by no rule"),
+    # two rules share premise fact 0, each giving it its own intent
+    (3, (0, 0), (1, 2), "fact 0 carries two intents"),
 ], ids=["unreferenced", "both", "both-and-unreferenced",
-        "unreferenced-and-both"])
+        "unreferenced-and-both", "two-intents"])
 @pytest.mark.parametrize("writer", ["save_model", "model_to_dict"])
 def test_writers_reject_a_model_no_file_can_hold(tmp_path, writer, n_facts,
                                                  premises, conclusions,
                                                  message):
     """A file gives each fact one kind, which the loader checks against the
-    rules; a model with a fact that is neither or both is refused where it
-    is made, with a ``ValueError`` naming the fact, so no writer is handed
-    one and no file is written."""
+    rules, and each premise fact one intent; a model with a fact that is
+    neither kind or both, or a premise with two intents, is refused where
+    it is made, with a ``ValueError`` naming the fact, so no writer is
+    handed one and no file is written."""
     path = tmp_path / "model.json"
     with pytest.raises(ValueError, match=f"^{message}$"):
         model = CellularModel(
             ("a", "b"), tuple(f"[f{i}]" for i in range(n_facts)),
-            tuple((i, 1) for i in premises),
-            tuple((e, HALF) for e in conclusions), ("t",))
+            tuple((i, k + 1) for k, i in enumerate(premises)),
+            tuple((e, HALF) for e in conclusions), ("t", "u"))
         save_model(model, path) if writer == "save_model" else model_to_dict(model)
     assert not path.exists()
 
