@@ -31,14 +31,14 @@ import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import compress, count
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .bits import (bit_indices, bit_sliced_counts, iter_bits,
                    mask_from_indices, split_by_count, transpose)
 from .errors import (DimensionError, EmptyInputError, FormatError,
                      LabelingError, json_list, read_converted, require_names,
-                     require_strings)
+                     require_strings, require_unique)
 from .value import Value, lazy
 
 
@@ -192,11 +192,12 @@ class CellularModel(Value):
     over ``vocabulary`` (a mask with a bit past the vocabulary, or a
     negative one, is a ``DimensionError``); ``extent_facts`` pairs each
     extent fact index with its class distribution (integer counts over a
-    total). Fact indices point into ``fact_labels``: the labels as given for
-    a loaded or fixture model, a ``LazyLabels`` for a compiled one; one
-    outside them is a ``DimensionError``; a fact that is both a premise and
-    a conclusion, or neither, or a premise with two intents, is a
-    ``ValueError``, as no file holds it. Rule k, labeled ``R{k+1}``, links
+    total, one per category; another width is a ``DimensionError``). Fact
+    indices point into ``fact_labels``: the labels as given for a loaded or
+    fixture model, a ``LazyLabels`` for a compiled one; one outside them is
+    a ``DimensionError``; a repeated category or term, a fact that is both
+    a premise and a conclusion, or neither, or a premise with two intents,
+    is a ``ValueError``, as no file holds it. Rule k, labeled ``R{k+1}``, links
     intent fact k (its premise) to extent fact k (its conclusion); these
     pairs are the only statement of the wiring. No conclusion is a
     premise, so the engine's fixpoint is one step, and ``premise_rules``,
@@ -225,6 +226,17 @@ class CellularModel(Value):
         n = len(intent_facts)
         if n != len(extent_facts):
             raise ValueError("one rule per intent/extent fact pair required")
+        # a file names each category and term once, and gives each
+        # distribution one fraction per category
+        require_unique("categories", categories)
+        require_unique("vocabulary", vocabulary)
+        n_categories = len(categories)
+        dists = list(map(itemgetter(1), extent_facts))
+        if set(map(len, map(attrgetter("counts"), dists))) - {n_categories}:
+            k = next(k for k, dist in enumerate(dists)
+                     if len(dist.counts) != n_categories)
+            raise DimensionError(f"rule {k}: {len(dists[k].counts)} fractions "
+                                 f"for {n_categories} categories")
         width = len(vocabulary)
         if n and (min(map(itemgetter(1), intent_facts)) < 0
                   or max(map(itemgetter(1), intent_facts)) >> width):
@@ -274,8 +286,8 @@ class CellularModel(Value):
 
     @lazy
     def premise_rules(self) -> dict[int, tuple[int, ...]]:
-        """Per premise fact, the rules it is the premise of, in rule order
-        (its engine ``watchers``), derived on first read."""
+        """Per premise fact, the rules it is the premise of, in rule order,
+        derived on first read."""
         premises = list(map(itemgetter(0), self.intent_facts))
         rules = dict(zip(premises, zip(count())))
         if len(rules) < len(premises):  # a loaded model may share a premise

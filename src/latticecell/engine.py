@@ -14,20 +14,16 @@ alternates the two transition steps until nothing changes:
   establishes its conclusion facts; fired rules are consumed (SR := not ER).
 
 EF and ER only ever grow, so a fixpoint is reached within |rules| + 1
-cycles. The six layers are int bitsets. The wiring is index tuples: RE
-and RS column-wise as each rule's premise and conclusion fact indices, and
-RE also row-wise as each fact's ``watchers``, the indices of the rules it
-is a premise of. So the wiring's size is linear in the incidences, and the
-fact step re-checks only the rules watching an established fact, as in
-Dowling & Gallier's linear-time Horn chaining: a cycle costs the touched
-rules, not all of them. The cells, the cycle count and the per-cycle
-snapshots are those of a scan over every rule.
+cycles. The six layers are int bitsets. The wiring is RE and RS
+column-wise, as each rule's premise and conclusion fact indices, so its
+size is linear in the incidences. The fact step is the paper's scan: it
+checks the premises of every rule against the established facts, and
+masks the satisfied rules with IR.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from itertools import chain
 
 from .bits import iter_bits
 from .errors import DimensionError
@@ -47,14 +43,12 @@ class EngineState:
       premises and conclusions (column j of RE and RS), each in
       ``range(len(fact_labels))``.
 
-    ``watchers[i]`` is derived: the indices of the rules that fact i is a
-    premise of (row i of RE). Freshly built rules are (ER, IR, SR) =
-    (0, 1, 1) and all facts participate.
+    Freshly built rules are (ER, IR, SR) = (0, 1, 1) and all facts
+    participate.
     """
 
     __slots__ = ("fact_labels", "rule_labels", "premises", "conclusions",
-                 "watchers", "ef", "fact_if", "sf", "er", "rule_ir", "sr",
-                 "cycles")
+                 "ef", "fact_if", "sf", "er", "rule_ir", "sr", "cycles")
 
     def __init__(self, fact_labels: Sequence[str], rule_labels: Sequence[str],
                  premises: Sequence[Sequence[int]],
@@ -65,20 +59,9 @@ class EngineState:
         self.premises = tuple(map(tuple, premises))
         self.conclusions = tuple(map(tuple, conclusions))
         for wiring in (self.premises, self.conclusions):
-            used = list(chain.from_iterable(wiring))
-            if used and not (0 <= min(used) and max(used) < n_facts):
-                j = next(j for j, facts in enumerate(wiring)
-                         if not all(0 <= f < n_facts for f in facts))
-                raise DimensionError(f"rule {j} wiring exceeds fact count")
-        # a fact no rule watches shares the one empty tuple
-        watching: dict[int, list[int]] = {}
-        for j, facts in enumerate(self.premises):
-            for f in facts:
-                watching.setdefault(f, []).append(j)
-        watchers: list[tuple[int, ...]] = [()] * n_facts
-        for f, rules in watching.items():
-            watchers[f] = tuple(rules)
-        self.watchers = tuple(watchers)
+            for j, facts in enumerate(wiring):
+                if facts and not (0 <= min(facts) and max(facts) < n_facts):
+                    raise DimensionError(f"rule {j} wiring exceeds fact count")
         self.fact_labels = fact_labels
         self.rule_labels = rule_labels
         self.ef = 0
@@ -129,23 +112,16 @@ def set_facts(state: EngineState, indices: Iterable[int]) -> EngineState:
 def delta_fact(state: EngineState) -> EngineState:
     """Evaluation step: copy EF to SF and trigger satisfied rules.
 
-    Only the untriggered, participating rules watching an established fact
-    are checked: every other rule has an empty premise or one with no
-    established fact, so a full scan would not trigger it either.
+    Every rule is checked: one with a premise, all of whose premises are
+    established, is satisfied, and ER := ER or (IR and satisfied).
     """
     state.sf = state.ef
-    established = state.ef & state.fact_if
-    unchecked = state.rule_ir & ~state.er
-    er = state.er
-    for i in iter_bits(established):
-        for j in state.watchers[i]:
-            if unchecked >> j & 1:
-                for f in state.premises[j]:
-                    if not established >> f & 1:
-                        break
-                else:
-                    er |= 1 << j
-    state.er = er
+    established = set(iter_bits(state.ef & state.fact_if))
+    satisfied = 0
+    for j, premises in enumerate(state.premises):
+        if premises and established.issuperset(premises):
+            satisfied |= 1 << j
+    state.er |= satisfied & state.rule_ir
     return state
 
 

@@ -41,12 +41,17 @@ def require_strings(key: str, values) -> None:
         raise FormatError(f"{key}: expected a list of strings")
 
 
+def require_unique(key: str, names, error: type = ValueError) -> None:
+    """``error`` naming the first name that ``names`` repeats, if any."""
+    if len(set(names)) < len(names):
+        repeated = [name for name, n in Counter(names).items() if n > 1]
+        raise error(f"{key}: repeated name {repeated[0]!r}")
+
+
 def require_names(key: str, names) -> None:
     """``require_strings``, and no name repeated."""
     require_strings(key, names)
-    repeated = [name for name, n in Counter(names).items() if n > 1]
-    if repeated:
-        raise FormatError(f"{key}: repeated name {repeated[0]!r}")
+    require_unique(key, names, FormatError)
 
 
 def read_converted(path: str | Path, convert: Callable):

@@ -380,9 +380,9 @@ def test_engine_wiring_is_derived_from_rule_pairs(source):
                                                        model.extent_facts)):
         assert eng.premises[k] == (intent,)
         assert eng.conclusions[k] == (extent,)
-    assert eng.watchers == tuple(
-        tuple(k for k, (intent, _) in enumerate(model.intent_facts)
-              if intent == i) for i in range(eng.n_facts))
+    assert model.premise_rules == {
+        i: tuple(k for k, (intent, _) in enumerate(model.intent_facts)
+                 if intent == i) for i, _ in model.intent_facts}
     assert eng.rule_labels == tuple(f"R{k + 1}" for k in range(eng.n_rules))
     assert eng.fact_labels == model.fact_labels
     assert eng.ef == 0

@@ -27,19 +27,24 @@ def test_fresh_state():
 
 
 def test_wiring_validated():
-    with pytest.raises(DimensionError):
+    exceeds = "^rule {} wiring exceeds fact count$"
+    with pytest.raises(DimensionError, match=exceeds.format(0)):
         EngineState(["f1"], ["r1"], premises=[(1,)], conclusions=[(0,)])
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match=exceeds.format(0)):
         EngineState(["f1"], ["r1"], premises=[(0,)], conclusions=[(-1,)])
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="^premise/conclusion lists"):
         EngineState(["f1"], ["r1", "r2"], premises=[(0,)], conclusions=[(0,)])
+    # premises are checked first: a later rule's premise is named before
+    # an earlier rule's conclusion
+    with pytest.raises(DimensionError, match=exceeds.format(1)):
+        EngineState(["f1", "f2"], ["r1", "r2"], premises=[(0,), (2,)],
+                    conclusions=[(2,), (1,)])
 
 
 def test_matrices():
     eng = chain_engine()
     assert eng.premises == ((0,), (1,))
     assert eng.conclusions == ((1,), (2,))
-    assert eng.watchers == ((0,), (1,), ())
 
 
 def test_set_facts_reset_semantics():
@@ -240,14 +245,12 @@ def test_trace_snapshots():
     assert "Facts" in trace[0] and "Rules" in trace[0]
 
 
-def test_a_loaded_shared_premise_is_watched_by_both_rules():
-    """A model file may give two rules one premise fact; that fact's
-    watchers are both rules, in rule order, and establishing it fires
-    both."""
+def test_a_loaded_shared_premise_fires_both_rules():
+    """A model file may give two rules one premise fact; establishing it
+    fires both."""
     data = model_to_dict(load_fixture_model())
     data["rules"].append({"premise": 4, "conclusion": 1})
     state = model_from_dict(data).engine_template
-    assert state.watchers[4] == (2, 6)
     set_facts(state, [4])
     run_inference(state)
     assert state.er == 1 << 2 | 1 << 6

@@ -18,6 +18,7 @@ from latticecell import (CellularModel, ClassDistribution, FormalContext,
                          build_lattice, compile_model, save_lattice,
                          save_model)
 from latticecell.compiler import load_model, model_from_dict, model_to_dict
+from latticecell.errors import DimensionError
 from latticecell.lattice import lattice_to_dict
 
 # text that JSON must escape or pass through: quotes, backslashes,
@@ -100,34 +101,49 @@ def test_save_model_without_rules_writes_empty_lists(out):
 
 
 HALF = ClassDistribution.from_counts((1, 1), 2)
+THIRDS = ClassDistribution.from_counts((1, 1, 1), 3)
 
 
-@pytest.mark.parametrize("n_facts, premises, conclusions, message", [
-    (3, (0,), (1,), "fact 2 is referenced by no rule"),
-    (3, (0, 1), (1, 2), "fact 1 is both a premise and a conclusion"),
+@pytest.mark.parametrize("n_facts, premises, conclusions, changes, error, "
+                         "message", [
+    (3, (0,), (1,), {}, ValueError, "fact 2 is referenced by no rule"),
+    (3, (0, 1), (1, 2), {}, ValueError,
+     "fact 1 is both a premise and a conclusion"),
     # as many facts of each kind as there are facts, one of them of both
-    (4, (0, 1), (1, 2), "fact 1 is both a premise and a conclusion"),
+    (4, (0, 1), (1, 2), {}, ValueError,
+     "fact 1 is both a premise and a conclusion"),
     # the lowest of the two faulty facts is named, whichever its fault
-    (4, (0, 3), (1, 3), "fact 2 is referenced by no rule"),
+    (4, (0, 3), (1, 3), {}, ValueError, "fact 2 is referenced by no rule"),
     # two rules share premise fact 0, each giving it its own intent
-    (3, (0, 0), (1, 2), "fact 0 carries two intents"),
+    (3, (0, 0), (1, 2), {}, ValueError, "fact 0 carries two intents"),
+    # one rule, whose distribution or names its file cannot hold
+    (2, (0,), (1,), {"dist": THIRDS}, DimensionError,
+     "rule 0: 3 fractions for 2 categories"),
+    (2, (0,), (1,), {"categories": ("a", "a")}, ValueError,
+     "categories: repeated name 'a'"),
+    (2, (0,), (1,), {"vocabulary": ("x", "x")}, ValueError,
+     "vocabulary: repeated name 'x'"),
 ], ids=["unreferenced", "both", "both-and-unreferenced",
-        "unreferenced-and-both", "two-intents"])
+        "unreferenced-and-both", "two-intents", "distribution-width",
+        "repeated-category", "repeated-term"])
 @pytest.mark.parametrize("writer", ["save_model", "model_to_dict"])
 def test_writers_reject_a_model_no_file_can_hold(tmp_path, writer, n_facts,
                                                  premises, conclusions,
-                                                 message):
+                                                 changes, error, message):
     """A file gives each fact one kind, which the loader checks against the
-    rules, and each premise fact one intent; a model with a fact that is
-    neither kind or both, or a premise with two intents, is refused where
-    it is made, with a ``ValueError`` naming the fact, so no writer is
-    handed one and no file is written."""
+    rules, each premise fact one intent, each distribution one fraction
+    per category, and names each category and term once; a model that
+    breaks any of these is refused where it is made, naming the fact, the
+    rule or the name, so no writer is handed one and no file is written."""
     path = tmp_path / "model.json"
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    fields = {"categories": ("a", "b"), "vocabulary": ("t", "u"),
+              "dist": HALF, **changes}
+    with pytest.raises(error, match=f"^{message}$"):
         model = CellularModel(
-            ("a", "b"), tuple(f"[f{i}]" for i in range(n_facts)),
+            fields["categories"], tuple(f"[f{i}]" for i in range(n_facts)),
             tuple((i, k + 1) for k, i in enumerate(premises)),
-            tuple((e, HALF) for e in conclusions), ("t", "u"))
+            tuple((e, fields["dist"]) for e in conclusions),
+            fields["vocabulary"])
         save_model(model, path) if writer == "save_model" else model_to_dict(model)
     assert not path.exists()
 
